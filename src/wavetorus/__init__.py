@@ -70,13 +70,11 @@ from .solver import (
 )
 from .spectral import (
     GridField,
-    ModeIndex,
     PeriodicProfile,
     Q_AREA,
     SpectralField,
     SubspaceTag,
     analyze,
-    coeff_inner,
     coeff_norm,
     embed,
     field_from_dict,

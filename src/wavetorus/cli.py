@@ -1,7 +1,8 @@
 """Command-line front end: config parsing, orchestration, report emission.
 
-Config files are strict JSON: unknown keys are rejected with the offending
-path, and any randomized command requires an explicit seed.  Reports are
+Config files are strict JSON checked against a per-section table: unknown
+keys and ill-typed or out-of-range values are rejected with the offending
+key path, and any randomized command requires an explicit seed.  Reports are
 JSON-first with CSV sidecars; every report carries a provenance block
 (config hash, seed, package version) and reruns of the same config produce
 identical artifacts.
@@ -14,43 +15,60 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .errors import (
     NoConvergence,
     NonlinearityRejected,
+    NotInEperp,
     ParseError,
     ResonantMass,
     SingularJacobian,
     StallAt,
     WavetorusError,
 )
+from .nonlinearity import nonlinearity_from_config
+from .norms import (
+    NormReport,
+    holder_estimate,
+    norm_E,
+    norm_Es,
+    norm_Lp,
+    norm_lq,
+    sobolev_norm,
+    write_norm_reports_csv,
+    write_norm_reports_json,
+)
+from .solver import (
+    BetaSchedule,
+    PenalizedProblem,
+    continuation_beta,
+    linking_report,
+    multi_seed_search,
+    newton_solve,
+    residual,
+)
+from .spectral import SpectralField, SubspaceTag, random_field, read_field, write_field
+from .verify import (
+    EnsembleSpec,
+    apriori_monitor,
+    check_box_regularity,
+    check_embedding,
+    check_gn,
+    check_hausdorff_young,
+    check_holder_to_sobolev,
+    mms_run,
+    write_mms_csv,
+    write_ratio_csv,
+)
 
 COMMANDS = ("solve", "continue", "multi", "verify", "norms", "mms", "linking")
-RANDOMIZED = ("solve", "continue", "multi", "verify", "mms", "linking")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VIOLATION = 4
-
-_TOP_KEYS = {"command", "seed", "M", "beta", "sigma", "oversample", "newton",
-             "nl", "forcing", "initial", "out", "verify", "mms", "multi",
-             "linking", "norms"}
-_NEWTON_KEYS = {"tol", "max_iter", "line_search"}
-_BETA_KEYS = {"start", "factor", "floor"}
-_NL_KEYS = {"s", "a", "m", "b"}
-_NL_TERM_KEYS = {"j", "c", "c_sin"}
-_NL_M_KEYS = {"kind", "alpha", "bound"}
-_FORCING_KEYS = {"kind", "path", "decay", "target_seed", "kernel_free"}
-_INITIAL_KEYS = {"kind", "path", "amplitude", "decay", "modes"}
-_VERIFY_KEYS = {"suite", "count", "ensemble_M", "decay", "p", "s", "gamma",
-                "gamma_prime", "tails", "tail_count", "write_ratios"}
-_MMS_KEYS = {"decay", "M_list", "seed_level"}
-_MULTI_KEYS = {"n_seeds", "dedup_threshold"}
-_LINKING_KEYS = {"l_values", "rho_values", "n_starts", "n_sphere"}
-_NORMS_KEYS = {"field", "p", "q", "sobolev_s", "gamma", "es_s"}
 
 
 @dataclass
@@ -75,10 +93,118 @@ class RunConfig:
     out: str | None = None
 
 
-def _check_keys(d: dict, allowed: set, path: str, errors: list) -> None:
-    for k in d:
-        if k not in allowed:
-            errors.append(f'{path}{k}: unknown key')
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _choice(what: str, *options):
+    return (lambda v: v in options,
+            f"unknown {what} {{!r}} (expected one of {', '.join(options)})")
+
+
+def _list_of(rule):
+    check, message = rule
+    return (lambda v: isinstance(v, (list, tuple)) and all(check(x) for x in v),
+            f"must be a list; each entry {message}")
+
+
+# value rules (check, message); a "{!r}" in the message shows the value
+_INT = (_is_int, "must be an integer")
+_POS_INT = (lambda v: _is_int(v) and v >= 1, "must be a positive integer")
+_POS_INTS = _list_of(_POS_INT)
+_NONNEG_INT = (lambda v: _is_int(v) and v >= 0, "must be a nonnegative integer")
+_NUM = (_is_num, "must be a number")
+_POS_NUM = (lambda v: _is_num(v) and v > 0, "must be a number > 0")
+_NONNEG_NUM = (lambda v: _is_num(v) and v >= 0, "must be a number >= 0")
+_UNIT_NUM = (lambda v: _is_num(v) and 0 < v < 1, "must be a number in (0, 1)")
+_EXPONENT = (lambda v: _is_num(v) and v >= 1, "must be a number >= 1")
+_BOOL = (lambda v: isinstance(v, bool), "must be true or false")
+_PATH = (lambda v: isinstance(v, str), "must be a string path")
+
+
+@dataclass(frozen=True)
+class _Section:
+    """An object: key -> value rule, _Section, or [_Section] (a list of them)."""
+
+    rules: dict
+    required: tuple = ()
+
+
+_TERM = _Section({"j": _NONNEG_INT, "c": _NUM, "c_sin": _NUM}, ("j",))
+_SCHEMA = _Section({
+    "command": _choice("command", *COMMANDS),
+    "seed": _NONNEG_INT,
+    "M": _POS_INT,
+    "beta": (lambda v: isinstance(v, dict) or (_is_num(v) and v > 0),
+             "must be a positive number or a schedule object"),
+    "sigma": (lambda v: _is_int(v) and v in (1, -1), "must be +1 or -1"),
+    "oversample": (lambda v: _is_int(v) and v >= 2, "must be an integer >= 2"),
+    "out": _PATH,
+    "newton": _Section({"tol": _POS_NUM, "max_iter": _POS_INT, "line_search": _BOOL}),
+    "nl": _Section({"s": _NUM, "a": [_TERM], "b": [_TERM], "m": _Section(
+        {"kind": _choice("kind", "tanh", "none"), "alpha": _POS_NUM, "bound": _POS_NUM})},
+        ("s",)),
+    "forcing": _Section({
+        "kind": _choice("kind", "none", "file", "mms_target"), "path": _PATH,
+        "decay": _NONNEG_NUM, "target_seed": _NONNEG_INT, "kernel_free": _BOOL}),
+    "initial": _Section({
+        "kind": _choice("kind", "zero", "file", "random", "modes"), "path": _PATH,
+        "amplitude": _NUM, "decay": _NONNEG_NUM,
+        "modes": [_Section({"j": _INT, "k": _INT, "re": _NUM, "im": _NUM}, ("j", "k"))]}),
+    "verify": _Section({
+        "suite": _choice("suite", "hy", "gn", "embedding", "holder", "box", "all"),
+        "count": _POS_INT, "ensemble_M": _POS_INT, "decay": _NONNEG_NUM,
+        "p": (lambda v: _is_num(v) and v > 1, "must be a number > 1"),
+        "s": _UNIT_NUM, "gamma": _UNIT_NUM, "gamma_prime": _UNIT_NUM,
+        "tails": _POS_INTS, "tail_count": _POS_INT, "write_ratios": _BOOL}),
+    "mms": _Section({"decay": _NONNEG_NUM, "seed_level": _POS_INT, "M_list": (
+        lambda v: _POS_INTS[0](v) and len(v) > 0 and all(a < b for a, b in zip(v, v[1:])),
+        "must be a nonempty increasing list of positive integers")}),
+    "multi": _Section({"n_seeds": _POS_INT, "dedup_threshold": _UNIT_NUM}),
+    "linking": _Section({"l_values": _POS_INTS, "rho_values": _list_of(_POS_NUM),
+                         "n_starts": _POS_INT, "n_sphere": _POS_INT}),
+    "norms": _Section({
+        "field": _PATH, "p": _list_of(_EXPONENT), "q": _list_of(_EXPONENT),
+        "sobolev_s": _list_of(_NONNEG_NUM), "gamma": _list_of(_UNIT_NUM),
+        "es_s": _list_of((lambda v: _is_num(v) and 0 < v <= 1, "must lie in (0, 1]"))}),
+})
+_SCHEDULE = _Section({"start": _POS_NUM, "floor": _POS_NUM, "factor": (
+    lambda v: _is_num(v) and 0 < v < 1, "schedule must decrease (factor must lie in (0, 1))")},
+    ("start", "factor", "floor"))
+
+# keys (section.key for nested ones) that each command needs
+_NEEDED = {
+    "solve": ("seed", "M", "beta", "nl"), "multi": ("seed", "M", "beta", "nl"),
+    "continue": ("seed", "M", "beta", "nl"), "linking": ("seed", "M", "beta", "nl"),
+    "mms": ("seed", "beta", "nl", "mms", "mms.M_list"),
+    "verify": ("seed", "verify"), "norms": ("norms.field",),
+}
+
+
+def _check(value, rule, path: str) -> list:
+    """Problems of ``value`` against ``rule``, each prefixed by its key path."""
+    if isinstance(rule, list):
+        if not isinstance(value, (list, tuple)):
+            return [f"{path}: must be a list of objects"]
+        return [e for i, item in enumerate(value)
+                for e in _check(item, rule[0], f"{path}[{i}]")]
+    if isinstance(rule, _Section):
+        if not isinstance(value, dict):
+            return [f"{path}: must be an object"]
+        prefix = f"{path}." if path else ""
+        errors = [f"{prefix}{k}: missing" for k in rule.required if k not in value]
+        for k, v in value.items():
+            if k not in rule.rules:
+                errors.append(f"{prefix}{k}: unknown key")
+            else:
+                errors += _check(v, rule.rules[k], prefix + k)
+        return errors
+    check, message = rule
+    return [] if check(value) else [f"{path}: {message.format(value)}"]
 
 
 def parse_config(text_or_dict, command: str | None = None) -> RunConfig:
@@ -90,145 +216,50 @@ def parse_config(text_or_dict, command: str | None = None) -> RunConfig:
             raise ParseError([f"config: invalid JSON ({exc})"]) from exc
     else:
         doc = dict(text_or_dict)
-    errors: list[str] = []
     if not isinstance(doc, dict):
         raise ParseError(["config: top level must be an object"])
-    _check_keys(doc, _TOP_KEYS, "", errors)
+    problems = {k: _check({k: v}, _SCHEMA, "") for k, v in doc.items()}
+    errors = [e for errs in problems.values() for e in errs]
+    bad = {k for k, errs in problems.items() if errs}
 
     cmd = doc.get("command", command)
     if cmd is None:
         errors.append("command: missing")
-    elif cmd not in COMMANDS:
-        errors.append(f"command: unknown command {cmd!r}")
     elif command is not None and cmd != command:
         errors.append(f"command: config says {cmd!r} but {command!r} was invoked")
+    for key in _NEEDED.get(cmd, ()) if "command" not in bad else ():
+        section, _, sub = key.partition(".")
+        if section not in bad and (section not in doc or (sub and sub not in doc[section])):
+            errors.append(f"{key}: missing (required for {cmd})")
+    for section, kind, needed in (("forcing", "file", "path"), ("initial", "file", "path"),
+                                  ("initial", "modes", "modes")):
+        sub = doc.get(section) if section not in bad else None
+        if sub and sub.get("kind") == kind and needed not in sub:
+            errors.append(f"{section}.{needed}: missing (required for kind {kind!r})")
 
-    cfg = RunConfig(command=cmd or "", raw=doc)
-
-    seed = doc.get("seed")
-    if seed is None:
-        if cmd in RANDOMIZED:
-            errors.append(f"seed: missing (required for {cmd})")
-    elif not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        errors.append("seed: must be a nonnegative integer")
-    else:
-        cfg.seed = seed
-
-    if "M" in doc:
-        if not isinstance(doc["M"], int) or doc["M"] < 1:
-            errors.append("M: must be a positive integer")
-        else:
-            cfg.M = doc["M"]
-    elif cmd in ("solve", "continue", "multi", "linking"):
-        errors.append("M: missing")
-
-    if "beta" in doc:
-        b = doc["beta"]
-        if isinstance(b, dict):
-            _check_keys(b, _BETA_KEYS, "beta.", errors)
-            missing = _BETA_KEYS - set(b)
-            if missing:
-                errors.append(f"beta: schedule missing {sorted(missing)}")
-            else:
-                if not (isinstance(b["start"], (int, float)) and b["start"] > 0):
-                    errors.append("beta.start: must be > 0")
-                if not (isinstance(b["floor"], (int, float)) and b["floor"] > 0):
-                    errors.append("beta.floor: must be > 0")
-                if not (isinstance(b["factor"], (int, float)) and 0 < b["factor"] < 1):
-                    errors.append("beta.factor: schedule must decrease "
-                                  "(factor must lie in (0, 1))")
-                elif b["start"] <= b["floor"]:
-                    errors.append("beta: requires start > floor")
-            cfg.beta = b
-        elif isinstance(b, (int, float)) and not isinstance(b, bool) and b > 0:
-            cfg.beta = float(b)
-        else:
-            errors.append("beta: must be a positive number or a schedule object")
-    elif cmd in ("solve", "continue", "multi", "mms", "linking"):
-        errors.append("beta: missing")
-    if cmd == "continue" and not isinstance(cfg.beta, dict) and "beta" in doc:
+    beta = doc.get("beta")
+    if isinstance(beta, dict):
+        if cmd in ("solve", "multi", "mms", "linking"):
+            errors.append(f"beta: {cmd} requires a scalar penalty")
+        schedule_errors = _check(beta, _SCHEDULE, "beta")
+        if not schedule_errors and beta["start"] <= beta["floor"]:
+            schedule_errors = ["beta: requires start > floor"]
+        errors += schedule_errors
+    elif cmd == "continue" and beta is not None:
         errors.append("beta: continue requires a schedule {start, factor, floor}")
-    if cmd in ("solve", "multi", "mms", "linking") and isinstance(cfg.beta, dict):
-        errors.append(f"beta: {cmd} requires a scalar penalty")
-
-    if "sigma" in doc:
-        if doc["sigma"] in (1, -1):
-            cfg.sigma = doc["sigma"]
-        else:
-            errors.append("sigma: must be +1 or -1")
-    if "oversample" in doc:
-        if isinstance(doc["oversample"], int) and doc["oversample"] >= 2:
-            cfg.oversample = doc["oversample"]
-        else:
-            errors.append("oversample: must be an integer >= 2")
-
-    if "newton" in doc:
-        n = doc["newton"]
-        if not isinstance(n, dict):
-            errors.append("newton: must be an object")
-        else:
-            _check_keys(n, _NEWTON_KEYS, "newton.", errors)
-            cfg.newton.update({k: v for k, v in n.items() if k in _NEWTON_KEYS})
-            if cfg.newton.get("tol", 1e-10) <= 0:
-                errors.append("newton.tol: must be > 0")
-
-    if "nl" in doc:
-        nl = doc["nl"]
-        if not isinstance(nl, dict):
-            errors.append("nl: must be an object")
-        else:
-            _check_keys(nl, _NL_KEYS, "nl.", errors)
-            for part in ("a", "b"):
-                for i, term in enumerate(nl.get(part, []) or []):
-                    if isinstance(term, dict):
-                        _check_keys(term, _NL_TERM_KEYS, f"nl.{part}[{i}].", errors)
-            if isinstance(nl.get("m"), dict):
-                _check_keys(nl["m"], _NL_M_KEYS, "nl.m.", errors)
-            if not errors:
-                from .nonlinearity import nonlinearity_from_config
-
-                try:
-                    nonlinearity_from_config(nl)
-                except NonlinearityRejected as exc:
-                    errors.append(f"nl: rejected ({exc.reason})")
-                except (KeyError, ValueError, TypeError) as exc:
-                    errors.append(f"nl: {exc}")
-            cfg.nl = nl
-    elif cmd in ("solve", "continue", "multi", "mms", "linking"):
-        errors.append("nl: missing")
-
-    for name, keys in (("forcing", _FORCING_KEYS), ("initial", _INITIAL_KEYS),
-                       ("verify", _VERIFY_KEYS), ("mms", _MMS_KEYS),
-                       ("multi", _MULTI_KEYS), ("linking", _LINKING_KEYS),
-                       ("norms", _NORMS_KEYS)):
-        if name in doc:
-            sub = doc[name]
-            if not isinstance(sub, dict):
-                errors.append(f"{name}: must be an object")
-                continue
-            _check_keys(sub, keys, f"{name}.", errors)
-            setattr(cfg, name, sub)
-
-    if cmd == "verify" and "verify" in doc:
-        suite = doc["verify"].get("suite", "all")
-        if suite not in ("hy", "gn", "embedding", "holder", "box", "all"):
-            errors.append(f"verify.suite: unknown suite {suite!r}")
-    if cmd == "verify" and "verify" not in doc:
-        errors.append("verify: missing")
-    if cmd == "mms" and "mms" not in doc:
-        errors.append("mms: missing")
-    if cmd == "mms" and "M_list" not in doc.get("mms", {}):
-        errors.append("mms.M_list: missing")
-    if cmd == "norms" and "field" not in doc.get("norms", {}):
-        errors.append("norms.field: missing")
-    if "out" in doc:
-        if isinstance(doc["out"], str):
-            cfg.out = doc["out"]
-        else:
-            errors.append("out: must be a string path")
-
+    if "nl" in doc and "nl" not in bad:
+        try:
+            nonlinearity_from_config(doc["nl"])
+        except NonlinearityRejected as exc:
+            errors.append(f"nl: rejected ({exc.reason})")
+        except (KeyError, ValueError) as exc:
+            errors.append(f"nl: {exc}")
     if errors:
         raise ParseError(errors)
+
+    cfg = RunConfig(command=cmd, raw=doc,
+                    **{k: v for k, v in doc.items() if k not in ("command", "newton")})
+    cfg.newton.update(doc.get("newton", {}))
     return cfg
 
 
@@ -249,9 +280,6 @@ def _write_json(path, payload) -> None:
 
 
 def _build_problem(cfg: RunConfig, beta: float):
-    from .nonlinearity import nonlinearity_from_config
-    from .solver import PenalizedProblem
-
     nl = nonlinearity_from_config(cfg.nl)
     return PenalizedProblem(M=cfg.M, beta=beta, nl=nl, sigma=cfg.sigma,
                             oversample=cfg.oversample)
@@ -259,11 +287,6 @@ def _build_problem(cfg: RunConfig, beta: float):
 
 def _build_forcing(cfg: RunConfig, problem):
     """Returns (problem_with_forcing, target_or_None)."""
-    from dataclasses import replace
-
-    from .solver import residual
-    from .spectral import SubspaceTag, random_field, read_field
-
     if cfg.forcing is None:
         return problem, None
     kind = cfg.forcing.get("kind", "none")
@@ -272,19 +295,15 @@ def _build_forcing(cfg: RunConfig, problem):
     if kind == "file":
         f = read_field(cfg.forcing["path"])
         return replace(problem, forcing=f), None
-    if kind == "mms_target":
-        tag = (SubspaceTag.EPERP if cfg.forcing.get("kernel_free")
-               else SubspaceTag.ALL)
-        target = random_field((cfg.forcing.get("target_seed", cfg.seed or 0), 777),
-                              cfg.M, tag, float(cfg.forcing.get("decay", 0.5)))
-        f = residual(problem, target)
-        return replace(problem, forcing=f), target
-    raise ParseError([f"forcing.kind: unknown kind {kind!r}"])
+    tag = (SubspaceTag.EPERP if cfg.forcing.get("kernel_free")
+           else SubspaceTag.ALL)
+    target = random_field((cfg.forcing.get("target_seed", cfg.seed or 0), 777),
+                          cfg.M, tag, float(cfg.forcing.get("decay", 0.5)))
+    f = residual(problem, target)
+    return replace(problem, forcing=f), target
 
 
 def _initial_field(cfg: RunConfig):
-    from .spectral import SpectralField, SubspaceTag, random_field, read_field
-
     kind = cfg.initial.get("kind", "zero")
     if kind == "zero":
         return SpectralField.zeros(cfg.M)
@@ -294,24 +313,17 @@ def _initial_field(cfg: RunConfig):
         amp = float(cfg.initial.get("amplitude", 1.0))
         decay = float(cfg.initial.get("decay", 0.5))
         return amp * random_field((cfg.seed or 0, 55), cfg.M, SubspaceTag.ALL, decay)
-    if kind == "modes":
-        from .spectral import SpectralField as SF
-
-        modes = {(int(m["j"]), int(m["k"])): complex(m.get("re", 0.0), m.get("im", 0.0))
-                 for m in cfg.initial["modes"]}
-        base = SF.from_modes(cfg.M, modes, hermitian=True)
-        amp = float(cfg.initial.get("amplitude", 0.0))
-        if amp:
-            base = base + amp * random_field((cfg.seed or 0, 56), cfg.M,
-                                             SubspaceTag.ALL, 0.8)
-        return base
-    raise ParseError([f"initial.kind: unknown kind {kind!r}"])
+    modes = {(int(m["j"]), int(m["k"])): complex(m.get("re", 0.0), m.get("im", 0.0))
+             for m in cfg.initial["modes"]}
+    base = SpectralField.from_modes(cfg.M, modes, hermitian=True)
+    amp = float(cfg.initial.get("amplitude", 0.0))
+    if amp:
+        base = base + amp * random_field((cfg.seed or 0, 56), cfg.M,
+                                         SubspaceTag.ALL, 0.8)
+    return base
 
 
 def _cmd_solve(cfg: RunConfig, out: str) -> dict:
-    from .solver import newton_solve
-    from .spectral import write_field
-
     p = _build_problem(cfg, float(cfg.beta))
     p, target = _build_forcing(cfg, p)
     sol = newton_solve(p, _initial_field(cfg), tol=cfg.newton["tol"],
@@ -327,10 +339,6 @@ def _cmd_solve(cfg: RunConfig, out: str) -> dict:
 
 
 def _cmd_continue(cfg: RunConfig, out: str) -> dict:
-    from .solver import BetaSchedule, continuation_beta
-    from .spectral import write_field
-    from .verify import apriori_monitor
-
     sched = BetaSchedule(float(cfg.beta["start"]), float(cfg.beta["factor"]),
                          float(cfg.beta["floor"]))
     p = _build_problem(cfg, sched.start)
@@ -346,9 +354,6 @@ def _cmd_continue(cfg: RunConfig, out: str) -> dict:
 
 
 def _cmd_multi(cfg: RunConfig, out: str) -> dict:
-    from .solver import multi_seed_search
-    from .spectral import write_field
-
     p = _build_problem(cfg, float(cfg.beta))
     sols = multi_seed_search(p, int(cfg.multi.get("n_seeds", 16)),
                              float(cfg.multi.get("dedup_threshold", 0.99)),
@@ -366,17 +371,6 @@ def _cmd_multi(cfg: RunConfig, out: str) -> dict:
 
 
 def _cmd_verify(cfg: RunConfig, out: str) -> dict:
-    from .spectral import SubspaceTag
-    from .verify import (
-        EnsembleSpec,
-        check_box_regularity,
-        check_embedding,
-        check_gn,
-        check_hausdorff_young,
-        check_holder_to_sobolev,
-        write_ratio_csv,
-    )
-
     v = cfg.verify
     spec = EnsembleSpec(count=int(v.get("count", 1000)),
                         M=int(v.get("ensemble_M", 16)),
@@ -416,20 +410,6 @@ def _cmd_verify(cfg: RunConfig, out: str) -> dict:
 
 
 def _cmd_norms(cfg: RunConfig, out: str) -> dict:
-    from .errors import NotInEperp
-    from .norms import (
-        NormReport,
-        holder_estimate,
-        norm_E,
-        norm_Es,
-        norm_Lp,
-        norm_lq,
-        sobolev_norm,
-        write_norm_reports_csv,
-        write_norm_reports_json,
-    )
-    from .spectral import read_field
-
     u = read_field(cfg.norms["field"])
     reports = [NormReport("E", norm_E(u), {})]
     for s in cfg.norms.get("es_s", [1.0]):
@@ -455,9 +435,6 @@ def _cmd_norms(cfg: RunConfig, out: str) -> dict:
 
 
 def _cmd_mms(cfg: RunConfig, out: str) -> dict:
-    from .nonlinearity import nonlinearity_from_config
-    from .verify import mms_run, write_mms_csv
-
     nl = nonlinearity_from_config(cfg.nl)
     table = mms_run(nl, float(cfg.mms.get("decay", 0.5)),
                     [int(m) for m in cfg.mms["M_list"]], float(cfg.beta),
@@ -473,8 +450,6 @@ def _cmd_mms(cfg: RunConfig, out: str) -> dict:
 
 
 def _cmd_linking(cfg: RunConfig, out: str) -> dict:
-    from .solver import linking_report
-
     p = _build_problem(cfg, float(cfg.beta))
     rep = linking_report(p, [int(x) for x in cfg.linking.get("l_values", [4, 8])],
                          rho_values=tuple(cfg.linking.get("rho_values",
@@ -541,10 +516,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return run(cfg, out_dir=args.out)
-    except ParseError as exc:
-        for e in exc.errors:
-            print(f"wavetorus: config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except WavetorusError as exc:
         print(f"wavetorus: {exc}", file=sys.stderr)
         return EXIT_SOLVER

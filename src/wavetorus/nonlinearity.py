@@ -89,9 +89,6 @@ class TrigPolynomial:
         vals = self(np.pi * np.arange(n) / n)
         return float(np.min(vals)), float(np.max(vals))
 
-    def is_zero(self) -> bool:
-        return not any(self.cos_coeffs) and not any(self.sin_coeffs)
-
 
 @dataclass(frozen=True)
 class TanhPart:

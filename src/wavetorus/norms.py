@@ -19,6 +19,7 @@ from .spectral import (
     Q_AREA,
     SpectralField,
     default_grid,
+    grid_integral,
     lattice,
     synthesize_values,
     truncate,
@@ -84,8 +85,7 @@ def norm_Lp(u: SpectralField, p: float, oversample: int = 4) -> float:
         raise ValueError("p must be >= 1")
     n = default_grid(u.M, oversample)
     vals = np.abs(synthesize_values(u, n, n))
-    cell = (np.pi / n) * (2.0 * np.pi / n)
-    return float((np.sum(vals**p) * cell) ** (1.0 / p))
+    return grid_integral(vals**p) ** (1.0 / p)
 
 
 def norm_lq(u: SpectralField, q: float) -> float:

@@ -24,8 +24,8 @@ making gradient and residual agree identically, for either sign convention.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -41,11 +41,16 @@ from .spectral import (
     SubspaceTag,
     analyze,
     embed,
+    grid_integral,
     grid_max_abs,
     lattice,
+    pack,
     project,
+    random_field,
     synthesize,
     synthesize_values,
+    unify,
+    unpack,
 )
 
 KAPPA = -4.0
@@ -92,22 +97,35 @@ def _grid_side(p: PenalizedProblem) -> int:
     return max(n, 4 * p.M + 6)  # Jacobian needs analyze(..., 2M)
 
 
-def _f_hat(p: PenalizedProblem, u: SpectralField, order: int = 0) -> SpectralField:
+def _on_grid(p: PenalizedProblem, u: SpectralField, *orders):
+    """Samples U of u on the padded grid, then f^(order)(x, U) per order ("F": F(x, U))."""
     n = _grid_side(p)
     g = synthesize(u, n, n)
-    vals = p.nl.values(g.x(), g.values, order)
+    x, U = g.x(), g.values
+    return (U, *(p.nl.potential_values(x, U) if o == "F" else p.nl.values(x, U, o)
+                 for o in orders))
+
+
+def _f_hat(p: PenalizedProblem, u: SpectralField, order: int = 0) -> SpectralField:
+    _, vals = _on_grid(p, u, order)
     return analyze(GridField(vals), p.M if order == 0 else 2 * p.M)
+
+
+def penalized_symbol(p: PenalizedProblem) -> np.ndarray:
+    """Diagonal of the linear part on the lattice: 4j^2 - k^2 off the kernel,
+    beta (-k^2 - 1) on it."""
+    lat = lattice(p.M)
+    return np.where(lat.nonresonant, lat.symbol,
+                    p.beta * (-(lat.K.astype(np.float64) ** 2) - 1.0))
 
 
 def residual(p: PenalizedProblem, u: SpectralField) -> SpectralField:
     """Spectral residual of the penalized system at u (bandlimited to M)."""
     if u.M != p.M:
         raise ValueError("field truncation must match the problem")
-    lat = lattice(p.M)
     fh = _f_hat(p, u, 0)
-    sym = np.where(lat.nonresonant, lat.symbol,
-                   p.beta * (-(lat.K.astype(np.float64) ** 2) - 1.0))
-    Rc = np.where(lat.mask, sym * u.coeffs, 0.0) - p.sigma * fh.coeffs
+    sym = penalized_symbol(p)
+    Rc = np.where(lattice(p.M).mask, sym * u.coeffs, 0.0) - p.sigma * fh.coeffs
     if p.forcing is not None:
         Rc = Rc - p.forcing.coeffs
     return SpectralField(p.M, Rc)
@@ -115,8 +133,7 @@ def residual(p: PenalizedProblem, u: SpectralField) -> SpectralField:
 
 def pair(a: SpectralField, b: SpectralField) -> float:
     """Area-weighted pairing <a, b> = |Q| Re sum a_hat conj(b_hat) = int_Q a b."""
-    if a.M != b.M:
-        a, b = (embed(a, max(a.M, b.M)), embed(b, max(a.M, b.M)))
+    a, b = unify(a, b)
     return Q_AREA * float(np.real(np.vdot(b.coeffs, a.coeffs)))
 
 
@@ -131,88 +148,33 @@ def functional_I(p: PenalizedProblem, u: SpectralField) -> float:
     t1 = 0.5 * (norm_E(wp) ** 2 - norm_E(wm) ** 2)
     v2 = Q_AREA * float(np.sum(np.abs(v.coeffs) ** 2))
     vt2 = Q_AREA * float(np.sum((lat.K**2) * np.abs(v.coeffs) ** 2))
-    n = _grid_side(p)
-    g = synthesize(u, n, n)
-    Fv = p.nl.potential_values(g.x(), g.values)
-    intF = float(np.sum(Fv)) * (np.pi / n) * (2.0 * np.pi / n)
-    out = KAPPA * t1 - 0.5 * p.beta * (v2 + vt2) - p.sigma * intF
+    _, Fv = _on_grid(p, u, "F")
+    out = KAPPA * t1 - 0.5 * p.beta * (v2 + vt2) - p.sigma * grid_integral(Fv)
     if p.forcing is not None:
         out -= pair(p.forcing, u)
     return out
 
 
-# -- real parametrization of Hermitian fields --------------------------------
-
-
-@lru_cache(maxsize=None)
-def _packing(M: int):
-    lat = lattice(M)
-    rows, cols = np.nonzero(lat.mask)
-    pos = -np.ones(lat.shape, dtype=np.int64)
-    pos[rows, cols] = np.arange(rows.size)
-    hr, hc = np.nonzero(lat.half)
-    h_idx = pos[hr, hc]
-    m_idx = pos[2 * lat.jmax - hr, 2 * M - hc]
-    z_idx = pos[lat.jmax, M]
-
-    class _Packing:
-        pass
-
-    pk = _Packing()
-    pk.n_modes = rows.size
-    pk.n_half = hr.size
-    pk.n_real = 1 + 2 * hr.size
-    pk.mode_rows, pk.mode_cols = rows, cols
-    pk.half_rows, pk.half_cols = hr, hc
-    pk.h_idx, pk.m_idx, pk.z_idx = h_idx, m_idx, z_idx
-    pk.jmax = lat.jmax
-    return pk
-
-
-def pack(u: SpectralField) -> np.ndarray:
-    pk = _packing(u.M)
-    h = u.coeffs[pk.half_rows, pk.half_cols]
-    return np.concatenate(([u.coeffs[pk.jmax, u.M].real], h.real, h.imag))
-
-
-def unpack(vec: np.ndarray, M: int) -> SpectralField:
-    pk = _packing(M)
-    c = np.zeros(lattice(M).shape, dtype=np.complex128)
-    c[pk.jmax, M] = vec[0]
-    h = vec[1:1 + pk.n_half] + 1j * vec[1 + pk.n_half:]
-    c[pk.half_rows, pk.half_cols] = h
-    c[2 * pk.jmax - pk.half_rows, 2 * M - pk.half_cols] = np.conj(h)
-    return SpectralField(M, c)
-
-
-def _symbol_diag(p: PenalizedProblem) -> np.ndarray:
-    """Diagonal (symbol/penalty) part of the Jacobian at the diamond modes."""
-    lat = lattice(p.M)
-    pk = _packing(p.M)
-    sym = np.where(lat.nonresonant, lat.symbol.astype(np.float64),
-                   p.beta * (-(lat.K.astype(np.float64) ** 2) - 1.0))
-    return sym[pk.mode_rows, pk.mode_cols]
-
-
 def _dense_jacobian(p: PenalizedProblem, u: SpectralField) -> np.ndarray:
     """d(residual)/du as a real matrix over the packed coordinates."""
-    pk = _packing(p.M)
+    lat = lattice(p.M)
     gh = _f_hat(p, u, 1)  # multiplication symbol f_u(x, u), bandwidth 2M
     big = lattice(2 * p.M)
-    jj = lattice(p.M).J[pk.mode_rows, pk.mode_cols]
-    kk = lattice(p.M).K[pk.mode_rows, pk.mode_cols]
+    jj = lat.J[lat.mode_rows, lat.mode_cols]
+    kk = lat.K[lat.mode_rows, lat.mode_cols]
     dj = jj[:, None] - jj[None, :]
     dk = kk[:, None] - kk[None, :]
     A = -p.sigma * gh.coeffs[dj + big.jmax, dk + 2 * p.M]
-    A[np.arange(pk.n_modes), np.arange(pk.n_modes)] += _symbol_diag(p)
-    D = np.empty((pk.n_modes, pk.n_real), dtype=np.complex128)
-    D[:, 0] = A[:, pk.z_idx]
-    D[:, 1:1 + pk.n_half] = A[:, pk.h_idx] + A[:, pk.m_idx]
-    D[:, 1 + pk.n_half:] = 1j * (A[:, pk.h_idx] - A[:, pk.m_idx])
-    J = np.empty((pk.n_real, pk.n_real), dtype=np.float64)
-    J[0, :] = D[pk.z_idx, :].real
-    J[1:1 + pk.n_half, :] = D[pk.h_idx, :].real
-    J[1 + pk.n_half:, :] = D[pk.h_idx, :].imag
+    diag = penalized_symbol(p)[lat.mode_rows, lat.mode_cols]
+    A[np.arange(lat.n_modes), np.arange(lat.n_modes)] += diag
+    D = np.empty((lat.n_modes, lat.n_real), dtype=np.complex128)
+    D[:, 0] = A[:, lat.z_idx]
+    D[:, 1:1 + lat.n_half] = A[:, lat.h_idx] + A[:, lat.m_idx]
+    D[:, 1 + lat.n_half:] = 1j * (A[:, lat.h_idx] - A[:, lat.m_idx])
+    J = np.empty((lat.n_real, lat.n_real), dtype=np.float64)
+    J[0, :] = D[lat.z_idx, :].real
+    J[1:1 + lat.n_half, :] = D[lat.h_idx, :].real
+    J[1 + lat.n_half:, :] = D[lat.h_idx, :].imag
     return J
 
 
@@ -233,11 +195,11 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField, dense_limit: int,
     null vector d/dt u at any time-dependent solution, and the bordered
     solve removes it while staying an LU factorization.
     """
-    pk = _packing(p.M)
-    if pk.n_real <= dense_limit:
+    lat = lattice(p.M)
+    if lat.n_real <= dense_limit:
         J = _dense_jacobian(p, u)
         if anchor is not None:
-            Ja = np.zeros((pk.n_real + 1, pk.n_real + 1))
+            Ja = np.zeros((lat.n_real + 1, lat.n_real + 1))
             Ja[:-1, :-1] = J
             Ja[:-1, -1] = anchor
             Ja[-1, :-1] = anchor
@@ -252,12 +214,12 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField, dense_limit: int,
         def regularized(mu):
             # Levenberg fallback: damp only the field block, not the border
             Jm = J.copy()
-            idx = np.arange(pk.n_real)
+            idx = np.arange(lat.n_real)
             Jm[idx, idx] += mu
             lum = scipy.linalg.lu_factor(Jm)
             return lambda rhs_n: scipy.linalg.lu_solve(
                 lum, np.append(rhs_n, 0.0) if anchor is not None else rhs_n
-            )[:pk.n_real]
+            )[:lat.n_real]
 
         if anchor is None:
             return (lambda rhs: scipy.linalg.lu_solve(lu, rhs)), True, regularized
@@ -268,12 +230,9 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField, dense_limit: int,
 
         return solve_bordered, True, regularized
 
-    n = _grid_side(p)
-    g = synthesize(u, n, n)
-    fu_vals = p.nl.values(g.x(), g.values, 1)
-    lat = lattice(p.M)
-    sym = np.where(lat.nonresonant, lat.symbol.astype(np.float64),
-                   p.beta * (-(lat.K.astype(np.float64) ** 2) - 1.0))
+    U, fu_vals = _on_grid(p, u, 1)
+    n = U.shape[0]
+    sym = penalized_symbol(p)
 
     def apply_lin(vec):
         d = unpack(vec, p.M)
@@ -284,8 +243,8 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField, dense_limit: int,
 
     # exact Jacobi diagonal: every convolution row carries the mean of f_u
     fu_mean = float(np.mean(fu_vals))
-    diag = _symbol_diag(p) - p.sigma * fu_mean
-    dpk = np.concatenate(([diag[pk.z_idx]], diag[pk.h_idx], diag[pk.h_idx]))
+    diag = sym[lat.mode_rows, lat.mode_cols] - p.sigma * fu_mean
+    dpk = np.concatenate(([diag[lat.z_idx]], diag[lat.h_idx], diag[lat.h_idx]))
     dpk = np.where(np.abs(dpk) < 1e-12, 1.0, dpk)
     if anchor is not None:
         def matvec(z):
@@ -294,22 +253,17 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField, dense_limit: int,
         def premat(z):
             return np.append(z[:-1] / dpk, z[-1])
 
-        dim = pk.n_real + 1
+        dim = lat.n_real + 1
     else:
-        matvec, premat, dim = apply_lin, (lambda z: z / dpk), pk.n_real
+        matvec, premat, dim = apply_lin, (lambda z: z / dpk), lat.n_real
     op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec)
     pre = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=premat)
 
     def solve(rhs):
         b = np.append(rhs, 0.0) if anchor is not None else rhs
-        try:
-            sol, info = scipy.sparse.linalg.lgmres(op, b, M=pre, rtol=1e-9,
-                                                   atol=0.0, inner_m=50,
-                                                   maxiter=600)
-        except TypeError:  # older scipy spells rtol as tol
-            sol, info = scipy.sparse.linalg.lgmres(op, b, M=pre, tol=1e-9,
-                                                   atol=0.0, inner_m=50,
-                                                   maxiter=600)
+        sol, info = scipy.sparse.linalg.lgmres(op, b, M=pre, rtol=1e-9,
+                                               atol=0.0, inner_m=50,
+                                               maxiter=600)
         if info != 0:
             raise SingularJacobian(f"iterative linear solve failed (info={info})")
         return sol[:-1] if anchor is not None else sol
@@ -435,6 +389,7 @@ class ContinuationRow:
     v_c0: float
     v_t_l2: float
     v_tt_l2: float
+    v_ttt_l2: float
     w_h1: float
     w_h2: float
     u: SpectralField = field(repr=False, default=None)
@@ -452,8 +407,6 @@ class ContinuationTrace:
         return [getattr(r, name) for r in self.rows]
 
     def to_csv(self, path) -> None:
-        import csv
-
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(CSV_COLUMNS)
@@ -495,11 +448,10 @@ def continuation_beta(p0: PenalizedProblem, schedule: BetaSchedule,
         except (NoConvergence, SingularJacobian) as exc:
             raise StallAt(beta, exc, trace) from exc
         u = sol.u
-        q = monitored_quantities(u, p0.oversample)
         trace.rows.append(ContinuationRow(
             beta=beta, residual_norm=sol.residual_norm, I_value=sol.I_value,
-            newton_iters=sol.newton_iters, v_c0=q["v_c0"], v_t_l2=q["v_t_l2"],
-            v_tt_l2=q["v_tt_l2"], w_h1=q["w_h1"], w_h2=q["w_h2"], u=u))
+            newton_iters=sol.newton_iters, u=u,
+            **monitored_quantities(u, p0.oversample)))
     return trace
 
 
@@ -518,9 +470,7 @@ def max_time_correlation(u1: SpectralField, u2: SpectralField,
         return 1.0, 0.0
     if n1 < 1e-15 or n2 < 1e-15:
         return 0.0, 0.0
-    if u1.M != u2.M:
-        M = max(u1.M, u2.M)
-        u1, u2 = embed(u1, M), embed(u2, M)
+    u1, u2 = unify(u1, u2)
     ck = np.sum(u1.coeffs * np.conj(u2.coeffs), axis=0)  # index k + M
     ks = np.arange(-u1.M, u1.M + 1)
 
@@ -542,8 +492,6 @@ def max_time_correlation(u1: SpectralField, u2: SpectralField,
 def _seed_fields(p: PenalizedProblem, n_seeds: int, master_seed: int):
     """Deterministic seed ladder: zero, random fields of growing amplitude,
     and concentrated high-temporal-frequency (Eplus) directions."""
-    from .spectral import random_field
-
     seeds = []
     for i in range(n_seeds):
         if i == 0:
@@ -564,13 +512,8 @@ def dedup_solutions(found, dedup_threshold: float = 0.99):
     """Keep one representative per time-translation class (first found wins)."""
     distinct = []
     for sol in found:
-        dup = False
-        for rep in distinct:
-            c, _ = max_time_correlation(sol.u, rep.u)
-            if c > dedup_threshold:
-                dup = True
-                break
-        if not dup:
+        if not any(max_time_correlation(sol.u, rep.u)[0] > dedup_threshold
+                   for rep in distinct):
             distinct.append(sol)
     return distinct
 
@@ -602,35 +545,14 @@ def critical_identity_gap(p: PenalizedProblem, u: SpectralField) -> float:
     gap vanishes (up to the residual norm scale).
     """
     I = functional_I(p, u)
-    n = _grid_side(p)
-    g = synthesize(u, n, n)
-    x, U = g.x(), g.values
-    fv = p.nl.values(x, U, 0)
-    Fv = p.nl.potential_values(x, U)
-    cell = (np.pi / n) * (2.0 * np.pi / n)
-    rhs = p.sigma * float(np.sum(0.5 * U * fv - Fv)) * cell
+    U, fv, Fv = _on_grid(p, u, 0, "F")
+    rhs = p.sigma * grid_integral(0.5 * U * fv - Fv)
     if p.forcing is not None:
         rhs -= 0.5 * pair(p.forcing, u)
     return abs(I - rhs)
 
 
 # -- linking diagnostics ------------------------------------------------------
-
-
-def _subspace_pack(M: int, sel_mask):
-    lat = lattice(M)
-    hsel = lat.half & sel_mask
-    hr, hc = np.nonzero(hsel)
-    return hr, hc
-
-
-def _sub_to_field(vec, M, hr, hc):
-    nh = hr.size
-    c = np.zeros(lattice(M).shape, dtype=np.complex128)
-    h = vec[:nh] + 1j * vec[nh:]
-    c[hr, hc] = h
-    c[2 * lattice(M).jmax - hr, 2 * M - hc] = np.conj(h)
-    return SpectralField(M, c)
 
 
 def linking_report(p: PenalizedProblem, l_values, rho_values=(0.25, 0.5, 1.0, 2.0),
@@ -645,20 +567,27 @@ def linking_report(p: PenalizedProblem, l_values, rho_values=(0.25, 0.5, 1.0, 2.
     the previous level.  Reports whether M(l) is nondecreasing.
     """
     lat = lattice(p.M)
-    eplus = lat.mask & (np.abs(lat.K) > 2 * np.abs(lat.J))
+
+    def packed_index(sel):
+        # packed positions of the real and imaginary parts of the half modes in sel
+        at = 1 + np.flatnonzero(sel[lat.half_rows, lat.half_cols])
+        return np.concatenate((at, at + lat.n_half))
+
+    def sub_field(vec, idx):
+        full = np.zeros(lat.n_real)
+        full[idx] = vec
+        return unpack(full, p.M)
+
     rows = []
     for l in l_values:
         if l > p.M:
             raise ValueError(f"level l={l} exceeds truncation M={p.M}")
-        sel = eplus & (lat.weight <= l)
-        hr, hc = _subspace_pack(p.M, sel)
-        dim = 2 * hr.size
+        idx = packed_index(lat.eplus & (lat.weight <= l))
+        dim = idx.size
 
-        def neg_I(vec, hr=hr, hc=hc):
-            u = _sub_to_field(vec, p.M, hr, hc)
-            R = residual(p, u)
-            gsel = R.coeffs[hr, hc]
-            grad = 2.0 * Q_AREA * np.concatenate((gsel.real, gsel.imag))
+        def neg_I(vec, idx=idx):
+            u = sub_field(vec, idx)
+            grad = 2.0 * Q_AREA * pack(residual(p, u))[idx]
             return -functional_I(p, u), -grad
 
         best_val = -np.inf
@@ -671,15 +600,13 @@ def linking_report(p: PenalizedProblem, l_values, rho_values=(0.25, 0.5, 1.0, 2.
             res = scipy.optimize.minimize(neg_I, x0, jac=True, method="L-BFGS-B",
                                           options={"maxiter": maxiter})
             best_val = max(best_val, -float(res.fun))
-        tail = eplus & (lat.weight > l - 1)
-        tr, tc = _subspace_pack(p.M, tail)
+        tail = packed_index(lat.eplus & (lat.weight > l - 1))
         rng = np.random.default_rng((master_seed, 404, l))
         sphere = {}
         for rho in rho_values:
             worst = np.inf
             for _ in range(n_sphere):
-                d = rng.standard_normal(2 * tr.size)
-                u = _sub_to_field(d, p.M, tr, tc)
+                u = sub_field(rng.standard_normal(tail.size), tail)
                 nE = norm_E(u)
                 if nE == 0.0:
                     continue

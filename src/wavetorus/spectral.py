@@ -11,6 +11,19 @@ Normalization: u(x, t) = sum u_hat(j, k) e^{i(2jx + kt)} with
 u_hat(j, k) = (1/|Q|) int_Q u e^{-i(2jx + kt)}, |Q| = 2 pi^2, so the
 coefficient l2 norm satisfies Parseval with no extra factors.
 
+``lattice(M)`` returns the cached, read-only ``Lattice`` of the diamond.
+Its 2-D arrays are indexed [j + jmax, k + M] on the rectangle of shape
+(2*(M//2) + 1, 2M + 1): J, K, weight (2|j| + |k|), symbol (4j^2 - k^2),
+mask (the diamond), resonant (N) and nonresonant, eplus and eminus (with
+N they partition the diamond), and half (k > 0, or k = 0 and j > 0).
+
+A real field has n_real = 1 + 2 n_half real coordinates, one per diamond
+mode.  ``pack`` lays them out as [Re u_hat(0, 0), Re h, Im h], h holding
+the half-mode coefficients in row-major order (half_rows, half_cols).
+For the Jacobian the Lattice also lists the diamond modes in row-major
+order (mode_rows, mode_cols) and, in that order, the positions of the
+half modes (h_idx), their conjugates (m_idx) and of (0, 0) (z_idx).
+
 All operations are pure: fields are treated as immutable values.
 """
 
@@ -20,7 +33,6 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,11 +52,6 @@ class SubspaceTag(Enum):
     ALL = "All"
 
 
-class ModeIndex(NamedTuple):
-    j: int
-    k: int
-
-
 def resonant(j: int, k: int) -> bool:
     """True on the kernel lines k = +-2j (includes (0, 0))."""
     return k == 2 * j or k == -2 * j
@@ -60,57 +67,72 @@ def mode_weight(j: int, k: int) -> int:
     return 2 * abs(j) + abs(k)
 
 
-@lru_cache(maxsize=None)
-def lattice(M: int):
-    """Cached index arrays for the truncation diamond 2|j| + |k| <= M.
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """Index arrays, subspace masks and packing maps of one diamond (see the
+    module docstring); built once per M by ``lattice``."""
 
-    Returns an object with 2-D integer arrays J, K of shape
-    (2*(M//2) + 1, 2M + 1) indexed by [j + jmax, k + M], plus boolean masks
-    and the weight/symbol arrays on that rectangle.
-    """
+    M: int
+    jmax: int
+    shape: tuple
+    n_modes: int
+    n_half: int
+    n_real: int
+    z_idx: int
+    J: np.ndarray
+    K: np.ndarray
+    weight: np.ndarray
+    symbol: np.ndarray
+    mask: np.ndarray
+    resonant: np.ndarray
+    nonresonant: np.ndarray
+    eplus: np.ndarray
+    eminus: np.ndarray
+    half: np.ndarray
+    mode_rows: np.ndarray
+    mode_cols: np.ndarray
+    half_rows: np.ndarray
+    half_cols: np.ndarray
+    h_idx: np.ndarray
+    m_idx: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def lattice(M: int) -> Lattice:
+    """The cached Lattice of the truncation diamond 2|j| + |k| <= M."""
     if M < 0:
         raise ValueError("truncation must be nonnegative")
     jmax = M // 2
-    J = np.arange(-jmax, jmax + 1)[:, None]
-    K = np.arange(-M, M + 1)[None, :]
-    W = 2 * np.abs(J) + np.abs(K)
-    S = 4 * J * J - K * K
-    mask = W <= M
-    res = (S == 0) & mask
+    shape = (2 * jmax + 1, 2 * M + 1)
+    J = np.broadcast_to(np.arange(-jmax, jmax + 1)[:, None], shape)
+    K = np.broadcast_to(np.arange(-M, M + 1)[None, :], shape)
+    mask = 2 * np.abs(J) + np.abs(K) <= M
+    res = mask & (4 * J * J == K * K)
+    half = mask & ((K > 0) | ((K == 0) & (J > 0)))
+    rows, cols = np.nonzero(mask)
+    pos = np.full(shape, -1, dtype=np.int64)
+    pos[rows, cols] = np.arange(rows.size)
+    hr, hc = np.nonzero(half)
+    arrays = dict(
+        J=J, K=K, weight=2 * np.abs(J) + np.abs(K), symbol=4 * J * J - K * K,
+        mask=mask, resonant=res, nonresonant=mask & ~res,
+        eplus=mask & (np.abs(K) > 2 * np.abs(J)),
+        eminus=mask & (np.abs(K) < 2 * np.abs(J)), half=half,
+        mode_rows=rows, mode_cols=cols, half_rows=hr, half_cols=hc,
+        h_idx=pos[hr, hc], m_idx=pos[2 * jmax - hr, 2 * M - hc])
+    for a in arrays.values():
+        a.flags.writeable = False
+    return Lattice(M=M, jmax=jmax, shape=shape, n_modes=rows.size, n_half=hr.size,
+                   n_real=1 + 2 * hr.size, z_idx=int(pos[jmax, M]), **arrays)
 
-    class _Lattice:
-        pass
 
-    lat = _Lattice()
-    lat.M = M
-    lat.jmax = jmax
-    lat.shape = (2 * jmax + 1, 2 * M + 1)
-    lat.J = np.broadcast_to(J, lat.shape)
-    lat.K = np.broadcast_to(K, lat.shape)
-    lat.weight = np.broadcast_to(W, lat.shape)
-    lat.symbol = np.broadcast_to(S, lat.shape)
-    lat.mask = mask
-    lat.resonant = res
-    lat.nonresonant = mask & ~res
-    # representative half lattice: k > 0, or k = 0 and j > 0 (excludes (0,0))
-    lat.half = mask & ((lat.K > 0) | ((lat.K == 0) & (lat.J > 0)))
-    return lat
+_TAG_MASK = {SubspaceTag.ALL: "mask", SubspaceTag.N: "resonant",
+             SubspaceTag.EPERP: "nonresonant", SubspaceTag.EPLUS: "eplus",
+             SubspaceTag.EMINUS: "eminus"}
 
 
 def _tag_mask(M: int, tag: SubspaceTag) -> np.ndarray:
-    lat = lattice(M)
-    tag = SubspaceTag(tag)
-    if tag is SubspaceTag.ALL:
-        return lat.mask
-    if tag is SubspaceTag.N:
-        return lat.resonant
-    if tag is SubspaceTag.EPERP:
-        return lat.nonresonant
-    if tag is SubspaceTag.EPLUS:
-        return lat.mask & (np.abs(lat.K) > 2 * np.abs(lat.J))
-    if tag is SubspaceTag.EMINUS:
-        return lat.mask & (np.abs(lat.K) < 2 * np.abs(lat.J))
-    raise ValueError(f"unknown tag {tag!r}")
+    return getattr(lattice(M), _TAG_MASK[SubspaceTag(tag)])
 
 
 @dataclass(frozen=True)
@@ -173,11 +195,11 @@ class SpectralField:
     # -- value-style arithmetic (fields unified to the larger diamond) ------
 
     def __add__(self, other):
-        a, b = _unify(self, other)
+        a, b = unify(self, other)
         return SpectralField(a.M, a.coeffs + b.coeffs)
 
     def __sub__(self, other):
-        a, b = _unify(self, other)
+        a, b = unify(self, other)
         return SpectralField(a.M, a.coeffs - b.coeffs)
 
     def __neg__(self):
@@ -189,7 +211,8 @@ class SpectralField:
     __rmul__ = __mul__
 
 
-def _unify(a: SpectralField, b: SpectralField):
+def unify(a: SpectralField, b: SpectralField):
+    """Both fields on the larger of their two diamonds."""
     if a.M == b.M:
         return a, b
     M = max(a.M, b.M)
@@ -198,12 +221,6 @@ def _unify(a: SpectralField, b: SpectralField):
 
 def coeff_norm(u: SpectralField) -> float:
     return u.l2()
-
-
-def coeff_inner(u: SpectralField, v: SpectralField) -> complex:
-    """Coefficient inner product sum u_hat conj(v_hat) (complex in general)."""
-    a, b = _unify(u, v)
-    return complex(np.vdot(b.coeffs, a.coeffs))  # vdot conjugates first arg
 
 
 @dataclass(frozen=True)
@@ -222,15 +239,32 @@ class GridField:
     def nx(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def nt(self) -> int:
-        return self.values.shape[1]
-
     def x(self) -> np.ndarray:
         return np.pi * np.arange(self.nx) / self.nx
 
-    def t(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.nt) / self.nt
+
+def grid_integral(values: np.ndarray) -> float:
+    """int_Q of grid samples by the rectangle rule, cell (pi/nx)(2 pi/nt)."""
+    nx, nt = values.shape
+    return float(np.sum(values)) * ((np.pi / nx) * (2.0 * np.pi / nt))
+
+
+def pack(u: SpectralField) -> np.ndarray:
+    """Real coordinates [Re u_hat(0, 0), Re h, Im h] of a Hermitian field."""
+    lat = lattice(u.M)
+    h = u.coeffs[lat.half_rows, lat.half_cols]
+    return np.concatenate(([u.coeffs[lat.jmax, u.M].real], h.real, h.imag))
+
+
+def unpack(vec: np.ndarray, M: int) -> SpectralField:
+    """The Hermitian field with packed coordinates ``vec``; inverse of ``pack``."""
+    lat = lattice(M)
+    c = np.zeros(lat.shape, dtype=np.complex128)
+    c[lat.jmax, M] = vec[0]
+    h = vec[1:1 + lat.n_half] + 1j * vec[1 + lat.n_half:]
+    c[lat.half_rows, lat.half_cols] = h
+    c[2 * lat.jmax - lat.half_rows, 2 * M - lat.half_cols] = np.conj(h)
+    return SpectralField(M, c)
 
 
 def min_grid(M: int) -> int:
@@ -368,15 +402,10 @@ def kernel_decompose(v: SpectralField, tol: float = 1e-12):
     total = max(v.l2(), 1e-300)
     if off_mass > tol * total:
         raise NotInKernel(f"relative off-kernel mass {off_mass / total:.3e} > {tol:g}")
-    jmax = lat.jmax
-    c1 = np.zeros(2 * jmax + 1, dtype=np.complex128)
-    c2 = np.zeros(2 * jmax + 1, dtype=np.complex128)
-    for j in range(-jmax, jmax + 1):
-        if j == 0:
-            c1[jmax] = c2[jmax] = v.get(0, 0) / 2.0
-        else:
-            c1[j + jmax] = v.get(j, 2 * j)
-            c2[j + jmax] = v.get(j, -2 * j)
+    js = np.arange(-lat.jmax, lat.jmax + 1)
+    c1 = v.coeffs[js + lat.jmax, v.M + 2 * js]
+    c2 = v.coeffs[js + lat.jmax, v.M - 2 * js]
+    c1[lat.jmax] = c2[lat.jmax] = v.coeffs[lat.jmax, v.M] / 2.0
     return PeriodicProfile(c1), PeriodicProfile(c2)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .dalembert import solve_box
 from .errors import NoConvergence, SingularJacobian
 from .norms import holder_estimate, norm_Es, norm_Lp, norm_lq, quadrant_split, sobolev_norm
-from .solver import PenalizedProblem, monitored_quantities, newton_solve, residual
+from .solver import PenalizedProblem, newton_solve, residual
 from .spectral import (
     Q_AREA,
     SpectralField,
@@ -83,6 +83,16 @@ def _summary(ratios) -> dict:
     }
 
 
+def _report(name: str, spec: EnsembleSpec, ratios, params: dict, violations: int = 0,
+            **extras) -> InequalityReport:
+    """Summary of one ensemble's ratios, tagged with the ensemble's M, decay and seed."""
+    return InequalityReport(
+        name=name, ensemble_size=spec.count,
+        parameters={**params, "M": spec.M, "decay": spec.decay, "seed": spec.seed},
+        ratios=_summary(ratios), violation_count=violations,
+        extras={**extras, "per_trial": ratios})
+
+
 def gn_interpolation_exponent(p: float) -> float:
     """Interpolation exponent of the Gagliardo-Nirenberg form: (p-2)/(p-1)."""
     if p <= 2:
@@ -106,11 +116,7 @@ def check_gn(spec: EnsembleSpec, p: float) -> InequalityReport:
         l2 = norm_Lp(u, 2.0, spec.oversample)
         e1 = norm_Es(u, 1.0)
         ratios.append(lp / (l2 ** (1.0 - s) * e1**s))
-    return InequalityReport(
-        name="gagliardo_nirenberg", ensemble_size=spec.count,
-        parameters={"p": p, "s": s, "M": spec.M, "decay": spec.decay, "seed": spec.seed},
-        ratios=_summary(ratios), violation_count=0,
-        extras={"per_trial": ratios})
+    return _report("gagliardo_nirenberg", spec, ratios, {"p": p, "s": s})
 
 
 def tail_band_field(seed, T: int, tag=SubspaceTag.EPERP, decay: float = 0.0) -> SpectralField:
@@ -135,12 +141,8 @@ def check_embedding(spec: EnsembleSpec, s: float, tails=(8, 16, 32, 64),
             u = tail_band_field((spec.seed, _SALT["tail"], T, trial), T)
             worst = max(worst, norm_Lp(u, p, spec.oversample) / norm_Es(u, s))
         tail_max[int(T)] = worst
-    return InequalityReport(
-        name="fractional_embedding", ensemble_size=spec.count,
-        parameters={"s": s, "p": p, "M": spec.M, "decay": spec.decay, "seed": spec.seed},
-        ratios=_summary(ratios), violation_count=0,
-        extras={"tail_max_ratio": tail_max, "tail_count": tail_count,
-                "per_trial": ratios})
+    return _report("fractional_embedding", spec, ratios, {"s": s, "p": p},
+                   tail_max_ratio=tail_max, tail_count=tail_count)
 
 
 def check_hausdorff_young(spec: EnsembleSpec, p: float,
@@ -158,12 +160,8 @@ def check_hausdorff_young(spec: EnsembleSpec, p: float,
         lp = norm_Lp(u, p, spec.oversample) / Q_AREA ** (1.0 / p)
         ratios.append(norm_lq(u, q) / lp)
     violations = int(np.sum(np.asarray(ratios) > 1.0 + tol)) if p <= 2.0 else 0
-    return InequalityReport(
-        name="hausdorff_young", ensemble_size=spec.count,
-        parameters={"p": p, "q": q, "tol": tol, "M": spec.M,
-                    "decay": spec.decay, "seed": spec.seed},
-        ratios=_summary(ratios), violation_count=violations,
-        extras={"constant": 1.0, "asserted": bool(p <= 2.0), "per_trial": ratios})
+    return _report("hausdorff_young", spec, ratios, {"p": p, "q": q, "tol": tol},
+                   violations, constant=1.0, asserted=bool(p <= 2.0))
 
 
 def check_box_regularity(spec: EnsembleSpec, p: float = 2.0,
@@ -175,12 +173,7 @@ def check_box_regularity(spec: EnsembleSpec, p: float = 2.0,
     for f in ensemble_fields(spec, _SALT["box"]):
         w = solve_box(f, resonant_tol=1e-12).w
         ratios.append(holder_estimate(w, gamma, spec.oversample) / norm_lq(f, q))
-    return InequalityReport(
-        name="box_inverse_holder", ensemble_size=spec.count,
-        parameters={"p": p, "q": q, "gamma": gamma, "M": spec.M,
-                    "decay": spec.decay, "seed": spec.seed},
-        ratios=_summary(ratios), violation_count=0,
-        extras={"per_trial": ratios})
+    return _report("box_inverse_holder", spec, ratios, {"p": p, "q": q, "gamma": gamma})
 
 
 def check_holder_to_sobolev(spec: EnsembleSpec, gamma: float,
@@ -202,13 +195,9 @@ def check_holder_to_sobolev(spec: EnsembleSpec, gamma: float,
         identity_err = max(identity_err, abs(total - sum(qn2)) / max(total, 1e-300))
         for n2 in qn2:
             ratios.append(np.sqrt(n2) / h)
-    return InequalityReport(
-        name="holder_to_sobolev", ensemble_size=spec.count,
-        parameters={"gamma": gamma, "gamma_prime": gamma_prime, "M": spec.M,
-                    "decay": spec.decay, "seed": spec.seed},
-        ratios=_summary(ratios), violation_count=0,
-        extras={"quadrant_identity_max_rel_err": identity_err,
-                "per_trial": ratios})
+    return _report("holder_to_sobolev", spec, ratios,
+                   {"gamma": gamma, "gamma_prime": gamma_prime},
+                   quadrant_identity_max_rel_err=identity_err)
 
 
 def write_ratio_csv(report: InequalityReport, path) -> None:
@@ -294,29 +283,17 @@ MONITORED = ("v_c0", "v_t_l2", "v_tt_l2", "v_ttt_l2", "w_h1", "w_h2")
 def apriori_monitor(trace, bound: float = 10.0, atol: float = 1e-11) -> dict:
     """Max/min variation of the monitored quantities across a continuation.
 
-    Quantities are recomputed from the stored solution fields (adding the
-    third time derivative of the kernel part).  A quantity that stays below
+    The quantities are read from the trace rows, which store them as
+    computed at the problem's oversampling.  A quantity that stays below
     ``atol`` throughout is a constant zero and reports ratio 1.  Ratios above
     ``bound`` are flagged.
     """
-    rows = list(trace.rows)
-    if not rows:
+    if not trace.rows:
         raise ValueError("trace is empty")
-    series = {name: [] for name in MONITORED}
-    for r in rows:
-        if r.u is not None:
-            q = monitored_quantities(r.u)
-        else:
-            q = {"v_c0": r.v_c0, "v_t_l2": r.v_t_l2, "v_tt_l2": r.v_tt_l2,
-                 "w_h1": r.w_h1, "w_h2": r.w_h2}
-        for name in MONITORED:
-            if name in q:
-                series[name].append(q[name])
     per = {}
     flagged = []
-    for name, vals in series.items():
-        if not vals:
-            continue
+    for name in MONITORED:
+        vals = trace.column(name)
         vmax, vmin = max(vals), min(vals)
         if vmax <= atol:
             ratio = 1.0
@@ -328,5 +305,5 @@ def apriori_monitor(trace, bound: float = 10.0, atol: float = 1e-11) -> dict:
         per[name] = {"max": vmax, "min": vmin, "ratio": ratio, "within_bound": ok}
         if not ok:
             flagged.append(name)
-    return {"bound": bound, "n_rows": len(rows), "per_quantity": per,
+    return {"bound": bound, "n_rows": len(trace.rows), "per_quantity": per,
             "flagged": flagged}

@@ -176,3 +176,27 @@ def test_continue_command(tmp_path):
     trace = (tmp_path / "c" / "trace.csv").read_text().splitlines()
     assert trace[0].startswith("beta,")
     assert len(trace) == 1 + rep["n_rows"]
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"newton": {"tol": "x"}}, "newton.tol"),
+    ({"command": "continue", "beta": {"start": "a", "factor": 0.5, "floor": 1e-6}},
+     "beta.start"),
+    ({"command": "verify", "verify": [1]}, "verify"),
+    ({"nl": {**DEFAULT_NL_SPEC, "a": 5}}, "nl.a"),
+    ({"M": True}, "M"),
+    ({"sigma": True}, "sigma"),
+    ({"newton": {"max_iter": "many"}}, "newton.max_iter"),
+    ({"command": "multi", "multi": {"n_seeds": "x"}}, "multi.n_seeds"),
+    ({"forcing": {"kind": "bogus"}}, "forcing.kind"),
+    ({"initial": {"kind": "bogus"}}, "initial.kind"),
+    ({"command": "mms", "mms": {"M_list": [8, 6]}}, "mms.M_list"),
+    ({"initial": {"kind": "modes", "modes": [{"j": 1}]}}, "initial.modes[0].k"),
+    ({"initial": {"kind": "file"}}, "initial.path"),
+])
+def test_main_rejects_malformed_config(tmp_path, capsys, overrides, key):
+    doc = minimal_solve_config(**overrides)
+    path = write_config(tmp_path, doc)
+    out = str(tmp_path / "out")
+    assert main([doc["command"], "--config", path, "--out", out]) == EXIT_CONFIG
+    assert f"config error: {key}:" in capsys.readouterr().err

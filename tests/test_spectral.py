@@ -273,3 +273,32 @@ def test_coeff_norm_and_arithmetic():
     assert coeff_norm(v - u) == 0.0
     w = truncate(u, 3)  # keeps only (0,1)
     assert (u + (-1.0) * w).get(0, 1) == 0.0
+
+
+lattice_sizes = st.integers(1, 40)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_sizes, st.data())
+def test_lattice_pack_unpack_round_trip_exact(M, data):
+    from wavetorus.spectral import lattice, pack, unpack
+
+    n = lattice(M).n_real
+    v = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                       min_size=n, max_size=n)))
+    u = unpack(v, M)
+    assert np.array_equal(pack(u), v)
+    assert np.array_equal(u.coeffs, np.conj(u.coeffs[::-1, ::-1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_sizes)
+def test_lattice_counts_and_partition(M):
+    from wavetorus.spectral import lattice
+
+    lat = lattice(M)
+    assert lat.n_real == lat.n_modes == int(np.sum(lat.mask))
+    parts = (lat.resonant, lat.eplus, lat.eminus)
+    assert np.array_equal(parts[0] | parts[1] | parts[2], lat.mask)
+    assert int(sum(np.sum(m) for m in parts)) == lat.n_modes
+    assert lattice(M) is lat and not lat.mask.flags.writeable

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wavetorus import (
+    BetaSchedule,
     ContinuationTrace,
     EnsembleSpec,
     Q_AREA,
@@ -13,10 +14,13 @@ from wavetorus import (
     check_gn,
     check_hausdorff_young,
     check_holder_to_sobolev,
+    continuation_beta,
     embedding_integrability,
     gn_interpolation_exponent,
     holder_estimate,
+    mms_problem,
     mms_run,
+    monitored_quantities,
     norm_Es,
     norm_Lp,
     norm_lq,
@@ -24,6 +28,7 @@ from wavetorus import (
     sobolev_norm,
 )
 from wavetorus.solver import ContinuationRow
+from wavetorus.verify import MONITORED
 
 
 def small_spec(count=60, M=12, decay=0.0, seed=7):
@@ -158,8 +163,7 @@ def test_mms_flat_target_negative_control(default_nl):
 
 def _row(u, beta):
     return ContinuationRow(beta=beta, residual_norm=0.0, I_value=0.0,
-                           newton_iters=1, v_c0=0.0, v_t_l2=0.0, v_tt_l2=0.0,
-                           w_h1=0.0, w_h2=0.0, u=u)
+                           newton_iters=1, u=u, **monitored_quantities(u))
 
 
 def test_apriori_monitor_single_row_and_constant_zero():
@@ -177,6 +181,20 @@ def test_apriori_monitor_flags_variation():
     rep = apriori_monitor(trace, bound=10.0)
     assert "v_c0" in rep["flagged"]
     assert rep["per_quantity"]["v_c0"]["ratio"] == pytest.approx(20.0, rel=1e-9)
+
+
+def test_apriori_monitor_reads_trace_at_problem_oversampling(default_nl):
+    # the monitor reports the quantities the trace stores, computed at the
+    # problem's oversampling (2 here), not recomputed at another one
+    target, p = mms_problem(default_nl, 0.5, 8, 1e-1, seed=19, oversample=2)
+    trace = continuation_beta(p, BetaSchedule(1e-1, 0.25, 1e-3), target)
+    rep = apriori_monitor(trace)
+    for name in MONITORED:
+        col = trace.column(name)
+        assert rep["per_quantity"][name]["max"] == max(col), name
+        assert rep["per_quantity"][name]["min"] == min(col), name
+    assert trace.column("v_c0") == [monitored_quantities(r.u, 2)["v_c0"]
+                                    for r in trace.rows]
 
 
 def test_apriori_monitor_empty_trace_rejected():
