@@ -176,6 +176,10 @@ _SCHEDULE = _Section({"start": _POS_NUM, "floor": _POS_NUM, "factor": (
     lambda v: _is_num(v) and 0 < v < 1, "schedule must decrease (factor must lie in (0, 1))")},
     ("start", "factor", "floor"))
 
+# defaults the cross-key rules share with the commands
+_HOLDER_GAMMAS = (0.6, 0.5)  # verify.gamma, verify.gamma_prime for suite holder
+_L_VALUES = (4, 8)  # linking.l_values
+
 # keys (section.key for nested ones) that each command needs
 _NEEDED = {
     "solve": ("seed", "M", "beta", "nl"), "multi": ("seed", "M", "beta", "nl"),
@@ -207,6 +211,33 @@ def _check(value, rule, path: str) -> list:
     return [] if check(value) else [f"{path}: {message.format(value)}"]
 
 
+def _cross_key_errors(doc: dict, cmd, bad: set) -> list:
+    """Problems of value combinations that each pass their own rule."""
+    errors = []
+    M = doc.get("M") if "M" not in bad else None
+    v = doc.get("verify", {}) if "verify" not in bad else {}
+    suite = v.get("suite", "all")
+    if suite in ("gn", "all") and "p" in v and v["p"] <= 2:
+        errors.append(f"verify.p: must be > 2 for suite {suite} (got {v['p']!r})")
+    if suite in ("holder", "all"):
+        gamma = v.get("gamma", _HOLDER_GAMMAS[0])
+        gamma_prime = v.get("gamma_prime", _HOLDER_GAMMAS[1])
+        if gamma_prime >= gamma:
+            errors.append(f"verify.gamma_prime: must be < verify.gamma for suite {suite}"
+                          f" (got {gamma_prime!r} >= {gamma!r})")
+    if cmd == "linking" and M is not None and "linking" not in bad:
+        too_big = [l for l in doc.get("linking", {}).get("l_values", _L_VALUES) if l > M]
+        if too_big:
+            errors.append(f"linking.l_values: entries {too_big} exceed M={M}")
+    initial = doc.get("initial", {}) if "initial" not in bad else {}
+    if M is not None and initial.get("kind") == "modes":
+        for i, m in enumerate(initial.get("modes", ())):
+            if 2 * abs(m["j"]) + abs(m["k"]) > M:
+                errors.append(f"initial.modes[{i}]: mode ({m['j']}, {m['k']}) lies"
+                              f" outside the diamond 2|j| + |k| <= M={M}")
+    return errors
+
+
 def parse_config(text_or_dict, command: str | None = None) -> RunConfig:
     """Validate a config document; raises ParseError listing every problem."""
     if isinstance(text_or_dict, str):
@@ -236,6 +267,7 @@ def parse_config(text_or_dict, command: str | None = None) -> RunConfig:
         sub = doc.get(section) if section not in bad else None
         if sub and sub.get("kind") == kind and needed not in sub:
             errors.append(f"{section}.{needed}: missing (required for kind {kind!r})")
+    errors += _cross_key_errors(doc, cmd, bad)
 
     beta = doc.get("beta")
     if isinstance(beta, dict):
@@ -279,6 +311,21 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _load_field(cfg: RunConfig, key: str, match_M: bool = True) -> SpectralField:
+    """The field file named by config ``key``; ParseError if it cannot be read,
+    is not a field file, or (with ``match_M``) has another truncation."""
+    section, _, sub = key.partition(".")
+    path = getattr(cfg, section)[sub]
+    try:
+        u = read_field(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise ParseError([f"{key}: cannot load field file {path!r} ({exc})"]) from exc
+    if match_M and u.M != cfg.M:
+        raise ParseError([f"{key}: field file {path!r} has M={u.M}"
+                          f" but the config has M={cfg.M}"])
+    return u
+
+
 def _build_problem(cfg: RunConfig, beta: float):
     nl = nonlinearity_from_config(cfg.nl)
     return PenalizedProblem(M=cfg.M, beta=beta, nl=nl, sigma=cfg.sigma,
@@ -293,7 +340,7 @@ def _build_forcing(cfg: RunConfig, problem):
     if kind == "none":
         return problem, None
     if kind == "file":
-        f = read_field(cfg.forcing["path"])
+        f = _load_field(cfg, "forcing.path")
         return replace(problem, forcing=f), None
     tag = (SubspaceTag.EPERP if cfg.forcing.get("kernel_free")
            else SubspaceTag.ALL)
@@ -308,7 +355,7 @@ def _initial_field(cfg: RunConfig):
     if kind == "zero":
         return SpectralField.zeros(cfg.M)
     if kind == "file":
-        return read_field(cfg.initial["path"])
+        return _load_field(cfg, "initial.path")
     if kind == "random":
         amp = float(cfg.initial.get("amplitude", 1.0))
         decay = float(cfg.initial.get("decay", 0.5))
@@ -392,8 +439,9 @@ def _cmd_verify(cfg: RunConfig, out: str) -> dict:
         reports.append(check_embedding(spec, s, tails=tuple(v.get("tails", (8, 16, 32))),
                                        tail_count=int(v.get("tail_count", 64))))
     if suite in ("holder", "all"):
-        reports.append(check_holder_to_sobolev(spec, float(v.get("gamma", 0.6)),
-                                               float(v.get("gamma_prime", 0.5))))
+        reports.append(check_holder_to_sobolev(
+            spec, float(v.get("gamma", _HOLDER_GAMMAS[0])),
+            float(v.get("gamma_prime", _HOLDER_GAMMAS[1]))))
     if suite in ("box", "all"):
         reports.append(check_box_regularity(spec, float(v.get("p", 2.0)),
                                             float(v.get("gamma", 0.45))))
@@ -410,7 +458,7 @@ def _cmd_verify(cfg: RunConfig, out: str) -> dict:
 
 
 def _cmd_norms(cfg: RunConfig, out: str) -> dict:
-    u = read_field(cfg.norms["field"])
+    u = _load_field(cfg, "norms.field", match_M=False)
     reports = [NormReport("E", norm_E(u), {})]
     for s in cfg.norms.get("es_s", [1.0]):
         try:
@@ -451,7 +499,7 @@ def _cmd_mms(cfg: RunConfig, out: str) -> dict:
 
 def _cmd_linking(cfg: RunConfig, out: str) -> dict:
     p = _build_problem(cfg, float(cfg.beta))
-    rep = linking_report(p, [int(x) for x in cfg.linking.get("l_values", [4, 8])],
+    rep = linking_report(p, [int(x) for x in cfg.linking.get("l_values", _L_VALUES)],
                          rho_values=tuple(cfg.linking.get("rho_values",
                                                           (0.25, 0.5, 1.0, 2.0))),
                          n_starts=int(cfg.linking.get("n_starts", 5)),
@@ -510,12 +558,11 @@ def main(argv=None) -> int:
         doc["seed"] = args.seed
     try:
         cfg = parse_config(doc, command=args.command)
-    except ParseError as exc:
+        return run(cfg, out_dir=args.out)
+    except ParseError as exc:  # from the document, or from a field file it names
         for e in exc.errors:
             print(f"wavetorus: config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        return run(cfg, out_dir=args.out)
     except WavetorusError as exc:
         print(f"wavetorus: {exc}", file=sys.stderr)
         return EXIT_SOLVER

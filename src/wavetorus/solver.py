@@ -43,6 +43,7 @@ from .spectral import (
     embed,
     grid_integral,
     grid_max_abs,
+    jacobian_gather,
     lattice,
     pack,
     project,
@@ -155,26 +156,52 @@ def functional_I(p: PenalizedProblem, u: SpectralField) -> float:
     return out
 
 
-def _dense_jacobian(p: PenalizedProblem, u: SpectralField) -> np.ndarray:
-    """d(residual)/du as a real matrix over the packed coordinates."""
+def _dense_jacobian(p: PenalizedProblem, u: SpectralField,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """d(residual)/du as a real matrix over the packed coordinates.
+
+    Rows and columns follow ``pack``: [Re u_hat(0, 0), x h, y h] with x the
+    real and y the imaginary parts of the half modes h.  With
+    g_hat = -sigma f_u_hat (the multiplication symbol on lattice(2M)),
+    gr, gi its real and imaginary parts and d the penalized symbol, the
+    residual at h moves along the column of h' through g_hat(h - h') and,
+    via the conjugate mode -h', through g_hat(h + h'):
+
+        [x h, x h'] = (gr(h - h') + d(h) [h = h']) + gr(h + h')
+        [x h, y h'] = -gi(h - h') + gi(h + h')
+        [y h, x h'] = gi(h - h') + gi(h + h')
+        [y h, y h'] = (gr(h - h') + d(h) [h = h']) - gr(h + h')
+
+    and row and column 0 are [0, 0] = gr(0) + d(0), [0, x h'] =
+    gr(-h') + gr(h'), [0, y h'] = -(gi(-h') - gi(h')), [x h, 0] = gr(h),
+    [y h, 0] = gi(h).  Every entry is one gather through the flat index
+    tables ``jacobian_gather(M)``, built once per M on the first call; row 0
+    reads -h' because g_hat is Hermitian only to rounding.
+
+    ``out``, when given, receives J in its leading n_real x n_real block
+    (the bordered solve writes J straight into its larger buffer).
+    """
     lat = lattice(p.M)
-    gh = _f_hat(p, u, 1)  # multiplication symbol f_u(x, u), bandwidth 2M
-    big = lattice(2 * p.M)
-    jj = lat.J[lat.mode_rows, lat.mode_cols]
-    kk = lat.K[lat.mode_rows, lat.mode_cols]
-    dj = jj[:, None] - jj[None, :]
-    dk = kk[:, None] - kk[None, :]
-    A = -p.sigma * gh.coeffs[dj + big.jmax, dk + 2 * p.M]
-    diag = penalized_symbol(p)[lat.mode_rows, lat.mode_cols]
-    A[np.arange(lat.n_modes), np.arange(lat.n_modes)] += diag
-    D = np.empty((lat.n_modes, lat.n_real), dtype=np.complex128)
-    D[:, 0] = A[:, lat.z_idx]
-    D[:, 1:1 + lat.n_half] = A[:, lat.h_idx] + A[:, lat.m_idx]
-    D[:, 1 + lat.n_half:] = 1j * (A[:, lat.h_idx] - A[:, lat.m_idx])
-    J = np.empty((lat.n_real, lat.n_real), dtype=np.float64)
-    J[0, :] = D[lat.z_idx, :].real
-    J[1:1 + lat.n_half, :] = D[lat.h_idx, :].real
-    J[1 + lat.n_half:, :] = D[lat.h_idx, :].imag
+    tab = jacobian_gather(p.M)
+    g = _f_hat(p, u, 1).coeffs.ravel()  # f_u(x, u), bandwidth 2M
+    s = -p.sigma
+    gr, gi = s * g.real, s * g.imag
+    sym = penalized_symbol(p)
+    n, nh = lat.n_real, lat.n_half
+    J = np.empty((n, n)) if out is None else out
+    x, y = slice(1, 1 + nh), slice(1 + nh, n)
+    J[0, 0] = gr[tab.zero] + sym[lat.jmax, p.M]
+    J[0, x] = gr[tab.minus] + gr[tab.plus]
+    J[0, y] = -(gi[tab.minus] - gi[tab.plus])
+    J[x, 0] = gr[tab.plus]
+    J[y, 0] = gi[tab.plus]
+    dr, sr = gr[tab.diff], gr[tab.sum]
+    dr.reshape(-1)[::nh + 1] += sym[lat.half_rows, lat.half_cols]
+    np.add(dr, sr, out=J[x, x])
+    np.subtract(dr, sr, out=J[y, y])
+    di, si = gi[tab.diff], gi[tab.sum]
+    np.subtract(si, di, out=J[x, y])
+    np.add(di, si, out=J[y, x])
     return J
 
 
@@ -197,13 +224,14 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField, dense_limit: int,
     """
     lat = lattice(p.M)
     if lat.n_real <= dense_limit:
-        J = _dense_jacobian(p, u)
-        if anchor is not None:
-            Ja = np.zeros((lat.n_real + 1, lat.n_real + 1))
-            Ja[:-1, :-1] = J
-            Ja[:-1, -1] = anchor
-            Ja[-1, :-1] = anchor
-            J = Ja
+        if anchor is None:
+            J = _dense_jacobian(p, u)
+        else:
+            J = np.empty((lat.n_real + 1, lat.n_real + 1))
+            _dense_jacobian(p, u, out=J)
+            J[:-1, -1] = anchor
+            J[-1, :-1] = anchor
+            J[-1, -1] = 0.0
         try:
             lu = scipy.linalg.lu_factor(J)
         except scipy.linalg.LinAlgError as exc:
@@ -243,8 +271,8 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField, dense_limit: int,
 
     # exact Jacobi diagonal: every convolution row carries the mean of f_u
     fu_mean = float(np.mean(fu_vals))
-    diag = sym[lat.mode_rows, lat.mode_cols] - p.sigma * fu_mean
-    dpk = np.concatenate(([diag[lat.z_idx]], diag[lat.h_idx], diag[lat.h_idx]))
+    diag = sym[lat.half_rows, lat.half_cols] - p.sigma * fu_mean
+    dpk = np.concatenate(([sym[lat.jmax, p.M] - p.sigma * fu_mean], diag, diag))
     dpk = np.where(np.abs(dpk) < 1e-12, 1.0, dpk)
     if anchor is not None:
         def matvec(z):

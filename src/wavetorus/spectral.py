@@ -20,9 +20,8 @@ N they partition the diamond), and half (k > 0, or k = 0 and j > 0).
 A real field has n_real = 1 + 2 n_half real coordinates, one per diamond
 mode.  ``pack`` lays them out as [Re u_hat(0, 0), Re h, Im h], h holding
 the half-mode coefficients in row-major order (half_rows, half_cols).
-For the Jacobian the Lattice also lists the diamond modes in row-major
-order (mode_rows, mode_cols) and, in that order, the positions of the
-half modes (h_idx), their conjugates (m_idx) and of (0, 0) (z_idx).
+``jacobian_gather(M)`` caches, on first use, the flat positions in the
+order-2M coefficients that the real blocks of the Jacobian read.
 
 All operations are pure: fields are treated as immutable values.
 """
@@ -78,7 +77,6 @@ class Lattice:
     n_modes: int
     n_half: int
     n_real: int
-    z_idx: int
     J: np.ndarray
     K: np.ndarray
     weight: np.ndarray
@@ -89,12 +87,8 @@ class Lattice:
     eplus: np.ndarray
     eminus: np.ndarray
     half: np.ndarray
-    mode_rows: np.ndarray
-    mode_cols: np.ndarray
     half_rows: np.ndarray
     half_cols: np.ndarray
-    h_idx: np.ndarray
-    m_idx: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -109,21 +103,47 @@ def lattice(M: int) -> Lattice:
     mask = 2 * np.abs(J) + np.abs(K) <= M
     res = mask & (4 * J * J == K * K)
     half = mask & ((K > 0) | ((K == 0) & (J > 0)))
-    rows, cols = np.nonzero(mask)
-    pos = np.full(shape, -1, dtype=np.int64)
-    pos[rows, cols] = np.arange(rows.size)
     hr, hc = np.nonzero(half)
     arrays = dict(
         J=J, K=K, weight=2 * np.abs(J) + np.abs(K), symbol=4 * J * J - K * K,
         mask=mask, resonant=res, nonresonant=mask & ~res,
         eplus=mask & (np.abs(K) > 2 * np.abs(J)),
         eminus=mask & (np.abs(K) < 2 * np.abs(J)), half=half,
-        mode_rows=rows, mode_cols=cols, half_rows=hr, half_cols=hc,
-        h_idx=pos[hr, hc], m_idx=pos[2 * jmax - hr, 2 * M - hc])
+        half_rows=hr, half_cols=hc)
     for a in arrays.values():
         a.flags.writeable = False
-    return Lattice(M=M, jmax=jmax, shape=shape, n_modes=rows.size, n_half=hr.size,
-                   n_real=1 + 2 * hr.size, z_idx=int(pos[jmax, M]), **arrays)
+    return Lattice(M=M, jmax=jmax, shape=shape, n_modes=int(np.sum(mask)),
+                   n_half=hr.size, n_real=1 + 2 * hr.size, **arrays)
+
+
+@dataclass(frozen=True, eq=False)
+class JacobianGather:
+    """Flat positions, in the raveled coefficients of ``lattice(2M)``, of the
+    half-mode combinations the real Jacobian blocks read (see
+    ``jacobian_gather``)."""
+
+    diff: np.ndarray  # (n_half, n_half): h - h'
+    sum: np.ndarray  # (n_half, n_half): h + h'
+    plus: np.ndarray  # (n_half,): +h
+    minus: np.ndarray  # (n_half,): -h
+    zero: int  # (0, 0)
+
+
+@lru_cache(maxsize=None)
+def jacobian_gather(M: int) -> JacobianGather:
+    """The cached gather tables of the order-M Jacobian, built on first use."""
+    lat = lattice(M)
+    big = lattice(2 * M)
+    # flat(j, k) = (j + jmax) * ncols + (k + 2M) is affine in (j, k)
+    zero = big.jmax * big.shape[1] + 2 * M
+    off = (big.shape[1] * lat.J[lat.half_rows, lat.half_cols]
+           + lat.K[lat.half_rows, lat.half_cols]).astype(np.intp)
+    arrays = dict(diff=zero + off[:, None] - off[None, :],
+                  sum=zero + off[:, None] + off[None, :],
+                  plus=zero + off, minus=zero - off)
+    for a in arrays.values():
+        a.flags.writeable = False
+    return JacobianGather(zero=zero, **arrays)
 
 
 _TAG_MASK = {SubspaceTag.ALL: "mask", SubspaceTag.N: "resonant",
@@ -467,6 +487,8 @@ def field_to_dict(u: SpectralField) -> dict:
 
 
 def field_from_dict(d: dict) -> SpectralField:
+    if not isinstance(d, dict):
+        raise ValueError("a field file holds one JSON object")
     if d.get("domain") != DOMAIN_LABEL:
         raise ValueError(f"unexpected domain {d.get('domain')!r}")
     if d.get("normalization") != NORMALIZATION_LABEL:

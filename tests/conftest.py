@@ -1,6 +1,15 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from wavetorus import make_nonlinearity
+
+# CI runs the property tests on a fixed example sequence, so a failure there
+# reproduces locally with CI=1
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 # the default cubic problem used across solver and acceptance tests:
 # f(x, u) = (1 + sin(2x)/2) u^3 + tanh(u)

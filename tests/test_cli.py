@@ -193,6 +193,16 @@ def test_continue_command(tmp_path):
     ({"command": "mms", "mms": {"M_list": [8, 6]}}, "mms.M_list"),
     ({"initial": {"kind": "modes", "modes": [{"j": 1}]}}, "initial.modes[0].k"),
     ({"initial": {"kind": "file"}}, "initial.path"),
+    ({"command": "verify", "verify": {"suite": "gn", "p": 1.5}}, "verify.p"),
+    ({"command": "verify", "verify": {"suite": "all", "p": 2.0}}, "verify.p"),
+    ({"command": "verify", "verify": {"suite": "holder", "gamma": 0.4, "gamma_prime": 0.5}},
+     "verify.gamma_prime"),
+    ({"command": "verify", "verify": {"suite": "all", "gamma_prime": 0.7}},
+     "verify.gamma_prime"),
+    ({"command": "linking", "M": 6, "linking": {"l_values": [4, 8]}}, "linking.l_values"),
+    ({"command": "linking", "M": 6}, "linking.l_values"),  # default levels 4, 8
+    ({"initial": {"kind": "modes", "modes": [{"j": 3, "k": 3, "re": 1.0}]}},
+     "initial.modes[0]"),
 ])
 def test_main_rejects_malformed_config(tmp_path, capsys, overrides, key):
     doc = minimal_solve_config(**overrides)
@@ -200,3 +210,46 @@ def test_main_rejects_malformed_config(tmp_path, capsys, overrides, key):
     out = str(tmp_path / "out")
     assert main([doc["command"], "--config", path, "--out", out]) == EXIT_CONFIG
     assert f"config error: {key}:" in capsys.readouterr().err
+
+
+def assert_one_config_error(capsys, key):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"wavetorus: config error: {key}:"), err
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"initial": {"kind": "file", "path": "MISSING"}}, "initial.path"),
+    ({"forcing": {"kind": "file", "path": "MISSING"}}, "forcing.path"),
+    ({"command": "continue", "beta": {"start": 1e-2, "factor": 0.5, "floor": 1e-3},
+      "initial": {"kind": "file", "path": "MISSING"}}, "initial.path"),
+    ({"command": "norms", "norms": {"field": "MISSING"}}, "norms.field"),
+])
+def test_main_rejects_missing_field_file(tmp_path, capsys, overrides, key):
+    doc = json.loads(json.dumps(minimal_solve_config(**overrides)).replace(
+        "MISSING", str(tmp_path / "no_such_field.json")))
+    path = write_config(tmp_path, doc)
+    out = str(tmp_path / "out")
+    assert main([doc["command"], "--config", path, "--out", out]) == EXIT_CONFIG
+    assert_one_config_error(capsys, key)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "not json", '{"M": 6}'])
+def test_main_rejects_file_that_is_not_a_field(tmp_path, capsys, text):
+    fpath = tmp_path / "field.json"
+    fpath.write_text(text)
+    doc = {"command": "norms", "norms": {"field": str(fpath)}}
+    path = write_config(tmp_path, doc)
+    assert main(["norms", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert_one_config_error(capsys, "norms.field")
+
+
+@pytest.mark.parametrize("section, key", [("initial", "initial.path"),
+                                          ("forcing", "forcing.path")])
+def test_main_rejects_field_file_of_other_truncation(tmp_path, capsys, section, key):
+    fpath = tmp_path / "field.json"
+    write_field(random_field(1, 6, decay=0.3), fpath)
+    doc = minimal_solve_config(**{section: {"kind": "file", "path": str(fpath)}})
+    path = write_config(tmp_path, doc)
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", path, "--out", out]) == EXIT_CONFIG
+    assert_one_config_error(capsys, key)

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from wavetorus import (
     BetaSchedule,
     NoConvergence,
@@ -26,7 +29,18 @@ from wavetorus import (
     residual,
     time_translate,
 )
-from wavetorus.solver import _dense_jacobian, dedup_solutions, linking_report, pack, unpack
+from wavetorus.solver import (
+    _dense_jacobian,
+    _f_hat,
+    dedup_solutions,
+    linking_report,
+    pack,
+    penalized_symbol,
+    unpack,
+)
+from wavetorus.spectral import lattice
+
+seeds = st.integers(0, 2**31 - 1)
 
 
 def zero_nl():
@@ -127,6 +141,80 @@ def test_jacobian_matches_finite_differences(default_nl):
         rm = pack(residual(p, unpack(x0 - e, M)))
         J_fd[:, c] = (rp - rm) / (2 * h)
     assert np.max(np.abs(J - J_fd)) <= 1e-5 * max(1.0, np.max(np.abs(J)))
+
+
+def complex_jacobian_oracle(p, u):
+    """The Jacobian through the full complex mode matrix A and its real
+    column combinations D (the construction the gathered fill replaced)."""
+    lat = lattice(p.M)
+    mode_rows, mode_cols = np.nonzero(lat.mask)
+    pos = np.full(lat.shape, -1)
+    pos[mode_rows, mode_cols] = np.arange(lat.n_modes)
+    h_idx = pos[lat.half_rows, lat.half_cols]
+    m_idx = pos[2 * lat.jmax - lat.half_rows, 2 * p.M - lat.half_cols]
+    z_idx = pos[lat.jmax, p.M]
+    gh = _f_hat(p, u, 1)
+    big = lattice(2 * p.M)
+    jj = lat.J[mode_rows, mode_cols]
+    kk = lat.K[mode_rows, mode_cols]
+    dj = jj[:, None] - jj[None, :]
+    dk = kk[:, None] - kk[None, :]
+    A = -p.sigma * gh.coeffs[dj + big.jmax, dk + 2 * p.M]
+    diag = penalized_symbol(p)[mode_rows, mode_cols]
+    A[np.arange(lat.n_modes), np.arange(lat.n_modes)] += diag
+    D = np.empty((lat.n_modes, lat.n_real), dtype=np.complex128)
+    D[:, 0] = A[:, z_idx]
+    D[:, 1:1 + lat.n_half] = A[:, h_idx] + A[:, m_idx]
+    D[:, 1 + lat.n_half:] = 1j * (A[:, h_idx] - A[:, m_idx])
+    J = np.empty((lat.n_real, lat.n_real), dtype=np.float64)
+    J[0, :] = D[z_idx, :].real
+    J[1:1 + lat.n_half, :] = D[h_idx, :].real
+    J[1 + lat.n_half:, :] = D[h_idx, :].imag
+    return J
+
+
+@pytest.mark.parametrize("oversample", [2, 4])
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_jacobian_bit_identical_to_complex_construction(default_nl, sigma, oversample):
+    for M in [*range(1, 13), 24]:
+        p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl, sigma=sigma,
+                             oversample=oversample)
+        u = random_field((60, M), M, SubspaceTag.ALL, 0.4)
+        J = _dense_jacobian(p, u)
+        assert np.array_equal(J, complex_jacobian_oracle(p, u)), M
+        n = J.shape[0]
+        bordered = _dense_jacobian(p, u, out=np.full((n + 1, n + 1), np.nan))
+        assert np.array_equal(bordered[:n, :n], J), M
+
+
+def test_forced_jacobian_bit_identical_to_complex_construction(default_nl):
+    _, p = mms_problem(default_nl, 0.5, 12, 1e-3, seed=5)
+    u = random_field(61, 12, SubspaceTag.ALL, 0.4)
+    assert np.array_equal(_dense_jacobian(p, u), complex_jacobian_oracle(p, u))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(1, 16), st.sampled_from([1, -1]))
+def test_weighted_jacobian_is_symmetric(default_nl, seed, M, sigma):
+    # J is the Hessian of I under the pairing, whose packed weights are 1, 2, ..., 2
+    p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl, sigma=sigma)
+    u = random_field(seed, M, SubspaceTag.ALL, 0.4)
+    J = _dense_jacobian(p, u)
+    WJ = np.r_[1.0, np.full(J.shape[0] - 1, 2.0)][:, None] * J
+    assert np.max(np.abs(WJ - WJ.T)) <= 1e-13 * np.max(np.abs(WJ))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, seeds, st.integers(1, 12), st.sampled_from([1, -1]),
+       st.sampled_from([1e-1, 1e-4]))
+def test_gradient_of_functional_is_residual(default_nl, seed_u, seed_phi, M, sigma, beta):
+    p = PenalizedProblem(M=M, beta=beta, nl=default_nl, sigma=sigma)
+    u = random_field(seed_u, M, SubspaceTag.ALL, 0.4)
+    phi = random_field(seed_phi, M, SubspaceTag.ALL, 0.4)
+    h = 1e-5
+    fd = (functional_I(p, u + h * phi) - functional_I(p, u - h * phi)) / (2 * h)
+    pr = pair(residual(p, u), phi)
+    assert abs(fd - pr) <= 1e-5 * max(abs(pr), 1.0)
 
 
 def test_newton_from_exact_seed_is_immediate(default_nl):
