@@ -18,10 +18,10 @@ from .errors import NotInEperp
 from .spectral import (
     Q_AREA,
     SpectralField,
+    abs_values,
     default_grid,
     grid_integral,
     lattice,
-    synthesize_values,
     truncate,
 )
 
@@ -80,12 +80,12 @@ def sobolev_norm(u: SpectralField, s: float, convention: str = "aniso") -> float
 
 
 def norm_Lp(u: SpectralField, p: float, oversample: int = 4) -> float:
-    """(int_Q |u|^p)^(1/p) by trapezoid quadrature on an oversampled grid."""
+    """(int_Q |u|^p)^(1/p) by the rectangle rule of ``grid_integral`` on an
+    oversampled grid (on a periodic grid it equals the trapezoid rule)."""
     if p < 1:
         raise ValueError("p must be >= 1")
     n = default_grid(u.M, oversample)
-    vals = np.abs(synthesize_values(u, n, n))
-    return grid_integral(vals**p) ** (1.0 / p)
+    return grid_integral(abs_values(u, n, n) ** p) ** (1.0 / p)
 
 
 def norm_lq(u: SpectralField, q: float) -> float:
@@ -149,7 +149,7 @@ def holder_estimate(u: SpectralField, gamma: float, oversample: int = 4) -> floa
             continue
         Mb = min(2 * 2**m, u.M)
         n = default_grid(Mb, oversample)
-        sup = float(np.max(np.abs(synthesize_values(truncate(f, Mb), n, n))))
+        sup = float(np.max(abs_values(truncate(f, Mb), n, n)))
         best = max(best, 2.0 ** (gamma * m) * sup)
     return best
 

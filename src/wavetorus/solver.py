@@ -424,7 +424,7 @@ class ContinuationRow:
 
 
 CSV_COLUMNS = ("beta", "residual_norm", "I_value", "newton_iters",
-               "v_c0", "v_t_l2", "v_tt_l2", "w_h1", "w_h2")
+               "v_c0", "v_t_l2", "v_tt_l2", "v_ttt_l2", "w_h1", "w_h2")
 
 
 @dataclass

@@ -23,6 +23,15 @@ the half-mode coefficients in row-major order (half_rows, half_cols).
 ``jacobian_gather(M)`` caches, on first use, the flat positions in the
 order-2M coefficients that the real blocks of the Jacobian read.
 
+Transforms: ``synthesize``/``synthesize_values`` and ``analyze``, which the
+solver calls, use the complex ``np.fft.ifft2``/``fft2``.  The grid norms
+read |u| through ``abs_values``, which sends an exactly Hermitian field
+through a pruned real inverse transform (``scipy.fft.ifft`` along t on the
+rows j >= 0, then ``irfft`` along x): about 5x cheaper at M = 64 and equal
+to the complex path to rounding.  The solver stays on the complex path
+because its Newton trajectories are sensitive to rounding: the real path
+flipped one cold seed of the M = 24 multiplicity search.
+
 All operations are pure: fields are treated as immutable values.
 """
 
@@ -34,6 +43,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 from .errors import GridTooCoarse, NotHermitian, NotInKernel
 
@@ -297,6 +307,11 @@ def default_grid(M: int, oversample: int = 4) -> int:
     return oversample * min_grid(M)
 
 
+def _require_grid(M: int, nx: int, nt: int) -> None:
+    if nx < min_grid(M) or nt < min_grid(M):
+        raise GridTooCoarse(f"grid {nx}x{nt} < {min_grid(M)} for M={M}")
+
+
 def analyze(g: GridField, M: int) -> SpectralField:
     """Coefficients of the trigonometric interpolant, restricted to the diamond.
 
@@ -304,8 +319,7 @@ def analyze(g: GridField, M: int) -> SpectralField:
     bandwidth <= M in the lattice weight.
     """
     nx, nt = g.values.shape
-    if nx < min_grid(M) or nt < min_grid(M):
-        raise GridTooCoarse(f"grid {nx}x{nt} < {min_grid(M)} for M={M}")
+    _require_grid(M, nx, nt)
     lat = lattice(M)
     F = np.fft.fft2(g.values) / (nx * nt)
     c = F[lat.J % nx, lat.K % nt]
@@ -314,14 +328,40 @@ def analyze(g: GridField, M: int) -> SpectralField:
 
 def synthesize_values(u: SpectralField, nx: int, nt: int) -> np.ndarray:
     """Complex grid samples of the (possibly non-Hermitian) field."""
-    if nx < min_grid(u.M) or nt < min_grid(u.M):
-        raise GridTooCoarse(f"grid {nx}x{nt} < {min_grid(u.M)} for M={u.M}")
+    _require_grid(u.M, nx, nt)
     lat = lattice(u.M)
     A = np.zeros((nx, nt), dtype=np.complex128)
     rows = (lat.J % nx)[lat.mask]
     cols = (lat.K % nt)[lat.mask]
     A[rows, cols] = u.coeffs[lat.mask]
     return np.fft.ifft2(A) * (nx * nt)
+
+
+def _hermitian_values(u: SpectralField, nx: int, nt: int) -> np.ndarray:
+    """Real grid samples of an exactly Hermitian field by the pruned transform.
+
+    Only the rows j >= 0 are transformed along t; irfft along x restores the
+    rows j < 0 from the symmetry and zero-pads the rows above jmax.
+    """
+    _require_grid(u.M, nx, nt)
+    jmax = lattice(u.M).jmax
+    A = np.zeros((jmax + 1, nt), dtype=np.complex128)
+    A[:, np.arange(-u.M, u.M + 1) % nt] = u.coeffs[jmax:]
+    A = scipy.fft.ifft(A, axis=1, norm="forward")
+    return scipy.fft.irfft(A, n=nx, axis=0, norm="forward")
+
+
+def abs_values(u: SpectralField, nx: int, nt: int) -> np.ndarray:
+    """|u| on the nx x nt grid: the one grid path of the L^p and sup norms.
+
+    An exactly Hermitian field takes the pruned real transform
+    (``_hermitian_values``); any other field, e.g. a sign-quadrant piece,
+    takes the complex ``synthesize_values``.
+    """
+    c = u.coeffs
+    if np.array_equal(c, np.conj(c[::-1, ::-1])):
+        return np.abs(_hermitian_values(u, nx, nt))
+    return np.abs(synthesize_values(u, nx, nt))
 
 
 def synthesize(u: SpectralField, nx: int | None = None, nt: int | None = None) -> GridField:
@@ -340,7 +380,7 @@ def synthesize(u: SpectralField, nx: int | None = None, nt: int | None = None) -
 def grid_max_abs(u: SpectralField, oversample: int = 4) -> float:
     """Grid maximum of |u| at the given oversampling (lower bound on the sup)."""
     n = default_grid(u.M, oversample)
-    return float(np.max(np.abs(synthesize_values(u, n, n))))
+    return float(np.max(abs_values(u, n, n)))
 
 
 def project(u: SpectralField, tag: SubspaceTag) -> SpectralField:

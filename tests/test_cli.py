@@ -10,6 +10,7 @@ from wavetorus.cli import (
     main,
     parse_config,
 )
+from wavetorus.verify import MONITORED
 from tests.conftest import DEFAULT_NL_SPEC
 
 
@@ -176,6 +177,17 @@ def test_continue_command(tmp_path):
     trace = (tmp_path / "c" / "trace.csv").read_text().splitlines()
     assert trace[0].startswith("beta,")
     assert len(trace) == 1 + rep["n_rows"]
+
+
+def test_continue_csv_header_names_every_monitored_quantity(tmp_path):
+    doc = {"command": "continue", "seed": 3, "M": 6,
+           "beta": {"start": 1e-2, "factor": 0.5, "floor": 5e-3},
+           "nl": DEFAULT_NL_SPEC, "initial": {"kind": "zero"}}
+    out = str(tmp_path / "c")
+    assert main(["continue", "--config", write_config(tmp_path, doc),
+                 "--out", out]) == EXIT_OK
+    header = (tmp_path / "c" / "trace.csv").read_text().splitlines()[0].split(",")
+    assert set(MONITORED) <= set(header)
 
 
 @pytest.mark.parametrize("overrides, key", [

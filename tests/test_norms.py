@@ -19,7 +19,10 @@ from wavetorus import (
     quadrant_split,
     random_field,
     sobolev_norm,
+    synthesize_values,
+    truncate,
 )
+from wavetorus.spectral import default_grid, grid_integral
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -209,3 +212,41 @@ def test_quadrant_parseval_exact(seed):
     quads = quadrant_split(u)
     assert (quads[0] + quads[1] + quads[2] + quads[3] - u).l2() == 0.0
     assert sum(q.l2() ** 2 for q in quads) == pytest.approx(u.l2() ** 2, rel=1e-14)
+
+
+# -- grid norms on the pruned real path ---------------------------------------
+
+
+def complex_path_holder(u, gamma, oversample=4):
+    """holder_estimate with every block sup taken on the complex transform."""
+    best = 0.0
+    for m, f in dyadic_blocks(u).blocks:
+        if not np.any(f.coeffs):
+            continue
+        Mb = min(2 * 2**m, u.M)
+        n = default_grid(Mb, oversample)
+        sup = float(np.max(np.abs(synthesize_values(truncate(f, Mb), n, n))))
+        best = max(best, 2.0 ** (gamma * m) * sup)
+    return best
+
+
+@settings(max_examples=15, deadline=None)
+@given(seeds, st.integers(1, 16), st.floats(1.0, 6.0), st.floats(0.05, 0.95))
+def test_grid_norms_of_non_hermitian_fields_keep_complex_path(seed, M, p, gamma):
+    u = random_field(seed, M, SubspaceTag.ALL, 0.1)
+    n = default_grid(M)
+    for q in quadrant_split(u):
+        vals = np.abs(synthesize_values(q, n, n))
+        assert norm_Lp(q, p) == grid_integral(vals**p) ** (1.0 / p)
+        assert holder_estimate(q, gamma) == complex_path_holder(q, gamma)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seeds, st.integers(1, 24), st.floats(0.0, 0.3), st.floats(0.05, 0.95))
+def test_holder_homogeneity_exact_on_real_path(seed, M, decay, gamma):
+    u = random_field(seed, M, SubspaceTag.ALL, decay)
+    base = holder_estimate(u, gamma)
+    for c in (2.0, 0.5, -4.0):
+        cu = c * u
+        assert np.array_equal(cu.coeffs, np.conj(cu.coeffs[::-1, ::-1]))
+        assert holder_estimate(cu, gamma) == abs(c) * base

@@ -20,10 +20,12 @@ from wavetorus import (
     kernel_decompose,
     kernel_field,
     project,
+    quadrant_split,
     random_field,
     read_field,
     resonant,
     synthesize,
+    synthesize_values,
     time_translate,
     truncate,
     wave_symbol,
@@ -302,3 +304,33 @@ def test_lattice_counts_and_partition(M):
     assert np.array_equal(parts[0] | parts[1] | parts[2], lat.mask)
     assert int(sum(np.sum(m) for m in parts)) == lat.n_modes
     assert lattice(M) is lat and not lat.mask.flags.writeable
+
+
+# -- the pruned real transform of the grid norms -------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 9), st.integers(0, 9), seeds,
+       st.floats(0.0, 0.5))
+def test_pruned_real_transform_matches_complex_path(M, ex, et, seed, decay):
+    from wavetorus.spectral import _hermitian_values, abs_values, min_grid
+
+    u = random_field(seed, M, SubspaceTag.ALL, decay)
+    nx, nt = min_grid(M) + ex, min_grid(M) + et  # both parities, independent
+    ref = synthesize_values(u, nx, nt)
+    tol = 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(_hermitian_values(u, nx, nt) - ref.real)) <= tol
+    assert np.max(np.abs(abs_values(u, nx, nt) - np.abs(ref))) <= tol
+
+
+def test_abs_values_keeps_complex_path_off_exact_symmetry():
+    from wavetorus.spectral import abs_values
+
+    u = random_field(7, 12, SubspaceTag.ALL, 0.1)
+    c = u.coeffs.copy()
+    c[7, 15] = np.nextafter(c[7, 15].real, np.inf) + 1j * c[7, 15].imag
+    near = SpectralField(12, c)  # mode (1, 3): Hermitian to one ulp only
+    for f in (near, *quadrant_split(u)):
+        assert np.array_equal(abs_values(f, 30, 27), np.abs(synthesize_values(f, 30, 27)))
+    with pytest.raises(GridTooCoarse):
+        abs_values(u, 25, 40)
