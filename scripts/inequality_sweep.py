@@ -13,9 +13,12 @@ from wavetorus import (
     EnsembleSpec,
     check_box_regularity,
     check_embedding,
-    check_gn,
-    check_hausdorff_young,
+    gn_reports,
+    hausdorff_young_reports,
 )
+
+HY_PS = (4.0 / 3.0, 1.5, 2.0)
+GN_PS = (3.0, 4.0)
 
 
 def main():
@@ -30,12 +33,10 @@ def main():
     rows = []
     for M in args.truncations:
         spec = EnsembleSpec(count=args.count, M=M, seed=args.seed)
-        for p in (4.0 / 3.0, 1.5, 2.0):
-            rep = check_hausdorff_young(spec, p)
+        for p, rep in zip(HY_PS, hausdorff_young_reports(spec, HY_PS)):
             rows.append(("hausdorff_young", f"p={p:.4g}", M, rep.ratios["max"],
                          rep.ratios["mean"], rep.violation_count))
-        for p in (3.0, 4.0):
-            rep = check_gn(spec, p)
+        for p, rep in zip(GN_PS, gn_reports(spec, GN_PS)):
             rows.append(("gagliardo_nirenberg", f"p={p:g}", M, rep.ratios["max"],
                          rep.ratios["mean"], 0))
         for s in (0.5, 2.0 / 3.0):

@@ -43,6 +43,7 @@ from .norms import (
     block_index,
     dyadic_blocks,
     holder_estimate,
+    lp_norms,
     norm_E,
     norm_Es,
     norm_Lp,
@@ -105,6 +106,8 @@ from .verify import (
     check_holder_to_sobolev,
     embedding_integrability,
     gn_interpolation_exponent,
+    gn_reports,
+    hausdorff_young_reports,
     mms_problem,
     mms_run,
 )

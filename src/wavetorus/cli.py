@@ -55,9 +55,9 @@ from .verify import (
     apriori_monitor,
     check_box_regularity,
     check_embedding,
-    check_gn,
-    check_hausdorff_young,
     check_holder_to_sobolev,
+    gn_reports,
+    hausdorff_young_reports,
     mms_run,
     write_mms_csv,
     write_ratio_csv,
@@ -427,13 +427,10 @@ def _cmd_verify(cfg: RunConfig, out: str) -> dict:
     suite = v.get("suite", "all")
     reports = []
     if suite in ("hy", "all"):
-        ps = [float(v["p"])] if "p" in v else [4.0 / 3.0, 1.5, 2.0]
-        for p in ps:
-            reports.append(check_hausdorff_young(spec, p))
+        reports += hausdorff_young_reports(
+            spec, [float(v["p"])] if "p" in v else [4.0 / 3.0, 1.5, 2.0])
     if suite in ("gn", "all"):
-        ps = [float(v["p"])] if "p" in v else [3.0, 4.0]
-        for p in ps:
-            reports.append(check_gn(spec, p))
+        reports += gn_reports(spec, [float(v["p"])] if "p" in v else [3.0, 4.0])
     if suite in ("embedding", "all"):
         s = float(v.get("s", 0.5))
         reports.append(check_embedding(spec, s, tails=tuple(v.get("tails", (8, 16, 32))),

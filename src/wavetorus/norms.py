@@ -79,13 +79,27 @@ def sobolev_norm(u: SpectralField, s: float, convention: str = "aniso") -> float
     return float(np.sqrt(np.sum((w[lat.mask] ** s) * a2[lat.mask])))
 
 
-def norm_Lp(u: SpectralField, p: float, oversample: int = 4) -> float:
-    """(int_Q |u|^p)^(1/p) by the rectangle rule of ``grid_integral`` on an
-    oversampled grid (on a periodic grid it equals the trapezoid rule)."""
-    if p < 1:
+def lp_norms(u: SpectralField, ps, oversample: int = 4) -> list:
+    """[(int_Q |u|^p)^(1/p) for p in ps] by the rectangle rule of
+    ``grid_integral`` on an oversampled grid (on a periodic grid it equals
+    the trapezoid rule).
+
+    One |u| grid serves all exponents: the field is synthesized once,
+    whatever the number of exponents.  Every p is checked before that.
+    """
+    ps = tuple(ps)
+    if any(p < 1 for p in ps):
         raise ValueError("p must be >= 1")
     n = default_grid(u.M, oversample)
-    return grid_integral(abs_values(u, n, n) ** p) ** (1.0 / p)
+    a = abs_values(u, n, n)
+    return [grid_integral(a**p) ** (1.0 / p) for p in ps]
+
+
+def norm_Lp(u: SpectralField, p: float, oversample: int = 4) -> float:
+    """(int_Q |u|^p)^(1/p): the one-exponent case of ``lp_norms``.  To read
+    several exponents of one field, call ``lp_norms``, which serves them all
+    from one |u| grid."""
+    return lp_norms(u, (p,), oversample)[0]
 
 
 def norm_lq(u: SpectralField, q: float) -> float:

@@ -17,7 +17,15 @@ import numpy as np
 
 from .dalembert import solve_box
 from .errors import NoConvergence, SingularJacobian
-from .norms import holder_estimate, norm_Es, norm_Lp, norm_lq, quadrant_split, sobolev_norm
+from .norms import (
+    holder_estimate,
+    lp_norms,
+    norm_Es,
+    norm_Lp,
+    norm_lq,
+    quadrant_split,
+    sobolev_norm,
+)
 from .solver import PenalizedProblem, newton_solve, residual
 from .spectral import (
     Q_AREA,
@@ -107,16 +115,28 @@ def embedding_integrability(s: float) -> float:
     return (2.0 - s) / (1.0 - s)
 
 
-def check_gn(spec: EnsembleSpec, p: float) -> InequalityReport:
-    """Ratios ||u||_Lp / (||u||_L2^(1-s) ||u||_E1^s) with s = (p-2)/(p-1)."""
-    s = gn_interpolation_exponent(p)
-    ratios = []
+def gn_reports(spec: EnsembleSpec, ps) -> list:
+    """Ratios ||u||_Lp / (||u||_L2^(1-s) ||u||_E1^s) with s = (p-2)/(p-1),
+    one report per p in ``ps``, in order.
+
+    Every p is checked before the first field is drawn.  Each field is drawn
+    and synthesized once: its L^p norms and its L^2 norm come from one grid.
+    """
+    ps = tuple(ps)
+    ss = [gn_interpolation_exponent(p) for p in ps]
+    ratios = [[] for _ in ps]
     for u in ensemble_fields(spec, _SALT["gn"]):
-        lp = norm_Lp(u, p, spec.oversample)
-        l2 = norm_Lp(u, 2.0, spec.oversample)
+        *lps, l2 = lp_norms(u, (*ps, 2.0), spec.oversample)
         e1 = norm_Es(u, 1.0)
-        ratios.append(lp / (l2 ** (1.0 - s) * e1**s))
-    return _report("gagliardo_nirenberg", spec, ratios, {"p": p, "s": s})
+        for r, s, lp in zip(ratios, ss, lps):
+            r.append(lp / (l2 ** (1.0 - s) * e1**s))
+    return [_report("gagliardo_nirenberg", spec, r, {"p": p, "s": s})
+            for p, s, r in zip(ps, ss, ratios)]
+
+
+def check_gn(spec: EnsembleSpec, p: float) -> InequalityReport:
+    """The one-exponent case of ``gn_reports``."""
+    return gn_reports(spec, (p,))[0]
 
 
 def tail_band_field(seed, T: int, tag=SubspaceTag.EPERP, decay: float = 0.0) -> SpectralField:
@@ -145,23 +165,35 @@ def check_embedding(spec: EnsembleSpec, s: float, tails=(8, 16, 32, 64),
                    tail_max_ratio=tail_max, tail_count=tail_count)
 
 
+def hausdorff_young_reports(spec: EnsembleSpec, ps, tol: float = 1e-6) -> list:
+    """||u_hat||_lq <= ||u||_Lp(normalized measure) for 1 < p <= 2, constant 1;
+    one report per p in ``ps``, in order.
+
+    The ratio is reported for any p > 1; the known-constant contract (zero
+    violations at 1 + tol) is asserted only inside (1, 2].  Every p is
+    checked before the first field is drawn, and each field is drawn and
+    synthesized once for all exponents.
+    """
+    ps = tuple(ps)
+    if any(p <= 1.0 for p in ps):
+        raise ValueError("p must be > 1")
+    qs = [p / (p - 1.0) for p in ps]
+    ratios = [[] for _ in ps]
+    for u in ensemble_fields(spec, _SALT["hy"]):
+        for r, p, q, lp in zip(ratios, ps, qs, lp_norms(u, ps, spec.oversample)):
+            r.append(norm_lq(u, q) / (lp / Q_AREA ** (1.0 / p)))
+    reports = []
+    for p, q, r in zip(ps, qs, ratios):
+        violations = int(np.sum(np.asarray(r) > 1.0 + tol)) if p <= 2.0 else 0
+        reports.append(_report("hausdorff_young", spec, r, {"p": p, "q": q, "tol": tol},
+                               violations, constant=1.0, asserted=bool(p <= 2.0)))
+    return reports
+
+
 def check_hausdorff_young(spec: EnsembleSpec, p: float,
                           tol: float = 1e-6) -> InequalityReport:
-    """||u_hat||_lq <= ||u||_Lp(normalized measure) for 1 < p <= 2, constant 1.
-
-    The ratio is reported for any p >= 1; the known-constant contract (zero
-    violations at 1 + tol) is asserted only inside (1, 2].
-    """
-    if p <= 1.0:
-        raise ValueError("p must be > 1")
-    q = p / (p - 1.0)
-    ratios = []
-    for u in ensemble_fields(spec, _SALT["hy"]):
-        lp = norm_Lp(u, p, spec.oversample) / Q_AREA ** (1.0 / p)
-        ratios.append(norm_lq(u, q) / lp)
-    violations = int(np.sum(np.asarray(ratios) > 1.0 + tol)) if p <= 2.0 else 0
-    return _report("hausdorff_young", spec, ratios, {"p": p, "q": q, "tol": tol},
-                   violations, constant=1.0, asserted=bool(p <= 2.0))
+    """The one-exponent case of ``hausdorff_young_reports``."""
+    return hausdorff_young_reports(spec, (p,), tol)[0]
 
 
 def check_box_regularity(spec: EnsembleSpec, p: float = 2.0,

@@ -9,6 +9,7 @@ from wavetorus.cli import (
     config_hash,
     main,
     parse_config,
+    run,
 )
 from wavetorus.verify import MONITORED
 from tests.conftest import DEFAULT_NL_SPEC
@@ -265,3 +266,24 @@ def test_main_rejects_field_file_of_other_truncation(tmp_path, capsys, section, 
     out = str(tmp_path / "out")
     assert main(["solve", "--config", path, "--out", out]) == EXIT_CONFIG
     assert_one_config_error(capsys, key)
+
+
+@pytest.mark.parametrize("suite, ps", [("hy", [4.0 / 3.0, 1.5, 2.0]), ("gn", [3.0, 4.0])])
+def test_verify_suite_synthesizes_each_field_once(tmp_path, monkeypatch, suite, ps):
+    # every exponent of a suite, and GN's L2 norm, come from one |u| grid per field
+    import wavetorus.norms
+
+    count, grids = 5, []
+    abs_values = wavetorus.norms.abs_values
+
+    def counting(u, nx, nt):
+        grids.append((nx, nt))
+        return abs_values(u, nx, nt)
+
+    monkeypatch.setattr(wavetorus.norms, "abs_values", counting)
+    cfg = parse_config({"command": "verify", "seed": 3,
+                        "verify": {"suite": suite, "count": count, "ensemble_M": 8}})
+    assert run(cfg, str(tmp_path)) == EXIT_OK
+    assert len(grids) == count
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert [r["parameters"]["p"] for r in rep["reports"]] == ps

@@ -12,6 +12,7 @@ from wavetorus import (
     dyadic_blocks,
     holder_estimate,
     lattice,
+    lp_norms,
     norm_E,
     norm_Es,
     norm_Lp,
@@ -250,3 +251,21 @@ def test_holder_homogeneity_exact_on_real_path(seed, M, decay, gamma):
         cu = c * u
         assert np.array_equal(cu.coeffs, np.conj(cu.coeffs[::-1, ::-1]))
         assert holder_estimate(cu, gamma) == abs(c) * base
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, st.integers(0, 24), st.lists(st.floats(1.0, 6.0), min_size=1, max_size=4))
+def test_lp_norms_equal_per_exponent_norm_Lp(seed, M, ps):
+    # one grid for all exponents gives exactly the one-exponent values, on the
+    # real path (exactly Hermitian u) and on the complex one (quadrant pieces)
+    u = random_field(seed, M, SubspaceTag.ALL, 0.1)
+    assert np.array_equal(u.coeffs, np.conj(u.coeffs[::-1, ::-1]))
+    for f in (u, *quadrant_split(u)):
+        assert lp_norms(f, ps) == [norm_Lp(f, p) for p in ps]
+
+
+def test_lp_norms_reject_any_exponent_below_one():
+    u = random_field(1, 6, SubspaceTag.ALL, 0.1)
+    for ps in ((0.5,), (2.0, 0.999), (1.0, 3.0, 0.0)):
+        with pytest.raises(ValueError):
+            lp_norms(u, ps)

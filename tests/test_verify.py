@@ -17,6 +17,8 @@ from wavetorus import (
     continuation_beta,
     embedding_integrability,
     gn_interpolation_exponent,
+    gn_reports,
+    hausdorff_young_reports,
     holder_estimate,
     mms_problem,
     mms_run,
@@ -27,6 +29,7 @@ from wavetorus import (
     random_field,
     sobolev_norm,
 )
+import wavetorus.verify
 from wavetorus.solver import ContinuationRow
 from wavetorus.verify import MONITORED
 
@@ -214,3 +217,38 @@ def test_holder_to_sobolev_stable_under_doubling():
     r16 = check_holder_to_sobolev(small_spec(count=200, M=16), 0.6, 0.5)
     r32 = check_holder_to_sobolev(small_spec(count=200, M=32), 0.6, 0.5)
     assert r32.ratios["max"] <= 1.05 * r16.ratios["max"]
+
+
+def test_suite_reports_equal_per_exponent_checks():
+    spec = small_spec(count=12, M=8)
+    hy_ps = (4.0 / 3.0, 1.5, 2.0, 4.0)
+    hy = hausdorff_young_reports(spec, hy_ps)
+    assert [r.to_dict() for r in hy] == [check_hausdorff_young(spec, p).to_dict()
+                                         for p in hy_ps]
+    # per-trial ratios against an oracle that synthesizes each norm on its own
+    fields = list(wavetorus.verify.ensemble_fields(spec, 11))
+    for p, r in zip(hy_ps, hy):
+        q = p / (p - 1.0)
+        assert r.extras["per_trial"] == [norm_lq(u, q) / (norm_Lp(u, p) / Q_AREA ** (1.0 / p))
+                                         for u in fields]
+    gn_ps = (3.0, 4.0)
+    assert [r.to_dict() for r in gn_reports(spec, gn_ps)] == [check_gn(spec, p).to_dict()
+                                                             for p in gn_ps]
+
+
+def test_suites_reject_a_bad_exponent_before_drawing(monkeypatch):
+    drawn = []
+
+    def fields(spec, salt):
+        drawn.append(salt)
+        yield from ()
+
+    monkeypatch.setattr(wavetorus.verify, "ensemble_fields", fields)
+    spec = small_spec(count=4, M=6)
+    with pytest.raises(ValueError):
+        hausdorff_young_reports(spec, (1.5, 2.0, 1.0))
+    with pytest.raises(ValueError):
+        gn_reports(spec, (3.0, 2.0))
+    assert drawn == []
+    hausdorff_young_reports(spec, (1.5,))  # the stub records a valid call
+    assert drawn == [11]
