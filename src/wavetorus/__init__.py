@@ -32,8 +32,6 @@ from .nonlinearity import (
     Nonlinearity,
     TanhPart,
     TrigPolynomial,
-    evaluate,
-    evaluate_potential,
     make_nonlinearity,
     nonlinearity_from_config,
 )
@@ -76,7 +74,6 @@ from .spectral import (
     SpectralField,
     SubspaceTag,
     analyze,
-    coeff_norm,
     embed,
     field_from_dict,
     field_to_dict,
@@ -87,12 +84,10 @@ from .spectral import (
     project,
     random_field,
     read_field,
-    resonant,
     synthesize,
     synthesize_values,
     time_translate,
     truncate,
-    wave_symbol,
     write_field,
 )
 from .verify import (

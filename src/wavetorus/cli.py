@@ -47,7 +47,6 @@ from .solver import (
     linking_report,
     multi_seed_search,
     newton_solve,
-    residual,
 )
 from .spectral import SpectralField, SubspaceTag, random_field, read_field, write_field
 from .verify import (
@@ -58,6 +57,7 @@ from .verify import (
     check_holder_to_sobolev,
     gn_reports,
     hausdorff_young_reports,
+    mms_problem,
     mms_run,
     write_mms_csv,
     write_ratio_csv,
@@ -342,12 +342,12 @@ def _build_forcing(cfg: RunConfig, problem):
     if kind == "file":
         f = _load_field(cfg, "forcing.path")
         return replace(problem, forcing=f), None
-    tag = (SubspaceTag.EPERP if cfg.forcing.get("kernel_free")
-           else SubspaceTag.ALL)
-    target = random_field((cfg.forcing.get("target_seed", cfg.seed or 0), 777),
-                          cfg.M, tag, float(cfg.forcing.get("decay", 0.5)))
-    f = residual(problem, target)
-    return replace(problem, forcing=f), target
+    target, forced = mms_problem(
+        problem.nl, float(cfg.forcing.get("decay", 0.5)), problem.M, problem.beta,
+        seed=cfg.forcing.get("target_seed", cfg.seed or 0), sigma=problem.sigma,
+        oversample=problem.oversample,
+        kernel_free=bool(cfg.forcing.get("kernel_free")))
+    return forced, target
 
 
 def _initial_field(cfg: RunConfig):

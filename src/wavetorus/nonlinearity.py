@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonlinearityRejected, OrderUnavailable
-from .spectral import GridField
 
 
 def _sech2(z):
@@ -187,16 +186,6 @@ class Nonlinearity:
 
     def sup_m(self) -> float:
         return self.m.bound if self.m is not None else 0.0
-
-
-def evaluate(nl: Nonlinearity, u: GridField, order: int = 0) -> GridField:
-    """Pointwise f, f_u, f_uu or f_uuu on the grid of ``u``."""
-    return GridField(nl.values(u.x(), u.values, order))
-
-
-def evaluate_potential(nl: Nonlinearity, u: GridField) -> GridField:
-    """Pointwise antiderivative F(x, u) with F(x, 0) = 0."""
-    return GridField(nl.potential_values(u.x(), u.values))
 
 
 def _alpha_eff(s: float, a_min: float, m: TanhPart, n: int = 20001) -> float:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -212,10 +213,15 @@ def time_derivative(u: SpectralField) -> SpectralField:
 
 def _linear_solver(p: PenalizedProblem, u: SpectralField, dense_limit: int,
                    anchor: np.ndarray | None = None):
-    """Return a solve(rhs_vec) closure for the Jacobian at u.
+    """Return ``(solve, regularized)`` for the Jacobian at u.
 
-    Dense LU with factor reuse below ``dense_limit`` real unknowns, otherwise
+    ``solve(rhs)`` solves J delta = rhs over the packed coordinates: dense LU
+    with factor reuse up to ``dense_limit`` real unknowns, otherwise
     preconditioned lgmres with the diagonal symbol as preconditioner.
+    ``regularized(mu)`` factors the Levenberg system J + mu I and returns its
+    solve; it exists on the dense path only and is None on the iterative
+    one.  Both solves map a length-n_real right-hand side to a length-n_real
+    step.
 
     With ``anchor`` (a packed direction), the system is bordered with the
     phase condition <anchor, delta> = 0: autonomous problems have the exact
@@ -223,15 +229,21 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField, dense_limit: int,
     solve removes it while staying an LU factorization.
     """
     lat = lattice(p.M)
-    if lat.n_real <= dense_limit:
-        if anchor is None:
-            J = _dense_jacobian(p, u)
-        else:
-            J = np.empty((lat.n_real + 1, lat.n_real + 1))
-            _dense_jacobian(p, u, out=J)
-            J[:-1, -1] = anchor
-            J[-1, :-1] = anchor
-            J[-1, -1] = 0.0
+    n = lat.n_real
+    phase = () if anchor is None else (anchor,)  # rows of the border
+    dim = n + len(phase)
+
+    def bordered(solve_dim):
+        # every solve: zero right-hand side for the phase rows, field part back
+        return lambda rhs: solve_dim(np.append(rhs, np.zeros(dim - n)))[:n]
+
+    if n <= dense_limit:
+        J = np.empty((dim, dim))
+        _dense_jacobian(p, u, out=J)
+        for i, a in enumerate(phase, start=n):
+            J[:n, i] = a
+            J[i, :n] = a
+        J[n:, n:] = 0.0
         try:
             lu = scipy.linalg.lu_factor(J)
         except scipy.linalg.LinAlgError as exc:
@@ -242,61 +254,62 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField, dense_limit: int,
         def regularized(mu):
             # Levenberg fallback: damp only the field block, not the border
             Jm = J.copy()
-            idx = np.arange(lat.n_real)
+            idx = np.arange(n)
             Jm[idx, idx] += mu
-            lum = scipy.linalg.lu_factor(Jm)
-            return lambda rhs_n: scipy.linalg.lu_solve(
-                lum, np.append(rhs_n, 0.0) if anchor is not None else rhs_n
-            )[:lat.n_real]
+            return bordered(partial(scipy.linalg.lu_solve, scipy.linalg.lu_factor(Jm)))
 
-        if anchor is None:
-            return (lambda rhs: scipy.linalg.lu_solve(lu, rhs)), True, regularized
-
-        def solve_bordered(rhs):
-            out = scipy.linalg.lu_solve(lu, np.append(rhs, 0.0))
-            return out[:-1]
-
-        return solve_bordered, True, regularized
+        return bordered(partial(scipy.linalg.lu_solve, lu)), regularized
 
     U, fu_vals = _on_grid(p, u, 1)
-    n = U.shape[0]
+    ng = U.shape[0]
     sym = penalized_symbol(p)
 
-    def apply_lin(vec):
-        d = unpack(vec, p.M)
-        dv = synthesize_values(d, n, n).real
+    def matvec(z):
+        x = z[:n]
+        d = unpack(x, p.M)
+        dv = synthesize_values(d, ng, ng).real
         prod = analyze(GridField(fu_vals * dv), p.M)
-        out = SpectralField(p.M, sym * d.coeffs - p.sigma * prod.coeffs)
-        return pack(out)
+        out = pack(SpectralField(p.M, sym * d.coeffs - p.sigma * prod.coeffs))
+        for a, c in zip(phase, z[n:]):
+            out = out + c * a
+        return np.append(out, [a @ x for a in phase])
 
     # exact Jacobi diagonal: every convolution row carries the mean of f_u
     fu_mean = float(np.mean(fu_vals))
     diag = sym[lat.half_rows, lat.half_cols] - p.sigma * fu_mean
     dpk = np.concatenate(([sym[lat.jmax, p.M] - p.sigma * fu_mean], diag, diag))
     dpk = np.where(np.abs(dpk) < 1e-12, 1.0, dpk)
-    if anchor is not None:
-        def matvec(z):
-            return np.append(apply_lin(z[:-1]) + z[-1] * anchor, anchor @ z[:-1])
-
-        def premat(z):
-            return np.append(z[:-1] / dpk, z[-1])
-
-        dim = lat.n_real + 1
-    else:
-        matvec, premat, dim = apply_lin, (lambda z: z / dpk), lat.n_real
     op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec)
-    pre = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=premat)
+    pre = scipy.sparse.linalg.LinearOperator(
+        (dim, dim), matvec=lambda z: np.append(z[:n] / dpk, z[n:]))
 
-    def solve(rhs):
-        b = np.append(rhs, 0.0) if anchor is not None else rhs
+    def krylov(b):
         sol, info = scipy.sparse.linalg.lgmres(op, b, M=pre, rtol=1e-9,
                                                atol=0.0, inner_m=50,
                                                maxiter=600)
         if info != 0:
             raise SingularJacobian(f"iterative linear solve failed (info={info})")
-        return sol[:-1] if anchor is not None else sol
+        return sol
 
-    return solve, False, None
+    return bordered(krylov), None
+
+
+def _backtrack(p: PenalizedProblem, u: SpectralField, rnorm: float,
+               step: SpectralField, floor: float, accept):
+    """First trial u + lam step, lam = 1, 1/2, ... >= floor, that ``accept``
+    passes or that lowers the residual norm by the factor 1 - 1e-4 lam.
+
+    Returns (u_try, R_try, |R_try|), or None when every trial fails.
+    """
+    lam = 1.0
+    while lam >= floor:
+        u_try = u + lam * step
+        R_try = residual(p, u_try)
+        r_try = R_try.l2()
+        if accept(lam, R_try, r_try) or r_try <= (1.0 - 1e-4 * lam) * rnorm:
+            return u_try, R_try, r_try
+        lam *= 0.5
+    return None
 
 
 def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
@@ -304,19 +317,23 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
                  dense_limit: int = DENSE_LIMIT) -> SolutionState:
     """Damped Newton on the packed real system.
 
-    The damping uses the affine-covariant (natural monotonicity) test
-    ||J^{-1} R(u + lam d)|| <= (1 - lam/2) ||d||, reusing the factorization,
-    and also accepts plain residual decrease; near a root the full step
-    passes both and the iteration is quadratic.
+    Each step backtracks lam = 1, 1/2, ... down to 2^-16.  On the dense path
+    a trial also passes the affine-covariant (natural monotonicity) test
+    ||J^{-1} R(u + lam d)|| <= (1 - lam/2) ||d||, reusing the factorization;
+    every trial passes on plain residual decrease.  Near a root the full step
+    passes both and the iteration is quadratic.  When no trial passes, the
+    dense path retries with Levenberg steps (J + mu I) d = -R for growing mu,
+    each backtracked down to 2^-8 on residual decrease only.  With
+    ``line_search=False`` the full step is always taken.
 
     For unforced (time-autonomous) problems the Jacobian is exactly singular
     at every genuinely time-dependent solution, with null vector d/dt u; the
     step is then computed from the phase-anchored bordered system with the
     current iterate's time derivative as anchor.
 
-    Raises NoConvergence (carrying the best iterate) after ``max_iter``
-    accepted steps or a failed line search; SingularJacobian when the linear
-    solve breaks down.
+    Raises NoConvergence (carrying the last iterate) after ``max_iter``
+    accepted steps, a failed line search or a non-finite residual norm;
+    SingularJacobian when the linear solve breaks down.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -327,61 +344,53 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
     rnorm = R.l2()
     history = [rnorm]
     iters = 0
-    while rnorm > tol:
+
+    def state(converged):
+        return SolutionState(u, rnorm, functional_I(p, u), iters,
+                             tuple(history), converged)
+
+    while not rnorm <= tol:  # a NaN norm enters the loop and stops below
+        if not np.isfinite(rnorm):
+            raise NoConvergence(f"non-finite residual norm after {iters} iterations",
+                                state(False))
         if iters >= max_iter:
-            best = SolutionState(u, rnorm, functional_I(p, u), iters,
-                                 tuple(history), False)
-            raise NoConvergence(f"no convergence after {max_iter} iterations", best)
+            raise NoConvergence(f"no convergence after {max_iter} iterations",
+                                state(False))
         anchor = None
         if p.forcing is None:
             t_vec = pack(time_derivative(u))
             t_norm = np.linalg.norm(t_vec)
             if t_norm > 1e-9 * max(u.l2(), 1.0):
                 anchor = t_vec / t_norm
-        solve, cheap_resolve, regularized = _linear_solver(p, u, dense_limit, anchor)
+        solve, regularized = _linear_solver(p, u, dense_limit, anchor)
         delta = solve(-pack(R))
         ndelta = np.linalg.norm(delta)
-        step = unpack(delta, p.M)
-        lam = 1.0
-        accepted = False
-        while lam >= 2.0**-16:
-            u_try = u + lam * step
-            R_try = residual(p, u_try)
-            r_try = R_try.l2()
-            natural = cheap_resolve and np.isfinite(r_try) and (
-                np.linalg.norm(solve(pack(R_try))) <= (1.0 - 0.5 * lam) * ndelta)
-            if natural or r_try <= (1.0 - 1e-4 * lam) * rnorm or not line_search:
-                u, R, rnorm = u_try, R_try, r_try
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted and regularized is not None:
+
+        def natural(lam, R_try, r_try):
+            if regularized is not None and np.isfinite(r_try):  # dense path
+                if np.linalg.norm(solve(pack(R_try))) <= (1.0 - 0.5 * lam) * ndelta:
+                    return True
+            return not line_search
+
+        trial = _backtrack(p, u, rnorm, unpack(delta, p.M), 2.0**-16, natural)
+        if trial is None and regularized is not None:
             # Levenberg ladder: escape merit plateaus near folds
             for mu in (1e-4, 1e-2, 1.0, 1e2, 1e4):
                 try:
                     delta = regularized(mu)(-pack(R))
                 except scipy.linalg.LinAlgError:
                     continue
-                step = unpack(delta, p.M)
-                lam = 1.0
-                while lam >= 2.0**-8:
-                    u_try = u + lam * step
-                    R_try = residual(p, u_try)
-                    r_try = R_try.l2()
-                    if r_try <= (1.0 - 1e-4 * lam) * rnorm:
-                        u, R, rnorm = u_try, R_try, r_try
-                        accepted = True
-                        break
-                    lam *= 0.5
-                if accepted:
+                trial = _backtrack(p, u, rnorm, unpack(delta, p.M), 2.0**-8,
+                                   lambda *_: False)
+                if trial is not None:
                     break
+        if trial is not None:
+            u, R, rnorm = trial
         iters += 1
         history.append(rnorm)
-        if not accepted:
-            best = SolutionState(u, rnorm, functional_I(p, u), iters,
-                                 tuple(history), False)
-            raise NoConvergence("line search stalled", best)
-    return SolutionState(u, rnorm, functional_I(p, u), iters, tuple(history), True)
+        if trial is None:
+            raise NoConvergence("line search stalled", state(False))
+    return state(True)
 
 
 # -- continuation in the penalty --------------------------------------------

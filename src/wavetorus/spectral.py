@@ -61,16 +61,6 @@ class SubspaceTag(Enum):
     ALL = "All"
 
 
-def resonant(j: int, k: int) -> bool:
-    """True on the kernel lines k = +-2j (includes (0, 0))."""
-    return k == 2 * j or k == -2 * j
-
-
-def wave_symbol(j: int, k: int) -> int:
-    """Symbol of dtt - dxx on e^{i(2jx + kt)}: 4j^2 - k^2."""
-    return 4 * j * j - k * k
-
-
 def mode_weight(j: int, k: int) -> int:
     """l1 lattice weight 2|j| + |k| used for truncation and dyadic blocks."""
     return 2 * abs(j) + abs(k)
@@ -247,10 +237,6 @@ def unify(a: SpectralField, b: SpectralField):
         return a, b
     M = max(a.M, b.M)
     return embed(a, M), embed(b, M)
-
-
-def coeff_norm(u: SpectralField) -> float:
-    return u.l2()
 
 
 @dataclass(frozen=True)

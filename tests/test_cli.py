@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from wavetorus import ParseError, SpectralField, random_field, write_field
 from wavetorus.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_SOLVER,
     config_hash,
     main,
     parse_config,
@@ -89,17 +91,49 @@ def test_main_missing_config_file(tmp_path):
 
 
 def test_solve_end_to_end_and_deterministic(tmp_path):
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    path = write_config(tmp_path, minimal_solve_config())
-    assert main(["solve", "--config", path, "--out", out1]) == EXIT_OK
-    assert main(["solve", "--config", path, "--out", out2]) == EXIT_OK
-    r1 = (tmp_path / "a" / "report.json").read_bytes()
-    r2 = (tmp_path / "b" / "report.json").read_bytes()
-    assert r1 == r2
-    rep = json.loads(r1)
-    assert rep["status"] == "ok"
-    assert rep["provenance"]["seed"] == 11
-    assert (tmp_path / "a" / "solution.json").exists()
+    # every artifact of solve, multi and continue is reproduced byte for byte
+    configs = {
+        "solve": minimal_solve_config(),
+        "multi": minimal_solve_config(command="multi", beta=1e-4,
+                                      newton={"tol": 1e-10, "max_iter": 60},
+                                      multi={"n_seeds": 4}),
+        "continue": minimal_solve_config(
+            command="continue", beta={"start": 1e-2, "factor": 0.25, "floor": 1e-3},
+            initial={"kind": "modes", "modes": [{"j": 1, "k": 2, "re": 0.5}],
+                     "amplitude": 0.05}),
+    }
+    for cmd, doc in configs.items():
+        path = write_config(tmp_path, doc)
+        a, b = tmp_path / cmd / "a", tmp_path / cmd / "b"
+        assert main([cmd, "--config", path, "--out", str(a)]) == EXIT_OK
+        assert main([cmd, "--config", path, "--out", str(b)]) == EXIT_OK
+        names = sorted(f.name for f in a.iterdir())
+        assert names == sorted(f.name for f in b.iterdir())
+        assert len(names) >= 2  # report.json plus at least one artifact
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), (cmd, name)
+        rep = json.loads((a / "report.json").read_bytes())
+        assert rep["status"] == "ok"
+        assert rep["provenance"]["seed"] == 11
+    assert (tmp_path / "solve" / "a" / "solution.json").exists()
+
+
+def test_solve_with_non_finite_residual_exits_3(tmp_path, capsys):
+    doc = minimal_solve_config(initial={"kind": "random", "amplitude": 1e103})
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "nan"
+    with np.errstate(all="ignore"):
+        assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_SOLVER
+
+    def reject(const):
+        raise ValueError(f"report.json holds {const}")
+
+    rep = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert rep["status"] == "error"
+    assert rep["error_type"] == "NoConvergence"
+    assert "non-finite residual" in rep["reason"]
+    assert not (out / "solution.json").exists()
+    assert "non-finite residual" in capsys.readouterr().err
 
 
 def test_solve_mms_forcing_reports_error(tmp_path):

@@ -8,8 +8,6 @@ from wavetorus import (
     OrderUnavailable,
     TanhPart,
     TrigPolynomial,
-    evaluate,
-    evaluate_potential,
     make_nonlinearity,
     nonlinearity_from_config,
 )
@@ -62,14 +60,14 @@ def test_reject_smoothness_exponent():
 
 def test_eval_at_zero(default_nl):
     u = grid_of(np.zeros((8, 8)))
-    assert np.allclose(evaluate(default_nl, u, 0).values, 0.0)
-    assert np.allclose(evaluate(default_nl, u, 1).values, 1.0)  # m'(0) = alpha
+    assert np.allclose(default_nl.values(u.x(), u.values, 0), 0.0)
+    assert np.allclose(default_nl.values(u.x(), u.values, 1), 1.0)  # m'(0) = alpha
 
 
 def test_eval_order_validation(default_nl):
     u = grid_of(np.zeros((4, 4)))
     with pytest.raises(OrderUnavailable):
-        evaluate(default_nl, u, 4)
+        default_nl.values(u.x(), u.values, 4)
 
 
 def test_third_derivative_symmetric_value_at_zero():
@@ -77,7 +75,7 @@ def test_third_derivative_symmetric_value_at_zero():
     # even-continuation formula returns exactly that at u = 0
     nl = make_nonlinearity(3, 2.0, {"kind": "tanh", "alpha": 1.0})
     u = grid_of(np.zeros((4, 4)))
-    vals = evaluate(nl, u, 3).values
+    vals = nl.values(u.x(), u.values, 3)
     m3 = nl.m(0.0, 3)
     assert np.allclose(vals, 6.0 * 2.0 + m3)
 
@@ -99,7 +97,7 @@ def test_derivative_orders_by_finite_differences(default_nl, order):
 
 def test_potential_convention_and_derivative(default_nl):
     z = grid_of(np.zeros((6, 6)))
-    assert np.allclose(evaluate_potential(default_nl, z).values, 0.0)
+    assert np.allclose(default_nl.potential_values(z.x(), z.values), 0.0)
     rng = np.random.default_rng(3)
     x = np.pi * np.arange(12) / 12
     u = 1.5 * rng.standard_normal((12, 12))

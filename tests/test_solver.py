@@ -27,12 +27,15 @@ from wavetorus import (
     project,
     random_field,
     residual,
+    time_derivative,
     time_translate,
 )
 from wavetorus.solver import (
+    DENSE_LIMIT,
     _dense_jacobian,
     _f_hat,
     _grid_side,
+    _linear_solver,
     dedup_solutions,
     linking_report,
     pack,
@@ -290,6 +293,40 @@ def test_newton_iterative_path_matches_dense(default_nl):
     dense = newton_solve(p, cold, tol=1e-11, max_iter=20)
     iterative = newton_solve(p, cold, tol=1e-11, max_iter=25, dense_limit=0)
     assert (dense.u - iterative.u).l2() <= 1e-8
+
+
+@pytest.mark.parametrize("amplitude, line_search", [(1e103, True), (1e60, False)])
+def test_newton_non_finite_residual_raises(default_nl, amplitude, line_search):
+    # 1e103 overflows the grid values to a NaN norm, 1e60 the norm to inf
+    p = PenalizedProblem(M=8, beta=1e-3, nl=default_nl)
+    seed_u = amplitude * random_field((0, 55), 8, SubspaceTag.ALL, 0.5)
+    with np.errstate(all="ignore"), pytest.raises(NoConvergence, match="non-finite") as exc:
+        newton_solve(p, seed_u, line_search=line_search)
+    best = exc.value.best
+    assert not best.converged and best.newton_iters == 0
+    assert not np.isfinite(best.residual_norm)
+    assert best.u is seed_u
+
+
+@pytest.mark.parametrize("M", [8, 12])
+@pytest.mark.parametrize("anchored", [False, True])
+def test_linear_solver_iterative_path_matches_dense(default_nl, M, anchored):
+    p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl)
+    u = 0.5 * random_field((M, 31), M, SubspaceTag.ALL, 0.5)
+    anchor = None
+    if anchored:
+        t_vec = pack(time_derivative(u))
+        anchor = t_vec / np.linalg.norm(t_vec)
+    rhs = -pack(residual(p, u))
+    solve_dense, regularized_dense = _linear_solver(p, u, DENSE_LIMIT, anchor)
+    solve_krylov, regularized_krylov = _linear_solver(p, u, 0, anchor)
+    assert regularized_dense is not None and regularized_krylov is None
+    dense, krylov = solve_dense(rhs), solve_krylov(rhs)
+    assert dense.shape == krylov.shape == rhs.shape
+    assert np.linalg.norm(krylov - dense) <= 1e-8 * np.linalg.norm(dense)
+    if anchored:  # the phase condition holds to each solver's own accuracy
+        assert abs(anchor @ dense) <= 1e-13 * np.linalg.norm(dense)
+        assert abs(anchor @ krylov) <= 1e-8 * np.linalg.norm(krylov)
 
 
 def test_residual_time_translation_equivariance():

@@ -14,21 +14,19 @@ from wavetorus import (
     SpectralField,
     SubspaceTag,
     analyze,
-    coeff_norm,
     field_from_dict,
     field_to_dict,
     kernel_decompose,
     kernel_field,
+    lattice,
     project,
     quadrant_split,
     random_field,
     read_field,
-    resonant,
     synthesize,
     synthesize_values,
     time_translate,
     truncate,
-    wave_symbol,
     write_field,
 )
 
@@ -42,10 +40,15 @@ def sample_grid(fn, nx, nt):
 
 
 def test_mode_predicates():
-    assert resonant(0, 0) and resonant(3, 6) and resonant(2, -4)
-    assert not resonant(1, 3) and not resonant(1, 0)
-    assert wave_symbol(1, 3) == -5
-    assert wave_symbol(2, 4) == 0
+    lat = lattice(12)
+
+    def at(table, j, k):
+        return table[j + lat.jmax, k + lat.M]
+
+    assert at(lat.resonant, 0, 0) and at(lat.resonant, 3, 6) and at(lat.resonant, 2, -4)
+    assert not at(lat.resonant, 1, 3) and not at(lat.resonant, 1, 0)
+    assert at(lat.symbol, 1, 3) == -5
+    assert at(lat.symbol, 2, 4) == 0
 
 
 def test_analyze_single_mode():
@@ -204,8 +207,6 @@ def test_random_field_deterministic():
 
 
 def test_random_field_envelope_exact():
-    from wavetorus import lattice
-
     u = random_field(9, 10, SubspaceTag.ALL, 0.5)
     lat = lattice(10)
     mags = np.abs(u.coeffs[lat.mask])
@@ -214,8 +215,6 @@ def test_random_field_envelope_exact():
 
 
 def test_random_field_flat_and_tagged():
-    from wavetorus import lattice
-
     u = random_field(2, 8, SubspaceTag.ALL, 0.0)
     lat = lattice(8)
     assert np.allclose(np.abs(u.coeffs[lat.mask]), 1.0, atol=1e-14)
@@ -272,7 +271,7 @@ def test_synthesize_rejects_complex_fields():
 def test_coeff_norm_and_arithmetic():
     u = SpectralField.from_modes(6, {(1, 3): 1.0, (0, 1): 2.0})
     v = 2.0 * u - u
-    assert coeff_norm(v - u) == 0.0
+    assert (v - u).l2() == 0.0
     w = truncate(u, 3)  # keeps only (0,1)
     assert (u + (-1.0) * w).get(0, 1) == 0.0
 
