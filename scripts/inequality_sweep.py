@@ -6,7 +6,6 @@ plus the tail-compactness table of the fractional embedding.
 """
 
 import argparse
-import csv
 import os
 
 from wavetorus import (
@@ -16,6 +15,7 @@ from wavetorus import (
     gn_reports,
     hausdorff_young_reports,
 )
+from wavetorus.spectral import write_csv
 
 HY_PS = (4.0 / 3.0, 1.5, 2.0)
 GN_PS = (3.0, 4.0)
@@ -51,16 +51,10 @@ def main():
                                0.5, tails=(8, 16, 32, 64), tail_count=64)
 
     path = os.path.join(args.out, "sweep.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["check", "parameter", "M", "max_ratio", "mean_ratio",
-                    "violations"])
-        w.writerows(rows)
-    with open(os.path.join(args.out, "embedding_tails.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["T", "max_ratio"])
-        for T, v in sorted(tail_rep.extras["tail_max_ratio"].items()):
-            w.writerow([T, repr(v)])
+    write_csv(path, ("check", "parameter", "M", "max_ratio", "mean_ratio", "violations"),
+              rows)
+    write_csv(os.path.join(args.out, "embedding_tails.csv"), ("T", "max_ratio"),
+              sorted(tail_rep.extras["tail_max_ratio"].items()))
     for r in rows:
         print(f"{r[0]:22s} {r[1]:12s} M={r[2]:<3d} max={r[3]:.4f} mean={r[4]:.4f}")
     print(f"wrote {path}")

@@ -18,16 +18,7 @@ import sys
 from dataclasses import dataclass, field, replace
 
 from . import __version__
-from .errors import (
-    NoConvergence,
-    NonlinearityRejected,
-    NotInEperp,
-    ParseError,
-    ResonantMass,
-    SingularJacobian,
-    StallAt,
-    WavetorusError,
-)
+from .errors import NonlinearityRejected, NotInEperp, ParseError, WavetorusError
 from .nonlinearity import nonlinearity_from_config
 from .norms import (
     NormReport,
@@ -229,6 +220,10 @@ def _cross_key_errors(doc: dict, cmd, bad: set) -> list:
         too_big = [l for l in doc.get("linking", {}).get("l_values", _L_VALUES) if l > M]
         if too_big:
             errors.append(f"linking.l_values: entries {too_big} exceed M={M}")
+    newton = doc.get("newton", {}) if "newton" not in bad else {}
+    if cmd in ("continue", "multi", "mms") and newton.get("line_search") is False:
+        errors.append(f"newton.line_search: false is honoured by solve only"
+                      f" ({cmd} always line-searches)")
     initial = doc.get("initial", {}) if "initial" not in bad else {}
     if M is not None and initial.get("kind") == "modes":
         for i, m in enumerate(initial.get("modes", ())):
@@ -471,8 +466,8 @@ def _cmd_norms(cfg: RunConfig, out: str) -> dict:
     for q in cfg.norms.get("q", [1.0, 2.0]):
         reports.append(NormReport("lq", norm_lq(u, float(q)), {"q": q}))
     for g in cfg.norms.get("gamma", [0.5]):
-        reports.append(NormReport("holder_proxy", holder_estimate(u, float(g)),
-                                  {"gamma": g}))
+        reports.append(NormReport("holder_proxy",
+                                  holder_estimate(u, float(g), cfg.oversample), {"gamma": g}))
     write_norm_reports_json(reports, os.path.join(out, "norms.json"))
     write_norm_reports_csv(reports, os.path.join(out, "norms.csv"))
     return {"n_reports": len(reports), "files": {"json": "norms.json",
@@ -511,18 +506,24 @@ _DISPATCH = {"solve": _cmd_solve, "continue": _cmd_continue, "multi": _cmd_multi
 
 
 def run(cfg: RunConfig, out_dir: str | None = None) -> int:
-    """Execute a validated config; writes report.json plus artifacts."""
+    """Execute a validated config; writes report.json plus artifacts.
+
+    Any library error other than a bad field file (a ParseError, re-raised)
+    ends the run with exit 3 and a report.json of status "error".
+    """
     out = out_dir or cfg.out or f"runs/{cfg.command}"
     os.makedirs(out, exist_ok=True)
     report = {"command": cfg.command, "provenance": _provenance(cfg)}
     try:
         payload = _DISPATCH[cfg.command](cfg, out)
-    except (NoConvergence, SingularJacobian, StallAt, ResonantMass) as exc:
+    except WavetorusError as exc:
+        if isinstance(exc, ParseError):
+            raise  # a bad field file named by the config: main reports a config error
         report["status"] = "error"
         report["error_type"] = type(exc).__name__
         report["reason"] = str(exc)
         _write_json(os.path.join(out, "report.json"), report)
-        print(f"wavetorus: solver failure: {exc}", file=sys.stderr)
+        print(f"wavetorus: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     report["status"] = "ok"
     report.update(payload)
@@ -560,9 +561,6 @@ def main(argv=None) -> int:
         for e in exc.errors:
             print(f"wavetorus: config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except WavetorusError as exc:
-        print(f"wavetorus: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

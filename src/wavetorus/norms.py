@@ -8,7 +8,6 @@ C^gamma norm, and sign-quadrant splits.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -23,6 +22,7 @@ from .spectral import (
     grid_integral,
     lattice,
     truncate,
+    write_csv,
 )
 
 
@@ -203,8 +203,5 @@ def write_norm_reports_json(reports, path) -> None:
 
 
 def write_norm_reports_csv(reports, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "value", "params"])
-        for r in reports:
-            w.writerow([r.name, repr(r.value), json.dumps(r.parameters, sort_keys=True)])
+    write_csv(path, ("name", "value", "params"),
+              ([r.name, r.value, json.dumps(r.parameters, sort_keys=True)] for r in reports))

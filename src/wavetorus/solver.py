@@ -24,8 +24,7 @@ making gradient and residual agree identically, for either sign convention.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -53,6 +52,7 @@ from .spectral import (
     synthesize_values,
     unify,
     unpack,
+    write_csv,
 )
 
 KAPPA = -4.0
@@ -432,8 +432,9 @@ class ContinuationRow:
     u: SpectralField = field(repr=False, default=None)
 
 
-CSV_COLUMNS = ("beta", "residual_norm", "I_value", "newton_iters",
-               "v_c0", "v_t_l2", "v_tt_l2", "v_ttt_l2", "w_h1", "w_h2")
+CSV_COLUMNS = tuple(f.name for f in fields(ContinuationRow) if f.name != "u")
+# the a priori quantities of monitored_quantities: the fields after newton_iters
+MONITORED = CSV_COLUMNS[CSV_COLUMNS.index("newton_iters") + 1:]
 
 
 @dataclass
@@ -444,11 +445,7 @@ class ContinuationTrace:
         return [getattr(r, name) for r in self.rows]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(CSV_COLUMNS)
-            for r in self.rows:
-                w.writerow([repr(getattr(r, c)) for c in CSV_COLUMNS])
+        write_csv(path, CSV_COLUMNS, ([getattr(r, c) for c in CSV_COLUMNS] for r in self.rows))
 
 
 def monitored_quantities(u: SpectralField, oversample: int = 4) -> dict:

@@ -37,6 +37,7 @@ All operations are pure: fields are treated as immutable values.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -525,8 +526,13 @@ def field_from_dict(d: dict) -> SpectralField:
         j, k = int(e["j"]), int(e["k"])
         if not (k > 0 or (k == 0 and j >= 0)):
             raise ValueError(f"entry ({j},{k}) is not in the stored half lattice")
+        if (j, k) in modes:
+            raise ValueError(f"entry ({j},{k}) appears twice")
         modes[(j, k)] = complex(float(e["re"]), float(e["im"]))
-    return SpectralField.from_modes(M, modes, hermitian=True)
+    u = SpectralField.from_modes(M, modes, hermitian=True)
+    if not u.is_hermitian():  # the test field_to_dict applies: only (0,0) can fail it
+        raise ValueError("entry (0,0) of a real field must have im = 0")
+    return u
 
 
 def write_field(u: SpectralField, path) -> None:
@@ -537,3 +543,16 @@ def write_field(u: SpectralField, path) -> None:
 def read_field(path) -> SpectralField:
     with open(path) as fh:
         return field_from_dict(json.load(fh))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a table: the header line, then one line per row.
+
+    Every CSV artifact is written here, in the ``csv`` module's format:
+    ``\\r\\n`` line ends, quoting only where needed, and floats (numpy
+    scalars included) as ``repr`` of the float.
+    """
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)

@@ -10,8 +10,7 @@ ensembles under refinement instead of a numeric constant.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .norms import (
     quadrant_split,
     sobolev_norm,
 )
-from .solver import PenalizedProblem, newton_solve, residual
+from .solver import MONITORED, PenalizedProblem, newton_solve, residual
 from .spectral import (
     Q_AREA,
     SpectralField,
@@ -35,6 +34,7 @@ from .spectral import (
     lattice,
     random_field,
     truncate,
+    write_csv,
 )
 
 # fixed salts so every suite draws an independent, reproducible stream
@@ -68,14 +68,7 @@ class InequalityReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ensemble_size": self.ensemble_size,
-            "parameters": dict(self.parameters),
-            "ratios": dict(self.ratios),
-            "violation_count": self.violation_count,
-            "extras": dict(self.extras),
-        }
+        return asdict(self)
 
 
 def _summary(ratios) -> dict:
@@ -233,11 +226,7 @@ def check_holder_to_sobolev(spec: EnsembleSpec, gamma: float,
 
 
 def write_ratio_csv(report: InequalityReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trial", "ratio"])
-        for i, r in enumerate(report.extras.get("per_trial", [])):
-            w.writerow([i, repr(float(r))])
+    write_csv(path, ("trial", "ratio"), enumerate(report.extras.get("per_trial", [])))
 
 
 # -- manufactured-solution studies -------------------------------------------
@@ -280,36 +269,27 @@ def mms_run(nl, decay: float, M_list, beta: float, seed: int = 0, sigma: int = 1
     for M in M_list:
         pM = replace(p_big, M=M, forcing=truncate(p_big.forcing, M))
         cold = embed(seed_core, M) if M > cold_level else truncate(seed_core, M)
-        row = {"M": int(M)}
+        failed = ""
         try:
             sol = newton_solve(pM, cold, tol=newton_tol, max_iter=max_iter)
-            row["l2_error"] = float((embed(sol.u, M_max) - target).l2())
-            row["residual"] = sol.residual_norm
-            row["newton_iters"] = sol.newton_iters
-            row["failed"] = ""
         except (NoConvergence, SingularJacobian) as exc:
-            best = getattr(exc, "best", None)
-            row["l2_error"] = float((embed(best.u, M_max) - target).l2()) if best else float("nan")
-            row["residual"] = best.residual_norm if best else float("nan")
-            row["newton_iters"] = best.newton_iters if best else -1
-            row["failed"] = type(exc).__name__
-        rows.append(row)
+            sol, failed = getattr(exc, "best", None), type(exc).__name__
+        rows.append({
+            "M": int(M),
+            "l2_error": float((embed(sol.u, M_max) - target).l2()) if sol else float("nan"),
+            "residual": sol.residual_norm if sol else float("nan"),
+            "newton_iters": sol.newton_iters if sol else -1,
+            "failed": failed})
     return {"rows": rows, "target_l2": target.l2(), "decay": decay,
             "beta": beta, "seed": seed, "cold_seed_level": cold_level}
 
 
 def write_mms_csv(table: dict, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["M", "l2_error", "residual", "newton_iters", "failed"])
-        for r in table["rows"]:
-            w.writerow([r["M"], repr(r["l2_error"]), repr(r["residual"]),
-                        r["newton_iters"], r["failed"]])
+    columns = ("M", "l2_error", "residual", "newton_iters", "failed")
+    write_csv(path, columns, ([r[c] for c in columns] for r in table["rows"]))
 
 
 # -- a priori bound monitoring ------------------------------------------------
-
-MONITORED = ("v_c0", "v_t_l2", "v_tt_l2", "v_ttt_l2", "w_h1", "w_h2")
 
 
 def apriori_monitor(trace, bound: float = 10.0, atol: float = 1e-11) -> dict:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from wavetorus import ParseError, SpectralField, random_field, write_field
+from wavetorus import GridTooCoarse, ParseError, SpectralField, random_field, write_field
 from wavetorus.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -13,6 +13,7 @@ from wavetorus.cli import (
     parse_config,
     run,
 )
+from wavetorus.norms import holder_estimate
 from wavetorus.verify import MONITORED
 from tests.conftest import DEFAULT_NL_SPEC
 
@@ -188,6 +189,44 @@ def test_norms_command(tmp_path):
     assert any(r["name"] == "E" for r in rows)
 
 
+def test_norms_holder_proxy_honours_oversample(tmp_path):
+    u = random_field(1, 8, decay=0.3)  # its holder proxy differs at oversample 2 and 4
+    fpath = tmp_path / "field.json"
+    write_field(u, fpath)
+    doc = {"command": "norms", "oversample": 2,
+           "norms": {"field": str(fpath), "gamma": [0.5]}}
+    out = tmp_path / "n"
+    path = write_config(tmp_path, doc)
+    assert main(["norms", "--config", path, "--out", str(out)]) == EXIT_OK
+    rows = json.loads((out / "norms.json").read_text())
+    [holder] = [r["value"] for r in rows if r["name"] == "holder_proxy"]
+    assert holder == holder_estimate(u, 0.5, 2) != holder_estimate(u, 0.5, 4)
+
+
+def test_newton_line_search_false_is_solve_only():
+    parse_config(minimal_solve_config(newton={"line_search": False}))
+    for cmd in ("multi", "mms"):
+        parse_config(minimal_solve_config(command=cmd, mms={"M_list": [6, 8]},
+                                          newton={"line_search": True}))
+
+
+def test_library_error_in_run_writes_error_report(tmp_path, monkeypatch, capsys):
+    # any library error, not only the solver's own, exits 3 with report.json
+    import wavetorus.cli
+
+    def coarse(*args, **kwargs):
+        raise GridTooCoarse("grid 4 cannot hold bandwidth 8")
+
+    monkeypatch.setattr(wavetorus.cli, "newton_solve", coarse)
+    out = tmp_path / "out"
+    assert run(parse_config(minimal_solve_config()), str(out)) == EXIT_SOLVER
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["status"] == "error"
+    assert rep["error_type"] == "GridTooCoarse"
+    assert rep["reason"] == "grid 4 cannot hold bandwidth 8"
+    assert "GridTooCoarse" in capsys.readouterr().err
+
+
 def test_mms_command(tmp_path):
     doc = {"command": "mms", "seed": 5, "beta": 1e-3, "nl": DEFAULT_NL_SPEC,
            "mms": {"decay": 0.5, "M_list": [6, 8]}}
@@ -250,6 +289,11 @@ def test_continue_csv_header_names_every_monitored_quantity(tmp_path):
     ({"command": "linking", "M": 6}, "linking.l_values"),  # default levels 4, 8
     ({"initial": {"kind": "modes", "modes": [{"j": 3, "k": 3, "re": 1.0}]}},
      "initial.modes[0]"),
+    ({"command": "continue", "beta": {"start": 1e-2, "factor": 0.5, "floor": 1e-3},
+      "newton": {"line_search": False}}, "newton.line_search"),
+    ({"command": "multi", "newton": {"line_search": False}}, "newton.line_search"),
+    ({"command": "mms", "mms": {"M_list": [6, 8]}, "newton": {"line_search": False}},
+     "newton.line_search"),
 ])
 def test_main_rejects_malformed_config(tmp_path, capsys, overrides, key):
     doc = minimal_solve_config(**overrides)
@@ -280,7 +324,17 @@ def test_main_rejects_missing_field_file(tmp_path, capsys, overrides, key):
     assert_one_config_error(capsys, key)
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", "not json", '{"M": 6}'])
+def _field_text(*coeffs):
+    return json.dumps({"M": 2, "domain": "x:[0,pi],t:[0,2pi]", "normalization": "unit-modes",
+                       "coeffs": [dict(zip("jk", jk), re=1.0, im=im) for jk, im in coeffs]})
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]", "not json", '{"M": 6}',
+    pytest.param(_field_text(((0, 0), 0.5)), id="non-real-mean"),
+    pytest.param(_field_text(((0, 1), 0.0), ((1, 0), 0.0), ((0, 1), 0.0)),
+                 id="repeated-entry"),
+])
 def test_main_rejects_file_that_is_not_a_field(tmp_path, capsys, text):
     fpath = tmp_path / "field.json"
     fpath.write_text(text)
