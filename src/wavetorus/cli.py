@@ -1,8 +1,9 @@
 """Command-line front end: config parsing, orchestration, report emission.
 
-Config files are strict JSON checked against a per-section table: unknown
-keys and ill-typed or out-of-range values are rejected with the offending
-key path, and any randomized command requires an explicit seed.  Reports are
+Config files are strict JSON checked against one table of the keys each
+command reads: a key the command does not read, an ill-typed or out-of-range
+value, and a missing required key are rejected with the offending key path,
+and any randomized command requires an explicit seed.  Reports are
 JSON-first with CSV sidecars; every report carries a provenance block
 (config hash, seed, package version) and reruns of the same config produce
 identical artifacts.
@@ -18,7 +19,7 @@ import sys
 from dataclasses import dataclass, field, replace
 
 from . import __version__
-from .errors import NonlinearityRejected, NotInEperp, ParseError, WavetorusError
+from .errors import NonlinearityRejected, NotInEperp, ParseError, StallAt, WavetorusError
 from .nonlinearity import nonlinearity_from_config
 from .norms import (
     NormReport,
@@ -53,8 +54,6 @@ from .verify import (
     write_mms_csv,
     write_ratio_csv,
 )
-
-COMMANDS = ("solve", "continue", "multi", "verify", "norms", "mms", "linking")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,20 +124,18 @@ class _Section:
     required: tuple = ()
 
 
+# pieces of the sections in _COMMANDS, the table of the keys each command reads
 _TERM = _Section({"j": _NONNEG_INT, "c": _NUM, "c_sin": _NUM}, ("j",))
-_SCHEMA = _Section({
-    "command": _choice("command", *COMMANDS),
-    "seed": _NONNEG_INT,
-    "M": _POS_INT,
-    "beta": (lambda v: isinstance(v, dict) or (_is_num(v) and v > 0),
-             "must be a positive number or a schedule object"),
+_BASE = {"command": (lambda v: v in COMMANDS, "unknown command {!r}"), "out": _PATH,
+         "oversample": (lambda v: _is_int(v) and v >= 2, "must be an integer >= 2")}
+_PROBLEM = {  # every command that builds a problem; all but mms add M
+    **_BASE, "seed": _NONNEG_INT, "beta": _POS_NUM,
     "sigma": (lambda v: _is_int(v) and v in (1, -1), "must be +1 or -1"),
-    "oversample": (lambda v: _is_int(v) and v >= 2, "must be an integer >= 2"),
-    "out": _PATH,
-    "newton": _Section({"tol": _POS_NUM, "max_iter": _POS_INT, "line_search": _BOOL}),
     "nl": _Section({"s": _NUM, "a": [_TERM], "b": [_TERM], "m": _Section(
         {"kind": _choice("kind", "tanh", "none"), "alpha": _POS_NUM, "bound": _POS_NUM})},
         ("s",)),
+}
+_STARTS = {
     "forcing": _Section({
         "kind": _choice("kind", "none", "file", "mms_target"), "path": _PATH,
         "decay": _NONNEG_NUM, "target_seed": _NONNEG_INT, "kernel_free": _BOOL}),
@@ -146,38 +143,18 @@ _SCHEMA = _Section({
         "kind": _choice("kind", "zero", "file", "random", "modes"), "path": _PATH,
         "amplitude": _NUM, "decay": _NONNEG_NUM,
         "modes": [_Section({"j": _INT, "k": _INT, "re": _NUM, "im": _NUM}, ("j", "k"))]}),
-    "verify": _Section({
-        "suite": _choice("suite", "hy", "gn", "embedding", "holder", "box", "all"),
-        "count": _POS_INT, "ensemble_M": _POS_INT, "decay": _NONNEG_NUM,
-        "p": (lambda v: _is_num(v) and v > 1, "must be a number > 1"),
-        "s": _UNIT_NUM, "gamma": _UNIT_NUM, "gamma_prime": _UNIT_NUM,
-        "tails": _POS_INTS, "tail_count": _POS_INT, "write_ratios": _BOOL}),
-    "mms": _Section({"decay": _NONNEG_NUM, "seed_level": _POS_INT, "M_list": (
-        lambda v: _POS_INTS[0](v) and len(v) > 0 and all(a < b for a, b in zip(v, v[1:])),
-        "must be a nonempty increasing list of positive integers")}),
-    "multi": _Section({"n_seeds": _POS_INT, "dedup_threshold": _UNIT_NUM}),
-    "linking": _Section({"l_values": _POS_INTS, "rho_values": _list_of(_POS_NUM),
-                         "n_starts": _POS_INT, "n_sphere": _POS_INT}),
-    "norms": _Section({
-        "field": _PATH, "p": _list_of(_EXPONENT), "q": _list_of(_EXPONENT),
-        "sobolev_s": _list_of(_NONNEG_NUM), "gamma": _list_of(_UNIT_NUM),
-        "es_s": _list_of((lambda v: _is_num(v) and 0 < v <= 1, "must lie in (0, 1]"))}),
-})
+}
+_NEWTON = {"tol": _POS_NUM, "max_iter": _POS_INT}
+_LINE_SEARCHED = _Section({**_NEWTON, "line_search": (  # continue, multi, mms
+    lambda v: v is True, "must be true (only solve can turn the line search off)")})
 _SCHEDULE = _Section({"start": _POS_NUM, "floor": _POS_NUM, "factor": (
     lambda v: _is_num(v) and 0 < v < 1, "schedule must decrease (factor must lie in (0, 1))")},
     ("start", "factor", "floor"))
+_SOLVES = ("seed", "M", "beta", "nl")  # required by solve, continue, multi, linking
 
 # defaults the cross-key rules share with the commands
 _HOLDER_GAMMAS = (0.6, 0.5)  # verify.gamma, verify.gamma_prime for suite holder
 _L_VALUES = (4, 8)  # linking.l_values
-
-# keys (section.key for nested ones) that each command needs
-_NEEDED = {
-    "solve": ("seed", "M", "beta", "nl"), "multi": ("seed", "M", "beta", "nl"),
-    "continue": ("seed", "M", "beta", "nl"), "linking": ("seed", "M", "beta", "nl"),
-    "mms": ("seed", "beta", "nl", "mms", "mms.M_list"),
-    "verify": ("seed", "verify"), "norms": ("norms.field",),
-}
 
 
 def _check(value, rule, path: str) -> list:
@@ -202,11 +179,16 @@ def _check(value, rule, path: str) -> list:
     return [] if check(value) else [f"{path}: {message.format(value)}"]
 
 
-def _cross_key_errors(doc: dict, cmd, bad: set) -> list:
-    """Problems of value combinations that each pass their own rule."""
+def _cross_key_errors(doc: dict, cmd: str) -> list:
+    """Problems of value combinations; ``doc`` holds the keys that passed their
+    own rule."""
     errors = []
-    M = doc.get("M") if "M" not in bad else None
-    v = doc.get("verify", {}) if "verify" not in bad else {}
+    for section, kind, needed in (("forcing", "file", "path"), ("initial", "file", "path"),
+                                  ("initial", "modes", "modes")):
+        sub = doc.get(section, {})
+        if sub.get("kind") == kind and needed not in sub:
+            errors.append(f"{section}.{needed}: missing (required for kind {kind!r})")
+    v = doc.get("verify", {})
     suite = v.get("suite", "all")
     if suite in ("gn", "all") and "p" in v and v["p"] <= 2:
         errors.append(f"verify.p: must be > 2 for suite {suite} (got {v['p']!r})")
@@ -216,71 +198,53 @@ def _cross_key_errors(doc: dict, cmd, bad: set) -> list:
         if gamma_prime >= gamma:
             errors.append(f"verify.gamma_prime: must be < verify.gamma for suite {suite}"
                           f" (got {gamma_prime!r} >= {gamma!r})")
-    if cmd == "linking" and M is not None and "linking" not in bad:
+    M = doc.get("M")
+    if cmd == "linking" and M is not None:
         too_big = [l for l in doc.get("linking", {}).get("l_values", _L_VALUES) if l > M]
         if too_big:
             errors.append(f"linking.l_values: entries {too_big} exceed M={M}")
-    newton = doc.get("newton", {}) if "newton" not in bad else {}
-    if cmd in ("continue", "multi", "mms") and newton.get("line_search") is False:
-        errors.append(f"newton.line_search: false is honoured by solve only"
-                      f" ({cmd} always line-searches)")
-    initial = doc.get("initial", {}) if "initial" not in bad else {}
+    initial = doc.get("initial", {})
     if M is not None and initial.get("kind") == "modes":
         for i, m in enumerate(initial.get("modes", ())):
             if 2 * abs(m["j"]) + abs(m["k"]) > M:
                 errors.append(f"initial.modes[{i}]: mode ({m['j']}, {m['k']}) lies"
                               f" outside the diamond 2|j| + |k| <= M={M}")
-    return errors
-
-
-def parse_config(text_or_dict, command: str | None = None) -> RunConfig:
-    """Validate a config document; raises ParseError listing every problem."""
-    if isinstance(text_or_dict, str):
-        try:
-            doc = json.loads(text_or_dict)
-        except json.JSONDecodeError as exc:
-            raise ParseError([f"config: invalid JSON ({exc})"]) from exc
-    else:
-        doc = dict(text_or_dict)
-    if not isinstance(doc, dict):
-        raise ParseError(["config: top level must be an object"])
-    problems = {k: _check({k: v}, _SCHEMA, "") for k, v in doc.items()}
-    errors = [e for errs in problems.values() for e in errs]
-    bad = {k for k, errs in problems.items() if errs}
-
-    cmd = doc.get("command", command)
-    if cmd is None:
-        errors.append("command: missing")
-    elif command is not None and cmd != command:
-        errors.append(f"command: config says {cmd!r} but {command!r} was invoked")
-    for key in _NEEDED.get(cmd, ()) if "command" not in bad else ():
-        section, _, sub = key.partition(".")
-        if section not in bad and (section not in doc or (sub and sub not in doc[section])):
-            errors.append(f"{key}: missing (required for {cmd})")
-    for section, kind, needed in (("forcing", "file", "path"), ("initial", "file", "path"),
-                                  ("initial", "modes", "modes")):
-        sub = doc.get(section) if section not in bad else None
-        if sub and sub.get("kind") == kind and needed not in sub:
-            errors.append(f"{section}.{needed}: missing (required for kind {kind!r})")
-    errors += _cross_key_errors(doc, cmd, bad)
-
     beta = doc.get("beta")
-    if isinstance(beta, dict):
-        if cmd in ("solve", "multi", "mms", "linking"):
-            errors.append(f"beta: {cmd} requires a scalar penalty")
-        schedule_errors = _check(beta, _SCHEDULE, "beta")
-        if not schedule_errors and beta["start"] <= beta["floor"]:
-            schedule_errors = ["beta: requires start > floor"]
-        errors += schedule_errors
-    elif cmd == "continue" and beta is not None:
-        errors.append("beta: continue requires a schedule {start, factor, floor}")
-    if "nl" in doc and "nl" not in bad:
+    if isinstance(beta, dict) and beta["start"] <= beta["floor"]:
+        errors.append("beta: requires start > floor")
+    if "nl" in doc:
         try:
             nonlinearity_from_config(doc["nl"])
         except NonlinearityRejected as exc:
             errors.append(f"nl: rejected ({exc.reason})")
         except (KeyError, ValueError) as exc:
             errors.append(f"nl: {exc}")
+    return errors
+
+
+def parse_config(doc, command: str | None = None) -> RunConfig:
+    """Validate a decoded config document; raises ParseError listing its problems.
+
+    Each key is checked against the rule of its command's section in
+    _COMMANDS (a key outside the section is "not read by" the command), and
+    the keys that pass are checked for combinations of values.
+    """
+    if not isinstance(doc, dict):
+        raise ParseError(["config: top level must be an object"])
+    doc = dict(doc)
+    cmd = doc.get("command", command)
+    if cmd is None:
+        raise ParseError(["command: missing"])
+    if command is not None and cmd != command:
+        raise ParseError([f"command: config says {cmd!r} but {command!r} was invoked"])
+    if cmd not in COMMANDS:
+        raise ParseError(_check(cmd, _BASE["command"], "command"))
+    section = _COMMANDS[cmd][0]
+    problems = {k: _check(v, section.rules[k], k) if k in section.rules
+                else [f"{k}: not read by {cmd}"] for k, v in doc.items()}
+    errors = [e for errs in problems.values() for e in errs]
+    errors += [f"{k}: missing (required for {cmd})" for k in section.required if k not in doc]
+    errors += _cross_key_errors({k: v for k, v in doc.items() if not problems[k]}, cmd)
     if errors:
         raise ParseError(errors)
 
@@ -313,7 +277,7 @@ def _load_field(cfg: RunConfig, key: str, match_M: bool = True) -> SpectralField
     path = getattr(cfg, section)[sub]
     try:
         u = read_field(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ParseError([f"{key}: cannot load field file {path!r} ({exc})"]) from exc
     if match_M and u.M != cfg.M:
         raise ParseError([f"{key}: field file {path!r} has M={u.M}"
@@ -339,7 +303,7 @@ def _build_forcing(cfg: RunConfig, problem):
         return replace(problem, forcing=f), None
     target, forced = mms_problem(
         problem.nl, float(cfg.forcing.get("decay", 0.5)), problem.M, problem.beta,
-        seed=cfg.forcing.get("target_seed", cfg.seed or 0), sigma=problem.sigma,
+        seed=cfg.forcing.get("target_seed", cfg.seed), sigma=problem.sigma,
         oversample=problem.oversample,
         kernel_free=bool(cfg.forcing.get("kernel_free")))
     return forced, target
@@ -354,14 +318,13 @@ def _initial_field(cfg: RunConfig):
     if kind == "random":
         amp = float(cfg.initial.get("amplitude", 1.0))
         decay = float(cfg.initial.get("decay", 0.5))
-        return amp * random_field((cfg.seed or 0, 55), cfg.M, SubspaceTag.ALL, decay)
+        return amp * random_field((cfg.seed, 55), cfg.M, SubspaceTag.ALL, decay)
     modes = {(int(m["j"]), int(m["k"])): complex(m.get("re", 0.0), m.get("im", 0.0))
              for m in cfg.initial["modes"]}
     base = SpectralField.from_modes(cfg.M, modes, hermitian=True)
     amp = float(cfg.initial.get("amplitude", 0.0))
     if amp:
-        base = base + amp * random_field((cfg.seed or 0, 56), cfg.M,
-                                         SubspaceTag.ALL, 0.8)
+        base = base + amp * random_field((cfg.seed, 56), cfg.M, SubspaceTag.ALL, 0.8)
     return base
 
 
@@ -370,7 +333,7 @@ def _cmd_solve(cfg: RunConfig, out: str) -> dict:
     p, target = _build_forcing(cfg, p)
     sol = newton_solve(p, _initial_field(cfg), tol=cfg.newton["tol"],
                        max_iter=cfg.newton["max_iter"],
-                       line_search=cfg.newton.get("line_search", True))
+                       line_search=cfg.newton["line_search"])
     write_field(sol.u, os.path.join(out, "solution.json"))
     payload = {"residual_norm": sol.residual_norm, "I_value": sol.I_value,
                "newton_iters": sol.newton_iters,
@@ -385,9 +348,12 @@ def _cmd_continue(cfg: RunConfig, out: str) -> dict:
                          float(cfg.beta["floor"]))
     p = _build_problem(cfg, sched.start)
     p, _ = _build_forcing(cfg, p)
-    trace = continuation_beta(p, sched, _initial_field(cfg),
-                              tol=cfg.newton["tol"],
-                              max_iter=cfg.newton["max_iter"])
+    try:
+        trace = continuation_beta(p, sched, _initial_field(cfg), tol=cfg.newton["tol"],
+                                  max_iter=cfg.newton["max_iter"])
+    except StallAt as exc:  # keep the rows reached before the stall
+        exc.trace.to_csv(os.path.join(out, "trace.csv"))
+        raise
     trace.to_csv(os.path.join(out, "trace.csv"))
     write_field(trace.rows[-1].u, os.path.join(out, "solution_final.json"))
     monitor = apriori_monitor(trace)
@@ -397,11 +363,8 @@ def _cmd_continue(cfg: RunConfig, out: str) -> dict:
 
 def _cmd_multi(cfg: RunConfig, out: str) -> dict:
     p = _build_problem(cfg, float(cfg.beta))
-    sols = multi_seed_search(p, int(cfg.multi.get("n_seeds", 16)),
-                             float(cfg.multi.get("dedup_threshold", 0.99)),
-                             master_seed=cfg.seed or 0,
-                             tol=cfg.newton["tol"],
-                             max_iter=cfg.newton["max_iter"])
+    sols = multi_seed_search(p, **{"n_seeds": 16, **cfg.multi}, master_seed=cfg.seed,
+                             tol=cfg.newton["tol"], max_iter=cfg.newton["max_iter"])
     entries = []
     for i, s in enumerate(sols):
         fname = f"solution_{i:03d}.json"
@@ -478,7 +441,7 @@ def _cmd_mms(cfg: RunConfig, out: str) -> dict:
     nl = nonlinearity_from_config(cfg.nl)
     table = mms_run(nl, float(cfg.mms.get("decay", 0.5)),
                     [int(m) for m in cfg.mms["M_list"]], float(cfg.beta),
-                    seed=cfg.seed or 0, sigma=cfg.sigma,
+                    seed=cfg.seed, sigma=cfg.sigma,
                     oversample=cfg.oversample,
                     newton_tol=cfg.newton["tol"],
                     max_iter=cfg.newton["max_iter"],
@@ -491,18 +454,41 @@ def _cmd_mms(cfg: RunConfig, out: str) -> dict:
 
 def _cmd_linking(cfg: RunConfig, out: str) -> dict:
     p = _build_problem(cfg, float(cfg.beta))
-    rep = linking_report(p, [int(x) for x in cfg.linking.get("l_values", _L_VALUES)],
-                         rho_values=tuple(cfg.linking.get("rho_values",
-                                                          (0.25, 0.5, 1.0, 2.0))),
-                         n_starts=int(cfg.linking.get("n_starts", 5)),
-                         n_sphere=int(cfg.linking.get("n_sphere", 64)),
-                         master_seed=cfg.seed or 0)
-    return rep
+    return linking_report(p, **{"l_values": _L_VALUES, **cfg.linking},
+                          master_seed=cfg.seed)
 
 
-_DISPATCH = {"solve": _cmd_solve, "continue": _cmd_continue, "multi": _cmd_multi,
-             "verify": _cmd_verify, "norms": _cmd_norms, "mms": _cmd_mms,
-             "linking": _cmd_linking}
+# each command: the section of the keys it reads (any other key is a config
+# error), and the function that runs it
+_COMMANDS = {
+    "solve": (_Section({**_PROBLEM, "M": _POS_INT, **_STARTS, "newton": _Section(
+        {**_NEWTON, "line_search": _BOOL})}, _SOLVES), _cmd_solve),
+    "continue": (_Section({**_PROBLEM, "M": _POS_INT, **_STARTS, "beta": _SCHEDULE,
+                           "newton": _LINE_SEARCHED}, _SOLVES), _cmd_continue),
+    "multi": (_Section({**_PROBLEM, "M": _POS_INT, "newton": _LINE_SEARCHED, "multi": _Section(
+        {"n_seeds": _POS_INT, "dedup_threshold": _UNIT_NUM})}, _SOLVES), _cmd_multi),
+    "verify": (_Section({**_BASE, "seed": _NONNEG_INT, "verify": _Section({
+        "suite": _choice("suite", "hy", "gn", "embedding", "holder", "box", "all"),
+        "count": _POS_INT, "ensemble_M": _POS_INT, "decay": _NONNEG_NUM,
+        "p": (lambda v: _is_num(v) and v > 1, "must be a number > 1"),
+        "s": _UNIT_NUM, "gamma": _UNIT_NUM, "gamma_prime": _UNIT_NUM,
+        "tails": _POS_INTS, "tail_count": _POS_INT, "write_ratios": _BOOL})},
+        ("seed", "verify")), _cmd_verify),
+    "norms": (_Section({**_BASE, "norms": _Section({
+        "field": _PATH, "p": _list_of(_EXPONENT), "q": _list_of(_EXPONENT),
+        "sobolev_s": _list_of(_NONNEG_NUM), "gamma": _list_of(_UNIT_NUM),
+        "es_s": _list_of((lambda v: _is_num(v) and 0 < v <= 1, "must lie in (0, 1]"))},
+        ("field",))}, ("norms",)), _cmd_norms),
+    "mms": (_Section({**_PROBLEM, "newton": _LINE_SEARCHED, "mms": _Section({
+        "decay": _NONNEG_NUM, "seed_level": _POS_INT, "M_list": (
+            lambda v: _POS_INTS[0](v) and len(v) > 0 and all(a < b for a, b in zip(v, v[1:])),
+            "must be a nonempty increasing list of positive integers")}, ("M_list",))},
+        ("seed", "beta", "nl", "mms")), _cmd_mms),
+    "linking": (_Section({**_PROBLEM, "M": _POS_INT, "linking": _Section(
+        {"l_values": _POS_INTS, "rho_values": _list_of(_POS_NUM),
+         "n_starts": _POS_INT, "n_sphere": _POS_INT})}, _SOLVES), _cmd_linking),
+}
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(cfg: RunConfig, out_dir: str | None = None) -> int:
@@ -515,7 +501,7 @@ def run(cfg: RunConfig, out_dir: str | None = None) -> int:
     os.makedirs(out, exist_ok=True)
     report = {"command": cfg.command, "provenance": _provenance(cfg)}
     try:
-        payload = _DISPATCH[cfg.command](cfg, out)
+        payload = _COMMANDS[cfg.command][1](cfg, out)
     except WavetorusError as exc:
         if isinstance(exc, ParseError):
             raise  # a bad field file named by the config: main reports a config error
@@ -552,7 +538,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"wavetorus: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.seed is not None:
+    if args.seed is not None and isinstance(doc, dict):  # else parse_config reports it
         doc["seed"] = args.seed
     try:
         cfg = parse_config(doc, command=args.command)

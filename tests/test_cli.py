@@ -205,9 +205,11 @@ def test_norms_holder_proxy_honours_oversample(tmp_path):
 
 def test_newton_line_search_false_is_solve_only():
     parse_config(minimal_solve_config(newton={"line_search": False}))
-    for cmd in ("multi", "mms"):
-        parse_config(minimal_solve_config(command=cmd, mms={"M_list": [6, 8]},
-                                          newton={"line_search": True}))
+    parse_config(minimal_solve_config(command="multi", newton={"line_search": True}))
+    mms = minimal_solve_config(command="mms", mms={"M_list": [6, 8]},
+                               newton={"line_search": True})
+    del mms["M"]
+    parse_config(mms)
 
 
 def test_library_error_in_run_writes_error_report(tmp_path, monkeypatch, capsys):
@@ -316,7 +318,10 @@ def assert_one_config_error(capsys, key):
     ({"command": "norms", "norms": {"field": "MISSING"}}, "norms.field"),
 ])
 def test_main_rejects_missing_field_file(tmp_path, capsys, overrides, key):
-    doc = json.loads(json.dumps(minimal_solve_config(**overrides)).replace(
+    doc = minimal_solve_config(**overrides)
+    if doc["command"] == "norms":  # norms reads none of the solve keys
+        doc = {"command": "norms", "norms": doc["norms"]}
+    doc = json.loads(json.dumps(doc).replace(
         "MISSING", str(tmp_path / "no_such_field.json")))
     path = write_config(tmp_path, doc)
     out = str(tmp_path / "out")
@@ -324,9 +329,10 @@ def test_main_rejects_missing_field_file(tmp_path, capsys, overrides, key):
     assert_one_config_error(capsys, key)
 
 
-def _field_text(*coeffs):
+def _field_text(*coeffs, raw=None):
     return json.dumps({"M": 2, "domain": "x:[0,pi],t:[0,2pi]", "normalization": "unit-modes",
-                       "coeffs": [dict(zip("jk", jk), re=1.0, im=im) for jk, im in coeffs]})
+                       "coeffs": raw if raw is not None else
+                       [dict(zip("jk", jk), re=1.0, im=im) for jk, im in coeffs]})
 
 
 @pytest.mark.parametrize("text", [
@@ -334,6 +340,9 @@ def _field_text(*coeffs):
     pytest.param(_field_text(((0, 0), 0.5)), id="non-real-mean"),
     pytest.param(_field_text(((0, 1), 0.0), ((1, 0), 0.0), ((0, 1), 0.0)),
                  id="repeated-entry"),
+    pytest.param(_field_text(raw=5), id="coeffs-not-a-list"),
+    pytest.param(_field_text(raw=[[1, 2]]), id="entry-not-an-object"),
+    pytest.param(_field_text(raw=[{"j": 0, "k": 1, "re": None, "im": 0.0}]), id="re-null"),
 ])
 def test_main_rejects_file_that_is_not_a_field(tmp_path, capsys, text):
     fpath = tmp_path / "field.json"
@@ -375,3 +384,57 @@ def test_verify_suite_synthesizes_each_field_once(tmp_path, monkeypatch, suite, 
     assert len(grids) == count
     rep = json.loads((tmp_path / "report.json").read_text())
     assert [r["parameters"]["p"] for r in rep["reports"]] == ps
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"text"', "3"])
+@pytest.mark.parametrize("seed", [[], ["--seed", "7"]])
+def test_main_rejects_config_that_is_not_an_object(tmp_path, capsys, text, seed):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", str(path), "--out", out, *seed]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "wavetorus: config error: config: top level must be an object"]
+
+
+@pytest.mark.parametrize("doc, stray", [
+    ({"command": "linking", "seed": 1, "M": 8, "beta": 1e-3, "nl": DEFAULT_NL_SPEC,
+      "newton": {"line_search": False, "max_iter": 1}}, ["newton"]),
+    ({"command": "verify", "seed": 1, "verify": {"suite": "hy"}, "nl": DEFAULT_NL_SPEC},
+     ["nl"]),
+    ({"command": "multi", "seed": 1, "M": 8, "beta": 1e-3, "nl": DEFAULT_NL_SPEC,
+      "initial": {"kind": "zero"}}, ["initial"]),
+    ({"command": "mms", "seed": 1, "M": 8, "beta": 1e-3, "nl": DEFAULT_NL_SPEC,
+      "mms": {"M_list": [6, 8]}}, ["M"]),
+    ({"command": "norms", "seed": 1, "M": 8, "norms": {"field": "f.json"}}, ["seed", "M"]),
+])
+def test_main_rejects_keys_the_command_does_not_read(tmp_path, capsys, doc, stray):
+    path = write_config(tmp_path, doc)
+    out = str(tmp_path / "out")
+    assert main([doc["command"], "--config", path, "--out", out]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"wavetorus: config error: {key}: not read by {doc['command']}" for key in stray]
+
+
+def test_continue_stall_writes_the_rows_reached(tmp_path, monkeypatch, capsys):
+    import wavetorus.cli
+    from wavetorus import StallAt
+
+    follow = wavetorus.cli.continuation_beta
+
+    def stall_after_floor(p, schedule, seed, **kwargs):
+        raise StallAt(1e-3, "line search stalled", follow(p, schedule, seed, **kwargs))
+
+    monkeypatch.setattr(wavetorus.cli, "continuation_beta", stall_after_floor)
+    doc = {"command": "continue", "seed": 3, "M": 8,
+           "beta": {"start": 1e-1, "factor": 0.5, "floor": 5e-2},
+           "nl": DEFAULT_NL_SPEC, "initial": {"kind": "zero"}}
+    out = tmp_path / "c"
+    assert main(["continue", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == EXIT_SOLVER
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["status"] == "error" and rep["error_type"] == "StallAt"
+    rows = (out / "trace.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["0.1", "0.05"]
+    assert not (out / "solution_final.json").exists()
+    assert "line search stalled" in capsys.readouterr().err

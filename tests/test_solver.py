@@ -342,6 +342,30 @@ def test_residual_time_translation_equivariance():
         assert abs(r - r0) <= 1e-12 * max(r0, 1.0)
 
 
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.integers(1, 16), st.sampled_from([1, -1]),
+       st.floats(0.0, 2 * np.pi, allow_nan=False))
+def test_residual_commutes_with_time_translation(seed, M, sigma, theta):
+    # R(tau_theta u) = tau_theta R(u) coefficient by coefficient; the cubic
+    # family is exactly dealiased, the tanh family's aliasing tail is not
+    nl = Nonlinearity(s=3.0, a=TrigPolynomial((1.0,), (0.5,)), m=None,
+                      b=TrigPolynomial.constant(0.0))
+    p = PenalizedProblem(M=M, beta=1e-2, nl=nl, sigma=sigma)
+    u = random_field(seed, M, SubspaceTag.ALL, 0.4)
+    expected = time_translate(residual(p, u), theta).coeffs
+    got = residual(p, time_translate(u, theta)).coeffs
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds, st.integers(1, 16), st.sampled_from([1, -1]), st.sampled_from([1e-1, 1e-4]))
+def test_residual_of_real_field_is_hermitian(default_nl, seed, M, sigma, beta):
+    p = PenalizedProblem(M=M, beta=beta, nl=default_nl, sigma=sigma)
+    u = random_field(seed, M, SubspaceTag.ALL, 0.4)
+    assert u.is_hermitian(tol=0.0)
+    assert residual(p, u).is_hermitian(tol=1e-13)
+
+
 def test_residual_equivariance_with_bounded_part(default_nl):
     # the tanh part is not bandlimited; its pseudospectral tail sets the
     # equivariance scale, spectrally small for smooth moderate fields
