@@ -135,15 +135,23 @@ _PROBLEM = {  # every command that builds a problem; all but mms add M
         {"kind": _choice("kind", "tanh", "none"), "alpha": _POS_NUM, "bound": _POS_NUM})},
         ("s",)),
 }
-_STARTS = {
-    "forcing": _Section({
-        "kind": _choice("kind", "none", "file", "mms_target"), "path": _PATH,
-        "decay": _NONNEG_NUM, "target_seed": _NONNEG_INT, "kernel_free": _BOOL}),
-    "initial": _Section({
-        "kind": _choice("kind", "zero", "file", "random", "modes"), "path": _PATH,
-        "amplitude": _NUM, "decay": _NONNEG_NUM,
-        "modes": [_Section({"j": _INT, "k": _INT, "re": _NUM, "im": _NUM}, ("j", "k"))]}),
+# the keys besides "kind" that each kind of initial and forcing reads, and
+# the ones it requires; the first kind is the default (_initial_field,
+# _build_forcing)
+_KINDS = {
+    "forcing": {
+        "none": _Section({}), "file": _Section({"path": _PATH}, ("path",)),
+        "mms_target": _Section(
+            {"decay": _NONNEG_NUM, "target_seed": _NONNEG_INT, "kernel_free": _BOOL})},
+    "initial": {
+        "zero": _Section({}), "file": _Section({"path": _PATH}, ("path",)),
+        "random": _Section({"amplitude": _NUM, "decay": _NONNEG_NUM}),
+        "modes": _Section({"modes": [_Section({"j": _INT, "k": _INT, "re": _NUM, "im": _NUM},
+                                              ("j", "k"))], "amplitude": _NUM}, ("modes",))},
 }
+_STARTS = {section: _Section({"kind": _choice("kind", *kinds),
+                              **{k: r for kind in kinds.values() for k, r in kind.rules.items()}})
+           for section, kinds in _KINDS.items()}
 _NEWTON = {"tol": _POS_NUM, "max_iter": _POS_INT}
 _LINE_SEARCHED = _Section({**_NEWTON, "line_search": (  # continue, multi, mms
     lambda v: v is True, "must be true (only solve can turn the line search off)")})
@@ -183,11 +191,13 @@ def _cross_key_errors(doc: dict, cmd: str) -> list:
     """Problems of value combinations; ``doc`` holds the keys that passed their
     own rule."""
     errors = []
-    for section, kind, needed in (("forcing", "file", "path"), ("initial", "file", "path"),
-                                  ("initial", "modes", "modes")):
+    for section, kinds in _KINDS.items():
         sub = doc.get(section, {})
-        if sub.get("kind") == kind and needed not in sub:
-            errors.append(f"{section}.{needed}: missing (required for kind {kind!r})")
+        kind = sub.get("kind", next(iter(kinds)))
+        errors += [f"{section}.{k}: missing (required for kind {kind!r})"
+                   for k in kinds[kind].required if k not in sub]
+        errors += [f"{section}.{k}: not read by kind {kind!r}"
+                   for k in sub if k != "kind" and k not in kinds[kind].rules]
     v = doc.get("verify", {})
     suite = v.get("suite", "all")
     if suite in ("gn", "all") and "p" in v and v["p"] <= 2:

@@ -25,7 +25,7 @@ making gradient and residual agree identically, for either sign convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.linalg
@@ -157,9 +157,9 @@ def functional_I(p: PenalizedProblem, u: SpectralField) -> float:
     return out
 
 
-def _dense_jacobian(p: PenalizedProblem, u: SpectralField,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """d(residual)/du as a real matrix over the packed coordinates.
+def _dense_jacobian(p: PenalizedProblem, u: SpectralField):
+    """The fill of J = d(residual)/du at u, a real matrix over the packed
+    coordinates.
 
     Rows and columns follow ``pack``: [Re u_hat(0, 0), x h, y h] with x the
     real and y the imaginary parts of the half modes h.  With
@@ -179,8 +179,14 @@ def _dense_jacobian(p: PenalizedProblem, u: SpectralField,
     tables ``jacobian_gather(M)``, built once per M on the first call; row 0
     reads -h' because g_hat is Hermitian only to rounding.
 
-    ``out``, when given, receives J in its leading n_real x n_real block
-    (the bordered solve writes J straight into its larger buffer).
+    Returns ``fill(out=None)``, which writes J into the leading
+    n_real x n_real block of ``out`` (a new array when None) and returns
+    ``out``.  ``out`` should be Fortran-ordered, as LAPACK's getrf wants it:
+    fill writes J^T row by row, which is the same memory, and reads
+    g_hat(h' - h) through the transposed table ``diff_t`` (the h + h' table
+    is symmetric).  Every entry gets the operands of the formulas above, in
+    their order.  g_hat is computed once, so a fill after an in-place LU
+    rebuilds J without a transform.
     """
     lat = lattice(p.M)
     tab = jacobian_gather(p.M)
@@ -189,21 +195,26 @@ def _dense_jacobian(p: PenalizedProblem, u: SpectralField,
     gr, gi = s * g.real, s * g.imag
     sym = penalized_symbol(p)
     n, nh = lat.n_real, lat.n_half
-    J = np.empty((n, n)) if out is None else out
     x, y = slice(1, 1 + nh), slice(1 + nh, n)
-    J[0, 0] = gr[tab.zero] + sym[lat.jmax, p.M]
-    J[0, x] = gr[tab.minus] + gr[tab.plus]
-    J[0, y] = -(gi[tab.minus] - gi[tab.plus])
-    J[x, 0] = gr[tab.plus]
-    J[y, 0] = gi[tab.plus]
-    dr, sr = gr[tab.diff], gr[tab.sum]
-    dr.reshape(-1)[::nh + 1] += sym[lat.half_rows, lat.half_cols]
-    np.add(dr, sr, out=J[x, x])
-    np.subtract(dr, sr, out=J[y, y])
-    di, si = gi[tab.diff], gi[tab.sum]
-    np.subtract(si, di, out=J[x, y])
-    np.add(di, si, out=J[y, x])
-    return J
+
+    def fill(out=None):
+        J = np.empty((n, n), order="F") if out is None else out
+        T = J.T  # T[a, b] = J[b, a]
+        T[0, 0] = gr[tab.zero] + sym[lat.jmax, p.M]
+        T[x, 0] = gr[tab.minus] + gr[tab.plus]
+        T[y, 0] = -(gi[tab.minus] - gi[tab.plus])
+        T[0, x] = gr[tab.plus]
+        T[0, y] = gi[tab.plus]
+        dr, sr = gr[tab.diff_t], gr[tab.sum]
+        dr.reshape(-1)[::nh + 1] += sym[lat.half_rows, lat.half_cols]
+        np.add(dr, sr, out=T[x, x])
+        np.subtract(dr, sr, out=T[y, y])
+        di, si = gi[tab.diff_t], gi[tab.sum]
+        np.add(di, si, out=T[x, y])
+        np.subtract(si, di, out=T[y, x])
+        return J
+
+    return fill
 
 
 def time_derivative(u: SpectralField) -> SpectralField:
@@ -211,8 +222,28 @@ def time_derivative(u: SpectralField) -> SpectralField:
     return SpectralField(u.M, u.coeffs * (1j * lattice(u.M).K))
 
 
+class _Buffers:
+    """Flat buffers that the steps of one Newton solve reuse for their dense
+    matrices.
+
+    ``matrix(name, dim)`` views the first dim^2 entries of buffer ``name``
+    as a Fortran-ordered (dim, dim) matrix, which getrf factors in place.
+    A buffer grows when dim does: the system has n_real + 1 rows only at
+    steps with a phase anchor.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def matrix(self, name: str, dim: int) -> np.ndarray:
+        flat = self._flat.get(name)
+        if flat is None or flat.size < dim * dim:
+            flat = self._flat[name] = np.empty(dim * dim)
+        return flat[:dim * dim].reshape(dim, dim, order="F")
+
+
 def _linear_solver(p: PenalizedProblem, u: SpectralField, dense_limit: int,
-                   anchor: np.ndarray | None = None):
+                   anchor: np.ndarray | None = None, work: _Buffers | None = None):
     """Return ``(solve, regularized)`` for the Jacobian at u.
 
     ``solve(rhs)`` solves J delta = rhs over the packed coordinates: dense LU
@@ -222,6 +253,12 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField, dense_limit: int,
     solve; it exists on the dense path only and is None on the iterative
     one.  Both solves map a length-n_real right-hand side to a length-n_real
     step.
+
+    The dense path fills J into buffer "J" of ``work`` (new buffers when
+    None) and LU-factors it there, in place; ``regularized`` refills J into
+    buffer "levenberg" before adding mu on the field diagonal.  A solve is
+    valid until the next fill of its buffer, so one ``work`` serves one
+    step at a time.
 
     With ``anchor`` (a packed direction), the system is bordered with the
     phase condition <anchor, delta> = 0: autonomous problems have the exact
@@ -238,14 +275,20 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField, dense_limit: int,
         return lambda rhs: solve_dim(np.append(rhs, np.zeros(dim - n)))[:n]
 
     if n <= dense_limit:
-        J = np.empty((dim, dim))
-        _dense_jacobian(p, u, out=J)
-        for i, a in enumerate(phase, start=n):
-            J[:n, i] = a
-            J[i, :n] = a
-        J[n:, n:] = 0.0
+        fill = _dense_jacobian(p, u)
+        if work is None:
+            work = _Buffers()
+
+        def bordered_jacobian(name):
+            J = fill(work.matrix(name, dim))
+            for i, a in enumerate(phase, start=n):
+                J[:n, i] = a
+                J[i, :n] = a
+            J[n:, n:] = 0.0
+            return J
+
         try:
-            lu = scipy.linalg.lu_factor(J)
+            lu = scipy.linalg.lu_factor(bordered_jacobian("J"), overwrite_a=True)
         except scipy.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
         if not np.all(np.isfinite(lu[0])):
@@ -253,10 +296,11 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField, dense_limit: int,
 
         def regularized(mu):
             # Levenberg fallback: damp only the field block, not the border
-            Jm = J.copy()
+            Jm = bordered_jacobian("levenberg")
             idx = np.arange(n)
             Jm[idx, idx] += mu
-            return bordered(partial(scipy.linalg.lu_solve, scipy.linalg.lu_factor(Jm)))
+            return bordered(partial(scipy.linalg.lu_solve,
+                                    scipy.linalg.lu_factor(Jm, overwrite_a=True)))
 
         return bordered(partial(scipy.linalg.lu_solve, lu)), regularized
 
@@ -344,6 +388,7 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
     rnorm = R.l2()
     history = [rnorm]
     iters = 0
+    work = _Buffers()
 
     def state(converged):
         return SolutionState(u, rnorm, functional_I(p, u), iters,
@@ -362,7 +407,7 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
             t_norm = np.linalg.norm(t_vec)
             if t_norm > 1e-9 * max(u.l2(), 1.0):
                 anchor = t_vec / t_norm
-        solve, regularized = _linear_solver(p, u, dense_limit, anchor)
+        solve, regularized = _linear_solver(p, u, dense_limit, anchor, work)
         delta = solve(-pack(R))
         ndelta = np.linalg.norm(delta)
 
@@ -492,6 +537,17 @@ def continuation_beta(p0: PenalizedProblem, schedule: BetaSchedule,
 # -- multiplicity search ------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _phase_table(M: int, n_grid: int):
+    """The scan grid theta_m = 2 pi m / n_grid and the table e^{i k theta_m},
+    k = -M..M, of ``max_time_correlation``; built once per (M, n_grid)."""
+    thetas = 2.0 * np.pi * np.arange(n_grid) / n_grid
+    table = np.exp(1j * np.outer(thetas, np.arange(-M, M + 1)))
+    for a in (thetas, table):
+        a.flags.writeable = False
+    return thetas, table
+
+
 def max_time_correlation(u1: SpectralField, u2: SpectralField,
                          n_grid: int = 4096):
     """max over theta of <u1(., . + theta), u2> / (||u1|| ||u2||), with argmax.
@@ -511,8 +567,8 @@ def max_time_correlation(u1: SpectralField, u2: SpectralField,
     def corr(theta):
         return float(np.real(np.sum(ck * np.exp(1j * ks * theta)))) / (n1 * n2)
 
-    thetas = 2.0 * np.pi * np.arange(n_grid) / n_grid
-    vals = np.real(np.exp(1j * np.outer(thetas, ks)) @ ck) / (n1 * n2)
+    thetas, table = _phase_table(u1.M, n_grid)
+    vals = np.real(table @ ck) / (n1 * n2)
     i0 = int(np.argmax(vals))
     dt = 2.0 * np.pi / n_grid
     res = scipy.optimize.minimize_scalar(

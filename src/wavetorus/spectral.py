@@ -24,11 +24,16 @@ the half-mode coefficients in row-major order (half_rows, half_cols).
 order-2M coefficients that the real blocks of the Jacobian read.
 
 Transforms: ``synthesize``/``synthesize_values`` and ``analyze``, which the
-solver calls, use the complex ``np.fft.ifft2``/``fft2``.  The grid norms
-read |u| through ``abs_values``, which sends an exactly Hermitian field
-through a pruned real inverse transform (``scipy.fft.ifft`` along t on the
-rows j >= 0, then ``irfft`` along x): about 5x cheaper at M = 64 and equal
-to the complex path to rounding.  The solver stays on the complex path
+solver calls, run the 1-D passes of the complex ``np.fft.ifft2``/``fft2``,
+pruned (Markel, IEEE Trans. Audio Electroacoust. 19(4), 1971): synthesis
+transforms along t only the 2 jmax + 1 lattice rows, because the other
+rows are zero, and analysis transforms along x only the 2M + 1 lattice
+columns it keeps.  Each kept value is computed as ``ifft2``/``fft2``
+computes it, so the results equal theirs bit for bit.  The grid norms read
+|u| through ``abs_values``, which sends an exactly Hermitian field through a
+pruned real inverse transform (``scipy.fft.ifft`` along t on the rows
+j >= 0, then ``irfft`` along x): about 5x cheaper at M = 64 and equal to
+the complex path to rounding.  The solver stays on the complex path
 because its Newton trajectories are sensitive to rounding: the real path
 flipped one cold seed of the M = 24 multiplicity search.
 
@@ -123,7 +128,7 @@ class JacobianGather:
     half-mode combinations the real Jacobian blocks read (see
     ``jacobian_gather``)."""
 
-    diff: np.ndarray  # (n_half, n_half): h - h'
+    diff_t: np.ndarray  # (n_half, n_half): h' - h, the table of h - h' transposed
     sum: np.ndarray  # (n_half, n_half): h + h'
     plus: np.ndarray  # (n_half,): +h
     minus: np.ndarray  # (n_half,): -h
@@ -139,7 +144,7 @@ def jacobian_gather(M: int) -> JacobianGather:
     zero = big.jmax * big.shape[1] + 2 * M
     off = (big.shape[1] * lat.J[lat.half_rows, lat.half_cols]
            + lat.K[lat.half_rows, lat.half_cols]).astype(np.intp)
-    arrays = dict(diff=zero + off[:, None] - off[None, :],
+    arrays = dict(diff_t=zero - off[:, None] + off[None, :],
                   sum=zero + off[:, None] + off[None, :],
                   plus=zero + off, minus=zero - off)
     for a in arrays.values():
@@ -308,8 +313,9 @@ def analyze(g: GridField, M: int) -> SpectralField:
     nx, nt = g.values.shape
     _require_grid(M, nx, nt)
     lat = lattice(M)
-    F = np.fft.fft2(g.values) / (nx * nt)
-    c = F[lat.J % nx, lat.K % nt]
+    # fft2 pruned: fft along t, then fft along x on the 2M + 1 lattice columns only
+    F = np.fft.fft(np.fft.fft(g.values, axis=1)[:, lat.K[0] % nt], axis=0)
+    c = F[lat.J[:, 0] % nx] / (nx * nt)
     return SpectralField(M, np.where(lat.mask, c, 0.0))
 
 
@@ -317,11 +323,13 @@ def synthesize_values(u: SpectralField, nx: int, nt: int) -> np.ndarray:
     """Complex grid samples of the (possibly non-Hermitian) field."""
     _require_grid(u.M, nx, nt)
     lat = lattice(u.M)
-    A = np.zeros((nx, nt), dtype=np.complex128)
-    rows = (lat.J % nx)[lat.mask]
-    cols = (lat.K % nt)[lat.mask]
-    A[rows, cols] = u.coeffs[lat.mask]
-    return np.fft.ifft2(A) * (nx * nt)
+    # ifft2 pruned: the rows off the lattice are zero, so ifft along t runs on
+    # the 2 jmax + 1 lattice rows only, then ifft along x on every row
+    A = np.zeros((lat.shape[0], nt), dtype=np.complex128)
+    A[:, lat.K[0] % nt] = u.coeffs
+    B = np.zeros((nx, nt), dtype=np.complex128)
+    B[lat.J[:, 0] % nx] = np.fft.ifft(A, axis=1)
+    return np.fft.ifft(B, axis=0) * (nx * nt)
 
 
 def _hermitian_values(u: SpectralField, nx: int, nt: int) -> np.ndarray:

@@ -416,6 +416,19 @@ def test_main_rejects_keys_the_command_does_not_read(tmp_path, capsys, doc, stra
         f"wavetorus: config error: {key}: not read by {doc['command']}" for key in stray]
 
 
+def test_main_rejects_keys_the_kind_does_not_read(tmp_path, capsys):
+    doc = minimal_solve_config(
+        initial={"kind": "zero", "amplitude": 5.0, "path": "x.json"},
+        forcing={"kind": "none", "decay": 0.5, "target_seed": 3})
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", write_config(tmp_path, doc), "--out", out]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "wavetorus: config error: forcing.decay: not read by kind 'none'",
+        "wavetorus: config error: forcing.target_seed: not read by kind 'none'",
+        "wavetorus: config error: initial.amplitude: not read by kind 'zero'",
+        "wavetorus: config error: initial.path: not read by kind 'zero'"]
+
+
 def test_continue_stall_writes_the_rows_reached(tmp_path, monkeypatch, capsys):
     import wavetorus.cli
     from wavetorus import StallAt

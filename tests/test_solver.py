@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from dataclasses import replace
 
 from hypothesis import given, settings
@@ -133,7 +134,7 @@ def test_jacobian_matches_finite_differences(default_nl):
     M = 4
     p = PenalizedProblem(M=M, beta=1e-2, nl=default_nl)
     u = random_field(8, M, SubspaceTag.ALL, 0.3)
-    J = _dense_jacobian(p, u)
+    J = _dense_jacobian(p, u)()
     x0 = pack(u)
     n = x0.size
     h = 1e-6
@@ -184,17 +185,17 @@ def test_jacobian_bit_identical_to_complex_construction(default_nl, sigma, overs
         p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl, sigma=sigma,
                              oversample=oversample)
         u = random_field((60, M), M, SubspaceTag.ALL, 0.4)
-        J = _dense_jacobian(p, u)
+        J = _dense_jacobian(p, u)()
         assert np.array_equal(J, complex_jacobian_oracle(p, u)), M
         n = J.shape[0]
-        bordered = _dense_jacobian(p, u, out=np.full((n + 1, n + 1), np.nan))
+        bordered = _dense_jacobian(p, u)(np.full((n + 1, n + 1), np.nan, order="F"))
         assert np.array_equal(bordered[:n, :n], J), M
 
 
 def test_forced_jacobian_bit_identical_to_complex_construction(default_nl):
     _, p = mms_problem(default_nl, 0.5, 12, 1e-3, seed=5)
     u = random_field(61, 12, SubspaceTag.ALL, 0.4)
-    assert np.array_equal(_dense_jacobian(p, u), complex_jacobian_oracle(p, u))
+    assert np.array_equal(_dense_jacobian(p, u)(), complex_jacobian_oracle(p, u))
 
 
 def complex_fft_f_hat(p, u, order):
@@ -237,7 +238,7 @@ def test_weighted_jacobian_is_symmetric(default_nl, seed, M, sigma):
     # J is the Hessian of I under the pairing, whose packed weights are 1, 2, ..., 2
     p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl, sigma=sigma)
     u = random_field(seed, M, SubspaceTag.ALL, 0.4)
-    J = _dense_jacobian(p, u)
+    J = _dense_jacobian(p, u)()
     WJ = np.r_[1.0, np.full(J.shape[0] - 1, 2.0)][:, None] * J
     assert np.max(np.abs(WJ - WJ.T)) <= 1e-13 * np.max(np.abs(WJ))
 
@@ -327,6 +328,78 @@ def test_linear_solver_iterative_path_matches_dense(default_nl, M, anchored):
     if anchored:  # the phase condition holds to each solver's own accuracy
         assert abs(anchor @ dense) <= 1e-13 * np.linalg.norm(dense)
         assert abs(anchor @ krylov) <= 1e-8 * np.linalg.norm(krylov)
+
+
+@pytest.mark.parametrize("M", [4, 8, 12])
+@pytest.mark.parametrize("anchored", [False, True])
+def test_dense_linear_solver_bit_identical_to_c_ordered_lu(default_nl, M, anchored):
+    # the in-place Fortran-ordered LU factors the matrix lu_factor copies
+    # from the C-ordered bordered system, so the solves agree bit for bit
+    p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl)
+    u = 0.5 * random_field((M, 32), M, SubspaceTag.ALL, 0.5)
+    n = lattice(M).n_real
+    border = []
+    if anchored:
+        t_vec = pack(time_derivative(u))
+        border.append(t_vec / np.linalg.norm(t_vec))
+    dim = n + len(border)
+    oracle = np.zeros((dim, dim))
+    oracle[:n, :n] = complex_jacobian_oracle(p, u)
+    for i, a in enumerate(border, start=n):
+        oracle[:n, i] = a
+        oracle[i, :n] = a
+    rhs = -pack(residual(p, u))
+
+    def oracle_solve(matrix):
+        lu = scipy.linalg.lu_factor(matrix)
+        return scipy.linalg.lu_solve(lu, np.append(rhs, np.zeros(dim - n)))[:n]
+
+    solve, regularized = _linear_solver(p, u, DENSE_LIMIT, *border)
+    assert np.array_equal(solve(rhs), oracle_solve(oracle))
+    for mu in (1e-4, 1.0, 1e4):
+        damped = oracle.copy()
+        damped[np.arange(n), np.arange(n)] += mu
+        assert np.array_equal(regularized(mu)(rhs), oracle_solve(damped))
+    assert np.array_equal(solve(rhs), oracle_solve(oracle))  # J's factors kept
+
+
+def test_newton_reused_buffers_match_fresh_ones(default_nl, monkeypatch):
+    # steady up to 1e-10, so the phase anchor, and with it the n_real + 1
+    # rows of the bordered buffer, appears only after the first step; the
+    # Levenberg ladder runs near the end
+    import wavetorus.solver as solver
+
+    M = 8
+    p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl)
+    r = random_field((0, 1), M, SubspaceTag.ALL, 0.3)
+    seed_u = SpectralField(M, np.where(lattice(M).K == 0, 2.0, 1e-10) * r.coeffs)
+    linear_solver = solver._linear_solver
+    steps = []
+
+    def run(fresh):
+        def spy(p, u, dense_limit, anchor=None, work=None):
+            solve, regularized = linear_solver(p, u, dense_limit, anchor,
+                                               None if fresh else work)
+            steps.append("." if anchor is None else "A")
+
+            def levenberg(mu):
+                steps.append("L")
+                return regularized(mu)
+
+            return solve, levenberg
+
+        monkeypatch.setattr(solver, "_linear_solver", spy)
+        steps.clear()
+        with pytest.raises(NoConvergence) as exc:
+            newton_solve(p, seed_u, max_iter=30)
+        return exc.value.best, "".join(steps)
+
+    (reused, pattern), (fresh, fresh_pattern) = run(False), run(True)
+    assert pattern == fresh_pattern
+    assert pattern.startswith(".") and "A" in pattern and "L" in pattern, pattern
+    assert reused.residual_history == fresh.residual_history
+    assert reused.u.coeffs.tobytes() == fresh.u.coeffs.tobytes()
+    assert reused.I_value == fresh.I_value
 
 
 def test_residual_time_translation_equivariance():

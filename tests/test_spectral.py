@@ -333,3 +333,25 @@ def test_abs_values_keeps_complex_path_off_exact_symmetry():
         assert np.array_equal(abs_values(f, 30, 27), np.abs(synthesize_values(f, 30, 27)))
     with pytest.raises(GridTooCoarse):
         abs_values(u, 25, 40)
+
+
+# -- the pruned complex transforms of the solver -------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 24), st.integers(0, 9), st.integers(0, 9), seeds,
+       st.sampled_from([None, 0, 1, 2, 3]))
+def test_pruned_complex_transforms_equal_fft2(M, ex, et, seed, quadrant):
+    # the same 1-D passes as ifft2/fft2, so equal to them bit for bit
+    u = random_field(seed, M, SubspaceTag.ALL, 0.3)  # exactly Hermitian
+    if quadrant is not None:
+        u = quadrant_split(u)[quadrant]
+    lat = lattice(M)
+    nx, nt = 2 * M + 2 + ex, 2 * M + 2 + et  # both parities, independent
+    A = np.zeros((nx, nt), dtype=np.complex128)
+    A[(lat.J % nx)[lat.mask], (lat.K % nt)[lat.mask]] = u.coeffs[lat.mask]
+    assert np.array_equal(synthesize_values(u, nx, nt), np.fft.ifft2(A) * (nx * nt))
+    g = np.random.default_rng(seed).standard_normal((nx, nt))
+    F = np.fft.fft2(g) / (nx * nt)
+    expected = np.where(lat.mask, F[lat.J % nx, lat.K % nt], 0.0)
+    assert np.array_equal(analyze(GridField(g), M).coeffs, expected)
