@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -88,7 +89,12 @@ def _is_int(v) -> bool:
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite number: json.load reads Infinity, NaN and 1e400 as non-finite
+    floats, which no key takes."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _choice(what: str, *options):
@@ -107,11 +113,11 @@ _INT = (_is_int, "must be an integer")
 _POS_INT = (lambda v: _is_int(v) and v >= 1, "must be a positive integer")
 _POS_INTS = _list_of(_POS_INT)
 _NONNEG_INT = (lambda v: _is_int(v) and v >= 0, "must be a nonnegative integer")
-_NUM = (_is_num, "must be a number")
-_POS_NUM = (lambda v: _is_num(v) and v > 0, "must be a number > 0")
-_NONNEG_NUM = (lambda v: _is_num(v) and v >= 0, "must be a number >= 0")
+_NUM = (_is_num, "must be a finite number")
+_POS_NUM = (lambda v: _is_num(v) and v > 0, "must be a finite number > 0")
+_NONNEG_NUM = (lambda v: _is_num(v) and v >= 0, "must be a finite number >= 0")
 _UNIT_NUM = (lambda v: _is_num(v) and 0 < v < 1, "must be a number in (0, 1)")
-_EXPONENT = (lambda v: _is_num(v) and v >= 1, "must be a number >= 1")
+_EXPONENT = (lambda v: _is_num(v) and v >= 1, "must be a finite number >= 1")
 _BOOL = (lambda v: isinstance(v, bool), "must be true or false")
 _PATH = (lambda v: isinstance(v, str), "must be a string path")
 
@@ -480,7 +486,7 @@ _COMMANDS = {
     "verify": (_Section({**_BASE, "seed": _NONNEG_INT, "verify": _Section({
         "suite": _choice("suite", "hy", "gn", "embedding", "holder", "box", "all"),
         "count": _POS_INT, "ensemble_M": _POS_INT, "decay": _NONNEG_NUM,
-        "p": (lambda v: _is_num(v) and v > 1, "must be a number > 1"),
+        "p": (lambda v: _is_num(v) and v > 1, "must be a finite number > 1"),
         "s": _UNIT_NUM, "gamma": _UNIT_NUM, "gamma_prime": _UNIT_NUM,
         "tails": _POS_INTS, "tail_count": _POS_INT, "write_ratios": _BOOL})},
         ("seed", "verify")), _cmd_verify),

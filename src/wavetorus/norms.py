@@ -9,6 +9,7 @@ C^gamma norm, and sign-quadrant splits.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,20 +80,43 @@ def sobolev_norm(u: SpectralField, s: float, convention: str = "aniso") -> float
     return float(np.sqrt(np.sum((w[lat.mask] ** s) * a2[lat.mask])))
 
 
+def _check_exponents(name: str, ps) -> None:
+    if any(not (1 <= p < math.inf) for p in ps):
+        raise ValueError(f"{name} must be a finite number >= 1")
+
+
+def _power(a: np.ndarray, p: float) -> np.ndarray:
+    """A new array a**p; at p = 1.5, 3 and 4 the products below, which agree
+    with ``a**p`` to rounding and skip the slower pow."""
+    if p == 1.5:
+        t = np.sqrt(a)
+        t *= a
+    elif p == 3:
+        t = a * a
+        t *= a
+    elif p == 4:
+        t = a * a
+        t *= t
+    else:
+        t = a**p
+    return t
+
+
 def lp_norms(u: SpectralField, ps, oversample: int = 4) -> list:
     """[(int_Q |u|^p)^(1/p) for p in ps] by the rectangle rule of
     ``grid_integral`` on an oversampled grid (on a periodic grid it equals
     the trapezoid rule).
 
     One |u| grid serves all exponents: the field is synthesized once,
-    whatever the number of exponents.  Every p is checked before that.
+    whatever the number of exponents.  Every p is checked before that; a
+    non-finite p raises ValueError.  |u|^p is ``a**p`` except at p = 1.5, 3
+    and 4, which take in-place products (equal to ``a**p`` to rounding).
     """
     ps = tuple(ps)
-    if any(p < 1 for p in ps):
-        raise ValueError("p must be >= 1")
+    _check_exponents("p", ps)
     n = default_grid(u.M, oversample)
     a = abs_values(u, n, n)
-    return [grid_integral(a**p) ** (1.0 / p) for p in ps]
+    return [grid_integral(_power(a, p)) ** (1.0 / p) for p in ps]
 
 
 def norm_Lp(u: SpectralField, p: float, oversample: int = 4) -> float:
@@ -103,9 +127,8 @@ def norm_Lp(u: SpectralField, p: float, oversample: int = 4) -> float:
 
 
 def norm_lq(u: SpectralField, q: float) -> float:
-    """Coefficient norm (sum |u_hat|^q)^(1/q)."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    """Coefficient norm (sum |u_hat|^q)^(1/q); a non-finite q raises ValueError."""
+    _check_exponents("q", (q,))
     a = np.abs(u.coeffs[lattice(u.M).mask])
     return float(np.sum(a**q) ** (1.0 / q))
 

@@ -31,11 +31,16 @@ rows are zero, and analysis transforms along x only the 2M + 1 lattice
 columns it keeps.  Each kept value is computed as ``ifft2``/``fft2``
 computes it, so the results equal theirs bit for bit.  The grid norms read
 |u| through ``abs_values``, which sends an exactly Hermitian field through a
-pruned real inverse transform (``scipy.fft.ifft`` along t on the rows
-j >= 0, then ``irfft`` along x): about 5x cheaper at M = 64 and equal to
-the complex path to rounding.  The solver stays on the complex path
-because its Newton trajectories are sensitive to rounding: the real path
-flipped one cold seed of the M = 24 multiplicity search.
+pruned real inverse transform: ``scipy.fft.ifft`` along t on the rows
+j >= 0, then the x pass as one real matrix product with a cached
+nx x 2(jmax + 1) cos/sin table (``_synthesis_table``), which reads only the
+jmax + 1 nonzero rows where ``irfft`` along x transformed all nx/2 + 1.  At
+M = 64 (520 x 520 grid, 2-core x86 host, one BLAS thread) the product took
+0.6 ms against 2.0 ms for ``irfft`` (0.9 against 3.2 ms in a slower
+period); it equals the complex path to about 1e-15 relative, and its last
+bits depend on the BLAS build, as the solver's LU already does.  The solver stays on the complex path because its Newton
+trajectories are sensitive to rounding: the real path flipped one cold
+seed of the M = 24 multiplicity search.
 
 All operations are pure: fields are treated as immutable values.
 """
@@ -332,30 +337,47 @@ def synthesize_values(u: SpectralField, nx: int, nt: int) -> np.ndarray:
     return np.fft.ifft(B, axis=0) * (nx * nt)
 
 
+@lru_cache(maxsize=None)
+def _synthesis_table(jmax: int, nx: int) -> np.ndarray:
+    """The cached, read-only nx x 2(jmax + 1) table
+    [w_j cos(2 pi j a / nx) | -w_j sin(2 pi j a / nx)], w_0 = 1 and w_j = 2,
+    of the x pass of ``_hermitian_values``; row a is grid point x_a."""
+    j = np.arange(jmax + 1)
+    angle = (2.0 * np.pi / nx) * (np.arange(nx)[:, None] * j % nx)
+    w = np.where(j == 0, 1.0, 2.0)
+    table = np.concatenate((w * np.cos(angle), -w * np.sin(angle)), axis=1)
+    table.flags.writeable = False
+    return table
+
+
 def _hermitian_values(u: SpectralField, nx: int, nt: int) -> np.ndarray:
     """Real grid samples of an exactly Hermitian field by the pruned transform.
 
-    Only the rows j >= 0 are transformed along t; irfft along x restores the
-    rows j < 0 from the symmetry and zero-pads the rows above jmax.
+    Only the rows j >= 0 are transformed along t.  The x pass is one real
+    product with ``_synthesis_table``: u(x_a, .) = sum_j w_j Re(A_j e^{2 pi i
+    j a / nx}) restores the rows j < 0 from the symmetry and skips the rows
+    above jmax, which are zero.
     """
     _require_grid(u.M, nx, nt)
     jmax = lattice(u.M).jmax
     A = np.zeros((jmax + 1, nt), dtype=np.complex128)
     A[:, np.arange(-u.M, u.M + 1) % nt] = u.coeffs[jmax:]
     A = scipy.fft.ifft(A, axis=1, norm="forward")
-    return scipy.fft.irfft(A, n=nx, axis=0, norm="forward")
+    return _synthesis_table(jmax, nx) @ np.concatenate((A.real, A.imag))
 
 
 def abs_values(u: SpectralField, nx: int, nt: int) -> np.ndarray:
     """|u| on the nx x nt grid: the one grid path of the L^p and sup norms.
 
     An exactly Hermitian field takes the pruned real transform
-    (``_hermitian_values``); any other field, e.g. a sign-quadrant piece,
-    takes the complex ``synthesize_values``.
+    (``_hermitian_values``), whose samples take their absolute value in
+    place; any other field, e.g. a sign-quadrant piece, takes the complex
+    ``synthesize_values``.
     """
     c = u.coeffs
     if np.array_equal(c, np.conj(c[::-1, ::-1])):
-        return np.abs(_hermitian_values(u, nx, nt))
+        v = _hermitian_values(u, nx, nt)
+        return np.abs(v, out=v)
     return np.abs(synthesize_values(u, nx, nt))
 
 
@@ -489,14 +511,13 @@ def random_field(seed, M: int, tag: SubspaceTag = SubspaceTag.ALL,
         raise ValueError("decay must be >= 0")
     lat = lattice(M)
     rng = np.random.default_rng(seed)
+    # a phase for every rectangle entry, so each seed keeps its field; only
+    # the half modes' phases are read
     phases = rng.uniform(0.0, 2.0 * np.pi, size=lat.shape)
     sign = 1.0 if rng.random() < 0.5 else -1.0
-    envelope = np.exp(-decay * lat.weight)
-    c = np.where(lat.half, envelope * np.exp(1j * phases), 0.0)
-    c = c + np.conj(c[::-1, ::-1])
-    c[lat.jmax, M] = sign * envelope[lat.jmax, M]
-    c = np.where(_tag_mask(M, tag), c, 0.0)
-    return SpectralField(M, c)
+    hr, hc = lat.half_rows, lat.half_cols
+    h = np.exp(-decay * lat.weight[hr, hc]) * np.exp(1j * phases[hr, hc])
+    return project(unpack(np.concatenate(([sign], h.real, h.imag)), M), tag)
 
 
 # -- field file format ------------------------------------------------------

@@ -296,6 +296,13 @@ def test_continue_csv_header_names_every_monitored_quantity(tmp_path):
     ({"command": "multi", "newton": {"line_search": False}}, "newton.line_search"),
     ({"command": "mms", "mms": {"M_list": [6, 8]}, "newton": {"line_search": False}},
      "newton.line_search"),
+    # json.load reads Infinity and NaN (and 1e400 as inf); no key takes them
+    ({"beta": float("inf")}, "beta"),
+    ({"newton": {"tol": float("nan")}}, "newton.tol"),
+    ({"nl": {**DEFAULT_NL_SPEC, "s": float("-inf")}}, "nl.s"),
+    ({"command": "verify", "verify": {"suite": "hy", "p": float("inf")}}, "verify.p"),
+    ({"command": "norms", "norms": {"field": "f.json", "p": [float("inf")]}}, "norms.p"),
+    ({"command": "norms", "norms": {"field": "f.json", "q": [2.0, float("inf")]}}, "norms.q"),
 ])
 def test_main_rejects_malformed_config(tmp_path, capsys, overrides, key):
     doc = minimal_solve_config(**overrides)
@@ -303,6 +310,14 @@ def test_main_rejects_malformed_config(tmp_path, capsys, overrides, key):
     out = str(tmp_path / "out")
     assert main([doc["command"], "--config", path, "--out", out]) == EXIT_CONFIG
     assert f"config error: {key}:" in capsys.readouterr().err
+
+
+def test_main_rejects_number_beyond_float_range(tmp_path, capsys):
+    for big in ("1e400", "1" + "0" * 400):  # a float read as inf; an int past any float
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_solve_config(beta="BIG")).replace('"BIG"', big))
+        assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+        assert_one_config_error(capsys, "beta")
 
 
 def assert_one_config_error(capsys, key):

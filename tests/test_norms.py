@@ -23,7 +23,8 @@ from wavetorus import (
     synthesize_values,
     truncate,
 )
-from wavetorus.spectral import default_grid, grid_integral
+from wavetorus.norms import _power
+from wavetorus.spectral import abs_values, default_grid, grid_integral
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -238,7 +239,7 @@ def test_grid_norms_of_non_hermitian_fields_keep_complex_path(seed, M, p, gamma)
     n = default_grid(M)
     for q in quadrant_split(u):
         vals = np.abs(synthesize_values(q, n, n))
-        assert norm_Lp(q, p) == grid_integral(vals**p) ** (1.0 / p)
+        assert norm_Lp(q, p) == grid_integral(_power(vals, p)) ** (1.0 / p)
         assert holder_estimate(q, gamma) == complex_path_holder(q, gamma)
 
 
@@ -269,3 +270,27 @@ def test_lp_norms_reject_any_exponent_below_one():
     for ps in ((0.5,), (2.0, 0.999), (1.0, 3.0, 0.0)):
         with pytest.raises(ValueError):
             lp_norms(u, ps)
+
+
+@pytest.mark.parametrize("M", [6, 16, 64])
+def test_lp_norms_products_agree_with_pow(M):
+    # p = 1.5, 3, 4 take products, equal to a**p to rounding; the rest is a**p
+    u = random_field(3, M, SubspaceTag.ALL, 0.1)
+    n = default_grid(M)
+    a = abs_values(u, n, n)
+    ps = (1.5, 3, 4.0, 1.0, 2.0, 2.5, 3.5, 6.0)
+    for p, got in zip(ps, lp_norms(u, ps)):
+        ref = grid_integral(a**p) ** (1.0 / p)
+        if p in (1.5, 3, 4):
+            assert abs(got - ref) <= 1e-14 * ref
+        else:
+            assert got == ref
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), -float("inf")])
+def test_exponents_must_be_finite(bad):
+    u = random_field(1, 6, SubspaceTag.ALL, 0.1)
+    for call in (lambda: lp_norms(u, (2.0, bad)), lambda: norm_Lp(u, bad),
+                 lambda: norm_lq(u, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            call()

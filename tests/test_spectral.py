@@ -214,6 +214,31 @@ def test_random_field_envelope_exact():
     assert np.max(np.abs(mags - env)) <= 1e-14
 
 
+def whole_rectangle_random_field(seed, M, tag, decay):
+    # the expression random_field evaluated over the whole rectangle, kept
+    # to pin that the half-lattice evaluation gives the same bits
+    from wavetorus.spectral import _tag_mask
+
+    lat = lattice(M)
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=lat.shape)
+    sign = 1.0 if rng.random() < 0.5 else -1.0
+    envelope = np.exp(-decay * lat.weight)
+    c = np.where(lat.half, envelope * np.exp(1j * phases), 0.0)
+    c = c + np.conj(c[::-1, ::-1])
+    c[lat.jmax, M] = sign * envelope[lat.jmax, M]
+    return np.where(_tag_mask(M, tag), c, 0.0)
+
+
+@pytest.mark.parametrize("M", [*range(25), 64])
+def test_random_field_bits_equal_whole_rectangle_expression(M):
+    for tag in SubspaceTag:
+        for decay in (0.0, 0.5):
+            for seed in (M, (M, 7)):
+                ref = whole_rectangle_random_field(seed, M, tag, decay)
+                assert np.array_equal(random_field(seed, M, tag, decay).coeffs, ref)
+
+
 def test_random_field_flat_and_tagged():
     u = random_field(2, 8, SubspaceTag.ALL, 0.0)
     lat = lattice(8)
@@ -320,6 +345,29 @@ def test_pruned_real_transform_matches_complex_path(M, ex, et, seed, decay):
     tol = 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(_hermitian_values(u, nx, nt) - ref.real)) <= tol
     assert np.max(np.abs(abs_values(u, nx, nt) - np.abs(ref))) <= tol
+
+
+@pytest.mark.parametrize("M", [48, 64, 96])
+@pytest.mark.parametrize("grid", ["min_grid", "default_grid"])
+@pytest.mark.parametrize("odd_x, odd_t", [(0, 0), (1, 0), (0, 1), (1, 1)])
+def test_pruned_real_transform_matches_complex_path_at_large_M(M, grid, odd_x, odd_t):
+    from wavetorus.spectral import _hermitian_values, default_grid, min_grid
+
+    n = {"min_grid": min_grid, "default_grid": default_grid}[grid](M)  # even
+    nx, nt = n + odd_x, n + odd_t
+    u = random_field((M, nx, nt), M, SubspaceTag.ALL, 0.0)
+    ref = synthesize_values(u, nx, nt)
+    assert np.max(np.abs(_hermitian_values(u, nx, nt) - ref.real)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_x_pass_table_is_cached_and_read_only():
+    from wavetorus.spectral import _synthesis_table
+
+    table = _synthesis_table(32, 520)
+    assert _synthesis_table(32, 520) is table
+    assert table.shape == (520, 66) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
 
 
 def test_abs_values_keeps_complex_path_off_exact_symmetry():
