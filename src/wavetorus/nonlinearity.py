@@ -184,9 +184,6 @@ class Nonlinearity:
             out = out + self.m.antiderivative(u)
         return out
 
-    def sup_m(self) -> float:
-        return self.m.bound if self.m is not None else 0.0
-
 
 def _alpha_eff(s: float, a_min: float, m: TanhPart, n: int = 20001) -> float:
     # df/du >= s a_min |u|^{s-1} + m'(u); the infimum is attained on a compact

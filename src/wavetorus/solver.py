@@ -58,6 +58,7 @@ from .spectral import (
 KAPPA = -4.0
 
 DENSE_LIMIT = 4400  # real unknowns; M = 64 has 4161
+PHASE_GRID = 4096  # scan points of max_time_correlation
 
 
 @dataclass(frozen=True)
@@ -209,6 +210,7 @@ def _dense_jacobian(p: PenalizedProblem, u: SpectralField):
         dr.reshape(-1)[::nh + 1] += sym[lat.half_rows, lat.half_cols]
         np.add(dr, sr, out=T[x, x])
         np.subtract(dr, sr, out=T[y, y])
+        del dr, sr  # at most two gather temporaries alive beside J
         di, si = gi[tab.diff_t], gi[tab.sum]
         np.add(di, si, out=T[x, y])
         np.subtract(si, di, out=T[y, x])
@@ -222,43 +224,23 @@ def time_derivative(u: SpectralField) -> SpectralField:
     return SpectralField(u.M, u.coeffs * (1j * lattice(u.M).K))
 
 
-class _Buffers:
-    """Flat buffers that the steps of one Newton solve reuse for their dense
-    matrices.
-
-    ``matrix(name, dim)`` views the first dim^2 entries of buffer ``name``
-    as a Fortran-ordered (dim, dim) matrix, which getrf factors in place.
-    A buffer grows when dim does: the system has n_real + 1 rows only at
-    steps with a phase anchor.
-    """
-
-    def __init__(self):
-        self._flat = {}
-
-    def matrix(self, name: str, dim: int) -> np.ndarray:
-        flat = self._flat.get(name)
-        if flat is None or flat.size < dim * dim:
-            flat = self._flat[name] = np.empty(dim * dim)
-        return flat[:dim * dim].reshape(dim, dim, order="F")
-
-
-def _linear_solver(p: PenalizedProblem, u: SpectralField, dense_limit: int,
-                   anchor: np.ndarray | None = None, work: _Buffers | None = None):
-    """Return ``(solve, regularized)`` for the Jacobian at u.
+def _linear_solver(p: PenalizedProblem, u: SpectralField,
+                   anchor: np.ndarray | None = None, work: np.ndarray | None = None):
+    """Return ``(solve, levenberg)`` for the Jacobian at u.
 
     ``solve(rhs)`` solves J delta = rhs over the packed coordinates: dense LU
-    with factor reuse up to ``dense_limit`` real unknowns, otherwise
-    preconditioned lgmres with the diagonal symbol as preconditioner.
-    ``regularized(mu)`` factors the Levenberg system J + mu I and returns its
-    solve; it exists on the dense path only and is None on the iterative
-    one.  Both solves map a length-n_real right-hand side to a length-n_real
-    step.
+    up to ``DENSE_LIMIT`` real unknowns, otherwise preconditioned lgmres with
+    the diagonal symbol as preconditioner.  ``levenberg(mu)`` factors the
+    Levenberg system J + mu I and returns its solve; it exists on the dense
+    path only and is None on the iterative one.  Both solves map a
+    length-n_real right-hand side to a length-n_real step.
 
-    The dense path fills J into buffer "J" of ``work`` (new buffers when
-    None) and LU-factors it there, in place; ``regularized`` refills J into
-    buffer "levenberg" before adding mu on the field diagonal.  A solve is
-    valid until the next fill of its buffer, so one ``work`` serves one
-    step at a time.
+    The dense path fills J, Fortran-ordered, into the flat float64 buffer
+    ``work`` of at least (n_real + 1)^2 entries (a new one when None) and
+    LU-factors it there, in place; ``levenberg(mu)`` refills J into the same
+    buffer before adding mu on the field diagonal.  A solve is valid until
+    the next factorization, so ``levenberg`` ends the use of ``solve``.  An
+    exactly zero pivot or a non-finite factor raises SingularJacobian.
 
     With ``anchor`` (a packed direction), the system is bordered with the
     phase condition <anchor, delta> = 0: autonomous problems have the exact
@@ -267,42 +249,31 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField, dense_limit: int,
     """
     lat = lattice(p.M)
     n = lat.n_real
-    phase = () if anchor is None else (anchor,)  # rows of the border
-    dim = n + len(phase)
+    dim = n if anchor is None else n + 1
 
     def bordered(solve_dim):
-        # every solve: zero right-hand side for the phase rows, field part back
+        # every solve: zero right-hand side for the phase row, field part back
         return lambda rhs: solve_dim(np.append(rhs, np.zeros(dim - n)))[:n]
 
-    if n <= dense_limit:
+    if n <= DENSE_LIMIT:
         fill = _dense_jacobian(p, u)
         if work is None:
-            work = _Buffers()
+            work = np.empty((n + 1) ** 2)
 
-        def bordered_jacobian(name):
-            J = fill(work.matrix(name, dim))
-            for i, a in enumerate(phase, start=n):
-                J[:n, i] = a
-                J[i, :n] = a
-            J[n:, n:] = 0.0
-            return J
+        def factor(mu):
+            J = fill(work[:dim * dim].reshape(dim, dim, order="F"))
+            if anchor is not None:
+                J[:n, n] = anchor
+                J[n, :n] = anchor
+                J[n, n] = 0.0
+            if mu:  # Levenberg: damp only the field block, not the border
+                J[range(n), range(n)] += mu
+            lu = scipy.linalg.lu_factor(J, overwrite_a=True)
+            if not (np.all(np.isfinite(lu[0])) and np.all(np.diagonal(lu[0]))):
+                raise SingularJacobian("zero pivot or non-finite factorization")
+            return bordered(partial(scipy.linalg.lu_solve, lu))
 
-        try:
-            lu = scipy.linalg.lu_factor(bordered_jacobian("J"), overwrite_a=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
-        if not np.all(np.isfinite(lu[0])):
-            raise SingularJacobian("non-finite factorization")
-
-        def regularized(mu):
-            # Levenberg fallback: damp only the field block, not the border
-            Jm = bordered_jacobian("levenberg")
-            idx = np.arange(n)
-            Jm[idx, idx] += mu
-            return bordered(partial(scipy.linalg.lu_solve,
-                                    scipy.linalg.lu_factor(Jm, overwrite_a=True)))
-
-        return bordered(partial(scipy.linalg.lu_solve, lu)), regularized
+        return factor(0.0), factor
 
     U, fu_vals = _on_grid(p, u, 1)
     ng = U.shape[0]
@@ -314,9 +285,9 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField, dense_limit: int,
         dv = synthesize_values(d, ng, ng).real
         prod = analyze(GridField(fu_vals * dv), p.M)
         out = pack(SpectralField(p.M, sym * d.coeffs - p.sigma * prod.coeffs))
-        for a, c in zip(phase, z[n:]):
-            out = out + c * a
-        return np.append(out, [a @ x for a in phase])
+        if anchor is None:
+            return out
+        return np.append(out + z[n] * anchor, anchor @ x)
 
     # exact Jacobi diagonal: every convolution row carries the mean of f_u
     fu_mean = float(np.mean(fu_vals))
@@ -357,18 +328,20 @@ def _backtrack(p: PenalizedProblem, u: SpectralField, rnorm: float,
 
 
 def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
-                 max_iter: int = 40, line_search: bool = True,
-                 dense_limit: int = DENSE_LIMIT) -> SolutionState:
+                 max_iter: int = 40, line_search: bool = True) -> SolutionState:
     """Damped Newton on the packed real system.
 
     Each step backtracks lam = 1, 1/2, ... down to 2^-16.  On the dense path
-    a trial also passes the affine-covariant (natural monotonicity) test
+    (up to ``DENSE_LIMIT`` real unknowns) a trial also passes the
+    affine-covariant (natural monotonicity) test
     ||J^{-1} R(u + lam d)|| <= (1 - lam/2) ||d||, reusing the factorization;
     every trial passes on plain residual decrease.  Near a root the full step
     passes both and the iteration is quadratic.  When no trial passes, the
     dense path retries with Levenberg steps (J + mu I) d = -R for growing mu,
-    each backtracked down to 2^-8 on residual decrease only.  With
-    ``line_search=False`` the full step is always taken.
+    each backtracked down to 2^-8 on residual decrease only; a mu whose
+    system is exactly singular is skipped.  With ``line_search=False`` the
+    full step is always taken.  Every dense factorization of one solve, the
+    Levenberg ones included, runs in one buffer of (n_real + 1)^2 entries.
 
     For unforced (time-autonomous) problems the Jacobian is exactly singular
     at every genuinely time-dependent solution, with null vector d/dt u; the
@@ -388,7 +361,8 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
     rnorm = R.l2()
     history = [rnorm]
     iters = 0
-    work = _Buffers()
+    n = lattice(p.M).n_real
+    work = np.empty((n + 1) ** 2) if n <= DENSE_LIMIT else None
 
     def state(converged):
         return SolutionState(u, rnorm, functional_I(p, u), iters,
@@ -407,23 +381,23 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
             t_norm = np.linalg.norm(t_vec)
             if t_norm > 1e-9 * max(u.l2(), 1.0):
                 anchor = t_vec / t_norm
-        solve, regularized = _linear_solver(p, u, dense_limit, anchor, work)
+        solve, levenberg = _linear_solver(p, u, anchor, work)
         delta = solve(-pack(R))
         ndelta = np.linalg.norm(delta)
 
         def natural(lam, R_try, r_try):
-            if regularized is not None and np.isfinite(r_try):  # dense path
+            if levenberg is not None and np.isfinite(r_try):  # dense path
                 if np.linalg.norm(solve(pack(R_try))) <= (1.0 - 0.5 * lam) * ndelta:
                     return True
             return not line_search
 
         trial = _backtrack(p, u, rnorm, unpack(delta, p.M), 2.0**-16, natural)
-        if trial is None and regularized is not None:
+        if trial is None and levenberg is not None:
             # Levenberg ladder: escape merit plateaus near folds
             for mu in (1e-4, 1e-2, 1.0, 1e2, 1e4):
                 try:
-                    delta = regularized(mu)(-pack(R))
-                except scipy.linalg.LinAlgError:
+                    delta = levenberg(mu)(-pack(R))
+                except SingularJacobian:
                     continue
                 trial = _backtrack(p, u, rnorm, unpack(delta, p.M), 2.0**-8,
                                    lambda *_: False)
@@ -538,18 +512,17 @@ def continuation_beta(p0: PenalizedProblem, schedule: BetaSchedule,
 
 
 @lru_cache(maxsize=None)
-def _phase_table(M: int, n_grid: int):
-    """The scan grid theta_m = 2 pi m / n_grid and the table e^{i k theta_m},
-    k = -M..M, of ``max_time_correlation``; built once per (M, n_grid)."""
-    thetas = 2.0 * np.pi * np.arange(n_grid) / n_grid
+def _phase_table(M: int):
+    """The scan grid theta_m = 2 pi m / PHASE_GRID and the table
+    e^{i k theta_m}, k = -M..M, of ``max_time_correlation``; built once per M."""
+    thetas = 2.0 * np.pi * np.arange(PHASE_GRID) / PHASE_GRID
     table = np.exp(1j * np.outer(thetas, np.arange(-M, M + 1)))
     for a in (thetas, table):
         a.flags.writeable = False
     return thetas, table
 
 
-def max_time_correlation(u1: SpectralField, u2: SpectralField,
-                         n_grid: int = 4096):
+def max_time_correlation(u1: SpectralField, u2: SpectralField):
     """max over theta of <u1(., . + theta), u2> / (||u1|| ||u2||), with argmax.
 
     The correlation is a trig polynomial in theta (coefficients from the
@@ -567,10 +540,10 @@ def max_time_correlation(u1: SpectralField, u2: SpectralField,
     def corr(theta):
         return float(np.real(np.sum(ck * np.exp(1j * ks * theta)))) / (n1 * n2)
 
-    thetas, table = _phase_table(u1.M, n_grid)
+    thetas, table = _phase_table(u1.M)
     vals = np.real(table @ ck) / (n1 * n2)
     i0 = int(np.argmax(vals))
-    dt = 2.0 * np.pi / n_grid
+    dt = 2.0 * np.pi / PHASE_GRID
     res = scipy.optimize.minimize_scalar(
         lambda th: -corr(th), bounds=(thetas[i0] - 2 * dt, thetas[i0] + 2 * dt),
         method="bounded", options={"xatol": 1e-13})

@@ -47,6 +47,7 @@ All operations are pure: fields are treated as immutable values.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 from dataclasses import dataclass
@@ -557,7 +558,10 @@ def field_from_dict(d: dict) -> SpectralField:
             raise ValueError(f"entry ({j},{k}) is not in the stored half lattice")
         if (j, k) in modes:
             raise ValueError(f"entry ({j},{k}) appears twice")
-        modes[(j, k)] = complex(float(e["re"]), float(e["im"]))
+        c = complex(float(e["re"]), float(e["im"]))
+        if not cmath.isfinite(c):
+            raise ValueError(f"entry ({j},{k}) is not finite")
+        modes[(j, k)] = c
     u = SpectralField.from_modes(M, modes, hermitian=True)
     if not u.is_hermitian():  # the test field_to_dict applies: only (0,0) can fail it
         raise ValueError("entry (0,0) of a real field must have im = 0")

@@ -368,6 +368,21 @@ def test_main_rejects_file_that_is_not_a_field(tmp_path, capsys, text):
     assert_one_config_error(capsys, "norms.field")
 
 
+def test_main_names_non_finite_field_entry(tmp_path, capsys):
+    # json reads Infinity and NaN; the first non-finite entry is named
+    fpath = tmp_path / "field.json"
+    fpath.write_text(_field_text(raw=[
+        {"j": 0, "k": 0, "re": 1.0, "im": 0.0},
+        {"j": -1, "k": 1, "re": float("inf"), "im": 0.0},
+        {"j": 0, "k": 1, "re": 0.5, "im": float("nan")}]))
+    doc = {"command": "norms", "norms": {"field": str(fpath)}}
+    path = write_config(tmp_path, doc)
+    assert main(["norms", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("wavetorus: config error: norms.field:"), err
+    assert "(entry (-1,1) is not finite)" in err[0], err
+
+
 @pytest.mark.parametrize("section, key", [("initial", "initial.path"),
                                           ("forcing", "forcing.path")])
 def test_main_rejects_field_file_of_other_truncation(tmp_path, capsys, section, key):

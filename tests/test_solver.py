@@ -11,6 +11,7 @@ from wavetorus import (
     NoConvergence,
     Nonlinearity,
     PenalizedProblem,
+    SingularJacobian,
     SpectralField,
     StallAt,
     SubspaceTag,
@@ -32,7 +33,6 @@ from wavetorus import (
     time_translate,
 )
 from wavetorus.solver import (
-    DENSE_LIMIT,
     _dense_jacobian,
     _f_hat,
     _grid_side,
@@ -286,13 +286,16 @@ def test_newton_no_convergence_carries_best(default_nl):
     assert best.residual_norm > 0 and len(best.residual_history) == 2
 
 
-def test_newton_iterative_path_matches_dense(default_nl):
+def test_newton_iterative_path_matches_dense(default_nl, monkeypatch):
+    import wavetorus.solver as solver
+
     target, p = mms_problem(default_nl, 0.5, 10, 1e-3, seed=9)
     from wavetorus import embed, truncate
 
     cold = embed(truncate(target, 6), 10)
     dense = newton_solve(p, cold, tol=1e-11, max_iter=20)
-    iterative = newton_solve(p, cold, tol=1e-11, max_iter=25, dense_limit=0)
+    monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+    iterative = newton_solve(p, cold, tol=1e-11, max_iter=25)
     assert (dense.u - iterative.u).l2() <= 1e-8
 
 
@@ -311,7 +314,9 @@ def test_newton_non_finite_residual_raises(default_nl, amplitude, line_search):
 
 @pytest.mark.parametrize("M", [8, 12])
 @pytest.mark.parametrize("anchored", [False, True])
-def test_linear_solver_iterative_path_matches_dense(default_nl, M, anchored):
+def test_linear_solver_iterative_path_matches_dense(default_nl, monkeypatch, M, anchored):
+    import wavetorus.solver as solver
+
     p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl)
     u = 0.5 * random_field((M, 31), M, SubspaceTag.ALL, 0.5)
     anchor = None
@@ -319,9 +324,10 @@ def test_linear_solver_iterative_path_matches_dense(default_nl, M, anchored):
         t_vec = pack(time_derivative(u))
         anchor = t_vec / np.linalg.norm(t_vec)
     rhs = -pack(residual(p, u))
-    solve_dense, regularized_dense = _linear_solver(p, u, DENSE_LIMIT, anchor)
-    solve_krylov, regularized_krylov = _linear_solver(p, u, 0, anchor)
-    assert regularized_dense is not None and regularized_krylov is None
+    solve_dense, levenberg_dense = _linear_solver(p, u, anchor)
+    monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+    solve_krylov, levenberg_krylov = _linear_solver(p, u, anchor)
+    assert levenberg_dense is not None and levenberg_krylov is None
     dense, krylov = solve_dense(rhs), solve_krylov(rhs)
     assert dense.shape == krylov.shape == rhs.shape
     assert np.linalg.norm(krylov - dense) <= 1e-8 * np.linalg.norm(dense)
@@ -354,39 +360,41 @@ def test_dense_linear_solver_bit_identical_to_c_ordered_lu(default_nl, M, anchor
         lu = scipy.linalg.lu_factor(matrix)
         return scipy.linalg.lu_solve(lu, np.append(rhs, np.zeros(dim - n)))[:n]
 
-    solve, regularized = _linear_solver(p, u, DENSE_LIMIT, *border)
+    solve, levenberg = _linear_solver(p, u, *border)
     assert np.array_equal(solve(rhs), oracle_solve(oracle))
     for mu in (1e-4, 1.0, 1e4):
         damped = oracle.copy()
         damped[np.arange(n), np.arange(n)] += mu
-        assert np.array_equal(regularized(mu)(rhs), oracle_solve(damped))
-    assert np.array_equal(solve(rhs), oracle_solve(oracle))  # J's factors kept
+        assert np.array_equal(levenberg(mu)(rhs), oracle_solve(damped))
+
+
+def _ladder_case(nl, M=8):
+    """A seed steady up to 1e-10, so the phase anchor, and with it the
+    n_real + 1 rows of the bordered system, appears only after the first
+    step; the Levenberg ladder runs near the end of its 30 steps."""
+    p = PenalizedProblem(M=M, beta=1e-3, nl=nl)
+    r = random_field((0, 1), M, SubspaceTag.ALL, 0.3)
+    return p, SpectralField(M, np.where(lattice(M).K == 0, 2.0, 1e-10) * r.coeffs)
 
 
 def test_newton_reused_buffers_match_fresh_ones(default_nl, monkeypatch):
-    # steady up to 1e-10, so the phase anchor, and with it the n_real + 1
-    # rows of the bordered buffer, appears only after the first step; the
-    # Levenberg ladder runs near the end
+    # the Levenberg systems refill the buffer of the Newton system
     import wavetorus.solver as solver
 
-    M = 8
-    p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl)
-    r = random_field((0, 1), M, SubspaceTag.ALL, 0.3)
-    seed_u = SpectralField(M, np.where(lattice(M).K == 0, 2.0, 1e-10) * r.coeffs)
+    p, seed_u = _ladder_case(default_nl)
     linear_solver = solver._linear_solver
     steps = []
 
     def run(fresh):
-        def spy(p, u, dense_limit, anchor=None, work=None):
-            solve, regularized = linear_solver(p, u, dense_limit, anchor,
-                                               None if fresh else work)
+        def spy(p, u, anchor=None, work=None):
+            solve, levenberg = linear_solver(p, u, anchor, None if fresh else work)
             steps.append("." if anchor is None else "A")
 
-            def levenberg(mu):
+            def counted(mu):
                 steps.append("L")
-                return regularized(mu)
+                return levenberg(mu)
 
-            return solve, levenberg
+            return solve, counted
 
         monkeypatch.setattr(solver, "_linear_solver", spy)
         steps.clear()
@@ -400,6 +408,69 @@ def test_newton_reused_buffers_match_fresh_ones(default_nl, monkeypatch):
     assert reused.residual_history == fresh.residual_history
     assert reused.u.coeffs.tobytes() == fresh.u.coeffs.tobytes()
     assert reused.I_value == fresh.I_value
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("anchored", [False, True])
+def test_dense_linear_solver_raises_on_zero_pivot(default_nl, monkeypatch, anchored):
+    # a fill of c I: the system with c = 0, and with c = -1 the Levenberg
+    # system at mu = 1, have an exactly zero pivot, bordered or not
+    import wavetorus.solver as solver
+
+    M = 4
+    p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl)
+    u = 0.5 * random_field((M, 33), M, SubspaceTag.ALL, 0.5)
+    n = lattice(M).n_real
+    anchor = None
+    if anchored:
+        t_vec = pack(time_derivative(u))
+        anchor = t_vec / np.linalg.norm(t_vec)
+
+    def scaled_identity(c):
+        def fill(out):
+            out[:n, :n] = c * np.eye(n)
+            return out
+        return lambda p, u: fill
+
+    monkeypatch.setattr(solver, "_dense_jacobian", scaled_identity(0.0))
+    with pytest.raises(SingularJacobian, match="zero pivot"):
+        _linear_solver(p, u, anchor)
+    monkeypatch.setattr(solver, "_dense_jacobian", scaled_identity(-1.0))
+    solve, levenberg = _linear_solver(p, u, anchor)
+    rhs = np.arange(1.0, n + 1.0)
+    step = solve(rhs)
+    if anchored:  # -step + anchor c = rhs with <anchor, step> = 0
+        assert np.allclose(step, (rhs @ anchor) * anchor - rhs, rtol=0, atol=1e-12 * n)
+    else:
+        assert np.array_equal(step, -rhs)
+    with pytest.raises(SingularJacobian, match="zero pivot"):
+        levenberg(1.0)
+    assert np.all(np.isfinite(levenberg(1e-4)(rhs)))
+
+
+def test_levenberg_ladder_skips_singular_mu(default_nl, monkeypatch):
+    # a ladder step whose system is singular goes on with the next mu
+    import wavetorus.solver as solver
+
+    p, seed_u = _ladder_case(default_nl)
+    linear_solver = solver._linear_solver
+    mus = []
+
+    def spy(p, u, anchor=None, work=None):
+        solve, levenberg = linear_solver(p, u, anchor, work)
+
+        def singular_first(mu):
+            mus.append(mu)
+            if mu == 1e-4:
+                raise SingularJacobian("zero pivot")
+            return levenberg(mu)
+
+        return solve, singular_first
+
+    monkeypatch.setattr(solver, "_linear_solver", spy)
+    with pytest.raises(NoConvergence):
+        newton_solve(p, seed_u, max_iter=30)
+    assert mus[:2] == [1e-4, 1e-2], mus
 
 
 def test_residual_time_translation_equivariance():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,19 @@ def test_field_file_rejects_bad_half_lattice():
            "coeffs": [{"j": 0, "k": -1, "re": 1.0, "im": 0.0}]}
     with pytest.raises(ValueError):
         field_from_dict(doc)
+
+
+@pytest.mark.parametrize("entry, part, value", [((-1, 1), "re", float("inf")),
+                                                 ((0, 1), "im", float("nan"))])
+def test_field_file_rejects_non_finite_entry(entry, part, value):
+    coeffs = [{"j": j, "k": k, "re": 0.5, "im": 0.0} for j, k in ((0, 0), (0, 1), (-1, 1))]
+    next(e for e in coeffs if (e["j"], e["k"]) == entry)[part] = value
+    doc = {"M": 2, "domain": "x:[0,pi],t:[0,2pi]", "normalization": "unit-modes",
+           "coeffs": coeffs}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic on the value
+        with pytest.raises(ValueError, match=r"^entry \({},{}\) is not finite$".format(*entry)):
+            field_from_dict(doc)
 
 
 def test_synthesize_rejects_complex_fields():
