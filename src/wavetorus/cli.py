@@ -25,9 +25,9 @@ from .nonlinearity import nonlinearity_from_config
 from .norms import (
     NormReport,
     holder_estimate,
+    lp_norms,
     norm_E,
     norm_Es,
-    norm_Lp,
     norm_lq,
     sobolev_norm,
     write_norm_reports_csv,
@@ -440,8 +440,9 @@ def _cmd_norms(cfg: RunConfig, out: str) -> dict:
         for conv in ("aniso", "ell1"):
             reports.append(NormReport("sobolev", sobolev_norm(u, float(s), conv),
                                       {"s": s, "convention": conv}))
-    for p in cfg.norms.get("p", [2.0]):
-        reports.append(NormReport("Lp", norm_Lp(u, float(p), cfg.oversample), {"p": p}))
+    ps = cfg.norms.get("p", [2.0])
+    for p, lp in zip(ps, lp_norms(u, [float(p) for p in ps], cfg.oversample)):
+        reports.append(NormReport("Lp", lp, {"p": p}))
     for q in cfg.norms.get("q", [1.0, 2.0]):
         reports.append(NormReport("lq", norm_lq(u, float(q)), {"q": q}))
     for g in cfg.norms.get("gamma", [0.5]):

@@ -18,9 +18,10 @@ from .errors import NotInEperp
 from .spectral import (
     Q_AREA,
     SpectralField,
-    abs_values,
+    abs_blocks,
+    cell_area,
     default_grid,
-    grid_integral,
+    grid_max_abs,
     lattice,
     truncate,
     write_csv,
@@ -107,22 +108,30 @@ def lp_norms(u: SpectralField, ps, oversample: int = 4) -> list:
     ``grid_integral`` on an oversampled grid (on a periodic grid it equals
     the trapezoid rule).
 
-    One |u| grid serves all exponents: the field is synthesized once,
-    whatever the number of exponents.  Every p is checked before that; a
+    One blocked pass serves all exponents: the field is synthesized once,
+    in the row blocks of ``abs_blocks``, and each block adds its sum of
+    |u|^p for every p before the next is made, so no full-grid array is
+    built; no exponents make no pass.  Every p is checked before that; a
     non-finite p raises ValueError.  |u|^p is ``a**p`` except at p = 1.5, 3
-    and 4, which take in-place products (equal to ``a**p`` to rounding).
+    and 4, which take products (equal to ``a**p`` to rounding).
     """
     ps = tuple(ps)
     _check_exponents("p", ps)
+    if not ps:
+        return []
     n = default_grid(u.M, oversample)
-    a = abs_values(u, n, n)
-    return [grid_integral(_power(a, p)) ** (1.0 / p) for p in ps]
+    sums = [0.0] * len(ps)
+    for a in abs_blocks(u, n, n):
+        for i, p in enumerate(ps):
+            sums[i] += float(np.sum(_power(a, p)))
+    cell = cell_area(n, n)
+    return [(s * cell) ** (1.0 / p) for s, p in zip(sums, ps)]
 
 
 def norm_Lp(u: SpectralField, p: float, oversample: int = 4) -> float:
     """(int_Q |u|^p)^(1/p): the one-exponent case of ``lp_norms``.  To read
     several exponents of one field, call ``lp_norms``, which serves them all
-    from one |u| grid."""
+    from one blocked pass."""
     return lp_norms(u, (p,), oversample)[0]
 
 
@@ -175,8 +184,9 @@ def dyadic_blocks(u: SpectralField) -> DyadicDecomposition:
 def holder_estimate(u: SpectralField, gamma: float, oversample: int = 4) -> float:
     """Block proxy for the C^gamma norm: max_m 2^(gamma m) * sup |Delta_m u|.
 
-    Block suprema are grid maxima at the given oversampling, so the result
-    is a lower bound on the true sup with spectral-accuracy gap.
+    Block suprema are grid maxima (``grid_max_abs``) at the given
+    oversampling, so the result is a lower bound on the true sup with
+    spectral-accuracy gap.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -185,8 +195,7 @@ def holder_estimate(u: SpectralField, gamma: float, oversample: int = 4) -> floa
         if not np.any(f.coeffs):
             continue
         Mb = min(2 * 2**m, u.M)
-        n = default_grid(Mb, oversample)
-        sup = float(np.max(abs_values(truncate(f, Mb), n, n)))
+        sup = grid_max_abs(truncate(f, Mb), oversample)
         best = max(best, 2.0 ** (gamma * m) * sup)
     return best
 

@@ -240,7 +240,8 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     LU-factors it there, in place; ``levenberg(mu)`` refills J into the same
     buffer before adding mu on the field diagonal.  A solve is valid until
     the next factorization, so ``levenberg`` ends the use of ``solve``.  An
-    exactly zero pivot or a non-finite factor raises SingularJacobian.
+    exactly zero pivot or a non-finite factor (as a non-finite entry of J
+    gives) raises SingularJacobian.
 
     With ``anchor`` (a packed direction), the system is bordered with the
     phase condition <anchor, delta> = 0: autonomous problems have the exact
@@ -268,10 +269,12 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
                 J[n, n] = 0.0
             if mu:  # Levenberg: damp only the field block, not the border
                 J[range(n), range(n)] += mu
-            lu = scipy.linalg.lu_factor(J, overwrite_a=True)
+            # scipy's scan for non-finite input is skipped: a non-finite J
+            # gives a non-finite factor, and every right-hand side is finite
+            lu = scipy.linalg.lu_factor(J, overwrite_a=True, check_finite=False)
             if not (np.all(np.isfinite(lu[0])) and np.all(np.diagonal(lu[0]))):
                 raise SingularJacobian("zero pivot or non-finite factorization")
-            return bordered(partial(scipy.linalg.lu_solve, lu))
+            return bordered(partial(scipy.linalg.lu_solve, lu, check_finite=False))
 
         return factor(0.0), factor
 

@@ -30,17 +30,24 @@ transforms along t only the 2 jmax + 1 lattice rows, because the other
 rows are zero, and analysis transforms along x only the 2M + 1 lattice
 columns it keeps.  Each kept value is computed as ``ifft2``/``fft2``
 computes it, so the results equal theirs bit for bit.  The grid norms read
-|u| through ``abs_values``, which sends an exactly Hermitian field through a
+|u| through ``abs_blocks``, which sends an exactly Hermitian field through a
 pruned real inverse transform: ``scipy.fft.ifft`` along t on the rows
-j >= 0, then the x pass as one real matrix product with a cached
+j >= 0, then the x pass as real matrix products with a cached
 nx x 2(jmax + 1) cos/sin table (``_synthesis_table``), which reads only the
 jmax + 1 nonzero rows where ``irfft`` along x transformed all nx/2 + 1.  At
-M = 64 (520 x 520 grid, 2-core x86 host, one BLAS thread) the product took
-0.6 ms against 2.0 ms for ``irfft`` (0.9 against 3.2 ms in a slower
+M = 64 (520 x 520 grid, 2-core x86 host, one BLAS thread) the whole product
+took 0.6 ms against 2.0 ms for ``irfft`` (0.9 against 3.2 ms in a slower
 period); it equals the complex path to about 1e-15 relative, and its last
-bits depend on the BLAS build, as the solver's LU already does.  The solver stays on the complex path because its Newton
-trajectories are sensitive to rounding: the real path flipped one cold
-seed of the M = 24 multiplicity search.
+bits depend on the BLAS build, as the solver's LU already does.  The x pass
+runs in row blocks of ``GRID_BLOCK`` grid values (64 KiB), each a slice of
+the table times the t-pass coefficients, written into one buffer that
+serves the whole grid; the L^p and sup norms reduce each block before the
+next is made.  A full 520 x 520 grid is a 2.1 MB array, which the C
+allocator maps fresh and returns to the system on every call: at M = 64
+the verify ensembles spent about a quarter of their time in the page
+faults of those grids.  The solver stays on the complex path because its
+Newton trajectories are sensitive to rounding: the real path flipped one
+cold seed of the M = 24 multiplicity search.
 
 All operations are pure: fields are treated as immutable values.
 """
@@ -60,6 +67,9 @@ import scipy.fft
 from .errors import GridTooCoarse, NotHermitian, NotInKernel
 
 Q_AREA = 2.0 * np.pi**2  # |Q| = pi * 2pi
+
+# grid values per row block of the grid norms' pass (64 KiB of float64)
+GRID_BLOCK = 8192
 
 DOMAIN_LABEL = "x:[0,pi],t:[0,2pi]"
 NORMALIZATION_LABEL = "unit-modes"
@@ -271,10 +281,15 @@ class GridField:
         return np.pi * np.arange(self.nx) / self.nx
 
 
+def cell_area(nx: int, nt: int) -> float:
+    """Area (pi/nx)(2 pi/nt) of one cell of the nx x nt grid."""
+    return (np.pi / nx) * (2.0 * np.pi / nt)
+
+
 def grid_integral(values: np.ndarray) -> float:
-    """int_Q of grid samples by the rectangle rule, cell (pi/nx)(2 pi/nt)."""
-    nx, nt = values.shape
-    return float(np.sum(values)) * ((np.pi / nx) * (2.0 * np.pi / nt))
+    """int_Q of grid samples by the rectangle rule: their sum times
+    ``cell_area``."""
+    return float(np.sum(values)) * cell_area(*values.shape)
 
 
 def pack(u: SpectralField) -> np.ndarray:
@@ -351,35 +366,53 @@ def _synthesis_table(jmax: int, nx: int) -> np.ndarray:
     return table
 
 
-def _hermitian_values(u: SpectralField, nx: int, nt: int) -> np.ndarray:
-    """Real grid samples of an exactly Hermitian field by the pruned transform.
+def _hermitian_values(u: SpectralField, nx: int, nt: int):
+    """Real grid samples of an exactly Hermitian field by the pruned transform,
+    yielded as consecutive row blocks of about ``GRID_BLOCK`` values.
 
-    Only the rows j >= 0 are transformed along t.  The x pass is one real
-    product with ``_synthesis_table``: u(x_a, .) = sum_j w_j Re(A_j e^{2 pi i
-    j a / nx}) restores the rows j < 0 from the symmetry and skips the rows
-    above jmax, which are zero.
+    Only the rows j >= 0 are transformed along t.  The x pass of a block is
+    one real product of its rows of ``_synthesis_table`` with the t-pass
+    coefficients: u(x_a, .) = sum_j w_j Re(A_j e^{2 pi i j a / nx}) restores
+    the rows j < 0 from the symmetry and skips the rows above jmax, which
+    are zero.  Every block is written into one buffer that serves the whole
+    grid, so a block is valid only until the next one is requested.
     """
     _require_grid(u.M, nx, nt)
     jmax = lattice(u.M).jmax
     A = np.zeros((jmax + 1, nt), dtype=np.complex128)
     A[:, np.arange(-u.M, u.M + 1) % nt] = u.coeffs[jmax:]
-    A = scipy.fft.ifft(A, axis=1, norm="forward")
-    return _synthesis_table(jmax, nx) @ np.concatenate((A.real, A.imag))
+    A = scipy.fft.ifft(A, axis=1, norm="forward", overwrite_x=True)
+    C = np.concatenate((A.real, A.imag))
+    table = _synthesis_table(jmax, nx)
+    rows = max(1, GRID_BLOCK // nt)
+    buf = np.empty((min(rows, nx), nt))
+    for a in range(0, nx, rows):
+        block = buf[:min(rows, nx - a)]
+        np.matmul(table[a:a + rows], C, out=block)
+        yield block
 
 
-def abs_values(u: SpectralField, nx: int, nt: int) -> np.ndarray:
-    """|u| on the nx x nt grid: the one grid path of the L^p and sup norms.
+def abs_blocks(u: SpectralField, nx: int, nt: int):
+    """|u| on the nx x nt grid as consecutive row blocks: the one grid pass
+    of the L^p and sup norms, which reduce it block by block.
 
     An exactly Hermitian field takes the pruned real transform
-    (``_hermitian_values``), whose samples take their absolute value in
-    place; any other field, e.g. a sign-quadrant piece, takes the complex
-    ``synthesize_values``.
+    (``_hermitian_values``), whose blocks take their absolute value in
+    place; a block is valid only until the next one is requested.  Any
+    other field, e.g. a sign-quadrant piece, takes the complex
+    ``synthesize_values`` as a single block.
     """
     c = u.coeffs
     if np.array_equal(c, np.conj(c[::-1, ::-1])):
-        v = _hermitian_values(u, nx, nt)
-        return np.abs(v, out=v)
-    return np.abs(synthesize_values(u, nx, nt))
+        for v in _hermitian_values(u, nx, nt):
+            yield np.abs(v, out=v)
+    else:
+        yield np.abs(synthesize_values(u, nx, nt))
+
+
+def abs_values(u: SpectralField, nx: int, nt: int) -> np.ndarray:
+    """|u| on the whole nx x nt grid: the blocks of ``abs_blocks`` stacked."""
+    return np.concatenate([block.copy() for block in abs_blocks(u, nx, nt)])
 
 
 def synthesize(u: SpectralField, nx: int | None = None, nt: int | None = None) -> GridField:
@@ -398,7 +431,7 @@ def synthesize(u: SpectralField, nx: int | None = None, nt: int | None = None) -
 def grid_max_abs(u: SpectralField, oversample: int = 4) -> float:
     """Grid maximum of |u| at the given oversampling (lower bound on the sup)."""
     n = default_grid(u.M, oversample)
-    return float(np.max(abs_values(u, n, n)))
+    return max(float(np.max(a)) for a in abs_blocks(u, n, n))
 
 
 def project(u: SpectralField, tag: SubspaceTag) -> SpectralField:

@@ -13,7 +13,8 @@ from wavetorus.cli import (
     parse_config,
     run,
 )
-from wavetorus.norms import holder_estimate
+from wavetorus.norms import holder_estimate, norm_Lp
+from wavetorus.spectral import default_grid
 from wavetorus.verify import MONITORED
 from tests.conftest import DEFAULT_NL_SPEC
 
@@ -395,25 +396,47 @@ def test_main_rejects_field_file_of_other_truncation(tmp_path, capsys, section, 
     assert_one_config_error(capsys, key)
 
 
-@pytest.mark.parametrize("suite, ps", [("hy", [4.0 / 3.0, 1.5, 2.0]), ("gn", [3.0, 4.0])])
-def test_verify_suite_synthesizes_each_field_once(tmp_path, monkeypatch, suite, ps):
-    # every exponent of a suite, and GN's L2 norm, come from one |u| grid per field
+def count_grid_passes(monkeypatch):
+    """The grid sizes of the blocked passes the norms module makes from now on."""
     import wavetorus.norms
 
-    count, grids = 5, []
-    abs_values = wavetorus.norms.abs_values
+    grids = []
+    abs_blocks = wavetorus.norms.abs_blocks
 
     def counting(u, nx, nt):
         grids.append((nx, nt))
-        return abs_values(u, nx, nt)
+        return abs_blocks(u, nx, nt)
 
-    monkeypatch.setattr(wavetorus.norms, "abs_values", counting)
+    monkeypatch.setattr(wavetorus.norms, "abs_blocks", counting)
+    return grids
+
+
+@pytest.mark.parametrize("suite, ps", [("hy", [4.0 / 3.0, 1.5, 2.0]), ("gn", [3.0, 4.0])])
+def test_verify_suite_synthesizes_each_field_once(tmp_path, monkeypatch, suite, ps):
+    # every exponent of a suite, and GN's L2 norm, come from one blocked pass per field
+    count, grids = 5, count_grid_passes(monkeypatch)
     cfg = parse_config({"command": "verify", "seed": 3,
                         "verify": {"suite": suite, "count": count, "ensemble_M": 8}})
     assert run(cfg, str(tmp_path)) == EXIT_OK
     assert len(grids) == count
     rep = json.loads((tmp_path / "report.json").read_text())
     assert [r["parameters"]["p"] for r in rep["reports"]] == ps
+
+
+def test_norms_command_synthesizes_the_field_once(tmp_path, monkeypatch):
+    # every L^p exponent comes from one blocked pass, equal to its own norm_Lp
+    u = random_field(2, 10, decay=0.2)
+    fpath = tmp_path / "field.json"
+    write_field(u, fpath)
+    ps = [1.0, 1.5, 2.0, 3.0, 4.0, 2.5]
+    doc = {"command": "norms", "norms": {"field": str(fpath), "p": ps, "gamma": []}}
+    path = write_config(tmp_path, doc)
+    grids = count_grid_passes(monkeypatch)
+    assert main(["norms", "--config", path, "--out", str(tmp_path / "n")]) == EXIT_OK
+    assert grids == [(default_grid(10), default_grid(10))]
+    rows = json.loads((tmp_path / "n" / "norms.json").read_text())
+    assert [(r["params"]["p"], r["value"]) for r in rows if r["name"] == "Lp"] == [
+        (p, norm_Lp(u, p)) for p in ps]
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", '"text"', "3"])

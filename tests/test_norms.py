@@ -24,7 +24,14 @@ from wavetorus import (
     truncate,
 )
 from wavetorus.norms import _power
-from wavetorus.spectral import abs_values, default_grid, grid_integral
+from wavetorus.spectral import (
+    GRID_BLOCK,
+    abs_blocks,
+    cell_area,
+    default_grid,
+    grid_integral,
+    grid_max_abs,
+)
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -274,17 +281,69 @@ def test_lp_norms_reject_any_exponent_below_one():
 
 @pytest.mark.parametrize("M", [6, 16, 64])
 def test_lp_norms_products_agree_with_pow(M):
-    # p = 1.5, 3, 4 take products, equal to a**p to rounding; the rest is a**p
+    # p = 1.5, 3, 4 take products, equal to a**p to rounding; the rest is a**p,
+    # summed over the same row blocks in the same order
     u = random_field(3, M, SubspaceTag.ALL, 0.1)
     n = default_grid(M)
-    a = abs_values(u, n, n)
     ps = (1.5, 3, 4.0, 1.0, 2.0, 2.5, 3.5, 6.0)
-    for p, got in zip(ps, lp_norms(u, ps)):
-        ref = grid_integral(a**p) ** (1.0 / p)
+    sums = [0.0] * len(ps)
+    for a in abs_blocks(u, n, n):
+        for i, p in enumerate(ps):
+            sums[i] += float(np.sum(a**p))
+    for p, s, got in zip(ps, sums, lp_norms(u, ps)):
+        ref = (s * cell_area(n, n)) ** (1.0 / p)
         if p in (1.5, 3, 4):
             assert abs(got - ref) <= 1e-14 * ref
         else:
             assert got == ref
+
+
+@pytest.mark.parametrize("M, nx, nt", [
+    (0, 2, 2), (0, 3, GRID_BLOCK + 1),  # one row per block
+    (3, 9, 8), (5, 13, 17),  # the whole grid in one block
+    (24, 200, 201), (24, 201, 200), (33, 271, 269),
+    (64, 520, 520), (64, 521, 519),  # 15 rows per block; 520 is not a multiple
+    (96, 777, 776),
+])
+def test_abs_blocks_stack_to_the_complex_path(M, nx, nt):
+    u = random_field((M, nx, nt), M, SubspaceTag.ALL, 0.0)
+    ref = np.abs(synthesize_values(u, nx, nt))
+    rows = max(1, GRID_BLOCK // nt)
+    blocks = [a.copy() for a in abs_blocks(u, nx, nt)]
+    assert [len(a) for a in blocks[:-1]] == [rows] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]) <= rows
+    assert np.max(np.abs(np.concatenate(blocks) - ref)) <= 1e-13 * np.max(ref)
+
+
+@pytest.mark.parametrize("M", [0, 1, 2, 3, 7, 8, 12, 24, 33, 48, 64, 96])
+@pytest.mark.parametrize("oversample", [1, 4])
+def test_blocked_grid_norms_match_full_grid_reference(M, oversample):
+    # lp_norms, grid_max_abs and holder_estimate against one full |u| grid
+    u = random_field((M, oversample), M, SubspaceTag.ALL, 0.05)
+    n = default_grid(M, oversample)
+    a = np.abs(synthesize_values(u, n, n))
+    ps = (1.0, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, 5.5)
+    for p, got in zip(ps, lp_norms(u, ps, oversample)):
+        ref = grid_integral(a**p) ** (1.0 / p)
+        assert abs(got - ref) <= 1e-13 * ref
+    assert abs(grid_max_abs(u, oversample) - np.max(a)) <= 1e-13 * np.max(a)
+    for gamma in (0.3, 0.7):
+        ref = complex_path_holder(u, gamma, oversample)
+        assert abs(holder_estimate(u, gamma, oversample) - ref) <= 1e-13 * ref
+
+
+def test_lp_norms_never_hold_a_full_grid():
+    import tracemalloc
+
+    u = random_field(5, 64, SubspaceTag.ALL, 0.0)
+    n = default_grid(64)
+    tracemalloc.start()
+    try:
+        lp_norms(u, (4.0 / 3.0, 1.5, 2.0, 3.0, 4.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8  # one 520 x 520 float64 grid, 2.16 MB
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -float("inf")])

@@ -448,6 +448,42 @@ def test_dense_linear_solver_raises_on_zero_pivot(default_nl, monkeypatch, ancho
     assert np.all(np.isfinite(levenberg(1e-4)(rhs)))
 
 
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("anchored", [False, True])
+def test_dense_linear_solver_raises_on_non_finite_jacobian(default_nl, monkeypatch,
+                                                           bad, anchored):
+    # LU runs without scipy's finiteness scan; the non-finite factor still
+    # raises SingularJacobian, for the Newton system and the Levenberg one
+    import wavetorus.solver as solver
+
+    M = 4
+    p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl)
+    u = 0.5 * random_field((M, 33), M, SubspaceTag.ALL, 0.5)
+    n = lattice(M).n_real
+    anchor = None
+    if anchored:
+        t_vec = pack(time_derivative(u))
+        anchor = t_vec / np.linalg.norm(t_vec)
+
+    def identity_with(*entries):
+        def fill(out):
+            out[:n, :n] = np.eye(n)
+            for row, col in entries:
+                out[row, col] = bad
+            return out
+        return lambda p, u: fill
+
+    for entry in ((0, 0), (3, 1), (n - 1, n - 1)):
+        monkeypatch.setattr(solver, "_dense_jacobian", identity_with(entry))
+        with pytest.raises(SingularJacobian, match="non-finite"):
+            _linear_solver(p, u, anchor)
+    monkeypatch.setattr(solver, "_dense_jacobian", identity_with())
+    solve, levenberg = _linear_solver(p, u, anchor)
+    with pytest.raises(SingularJacobian, match="non-finite"):
+        levenberg(bad)
+
+
 def test_levenberg_ladder_skips_singular_mu(default_nl, monkeypatch):
     # a ladder step whose system is singular goes on with the next mu
     import wavetorus.solver as solver

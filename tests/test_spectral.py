@@ -347,17 +347,24 @@ def test_lattice_counts_and_partition(M):
 # -- the pruned real transform of the grid norms -------------------------------
 
 
+def hermitian_values(u, nx, nt):
+    """The row blocks of the pruned real transform, copied and stacked."""
+    from wavetorus.spectral import _hermitian_values
+
+    return np.concatenate([block.copy() for block in _hermitian_values(u, nx, nt)])
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 40), st.integers(0, 9), st.integers(0, 9), seeds,
        st.floats(0.0, 0.5))
 def test_pruned_real_transform_matches_complex_path(M, ex, et, seed, decay):
-    from wavetorus.spectral import _hermitian_values, abs_values, min_grid
+    from wavetorus.spectral import abs_values, min_grid
 
     u = random_field(seed, M, SubspaceTag.ALL, decay)
     nx, nt = min_grid(M) + ex, min_grid(M) + et  # both parities, independent
     ref = synthesize_values(u, nx, nt)
     tol = 1e-13 * np.max(np.abs(ref))
-    assert np.max(np.abs(_hermitian_values(u, nx, nt) - ref.real)) <= tol
+    assert np.max(np.abs(hermitian_values(u, nx, nt) - ref.real)) <= tol
     assert np.max(np.abs(abs_values(u, nx, nt) - np.abs(ref))) <= tol
 
 
@@ -365,13 +372,13 @@ def test_pruned_real_transform_matches_complex_path(M, ex, et, seed, decay):
 @pytest.mark.parametrize("grid", ["min_grid", "default_grid"])
 @pytest.mark.parametrize("odd_x, odd_t", [(0, 0), (1, 0), (0, 1), (1, 1)])
 def test_pruned_real_transform_matches_complex_path_at_large_M(M, grid, odd_x, odd_t):
-    from wavetorus.spectral import _hermitian_values, default_grid, min_grid
+    from wavetorus.spectral import default_grid, min_grid
 
     n = {"min_grid": min_grid, "default_grid": default_grid}[grid](M)  # even
     nx, nt = n + odd_x, n + odd_t
     u = random_field((M, nx, nt), M, SubspaceTag.ALL, 0.0)
     ref = synthesize_values(u, nx, nt)
-    assert np.max(np.abs(_hermitian_values(u, nx, nt) - ref.real)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(hermitian_values(u, nx, nt) - ref.real)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_x_pass_table_is_cached_and_read_only():
