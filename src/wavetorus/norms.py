@@ -86,21 +86,20 @@ def _check_exponents(name: str, ps) -> None:
         raise ValueError(f"{name} must be a finite number >= 1")
 
 
-def _power(a: np.ndarray, p: float) -> np.ndarray:
-    """A new array a**p; at p = 1.5, 3 and 4 the products below, which agree
-    with ``a**p`` to rounding and skip the slower pow."""
-    if p == 1.5:
-        t = np.sqrt(a)
-        t *= a
-    elif p == 3:
-        t = a * a
-        t *= a
-    elif p == 4:
-        t = a * a
-        t *= t
-    else:
-        t = a**p
-    return t
+def _power_sum(a: np.ndarray, p: float) -> float:
+    """Sum of a**p over the nonnegative block a.  At p = 4/3, 1.5, 2, 3 and 4
+    it is a BLAS dot of two factors of a**p (cbrt(a) . a, sqrt(a) . a,
+    a . a, (a a) . a, (a a) . (a a)), equal to the sum of ``a**p`` to
+    rounding and free of the slower pow; any other p sums ``a**p``."""
+    v = a.ravel()
+    if p == 2:
+        return float(v @ v)
+    if p in (3, 4):
+        t = v * v
+        return float(t @ (t if p == 4 else v))
+    if p in (1.5, 4.0 / 3.0):
+        return float((np.sqrt(v) if p == 1.5 else np.cbrt(v)) @ v)
+    return float(np.sum(v**p))
 
 
 def lp_norms(u: SpectralField, ps, oversample: int = 4) -> list:
@@ -112,8 +111,9 @@ def lp_norms(u: SpectralField, ps, oversample: int = 4) -> list:
     in the row blocks of ``abs_blocks``, and each block adds its sum of
     |u|^p for every p before the next is made, so no full-grid array is
     built; no exponents make no pass.  Every p is checked before that; a
-    non-finite p raises ValueError.  |u|^p is ``a**p`` except at p = 1.5, 3
-    and 4, which take products (equal to ``a**p`` to rounding).
+    non-finite p raises ValueError.  A block's sum of |u|^p is
+    ``_power_sum``: a dot product at p = 4/3, 1.5, 2, 3 and 4 (equal to the
+    sum of ``a**p`` to rounding), the sum of ``a**p`` at any other p.
     """
     ps = tuple(ps)
     _check_exponents("p", ps)
@@ -123,7 +123,7 @@ def lp_norms(u: SpectralField, ps, oversample: int = 4) -> list:
     sums = [0.0] * len(ps)
     for a in abs_blocks(u, n, n):
         for i, p in enumerate(ps):
-            sums[i] += float(np.sum(_power(a, p)))
+            sums[i] += _power_sum(a, p)
     cell = cell_area(n, n)
     return [(s * cell) ** (1.0 / p) for s, p in zip(sums, ps)]
 

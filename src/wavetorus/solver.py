@@ -20,6 +20,13 @@ The functional whose gradient under the area-weighted pairing
 
 kappa = -4 is forced by the E-norm scaling |Q|/4: it is the unique constant
 making gradient and residual agree identically, for either sign convention.
+
+scipy is imported inside the functions that use it: ``scipy.linalg`` by
+``_linear_solver``, ``scipy.sparse.linalg`` on its lgmres path and
+``scipy.optimize`` by ``linking_report``.  Importing the package, and the
+commands that never solve (``verify``, ``norms``), then load no scipy
+module; ``lu_factor`` and ``lu_solve`` are still looked up on the
+``scipy.linalg`` module at call time.
 """
 
 from __future__ import annotations
@@ -28,9 +35,6 @@ from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache, partial
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
-import scipy.sparse.linalg
 
 from .errors import NoConvergence, SingularJacobian, StallAt
 from .norms import norm_E, sobolev_norm
@@ -248,6 +252,8 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     null vector d/dt u at any time-dependent solution, and the bordered
     solve removes it while staying an LU factorization.
     """
+    import scipy.linalg  # not at module level: see the module docstring
+
     lat = lattice(p.M)
     n = lat.n_real
     dim = n if anchor is None else n + 1
@@ -277,6 +283,8 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
             return bordered(partial(scipy.linalg.lu_solve, lu, check_finite=False))
 
         return factor(0.0), factor
+
+    import scipy.sparse.linalg
 
     U, fu_vals = _on_grid(p, u, 1)
     ng = U.shape[0]
@@ -314,9 +322,11 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
 
 def _backtrack(p: PenalizedProblem, u: SpectralField, rnorm: float,
                step: SpectralField, floor: float, accept):
-    """First trial u + lam step, lam = 1, 1/2, ... >= floor, that ``accept``
-    passes or that lowers the residual norm by the factor 1 - 1e-4 lam.
+    """First trial u + lam step, lam = 1, 1/2, ... >= floor, that lowers the
+    residual norm by the factor 1 - 1e-4 lam or that ``accept`` passes.
 
+    The decrease is tested first, so ``accept``, which must have no side
+    effects and may cost a linear solve, runs only on trials that fail it.
     Returns (u_try, R_try, |R_try|), or None when every trial fails.
     """
     lam = 1.0
@@ -324,7 +334,7 @@ def _backtrack(p: PenalizedProblem, u: SpectralField, rnorm: float,
         u_try = u + lam * step
         R_try = residual(p, u_try)
         r_try = R_try.l2()
-        if accept(lam, R_try, r_try) or r_try <= (1.0 - 1e-4 * lam) * rnorm:
+        if r_try <= (1.0 - 1e-4 * lam) * rnorm or accept(lam, R_try, r_try):
             return u_try, R_try, r_try
         lam *= 0.5
     return None
@@ -528,8 +538,12 @@ def _phase_table(M: int):
 def max_time_correlation(u1: SpectralField, u2: SpectralField):
     """max over theta of <u1(., . + theta), u2> / (||u1|| ||u2||), with argmax.
 
-    The correlation is a trig polynomial in theta (coefficients from the
-    k-axis transform), scanned on a dense grid and refined by 1-D search.
+    The correlation c(theta) = Re sum_k c_k e^{ik theta} / (||u1|| ||u2||) is
+    a trig polynomial in theta (c_k from the k-axis sums).  It is scanned on
+    ``PHASE_GRID`` points, and the grid argmax is refined by Newton steps on
+    c'(theta) = 0 with the analytic c' and c'' while c'' < 0 and the iterate
+    stays within two grid steps.  The refined value is returned when it is
+    not below the grid maximum, the grid maximum otherwise.
     """
     n1, n2 = u1.l2(), u2.l2()
     if n1 < 1e-15 and n2 < 1e-15:
@@ -539,19 +553,24 @@ def max_time_correlation(u1: SpectralField, u2: SpectralField):
     u1, u2 = unify(u1, u2)
     ck = np.sum(u1.coeffs * np.conj(u2.coeffs), axis=0)  # index k + M
     ks = np.arange(-u1.M, u1.M + 1)
-
-    def corr(theta):
-        return float(np.real(np.sum(ck * np.exp(1j * ks * theta)))) / (n1 * n2)
-
     thetas, table = _phase_table(u1.M)
     vals = np.real(table @ ck) / (n1 * n2)
     i0 = int(np.argmax(vals))
     dt = 2.0 * np.pi / PHASE_GRID
-    res = scipy.optimize.minimize_scalar(
-        lambda th: -corr(th), bounds=(thetas[i0] - 2 * dt, thetas[i0] + 2 * dt),
-        method="bounded", options={"xatol": 1e-13})
-    if -res.fun >= vals[i0]:
-        return float(-res.fun), float(res.x % (2.0 * np.pi))
+    theta = thetas[i0]
+    for _ in range(8):
+        terms = ck * np.exp(1j * ks * theta)
+        d1 = -float(np.sum(ks * terms.imag))  # c' and c'', times ||u1|| ||u2||
+        d2 = -float(np.sum(ks * ks * terms.real))
+        if not d2 < 0.0 or abs(theta - d1 / d2 - thetas[i0]) > 2 * dt:
+            break
+        step = d1 / d2
+        theta -= step
+        if abs(step) <= 1e-15:
+            break
+    best = float(np.real(np.sum(ck * np.exp(1j * ks * theta)))) / (n1 * n2)
+    if best >= vals[i0]:
+        return best, float(theta % (2.0 * np.pi))
     return float(vals[i0]), float(thetas[i0])
 
 
@@ -632,6 +651,8 @@ def linking_report(p: PenalizedProblem, l_values, rho_values=(0.25, 0.5, 1.0, 2.
     sampled infimum of the functional over energy-norm spheres orthogonal to
     the previous level.  Reports whether M(l) is nondecreasing.
     """
+    import scipy.optimize
+
     lat = lattice(p.M)
 
     def packed_index(sel):

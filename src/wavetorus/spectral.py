@@ -31,23 +31,24 @@ rows are zero, and analysis transforms along x only the 2M + 1 lattice
 columns it keeps.  Each kept value is computed as ``ifft2``/``fft2``
 computes it, so the results equal theirs bit for bit.  The grid norms read
 |u| through ``abs_blocks``, which sends an exactly Hermitian field through a
-pruned real inverse transform: ``scipy.fft.ifft`` along t on the rows
+pruned real inverse transform: numpy's ``ifft`` along t on the rows
 j >= 0, then the x pass as real matrix products with a cached
 nx x 2(jmax + 1) cos/sin table (``_synthesis_table``), which reads only the
 jmax + 1 nonzero rows where ``irfft`` along x transformed all nx/2 + 1.  At
 M = 64 (520 x 520 grid, 2-core x86 host, one BLAS thread) the whole product
 took 0.6 ms against 2.0 ms for ``irfft`` (0.9 against 3.2 ms in a slower
 period); it equals the complex path to about 1e-15 relative, and its last
-bits depend on the BLAS build, as the solver's LU already does.  The x pass
-runs in row blocks of ``GRID_BLOCK`` grid values (64 KiB), each a slice of
-the table times the t-pass coefficients, written into one buffer that
-serves the whole grid; the L^p and sup norms reduce each block before the
-next is made.  A full 520 x 520 grid is a 2.1 MB array, which the C
-allocator maps fresh and returns to the system on every call: at M = 64
-the verify ensembles spent about a quarter of their time in the page
-faults of those grids.  The solver stays on the complex path because its
-Newton trajectories are sensitive to rounding: the real path flipped one
-cold seed of the M = 24 multiplicity search.
+bits depend on numpy's FFT (pocketfft) and on the BLAS build, as the
+solver's LU already does.  Every transform here is numpy's, so this module
+imports no scipy.  The x pass runs in row blocks of ``GRID_BLOCK`` grid
+values (64 KiB), each a slice of the table times the t-pass coefficients,
+written into one buffer that serves the whole grid; the L^p and sup norms
+reduce each block before the next is made.  A full 520 x 520 grid is a
+2.1 MB array, which the C allocator maps fresh and returns to the system on
+every call: at M = 64 the verify ensembles spent about a quarter of their
+time in the page faults of those grids.  The solver stays on the complex
+path because its Newton trajectories are sensitive to rounding: the real
+path flipped one cold seed of the M = 24 multiplicity search.
 
 All operations are pure: fields are treated as immutable values.
 """
@@ -62,7 +63,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .errors import GridTooCoarse, NotHermitian, NotInKernel
 
@@ -381,7 +381,7 @@ def _hermitian_values(u: SpectralField, nx: int, nt: int):
     jmax = lattice(u.M).jmax
     A = np.zeros((jmax + 1, nt), dtype=np.complex128)
     A[:, np.arange(-u.M, u.M + 1) % nt] = u.coeffs[jmax:]
-    A = scipy.fft.ifft(A, axis=1, norm="forward", overwrite_x=True)
+    A = np.fft.ifft(A, axis=1, norm="forward")
     C = np.concatenate((A.real, A.imag))
     table = _synthesis_table(jmax, nx)
     rows = max(1, GRID_BLOCK // nt)

@@ -504,3 +504,58 @@ def test_continue_stall_writes_the_rows_reached(tmp_path, monkeypatch, capsys):
     assert [r.split(",")[0] for r in rows[1:]] == ["0.1", "0.05"]
     assert not (out / "solution_final.json").exists()
     assert "line search stalled" in capsys.readouterr().err
+
+
+_SCIPY_STAGES = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+if sys.argv[1] == "linalg":
+    import scipy.linalg
+    print(json.dumps(scipy_modules()))
+    raise SystemExit
+from wavetorus.cli import parse_config, run
+stages = {"import": scipy_modules()}
+for i, doc in enumerate(json.loads(sys.argv[1])):
+    assert run(parse_config(doc), sys.argv[2] + str(i)) == 0
+    stages[doc["command"]] = scipy_modules()
+print(json.dumps(stages))
+"""
+
+
+def test_grid_norm_commands_load_no_scipy(tmp_path):
+    # import, verify and norms load no scipy module; a solve loads scipy.linalg
+    # and, of scipy.fft and scipy.optimize, only what scipy.linalg itself loads
+    import os
+    import subprocess
+    import sys
+
+    import wavetorus
+
+    fpath = tmp_path / "field.json"
+    write_field(random_field(1, 8, decay=0.3), fpath)
+    docs = [{"command": "verify", "seed": 5,
+             "verify": {"suite": "all", "count": 4, "ensemble_M": 8, "tails": [4],
+                        "tail_count": 4}},
+            {"command": "norms", "norms": {"field": str(fpath),
+                                           "p": [4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, 2.5],
+                                           "gamma": [0.5]}},
+            minimal_solve_config(initial={"kind": "random", "amplitude": 0.3})]
+    src = os.path.dirname(os.path.dirname(wavetorus.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def stages(*args):
+        out = subprocess.run([sys.executable, "-c", _SCIPY_STAGES, *args], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        return json.loads(out)
+
+    seen = stages(json.dumps(docs), str(tmp_path / "out"))
+    assert seen["import"] == seen["verify"] == seen["norms"] == []
+    assert "scipy.linalg" in seen["solve"]
+
+    def fft_or_optimize(mods):
+        return {m for m in mods if m.startswith(("scipy.fft", "scipy.optimize"))}
+
+    assert fft_or_optimize(seen["solve"]) <= fft_or_optimize(stages("linalg"))

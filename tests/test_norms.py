@@ -23,7 +23,7 @@ from wavetorus import (
     synthesize_values,
     truncate,
 )
-from wavetorus.norms import _power
+from wavetorus.norms import _power_sum
 from wavetorus.spectral import (
     GRID_BLOCK,
     abs_blocks,
@@ -246,7 +246,7 @@ def test_grid_norms_of_non_hermitian_fields_keep_complex_path(seed, M, p, gamma)
     n = default_grid(M)
     for q in quadrant_split(u):
         vals = np.abs(synthesize_values(q, n, n))
-        assert norm_Lp(q, p) == grid_integral(_power(vals, p)) ** (1.0 / p)
+        assert norm_Lp(q, p) == (_power_sum(vals, p) * cell_area(n, n)) ** (1.0 / p)
         assert holder_estimate(q, gamma) == complex_path_holder(q, gamma)
 
 
@@ -279,20 +279,24 @@ def test_lp_norms_reject_any_exponent_below_one():
             lp_norms(u, ps)
 
 
+# exponents whose block sums are dot products in _power_sum; the rest sum a**p
+DOT_EXPONENTS = (4.0 / 3.0, 1.5, 2.0, 3, 4.0)
+
+
 @pytest.mark.parametrize("M", [6, 16, 64])
 def test_lp_norms_products_agree_with_pow(M):
-    # p = 1.5, 3, 4 take products, equal to a**p to rounding; the rest is a**p,
+    # the dot-product exponents equal a**p to rounding; the rest is a**p,
     # summed over the same row blocks in the same order
     u = random_field(3, M, SubspaceTag.ALL, 0.1)
     n = default_grid(M)
-    ps = (1.5, 3, 4.0, 1.0, 2.0, 2.5, 3.5, 6.0)
+    ps = (*DOT_EXPONENTS, 1.0, 2.5, 3.5, 6.0, 1.25)
     sums = [0.0] * len(ps)
     for a in abs_blocks(u, n, n):
         for i, p in enumerate(ps):
             sums[i] += float(np.sum(a**p))
     for p, s, got in zip(ps, sums, lp_norms(u, ps)):
         ref = (s * cell_area(n, n)) ** (1.0 / p)
-        if p in (1.5, 3, 4):
+        if p in DOT_EXPONENTS:
             assert abs(got - ref) <= 1e-14 * ref
         else:
             assert got == ref

@@ -565,6 +565,25 @@ def test_self_correlation_of_translate_is_one():
     assert abs(theta - 0.7) <= 1e-6
 
 
+@settings(max_examples=40, deadline=None)
+@given(seeds, seeds, st.integers(1, 24), st.floats(0.0, 0.5), st.floats(0.0, 1.0))
+def test_time_correlation_refines_the_grid_maximum(s1, s2, M, decay, mix):
+    # the Newton refinement never returns less than the scan's maximum, and
+    # its argmax is a critical point of the trig polynomial c(theta)
+    from wavetorus.solver import _phase_table
+
+    u1 = random_field(s1, M, SubspaceTag.ALL, decay)
+    u2 = time_translate(u1, 1.0 + 2.0 * mix) + mix * random_field(s2, M, SubspaceTag.ALL, decay)
+    c, theta = max_time_correlation(u1, u2)
+    norms = u1.l2() * u2.l2()
+    ck = np.sum(u1.coeffs * np.conj(u2.coeffs), axis=0)
+    assert c >= np.max(np.real(_phase_table(M)[1] @ ck) / norms)
+    ck, ks = ck / norms, np.arange(-M, M + 1)
+    assert 0.0 <= theta < 2.0 * np.pi
+    slope = np.real(1j * ks * ck) @ np.cos(ks * theta) - np.imag(1j * ks * ck) @ np.sin(ks * theta)
+    assert abs(slope) <= 1e-9 * max(np.sum(np.abs(ks * ck)), 1e-300)
+
+
 def test_dedup_merges_translates(default_nl):
     from wavetorus.solver import SolutionState
 
