@@ -11,7 +11,6 @@ stall on stderr and exits with status 3, the CLI's solver-failure code.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -27,6 +26,7 @@ from wavetorus import (
     random_field,
 )
 from wavetorus.cli import EXIT_SOLVER
+from wavetorus.spectral import write_json
 
 DEFAULT_NL = {
     "a": [{"j": 0, "c": 1.0}, {"j": 1, "c_sin": 0.5}],
@@ -65,8 +65,7 @@ def main(argv=None):
               f"vt={r.v_t_l2:.4f}  vtt={r.v_tt_l2:.4f}  wH2={r.w_h2:.3f}")
     if trace.rows:
         monitor = apriori_monitor(trace)
-        with open(os.path.join(args.out, "monitor.json"), "w") as fh:
-            json.dump(monitor, fh, sort_keys=True, indent=1)
+        write_json(os.path.join(args.out, "monitor.json"), monitor)
         for name, q in monitor["per_quantity"].items():
             print(f"{name}: ratio {q['ratio']:.4f}"
                   + ("" if q["within_bound"] else "  EXCEEDS BOUND"))

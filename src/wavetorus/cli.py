@@ -31,7 +31,6 @@ from .norms import (
     norm_lq,
     sobolev_norm,
     write_norm_reports_csv,
-    write_norm_reports_json,
 )
 from .solver import (
     BetaSchedule,
@@ -42,6 +41,7 @@ from .solver import (
     newton_solve,
 )
 from .spectral import SpectralField, SubspaceTag, random_field, read_field, write_field
+from .spectral import write_json as _write_json  # the benchmark's spans look it up by this name
 from .verify import (
     EnsembleSpec,
     apriori_monitor,
@@ -280,12 +280,6 @@ def _provenance(cfg: RunConfig) -> dict:
             "version": __version__}
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def _load_field(cfg: RunConfig, key: str, match_M: bool = True) -> SpectralField:
     """The field file named by config ``key``; ParseError if it cannot be read,
     is not a field file, or (with ``match_M``) has another truncation."""
@@ -364,13 +358,15 @@ def _cmd_continue(cfg: RunConfig, out: str) -> dict:
                          float(cfg.beta["floor"]))
     p = _build_problem(cfg, sched.start)
     p, _ = _build_forcing(cfg, p)
+    stall = None
     try:
         trace = continuation_beta(p, sched, _initial_field(cfg), tol=cfg.newton["tol"],
                                   max_iter=cfg.newton["max_iter"])
     except StallAt as exc:  # keep the rows reached before the stall
-        exc.trace.to_csv(os.path.join(out, "trace.csv"))
-        raise
+        stall, trace = exc, exc.trace
     trace.to_csv(os.path.join(out, "trace.csv"))
+    if stall is not None:
+        raise stall
     write_field(trace.rows[-1].u, os.path.join(out, "solution_final.json"))
     monitor = apriori_monitor(trace)
     return {"n_rows": len(trace.rows), "monitor": monitor,
@@ -448,7 +444,7 @@ def _cmd_norms(cfg: RunConfig, out: str) -> dict:
     for g in cfg.norms.get("gamma", [0.5]):
         reports.append(NormReport("holder_proxy",
                                   holder_estimate(u, float(g), cfg.oversample), {"gamma": g}))
-    write_norm_reports_json(reports, os.path.join(out, "norms.json"))
+    _write_json(os.path.join(out, "norms.json"), [r.to_dict() for r in reports])
     write_norm_reports_csv(reports, os.path.join(out, "norms.csv"))
     return {"n_reports": len(reports), "files": {"json": "norms.json",
                                                  "csv": "norms.csv"}}
@@ -519,21 +515,19 @@ def run(cfg: RunConfig, out_dir: str | None = None) -> int:
     report = {"command": cfg.command, "provenance": _provenance(cfg)}
     try:
         payload = _COMMANDS[cfg.command][1](cfg, out)
+    except ParseError:
+        raise  # a bad field file named by the config: main reports a config error
     except WavetorusError as exc:
-        if isinstance(exc, ParseError):
-            raise  # a bad field file named by the config: main reports a config error
-        report["status"] = "error"
-        report["error_type"] = type(exc).__name__
-        report["reason"] = str(exc)
-        _write_json(os.path.join(out, "report.json"), report)
+        report.update(status="error", error_type=type(exc).__name__, reason=str(exc))
         print(f"wavetorus: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    report["status"] = "ok"
-    report.update(payload)
-    code = EXIT_OK
-    if cfg.command == "verify" and report.get("violation_count", 0) > 0:
-        report["status"] = "violation"
-        code = EXIT_VIOLATION
+        code = EXIT_SOLVER
+    else:
+        report["status"] = "ok"
+        report.update(payload)
+        code = EXIT_OK
+        if cfg.command == "verify" and report.get("violation_count", 0) > 0:
+            report["status"] = "violation"
+            code = EXIT_VIOLATION
     _write_json(os.path.join(out, "report.json"), report)
     return code
 

@@ -229,11 +229,6 @@ class NormReport:
         return {"name": self.name, "value": self.value, "params": dict(self.parameters)}
 
 
-def write_norm_reports_json(reports, path) -> None:
-    with open(path, "w") as fh:
-        json.dump([r.to_dict() for r in reports], fh, sort_keys=True, indent=1)
-
-
 def write_norm_reports_csv(reports, path) -> None:
     write_csv(path, ("name", "value", "params"),
               ([r.name, r.value, json.dumps(r.parameters, sort_keys=True)] for r in reports))

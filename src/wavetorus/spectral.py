@@ -410,11 +410,6 @@ def abs_blocks(u: SpectralField, nx: int, nt: int):
         yield np.abs(synthesize_values(u, nx, nt))
 
 
-def abs_values(u: SpectralField, nx: int, nt: int) -> np.ndarray:
-    """|u| on the whole nx x nt grid: the blocks of ``abs_blocks`` stacked."""
-    return np.concatenate([block.copy() for block in abs_blocks(u, nx, nt)])
-
-
 def synthesize(u: SpectralField, nx: int | None = None, nt: int | None = None) -> GridField:
     """Real grid samples; raises NotHermitian if the field is not real-valued."""
     if nx is None:
@@ -563,11 +558,8 @@ def field_to_dict(u: SpectralField) -> dict:
         raise NotHermitian("field file format stores real fields only")
     lat = lattice(u.M)
     keep = lat.mask & ((lat.K > 0) | ((lat.K == 0) & (lat.J >= 0)))
-    entries = []
-    for j, k in zip(lat.J[keep], lat.K[keep]):
-        a = u.get(int(j), int(k))
-        if a != 0:
-            entries.append({"j": int(j), "k": int(k), "re": float(a.real), "im": float(a.imag)})
+    entries = [{"j": int(j), "k": int(k), "re": float(a.real), "im": float(a.imag)}
+               for j, k, a in zip(lat.J[keep], lat.K[keep], u.coeffs[keep]) if a != 0]
     return {
         "M": u.M,
         "domain": DOMAIN_LABEL,
@@ -602,8 +594,7 @@ def field_from_dict(d: dict) -> SpectralField:
 
 
 def write_field(u: SpectralField, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(field_to_dict(u), fh, sort_keys=True)
+    write_json(path, field_to_dict(u))
 
 
 def read_field(path) -> SpectralField:
@@ -622,3 +613,21 @@ def write_csv(path, header, rows) -> None:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+def _finite_or_none(value):
+    """``value`` with every non-finite float in it replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    return None if isinstance(value, float) and not cmath.isfinite(value) else value
+
+
+def write_json(path, payload) -> None:
+    """Write one JSON artifact (report, field file), as every one is written:
+    keys sorted, a one-space indent, a final ``\\n``, and every non-finite
+    float (``np.float64`` included) as ``null``, so the file is strict JSON."""
+    with open(path, "w") as fh:
+        json.dump(_finite_or_none(payload), fh, sort_keys=True, indent=1, allow_nan=False)
+        fh.write("\n")

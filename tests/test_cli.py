@@ -81,6 +81,14 @@ def write_config(tmp_path, doc, name="cfg.json"):
     return str(path)
 
 
+def load_strict(path):
+    """A JSON artifact read as strict JSON: NaN and Infinity raise."""
+    def reject(const):
+        raise ValueError(f"{path} holds {const}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def test_main_config_error_exit_code(tmp_path):
     doc = minimal_solve_config(command="continue",
                                beta={"start": 1e-1, "factor": 1.5, "floor": 1e-4})
@@ -93,7 +101,8 @@ def test_main_missing_config_file(tmp_path):
 
 
 def test_solve_end_to_end_and_deterministic(tmp_path):
-    # every artifact of solve, multi and continue is reproduced byte for byte
+    # every artifact of solve, multi and continue is reproduced byte for byte,
+    # and every JSON artifact is strict JSON ending in a newline
     configs = {
         "solve": minimal_solve_config(),
         "multi": minimal_solve_config(command="multi", beta=1e-4,
@@ -114,6 +123,9 @@ def test_solve_end_to_end_and_deterministic(tmp_path):
         assert len(names) >= 2  # report.json plus at least one artifact
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), (cmd, name)
+            if name.endswith(".json"):
+                assert (a / name).read_bytes().endswith(b"\n"), (cmd, name)
+                load_strict(a / name)
         rep = json.loads((a / "report.json").read_bytes())
         assert rep["status"] == "ok"
         assert rep["provenance"]["seed"] == 11
@@ -126,11 +138,7 @@ def test_solve_with_non_finite_residual_exits_3(tmp_path, capsys):
     out = tmp_path / "nan"
     with np.errstate(all="ignore"):
         assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_SOLVER
-
-    def reject(const):
-        raise ValueError(f"report.json holds {const}")
-
-    rep = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    rep = load_strict(out / "report.json")
     assert rep["status"] == "error"
     assert rep["error_type"] == "NoConvergence"
     assert "non-finite residual" in rep["reason"]
@@ -241,6 +249,27 @@ def test_mms_command(tmp_path):
     assert (tmp_path / "m" / "mms.csv").exists()
 
 
+def test_mms_singular_levels_report_null_errors(tmp_path, monkeypatch):
+    import wavetorus.verify
+    from wavetorus import SingularJacobian
+
+    def singular(*args, **kwargs):
+        raise SingularJacobian("zero pivot")
+
+    monkeypatch.setattr(wavetorus.verify, "newton_solve", singular)
+    doc = {"command": "mms", "seed": 5, "beta": 1e-3, "nl": DEFAULT_NL_SPEC,
+           "mms": {"M_list": [6, 8]}}
+    out = tmp_path / "m"
+    assert main(["mms", "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+    rep = load_strict(out / "report.json")
+    assert rep["n_failed"] == 2
+    for row in rep["rows"]:
+        assert row["failed"] == "SingularJacobian"
+        assert row["l2_error"] is None and row["residual"] is None
+    assert (out / "mms.csv").read_text().splitlines()[1:] == [
+        "6,nan,nan,-1,SingularJacobian", "8,nan,nan,-1,SingularJacobian"]
+
+
 def test_continue_command(tmp_path):
     doc = {"command": "continue", "seed": 3, "M": 8,
            "beta": {"start": 1e-2, "factor": 0.25, "floor": 1e-4},
@@ -254,6 +283,31 @@ def test_continue_command(tmp_path):
     trace = (tmp_path / "c" / "trace.csv").read_text().splitlines()
     assert trace[0].startswith("beta,")
     assert len(trace) == 1 + rep["n_rows"]
+
+
+def test_continue_writes_an_unbounded_monitor_ratio_as_null(tmp_path, monkeypatch):
+    import dataclasses
+
+    import wavetorus.cli
+
+    follow = wavetorus.cli.continuation_beta
+
+    def last_row_off_zero(*args, **kwargs):  # v_c0 = 0 in every row but the last
+        trace = follow(*args, **kwargs)
+        trace.rows[-1] = dataclasses.replace(trace.rows[-1], v_c0=1.0)
+        return trace
+
+    monkeypatch.setattr(wavetorus.cli, "continuation_beta", last_row_off_zero)
+    doc = {"command": "continue", "seed": 3, "M": 6,
+           "beta": {"start": 1e-2, "factor": 0.5, "floor": 5e-3},
+           "nl": DEFAULT_NL_SPEC, "initial": {"kind": "zero"}}
+    out = tmp_path / "c"
+    assert main(["continue", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == EXIT_OK
+    monitor = load_strict(out / "report.json")["monitor"]
+    assert monitor["per_quantity"]["v_c0"] == {"max": 1.0, "min": 0.0, "ratio": None,
+                                               "within_bound": False}
+    assert "v_c0" in monitor["flagged"]
 
 
 def test_continue_csv_header_names_every_monitored_quantity(tmp_path):

@@ -1,10 +1,12 @@
-"""Byte-level pins of the CSV artifacts: header, \\r\\n line ends, repr floats."""
+"""Byte-level pins of the artifacts: CSV (header, \\r\\n line ends, repr floats)
+and JSON (sorted keys, one-space indent, final newline, non-finite as null)."""
 
 import numpy as np
 
 from wavetorus import InequalityReport, NormReport
 from wavetorus.norms import write_norm_reports_csv
 from wavetorus.solver import ContinuationRow, ContinuationTrace
+from wavetorus.spectral import write_json
 from wavetorus.verify import write_mms_csv, write_ratio_csv
 
 
@@ -51,3 +53,15 @@ def test_norms_csv_bytes(tmp_path):
         b"name,value,params\r\n"
         b"E,9.339516453002801,{}\r\n"
         b'sobolev,0.1,"{""convention"": ""aniso"", ""s"": 1.0}"\r\n')
+
+
+def test_json_bytes(tmp_path):
+    payload = {"rows": [{"M": 8, "l2_error": np.float64("nan"), "ratio": -float("inf")},
+                        (1, np.float64(0.1), None)],
+               "name": "hy", "I_value": 2.0 / 3.0}
+    path = tmp_path / "report.json"
+    write_json(path, payload)
+    assert path.read_bytes() == (
+        b'{\n "I_value": 0.6666666666666666,\n "name": "hy",\n "rows": [\n'
+        b'  {\n   "M": 8,\n   "l2_error": null,\n   "ratio": null\n  },\n'
+        b'  [\n   1,\n   0.1,\n   null\n  ]\n ]\n}\n')

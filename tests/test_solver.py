@@ -216,7 +216,7 @@ def test_solver_transforms_pinned_to_complex_fft(default_nl, sigma):
     """The solver's transforms stay the complex ifft2/fft2, bit for bit.
 
     The grid norms take a pruned real inverse transform
-    (``spectral.abs_values``); the solver does not.  Switching the solver's
+    (``spectral.abs_blocks``); the solver does not.  Switching the solver's
     ``synthesize`` to that real path changed residuals at rounding level
     only, yet it flipped one cold seed of the 32-seed M=24 ``multi``
     search: 13 distinct solutions instead of the reference 14, in 2 of 2

@@ -354,18 +354,25 @@ def hermitian_values(u, nx, nt):
     return np.concatenate([block.copy() for block in _hermitian_values(u, nx, nt)])
 
 
+def stacked_abs(u, nx, nt):
+    """|u| on the whole grid: the row blocks of ``abs_blocks``, copied and stacked."""
+    from wavetorus.spectral import abs_blocks
+
+    return np.concatenate([block.copy() for block in abs_blocks(u, nx, nt)])
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 40), st.integers(0, 9), st.integers(0, 9), seeds,
        st.floats(0.0, 0.5))
 def test_pruned_real_transform_matches_complex_path(M, ex, et, seed, decay):
-    from wavetorus.spectral import abs_values, min_grid
+    from wavetorus.spectral import min_grid
 
     u = random_field(seed, M, SubspaceTag.ALL, decay)
     nx, nt = min_grid(M) + ex, min_grid(M) + et  # both parities, independent
     ref = synthesize_values(u, nx, nt)
     tol = 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(hermitian_values(u, nx, nt) - ref.real)) <= tol
-    assert np.max(np.abs(abs_values(u, nx, nt) - np.abs(ref))) <= tol
+    assert np.max(np.abs(stacked_abs(u, nx, nt) - np.abs(ref))) <= tol
 
 
 @pytest.mark.parametrize("M", [48, 64, 96])
@@ -391,17 +398,17 @@ def test_x_pass_table_is_cached_and_read_only():
         table[0, 0] = 0.0
 
 
-def test_abs_values_keeps_complex_path_off_exact_symmetry():
-    from wavetorus.spectral import abs_values
+def test_abs_blocks_keeps_complex_path_off_exact_symmetry():
+    from wavetorus.spectral import abs_blocks
 
     u = random_field(7, 12, SubspaceTag.ALL, 0.1)
     c = u.coeffs.copy()
     c[7, 15] = np.nextafter(c[7, 15].real, np.inf) + 1j * c[7, 15].imag
     near = SpectralField(12, c)  # mode (1, 3): Hermitian to one ulp only
     for f in (near, *quadrant_split(u)):
-        assert np.array_equal(abs_values(f, 30, 27), np.abs(synthesize_values(f, 30, 27)))
-    with pytest.raises(GridTooCoarse):
-        abs_values(u, 25, 40)
+        assert np.array_equal(stacked_abs(f, 30, 27), np.abs(synthesize_values(f, 30, 27)))
+    with pytest.raises(GridTooCoarse):  # a generator: raised at the first block
+        next(abs_blocks(u, 25, 40))
 
 
 # -- the pruned complex transforms of the solver -------------------------------
