@@ -26,13 +26,15 @@ scipy is imported inside the functions that use it: ``scipy.linalg`` by
 ``scipy.optimize`` by ``linking_report``.  Importing the package, and the
 commands that never solve (``verify``, ``norms``), then load no scipy
 module; ``lu_factor`` and ``lu_solve`` are still looked up on the
-``scipy.linalg`` module at call time.
+``scipy.linalg`` module at call time.  ``multi_seed_search`` likewise
+imports ``concurrent.futures`` for its thread pool, the package's only one.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -63,6 +65,7 @@ KAPPA = -4.0
 
 DENSE_LIMIT = 4400  # real unknowns; M = 64 has 4161
 PHASE_GRID = 4096  # scan points of max_time_correlation
+POOL_BYTES = 32 << 20  # dense Newton memory of multi_seed_search's threads together
 
 
 @dataclass(frozen=True)
@@ -524,15 +527,14 @@ def continuation_beta(p0: PenalizedProblem, schedule: BetaSchedule,
 # -- multiplicity search ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _phase_table(M: int):
-    """The scan grid theta_m = 2 pi m / PHASE_GRID and the table
-    e^{i k theta_m}, k = -M..M, of ``max_time_correlation``; built once per M."""
-    thetas = 2.0 * np.pi * np.arange(PHASE_GRID) / PHASE_GRID
-    table = np.exp(1j * np.outer(thetas, np.arange(-M, M + 1)))
-    for a in (thetas, table):
-        a.flags.writeable = False
-    return thetas, table
+def _phase_scan(ck: np.ndarray) -> np.ndarray:
+    """Re sum_k ck[k + M] e^{ik theta_m} on the scan grid theta_m = 2 pi m /
+    PHASE_GRID: one inverse FFT of ck placed at k mod PHASE_GRID (aliased k
+    add up, which is exact on the grid)."""
+    M = (ck.size - 1) // 2
+    a = np.zeros(PHASE_GRID, dtype=np.complex128)
+    np.add.at(a, np.arange(-M, M + 1) % PHASE_GRID, ck)
+    return np.fft.ifft(a, norm="forward").real
 
 
 def max_time_correlation(u1: SpectralField, u2: SpectralField):
@@ -540,10 +542,11 @@ def max_time_correlation(u1: SpectralField, u2: SpectralField):
 
     The correlation c(theta) = Re sum_k c_k e^{ik theta} / (||u1|| ||u2||) is
     a trig polynomial in theta (c_k from the k-axis sums).  It is scanned on
-    ``PHASE_GRID`` points, and the grid argmax is refined by Newton steps on
-    c'(theta) = 0 with the analytic c' and c'' while c'' < 0 and the iterate
-    stays within two grid steps.  The refined value is returned when it is
-    not below the grid maximum, the grid maximum otherwise.
+    ``PHASE_GRID`` points by one inverse FFT (``_phase_scan``), and the grid
+    argmax is refined by Newton steps on c'(theta) = 0 with the analytic c'
+    and c'' while c'' < 0 and the iterate stays within two grid steps.  The
+    refined value is returned when it is not below the grid maximum, the
+    grid maximum otherwise.
     """
     n1, n2 = u1.l2(), u2.l2()
     if n1 < 1e-15 and n2 < 1e-15:
@@ -553,16 +556,15 @@ def max_time_correlation(u1: SpectralField, u2: SpectralField):
     u1, u2 = unify(u1, u2)
     ck = np.sum(u1.coeffs * np.conj(u2.coeffs), axis=0)  # index k + M
     ks = np.arange(-u1.M, u1.M + 1)
-    thetas, table = _phase_table(u1.M)
-    vals = np.real(table @ ck) / (n1 * n2)
+    vals = _phase_scan(ck) / (n1 * n2)
     i0 = int(np.argmax(vals))
     dt = 2.0 * np.pi / PHASE_GRID
-    theta = thetas[i0]
+    theta0 = theta = 2.0 * np.pi * i0 / PHASE_GRID
     for _ in range(8):
         terms = ck * np.exp(1j * ks * theta)
         d1 = -float(np.sum(ks * terms.imag))  # c' and c'', times ||u1|| ||u2||
         d2 = -float(np.sum(ks * ks * terms.real))
-        if not d2 < 0.0 or abs(theta - d1 / d2 - thetas[i0]) > 2 * dt:
+        if not d2 < 0.0 or abs(theta - d1 / d2 - theta0) > 2 * dt:
             break
         step = d1 / d2
         theta -= step
@@ -571,7 +573,7 @@ def max_time_correlation(u1: SpectralField, u2: SpectralField):
     best = float(np.real(np.sum(ck * np.exp(1j * ks * theta)))) / (n1 * n2)
     if best >= vals[i0]:
         return best, float(theta % (2.0 * np.pi))
-    return float(vals[i0]), float(thetas[i0])
+    return float(vals[i0]), theta0
 
 
 def _seed_fields(p: PenalizedProblem, n_seeds: int, master_seed: int):
@@ -603,20 +605,58 @@ def dedup_solutions(found, dedup_threshold: float = 0.99):
     return distinct
 
 
+def _pool_workers(n_seeds: int, n_real: int) -> int:
+    """Threads of ``multi_seed_search``: min(n_seeds, cores // BLAS threads,
+    POOL_BYTES // bytes of one dense solve), at least one.
+
+    Cores are the affinity set (else ``os.cpu_count()``).  BLAS threads are
+    read as OpenBLAS reads them at load, else one per core: then one worker,
+    since threaded LUs on several workers oversubscribe the cores.  A dense
+    solve holds its (n_real + 1)^2 buffer and, in the fill, two gather
+    temporaries of half that size: 12 (n_real + 1)^2 bytes, so from M = 34
+    up the search is serial.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    blas = cores
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, min(n_seeds, cores // blas, POOL_BYTES // (12 * (n_real + 1) ** 2)))
+
+
 def multi_seed_search(p: PenalizedProblem, n_seeds: int,
                       dedup_threshold: float = 0.99, master_seed: int = 0,
                       tol: float = 1e-10, max_iter: int = 60):
     """Newton from a deterministic seed ladder, deduplicated modulo time
-    translation, sorted by functional value."""
+    translation, sorted by functional value.
+
+    The seeds are independent and run on ``_pool_workers`` threads.  Each
+    ``newton_solve`` owns its dense buffer and closures, and the caches the
+    threads share (``lattice``, ``jacobian_gather``) are read-only; LAPACK
+    releases the GIL, so one seed's LU runs beside another seed's work.
+    Results are collected in seed order and deduplicated as in a serial
+    loop, so they do not depend on the worker count.  Seeds ending in
+    NoConvergence or SingularJacobian are skipped; any other error is raised.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # not at module level: start-up
+
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    found = []
-    for seed_u in _seed_fields(p, n_seeds, master_seed):
+
+    def solve(seed_u):
         try:
-            sol = newton_solve(p, seed_u, tol=tol, max_iter=max_iter)
+            return newton_solve(p, seed_u, tol=tol, max_iter=max_iter)
         except (NoConvergence, SingularJacobian):
-            continue
-        found.append(sol)
+            return None
+
+    with ThreadPoolExecutor(_pool_workers(n_seeds, lattice(p.M).n_real)) as pool:
+        found = [sol for sol in pool.map(solve, _seed_fields(p, n_seeds, master_seed))
+                 if sol is not None]
     distinct = dedup_solutions(found, dedup_threshold)
     distinct.sort(key=lambda s: s.I_value)
     return distinct

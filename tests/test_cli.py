@@ -571,7 +571,7 @@ if sys.argv[1] == "linalg":
     print(json.dumps(scipy_modules()))
     raise SystemExit
 from wavetorus.cli import parse_config, run
-stages = {"import": scipy_modules()}
+stages = {"import": scipy_modules(), "futures": "concurrent.futures" in sys.modules}
 for i, doc in enumerate(json.loads(sys.argv[1])):
     assert run(parse_config(doc), sys.argv[2] + str(i)) == 0
     stages[doc["command"]] = scipy_modules()
@@ -581,7 +581,8 @@ print(json.dumps(stages))
 
 def test_grid_norm_commands_load_no_scipy(tmp_path):
     # import, verify and norms load no scipy module; a solve loads scipy.linalg
-    # and, of scipy.fft and scipy.optimize, only what scipy.linalg itself loads
+    # and, of scipy.fft and scipy.optimize, only what scipy.linalg itself loads.
+    # The import loads no concurrent.futures either: only multi's pool needs it
     import os
     import subprocess
     import sys
@@ -607,6 +608,7 @@ def test_grid_norm_commands_load_no_scipy(tmp_path):
 
     seen = stages(json.dumps(docs), str(tmp_path / "out"))
     assert seen["import"] == seen["verify"] == seen["norms"] == []
+    assert seen["futures"] is False
     assert "scipy.linalg" in seen["solve"]
 
     def fft_or_optimize(mods):

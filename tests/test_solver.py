@@ -33,10 +33,12 @@ from wavetorus import (
     time_translate,
 )
 from wavetorus.solver import (
+    PHASE_GRID,
     _dense_jacobian,
     _f_hat,
     _grid_side,
     _linear_solver,
+    _phase_scan,
     dedup_solutions,
     linking_report,
     pack,
@@ -570,18 +572,42 @@ def test_self_correlation_of_translate_is_one():
 def test_time_correlation_refines_the_grid_maximum(s1, s2, M, decay, mix):
     # the Newton refinement never returns less than the scan's maximum, and
     # its argmax is a critical point of the trig polynomial c(theta)
-    from wavetorus.solver import _phase_table
-
     u1 = random_field(s1, M, SubspaceTag.ALL, decay)
     u2 = time_translate(u1, 1.0 + 2.0 * mix) + mix * random_field(s2, M, SubspaceTag.ALL, decay)
     c, theta = max_time_correlation(u1, u2)
     norms = u1.l2() * u2.l2()
     ck = np.sum(u1.coeffs * np.conj(u2.coeffs), axis=0)
-    assert c >= np.max(np.real(_phase_table(M)[1] @ ck) / norms)
+    assert c >= np.max(_phase_scan(ck) / norms)
     ck, ks = ck / norms, np.arange(-M, M + 1)
     assert 0.0 <= theta < 2.0 * np.pi
     slope = np.real(1j * ks * ck) @ np.cos(ks * theta) - np.imag(1j * ks * ck) @ np.sin(ks * theta)
     assert abs(slope) <= 1e-9 * max(np.sum(np.abs(ks * ck)), 1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, seeds, st.integers(1, 24), st.floats(0.0, 0.5), st.floats(0.0, 1.0))
+def test_phase_scan_matches_trig_sum_table(s1, s2, M, decay, mix):
+    # the FFT scan equals the explicit sum Re sum_k c_k e^{ik theta} on the
+    # PHASE_GRID points to rounding, with the same grid argmax
+    u1 = random_field(s1, M, SubspaceTag.ALL, decay)
+    u2 = time_translate(u1, 1.0 + 2.0 * mix) + mix * random_field(s2, M, SubspaceTag.ALL, decay)
+    ck = np.sum(u1.coeffs * np.conj(u2.coeffs), axis=0)
+    thetas = 2.0 * np.pi * np.arange(PHASE_GRID) / PHASE_GRID
+    table = np.real(np.exp(1j * np.outer(thetas, np.arange(-M, M + 1))) @ ck)
+    scan = _phase_scan(ck)
+    assert np.max(np.abs(scan - table)) <= 1e-14 * np.max(np.abs(table))
+    assert np.argmax(scan) == np.argmax(table)
+
+
+def test_phase_scan_aliases_wavenumbers_beyond_the_grid():
+    # k and k + PHASE_GRID take the same values on the grid, so wavenumbers
+    # past PHASE_GRID / 2 add up in their slot instead of overwriting it
+    M = PHASE_GRID // 2 + 3
+    ck = np.zeros(2 * M + 1, dtype=complex)
+    ck[0], ck[PHASE_GRID] = 0.25, 0.5 - 0.5j  # k = -M and PHASE_GRID - M
+    phase = 2.0 * np.pi * (M * np.arange(PHASE_GRID) % PHASE_GRID) / PHASE_GRID
+    expected = np.real((0.75 - 0.5j) * np.exp(-1j * phase))  # M theta_m mod 2 pi
+    assert np.max(np.abs(_phase_scan(ck) - expected)) <= 1e-14
 
 
 def test_dedup_merges_translates(default_nl):
@@ -600,6 +626,137 @@ def test_multi_seed_zero_problem(default_nl):
     sols = multi_seed_search(p, 1, master_seed=1)
     assert len(sols) == 1
     assert sols[0].u.l2() == 0.0
+
+
+@pytest.mark.parametrize("master_seed", [12345, 4242])
+def test_multi_seed_pool_matches_one_worker(default_nl, monkeypatch, master_seed):
+    # the thread pool returns what the serial loop does, bit for bit and in
+    # the same order, whatever the worker count; every seed's Newton run,
+    # failed ones included, takes the same steps.  The 8-worker run (more
+    # workers than cores) switches threads every microsecond and starts from
+    # empty lattice and gather caches, so their first builds race
+    import sys
+
+    from wavetorus import solver
+    from wavetorus.spectral import jacobian_gather
+
+    p = PenalizedProblem(M=8, beta=1e-4, nl=default_nl)
+    real_newton = solver.newton_solve
+
+    def search(workers):
+        histories = {}
+
+        def newton(p, seed_u, **kw):
+            key = seed_u.coeffs.tobytes()
+            try:
+                sol = real_newton(p, seed_u, **kw)
+            except NoConvergence as exc:
+                histories[key] = exc.best.residual_history
+                raise
+            histories[key] = sol.residual_history
+            return sol
+
+        monkeypatch.setattr(solver, "newton_solve", newton)
+        monkeypatch.setattr(solver, "_pool_workers", lambda n_seeds, n_real: workers)
+        return multi_seed_search(p, 8, master_seed=master_seed, max_iter=60), histories
+
+    serial, serial_runs = search(1)
+    assert len(serial_runs) == 8
+    assert len(serial) == {12345: 1, 4242: 3}[master_seed]
+    interval = sys.getswitchinterval()
+    try:
+        for workers in (2, 8):
+            if workers == 8:
+                lattice.cache_clear()
+                jacobian_gather.cache_clear()
+                sys.setswitchinterval(1e-6)
+            pooled, pooled_runs = search(workers)
+            assert pooled_runs == serial_runs
+            assert ([s.u.coeffs.tobytes() for s in pooled]
+                    == [s.u.coeffs.tobytes() for s in serial])
+            assert [s.I_value for s in pooled] == [s.I_value for s in serial]
+            assert ([s.residual_history for s in pooled]
+                    == [s.residual_history for s in serial])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_multi_seed_pool_keeps_seed_order_and_failure_handling(default_nl, monkeypatch):
+    # seed 4 returns a time translate of seed 3's solution and finishes
+    # first; the dedup still keeps seed 3's, as the serial loop does.
+    # NoConvergence and SingularJacobian seeds are skipped, other errors raised
+    import threading
+
+    from wavetorus import solver
+    from wavetorus.solver import SolutionState, _seed_fields
+
+    p = PenalizedProblem(M=8, beta=1e-4, nl=default_nl)
+    ladder = _seed_fields(p, 8, 7)
+
+    def fake_newton(raise_at):
+        seed4_done = threading.Event()
+
+        def newton(p, seed_u, tol, max_iter):
+            i = next(i for i, s in enumerate(ladder) if np.array_equal(s.coeffs, seed_u.coeffs))
+            if i == 3:
+                assert seed4_done.wait(timeout=30)
+            if i in raise_at:
+                raise raise_at[i]
+            if i == 4:
+                seed4_done.set()
+                seed_u = time_translate(ladder[3], 0.5)
+            return SolutionState(seed_u, 0.0, float(i), 0)
+        return newton
+
+    monkeypatch.setattr(solver, "_pool_workers", lambda n_seeds, n_real: 2)
+    monkeypatch.setattr(solver, "newton_solve", fake_newton(
+        {1: NoConvergence("no convergence"), 2: SingularJacobian("zero pivot")}))
+    sols = multi_seed_search(p, 8, master_seed=7)
+    assert [s.I_value for s in sols] == [0.0, 3.0, 5.0, 6.0, 7.0]
+    monkeypatch.setattr(solver, "newton_solve", fake_newton(
+        {1: NoConvergence("no convergence"), 5: ValueError("not a Newton failure")}))
+    with pytest.raises(ValueError, match="not a Newton failure"):
+        multi_seed_search(p, 8, master_seed=7)
+
+
+def test_pool_workers_leave_blas_its_cores_and_bound_the_memory(monkeypatch):
+    # cores come from the affinity set (cpu_count without one); BLAS keeps
+    # the threads OpenBLAS reads from the environment, one per core when
+    # none is set; the dense solves together stay within POOL_BYTES
+    from wavetorus import solver
+
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    for var in blas_vars:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: set(range(16)),
+                        raising=False)
+    n24, n33, n34 = (lattice(M).n_real for M in (24, 33, 34))
+    assert solver._pool_workers(32, n24) == 1  # BLAS at one thread per core
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert solver._pool_workers(32, n24) == 7
+    assert solver._pool_workers(5, n24) == 5
+    assert solver._pool_workers(32, n33) == 2
+    for n in (n34, lattice(64).n_real, solver.DENSE_LIMIT + 1):
+        assert solver._pool_workers(32, n) == 1
+    for n in range(1, 2000, 37):
+        w = solver._pool_workers(10**6, n)
+        assert w == 1 or w * 12 * (n + 1) ** 2 <= solver.POOL_BYTES
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")  # before OMP_NUM_THREADS
+    assert solver._pool_workers(32, 73) == 4
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")  # not positive: the next one
+    monkeypatch.setenv("GOTO_NUM_THREADS", "5")
+    assert solver._pool_workers(32, 73) == 3
+    monkeypatch.setenv("GOTO_NUM_THREADS", "32")  # more than the cores
+    assert solver._pool_workers(32, 73) == 1
+    for var in blas_vars:
+        monkeypatch.setenv(var, "one")
+    assert solver._pool_workers(32, 73) == 1
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delattr(solver.os, "sched_getaffinity")
+    monkeypatch.setattr(solver.os, "cpu_count", lambda: 6)
+    assert solver._pool_workers(32, 73) == 6
+    monkeypatch.setattr(solver.os, "cpu_count", lambda: None)
+    assert solver._pool_workers(32, 73) == 1
 
 
 def test_critical_identity_gap(default_nl):
