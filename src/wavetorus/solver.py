@@ -27,12 +27,14 @@ scipy is imported inside the functions that use it: ``scipy.linalg`` by
 commands that never solve (``verify``, ``norms``), then load no scipy
 module; ``lu_factor`` and ``lu_solve`` are still looked up on the
 ``scipy.linalg`` module at call time.  ``multi_seed_search`` likewise
-imports ``concurrent.futures`` for its thread pool, the package's only one.
+imports ``concurrent.futures`` for its thread pool, the package's only one,
+and ``_one_blas_thread`` imports ``ctypes`` to reach scipy's OpenBLAS.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
@@ -546,12 +548,14 @@ def max_time_correlation(u1: SpectralField, u2: SpectralField):
     argmax is refined by Newton steps on c'(theta) = 0 with the analytic c'
     and c'' while c'' < 0 and the iterate stays within two grid steps.  The
     refined value is returned when it is not below the grid maximum, the
-    grid maximum otherwise.
+    grid maximum otherwise.  A field of l2 norm at most 1e-12 max(1, ||u1||,
+    ||u2||) is zero: two zeros correlate 1, a zero and a nonzero field 0.
     """
     n1, n2 = u1.l2(), u2.l2()
-    if n1 < 1e-15 and n2 < 1e-15:
+    zero = 1e-12 * max(1.0, n1, n2)
+    if n1 <= zero and n2 <= zero:
         return 1.0, 0.0
-    if n1 < 1e-15 or n2 < 1e-15:
+    if n1 <= zero or n2 <= zero:
         return 0.0, 0.0
     u1, u2 = unify(u1, u2)
     ck = np.sum(u1.coeffs * np.conj(u2.coeffs), axis=0)  # index k + M
@@ -606,27 +610,63 @@ def dedup_solutions(found, dedup_threshold: float = 0.99):
 
 
 def _pool_workers(n_seeds: int, n_real: int) -> int:
-    """Threads of ``multi_seed_search``: min(n_seeds, cores // BLAS threads,
-    POOL_BYTES // bytes of one dense solve), at least one.
+    """Threads of ``multi_seed_search``: min(n_seeds, cores, POOL_BYTES //
+    bytes of one dense solve), at least one.
 
-    Cores are the affinity set (else ``os.cpu_count()``).  BLAS threads are
-    read as OpenBLAS reads them at load, else one per core: then one worker,
-    since threaded LUs on several workers oversubscribe the cores.  A dense
-    solve holds its (n_real + 1)^2 buffer and, in the fill, two gather
-    temporaries of half that size: 12 (n_real + 1)^2 bytes, so from M = 34
-    up the search is serial.
+    Cores are the affinity set (else ``os.cpu_count()``); each worker's LUs
+    run at one BLAS thread (``_one_blas_thread``).  A dense solve holds its
+    (n_real + 1)^2 buffer and, in the fill, two gather temporaries of half
+    that size: 12 (n_real + 1)^2 bytes, so from M = 34 up the search is
+    serial.
     """
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    blas = cores
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            blas = int(value)
-            break
-    return max(1, min(n_seeds, cores // blas, POOL_BYTES // (12 * (n_real + 1) ** 2)))
+    return max(1, min(n_seeds, cores, POOL_BYTES // (12 * (n_real + 1) ** 2)))
+
+
+def _scipy_openblas():
+    """(get, set) of the thread count of the OpenBLAS that scipy's Linux
+    wheels bundle in ``scipy.libs`` (symbols prefixed ``scipy_``, bare in
+    older wheels), or None (MKL, Accelerate or a system BLAS).
+    ``scipy.linalg`` is imported first, so ctypes reaches the library LAPACK
+    calls."""
+    import ctypes  # not at module level: start-up
+    import glob
+
+    import scipy.linalg
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "lib*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_", ""):
+            get = getattr(lib, prefix + "openblas_get_num_threads", None)
+            if get is not None:
+                set_threads = getattr(lib, prefix + "openblas_set_num_threads")
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                return get, set_threads
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold scipy's OpenBLAS at one thread for the block; yield whether it
+    could.  The count is process-wide, and the previous one is restored on
+    exit, also when the block raises; blocks that overlap in time (two
+    threads' searches) would restore it out of order."""
+    threads = _scipy_openblas()
+    if threads is None:
+        yield False
+        return
+    get, set_threads = threads
+    before = get()
+    set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(before)
 
 
 def multi_seed_search(p: PenalizedProblem, n_seeds: int,
@@ -635,7 +675,9 @@ def multi_seed_search(p: PenalizedProblem, n_seeds: int,
     """Newton from a deterministic seed ladder, deduplicated modulo time
     translation, sorted by functional value.
 
-    The seeds are independent and run on ``_pool_workers`` threads.  Each
+    The call holds scipy's OpenBLAS at one thread (``_one_blas_thread``), so
+    the LUs give the same bits on every host, and runs the seeds on
+    ``_pool_workers`` threads (on one where that library is missing).  Each
     ``newton_solve`` owns its dense buffer and closures, and the caches the
     threads share (``lattice``, ``jacobian_gather``) are read-only; LAPACK
     releases the GIL, so one seed's LU runs beside another seed's work.
@@ -654,9 +696,11 @@ def multi_seed_search(p: PenalizedProblem, n_seeds: int,
         except (NoConvergence, SingularJacobian):
             return None
 
-    with ThreadPoolExecutor(_pool_workers(n_seeds, lattice(p.M).n_real)) as pool:
-        found = [sol for sol in pool.map(solve, _seed_fields(p, n_seeds, master_seed))
-                 if sol is not None]
+    with _one_blas_thread() as pinned:
+        workers = _pool_workers(n_seeds, lattice(p.M).n_real) if pinned else 1
+        with ThreadPoolExecutor(workers) as pool:
+            found = [sol for sol in pool.map(solve, _seed_fields(p, n_seeds, master_seed))
+                     if sol is not None]
     distinct = dedup_solutions(found, dedup_threshold)
     distinct.sort(key=lambda s: s.I_value)
     return distinct

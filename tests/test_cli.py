@@ -571,7 +571,9 @@ if sys.argv[1] == "linalg":
     print(json.dumps(scipy_modules()))
     raise SystemExit
 from wavetorus.cli import parse_config, run
-stages = {"import": scipy_modules(), "futures": "concurrent.futures" in sys.modules}
+stages = {"import": scipy_modules(), "futures": "concurrent.futures" in sys.modules,
+          "ctypes": sorted(name for name, mod in sys.modules.items()
+                           if name.startswith("wavetorus") and "ctypes" in vars(mod))}
 for i, doc in enumerate(json.loads(sys.argv[1])):
     assert run(parse_config(doc), sys.argv[2] + str(i)) == 0
     stages[doc["command"]] = scipy_modules()
@@ -582,7 +584,9 @@ print(json.dumps(stages))
 def test_grid_norm_commands_load_no_scipy(tmp_path):
     # import, verify and norms load no scipy module; a solve loads scipy.linalg
     # and, of scipy.fft and scipy.optimize, only what scipy.linalg itself loads.
-    # The import loads no concurrent.futures either: only multi's pool needs it
+    # The import loads no concurrent.futures either: only multi's pool needs
+    # it.  numpy imports ctypes itself, so for ctypes, which only multi's BLAS
+    # thread pin uses, the check is that no wavetorus module binds it
     import os
     import subprocess
     import sys
@@ -609,6 +613,7 @@ def test_grid_norm_commands_load_no_scipy(tmp_path):
     seen = stages(json.dumps(docs), str(tmp_path / "out"))
     assert seen["import"] == seen["verify"] == seen["norms"] == []
     assert seen["futures"] is False
+    assert seen["ctypes"] == []
     assert "scipy.linalg" in seen["solve"]
 
     def fft_or_optimize(mods):

@@ -621,6 +621,26 @@ def test_dedup_merges_translates(default_nl):
     assert len(kept) == 2
 
 
+def test_dedup_puts_rounding_level_fields_in_the_zero_class():
+    # a field that is zero up to rounding (max|c| = 7e-16, yet an l2 norm
+    # above 1e-15) correlates 1 with the exact zero and joins its class; an
+    # O(1e-6) field stays a class of its own
+    from wavetorus.solver import SolutionState
+
+    zero = SpectralField.zeros(24)
+    rf = random_field(19, 24, SubspaceTag.ALL, 0.0)
+    rounding = (7e-16 / np.max(np.abs(rf.coeffs))) * rf
+    small = (1e-6 / np.max(np.abs(rf.coeffs))) * rf
+    assert rounding.l2() > 1e-15
+    assert max_time_correlation(rounding, zero) == (1.0, 0.0)
+    assert max_time_correlation(zero, rounding) == (1.0, 0.0)
+    assert max_time_correlation(small, zero) == (0.0, 0.0)
+    assert max_time_correlation(small, rounding) == (0.0, 0.0)
+    assert max_time_correlation(small, time_translate(small, 0.4))[0] > 0.999
+    sols = [SolutionState(u, 0.0, float(i), 0) for i, u in enumerate((zero, rounding, small))]
+    assert [s.I_value for s in dedup_solutions(sols, 0.99)] == [0.0, 2.0]
+
+
 def test_multi_seed_zero_problem(default_nl):
     p = PenalizedProblem(M=8, beta=1e-2, nl=default_nl)
     sols = multi_seed_search(p, 1, master_seed=1)
@@ -720,19 +740,14 @@ def test_multi_seed_pool_keeps_seed_order_and_failure_handling(default_nl, monke
 
 
 def test_pool_workers_leave_blas_its_cores_and_bound_the_memory(monkeypatch):
-    # cores come from the affinity set (cpu_count without one); BLAS keeps
-    # the threads OpenBLAS reads from the environment, one per core when
-    # none is set; the dense solves together stay within POOL_BYTES
+    # one worker per core of the affinity set (cpu_count without one), each
+    # running its LUs at one BLAS thread; the dense solves together stay
+    # within POOL_BYTES.  No BLAS variable in the environment moves the count
     from wavetorus import solver
 
-    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-    for var in blas_vars:
-        monkeypatch.delenv(var, raising=False)
     monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: set(range(16)),
                         raising=False)
     n24, n33, n34 = (lattice(M).n_real for M in (24, 33, 34))
-    assert solver._pool_workers(32, n24) == 1  # BLAS at one thread per core
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
     assert solver._pool_workers(32, n24) == 7
     assert solver._pool_workers(5, n24) == 5
     assert solver._pool_workers(32, n33) == 2
@@ -741,22 +756,84 @@ def test_pool_workers_leave_blas_its_cores_and_bound_the_memory(monkeypatch):
     for n in range(1, 2000, 37):
         w = solver._pool_workers(10**6, n)
         assert w == 1 or w * 12 * (n + 1) ** 2 <= solver.POOL_BYTES
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")  # before OMP_NUM_THREADS
-    assert solver._pool_workers(32, 73) == 4
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")  # not positive: the next one
-    monkeypatch.setenv("GOTO_NUM_THREADS", "5")
+    assert solver._pool_workers(32, 73) == 16
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    assert [solver._pool_workers(32, n) for n in (73, n24, n34)] == [16, 7, 1]
+    monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     assert solver._pool_workers(32, 73) == 3
-    monkeypatch.setenv("GOTO_NUM_THREADS", "32")  # more than the cores
-    assert solver._pool_workers(32, 73) == 1
-    for var in blas_vars:
-        monkeypatch.setenv(var, "one")
-    assert solver._pool_workers(32, 73) == 1
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
     monkeypatch.delattr(solver.os, "sched_getaffinity")
     monkeypatch.setattr(solver.os, "cpu_count", lambda: 6)
     assert solver._pool_workers(32, 73) == 6
     monkeypatch.setattr(solver.os, "cpu_count", lambda: None)
     assert solver._pool_workers(32, 73) == 1
+
+
+def _recording_pool(monkeypatch):
+    """Record the max_workers of every thread pool multi_seed_search opens."""
+    import concurrent.futures
+
+    opened = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return opened
+
+
+def test_multi_seed_search_runs_blas_at_one_thread_and_restores_it(default_nl, monkeypatch):
+    # every seed's Newton run sees scipy's OpenBLAS at one thread; the count
+    # from before the call is back when the search returns or raises
+    from wavetorus import solver
+    from wavetorus.solver import SolutionState
+
+    threads = solver._scipy_openblas()
+    if threads is None:
+        pytest.skip("scipy does not run on its bundled OpenBLAS here")
+    get, set_threads = threads
+    p = PenalizedProblem(M=8, beta=1e-4, nl=default_nl)
+    seen = []
+
+    def newton(p, seed_u, tol, max_iter):
+        seen.append(get())
+        if len(seen) == 3 and raising:
+            raise ValueError("not a Newton failure")
+        return SolutionState(seed_u, 0.0, float(len(seen)), 0)
+
+    monkeypatch.setattr(solver, "newton_solve", newton)
+    monkeypatch.setattr(solver, "_pool_workers", lambda n_seeds, n_real: 2)
+    opened = _recording_pool(monkeypatch)
+    original = get()
+    set_threads(2)
+    try:
+        raising = False
+        multi_seed_search(p, 6, master_seed=3)
+        assert seen == [1] * 6 and opened == [2]
+        assert get() == 2
+        raising, seen[:] = True, []
+        with pytest.raises(ValueError, match="not a Newton failure"):
+            multi_seed_search(p, 6, master_seed=3)
+        assert seen == [1] * len(seen) and len(seen) >= 3
+        assert get() == 2
+    finally:
+        set_threads(original)
+
+
+def test_multi_seed_search_runs_one_worker_without_scipys_openblas(default_nl, monkeypatch):
+    # another BLAS keeps its own thread count, so the seeds run on one worker
+    from wavetorus import solver
+    from wavetorus.solver import SolutionState
+
+    monkeypatch.setattr(solver, "_scipy_openblas", lambda: None)
+    monkeypatch.setattr(solver, "_pool_workers", lambda n_seeds, n_real: 4)
+    monkeypatch.setattr(solver, "newton_solve",
+                        lambda p, seed_u, tol, max_iter: SolutionState(seed_u, 0.0, 0.0, 0))
+    opened = _recording_pool(monkeypatch)
+    p = PenalizedProblem(M=8, beta=1e-4, nl=default_nl)
+    assert len(multi_seed_search(p, 8, master_seed=3)) >= 2
+    assert opened == [1]
 
 
 def test_critical_identity_gap(default_nl):
