@@ -26,15 +26,12 @@ scipy is imported inside the functions that use it: ``scipy.linalg`` by
 ``scipy.optimize`` by ``linking_report``.  Importing the package, and the
 commands that never solve (``verify``, ``norms``), then load no scipy
 module; ``lu_factor`` and ``lu_solve`` are still looked up on the
-``scipy.linalg`` module at call time.  ``multi_seed_search`` likewise
-imports ``concurrent.futures`` for its thread pool, the package's only one,
-and ``_one_blas_thread`` imports ``ctypes`` to reach scipy's OpenBLAS.
+``scipy.linalg`` module at call time.  ``multi_seed_search`` runs its seed
+ladder on the package's one thread pool (``pool.share_work``).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
@@ -42,6 +39,7 @@ import numpy as np
 
 from .errors import NoConvergence, SingularJacobian, StallAt
 from .norms import norm_E, sobolev_norm
+from .pool import one_blas_thread, share_work, usable_cores
 from .spectral import (
     Q_AREA,
     GridField,
@@ -610,63 +608,15 @@ def dedup_solutions(found, dedup_threshold: float = 0.99):
 
 
 def _pool_workers(n_seeds: int, n_real: int) -> int:
-    """Threads of ``multi_seed_search``: min(n_seeds, cores, POOL_BYTES //
-    bytes of one dense solve), at least one.
+    """Threads of ``multi_seed_search``: min(n_seeds, usable cores,
+    POOL_BYTES // bytes of one dense solve), at least one.
 
-    Cores are the affinity set (else ``os.cpu_count()``); each worker's LUs
-    run at one BLAS thread (``_one_blas_thread``).  A dense solve holds its
-    (n_real + 1)^2 buffer and, in the fill, two gather temporaries of half
-    that size: 12 (n_real + 1)^2 bytes, so from M = 34 up the search is
-    serial.
+    Each worker's LUs run at one BLAS thread (``pool.one_blas_thread``).  A
+    dense solve holds its (n_real + 1)^2 buffer and, in the fill, two gather
+    temporaries of half that size: 12 (n_real + 1)^2 bytes, so from M = 34
+    up the search is serial.
     """
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    return max(1, min(n_seeds, cores, POOL_BYTES // (12 * (n_real + 1) ** 2)))
-
-
-def _scipy_openblas():
-    """(get, set) of the thread count of the OpenBLAS that scipy's Linux
-    wheels bundle in ``scipy.libs`` (symbols prefixed ``scipy_``, bare in
-    older wheels), or None (MKL, Accelerate or a system BLAS).
-    ``scipy.linalg`` is imported first, so ctypes reaches the library LAPACK
-    calls."""
-    import ctypes  # not at module level: start-up
-    import glob
-
-    import scipy.linalg
-
-    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "lib*openblas*"))):
-        lib = ctypes.CDLL(path)
-        for prefix in ("scipy_", ""):
-            get = getattr(lib, prefix + "openblas_get_num_threads", None)
-            if get is not None:
-                set_threads = getattr(lib, prefix + "openblas_set_num_threads")
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                return get, set_threads
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold scipy's OpenBLAS at one thread for the block; yield whether it
-    could.  The count is process-wide, and the previous one is restored on
-    exit, also when the block raises; blocks that overlap in time (two
-    threads' searches) would restore it out of order."""
-    threads = _scipy_openblas()
-    if threads is None:
-        yield False
-        return
-    get, set_threads = threads
-    before = get()
-    set_threads(1)
-    try:
-        yield True
-    finally:
-        set_threads(before)
+    return max(1, min(n_seeds, usable_cores(), POOL_BYTES // (12 * (n_real + 1) ** 2)))
 
 
 def multi_seed_search(p: PenalizedProblem, n_seeds: int,
@@ -675,18 +625,17 @@ def multi_seed_search(p: PenalizedProblem, n_seeds: int,
     """Newton from a deterministic seed ladder, deduplicated modulo time
     translation, sorted by functional value.
 
-    The call holds scipy's OpenBLAS at one thread (``_one_blas_thread``), so
-    the LUs give the same bits on every host, and runs the seeds on
-    ``_pool_workers`` threads (on one where that library is missing).  Each
-    ``newton_solve`` owns its dense buffer and closures, and the caches the
-    threads share (``lattice``, ``jacobian_gather``) are read-only; LAPACK
-    releases the GIL, so one seed's LU runs beside another seed's work.
-    Results are collected in seed order and deduplicated as in a serial
-    loop, so they do not depend on the worker count.  Seeds ending in
+    The call holds scipy's OpenBLAS at one thread (``pool.one_blas_thread``),
+    so the LUs give the same bits on every host, and runs the seeds on
+    ``_pool_workers`` threads of ``pool.share_work`` (on one where that
+    library is missing).  Each ``newton_solve`` owns its dense buffer and
+    closures, and the caches the threads share (``lattice``,
+    ``jacobian_gather``) are read-only; LAPACK releases the GIL, so one
+    seed's LU runs beside another seed's work.  Results come back in seed
+    order and are deduplicated as in a serial loop, so they do not depend
+    on the worker count.  Seeds ending in
     NoConvergence or SingularJacobian are skipped; any other error is raised.
     """
-    from concurrent.futures import ThreadPoolExecutor  # not at module level: start-up
-
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
 
@@ -696,11 +645,10 @@ def multi_seed_search(p: PenalizedProblem, n_seeds: int,
         except (NoConvergence, SingularJacobian):
             return None
 
-    with _one_blas_thread() as pinned:
+    with one_blas_thread("scipy.linalg") as pinned:
         workers = _pool_workers(n_seeds, lattice(p.M).n_real) if pinned else 1
-        with ThreadPoolExecutor(workers) as pool:
-            found = [sol for sol in pool.map(solve, _seed_fields(p, n_seeds, master_seed))
-                     if sol is not None]
+        found = [sol for sol in share_work(solve, _seed_fields(p, n_seeds, master_seed),
+                                           workers) if sol is not None]
     distinct = dedup_solutions(found, dedup_threshold)
     distinct.sort(key=lambda s: s.I_value)
     return distinct

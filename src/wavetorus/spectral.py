@@ -41,12 +41,15 @@ period); it equals the complex path to about 1e-15 relative, and its last
 bits depend on numpy's FFT (pocketfft) and on the BLAS build, as the
 solver's LU already does.  Every transform here is numpy's, so this module
 imports no scipy.  The x pass runs in row blocks of ``GRID_BLOCK`` grid
-values (64 KiB), each a slice of the table times the t-pass coefficients,
+values (256 KiB), each a slice of the table times the t-pass coefficients,
 written into one buffer that serves the whole grid; the L^p and sup norms
 reduce each block before the next is made.  A full 520 x 520 grid is a
 2.1 MB array, which the C allocator maps fresh and returns to the system on
 every call: at M = 64 the verify ensembles spent about a quarter of their
-time in the page faults of those grids.  The solver stays on the complex
+time in the page faults of those grids.  The blocks are as large as that
+allows because each one is a turn of Python code that holds the GIL: a
+520 x 520 pass takes 9 of them where 8192-value blocks took 35, which
+leaves the other workers of verify's thread pool more time.  The solver stays on the complex
 path because its Newton trajectories are sensitive to rounding: the real
 path flipped one cold seed of the M = 24 multiplicity search.
 
@@ -68,8 +71,8 @@ from .errors import GridTooCoarse, NotHermitian, NotInKernel
 
 Q_AREA = 2.0 * np.pi**2  # |Q| = pi * 2pi
 
-# grid values per row block of the grid norms' pass (64 KiB of float64)
-GRID_BLOCK = 8192
+# grid values per row block of the grid norms' pass (256 KiB of float64)
+GRID_BLOCK = 32768
 
 DOMAIN_LABEL = "x:[0,pi],t:[0,2pi]"
 NORMALIZATION_LABEL = "unit-modes"

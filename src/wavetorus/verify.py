@@ -6,6 +6,12 @@ Where the constant is implicit (regularity of the inverted wave operator,
 Gagliardo-Nirenberg, the fractional embedding, the quadrant Holder-to-
 Sobolev estimate) the reports certify boundedness of empirical ratio
 ensembles under refinement instead of a numeric constant.
+
+Each suite draws its fields lazily through ``ensemble_fields`` and computes
+their ratios on the package's thread pool (``_pooled``), with numpy's
+OpenBLAS held at one thread.  The ratios come back in trial order and each
+is computed as in a serial loop, so the reports do not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .norms import (
     quadrant_split,
     sobolev_norm,
 )
+from .pool import one_blas_thread, share_work, usable_cores
 from .solver import MONITORED, PenalizedProblem, newton_solve, residual
 from .spectral import (
     Q_AREA,
@@ -56,6 +63,25 @@ class EnsembleSpec:
 def ensemble_fields(spec: EnsembleSpec, salt: int):
     for trial in range(spec.count):
         yield random_field((spec.seed, salt, trial), spec.M, spec.tag, spec.decay)
+
+
+def _pooled(fn, items, n: int) -> list:
+    """[fn(x) for x in items], ``n`` items, on min(n, usable cores) threads
+    (``pool.share_work``) with numpy's OpenBLAS held at one thread, so the
+    workers' matrix products do not oversubscribe the cores; on one thread
+    where that library is not found."""
+    with one_blas_thread("numpy") as pinned:
+        return share_work(fn, items, min(n, usable_cores()) if pinned else 1)
+
+
+def _ensemble(fn, spec: EnsembleSpec, suite: str) -> list:
+    """``fn`` of every field of the suite's ensemble, in trial order."""
+    return _pooled(fn, ensemble_fields(spec, _SALT[suite]), spec.count)
+
+
+def _columns(rows, n: int) -> list:
+    """The n per-exponent ratio lists of per-trial rows of n ratios."""
+    return [[row[i] for row in rows] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -117,12 +143,13 @@ def gn_reports(spec: EnsembleSpec, ps) -> list:
     """
     ps = tuple(ps)
     ss = [gn_interpolation_exponent(p) for p in ps]
-    ratios = [[] for _ in ps]
-    for u in ensemble_fields(spec, _SALT["gn"]):
+
+    def trial(u):
         *lps, l2 = lp_norms(u, (*ps, 2.0), spec.oversample)
         e1 = norm_Es(u, 1.0)
-        for r, s, lp in zip(ratios, ss, lps):
-            r.append(lp / (l2 ** (1.0 - s) * e1**s))
+        return [lp / (l2 ** (1.0 - s) * e1**s) for s, lp in zip(ss, lps)]
+
+    ratios = _columns(_ensemble(trial, spec, "gn"), len(ps))
     return [_report("gagliardo_nirenberg", spec, r, {"p": p, "s": s})
             for p, s, r in zip(ps, ss, ratios)]
 
@@ -144,16 +171,20 @@ def check_embedding(spec: EnsembleSpec, s: float, tails=(8, 16, 32, 64),
     """Ratios ||u||_Lp / ||u||_E^s at p = (2-s)/(1-s), plus the compactness
     witness: the same max ratio over tail-supported bands, decaying in T."""
     p = embedding_integrability(s)
-    ratios = []
-    for u in ensemble_fields(spec, _SALT["embedding"]):
-        ratios.append(norm_Lp(u, p, spec.oversample) / norm_Es(u, s))
-    tail_max = {}
-    for T in tails:
-        worst = 0.0
-        for trial in range(tail_count):
-            u = tail_band_field((spec.seed, _SALT["tail"], T, trial), T)
-            worst = max(worst, norm_Lp(u, p, spec.oversample) / norm_Es(u, s))
-        tail_max[int(T)] = worst
+
+    def ratio(u):
+        return norm_Lp(u, p, spec.oversample) / norm_Es(u, s)
+
+    def tail_ratio(band):
+        T, trial = band
+        return ratio(tail_band_field((spec.seed, _SALT["tail"], T, trial), T))
+
+    ratios = _ensemble(ratio, spec, "embedding")
+    tails = tuple(tails)
+    bands = ((T, trial) for T in tails for trial in range(tail_count))
+    tail_ratios = _pooled(tail_ratio, bands, len(tails) * tail_count)
+    tail_max = {int(T): max([0.0, *tail_ratios[i * tail_count:(i + 1) * tail_count]])
+                for i, T in enumerate(tails)}
     return _report("fractional_embedding", spec, ratios, {"s": s, "p": p},
                    tail_max_ratio=tail_max, tail_count=tail_count)
 
@@ -171,10 +202,12 @@ def hausdorff_young_reports(spec: EnsembleSpec, ps, tol: float = 1e-6) -> list:
     if any(p <= 1.0 for p in ps):
         raise ValueError("p must be > 1")
     qs = [p / (p - 1.0) for p in ps]
-    ratios = [[] for _ in ps]
-    for u in ensemble_fields(spec, _SALT["hy"]):
-        for r, p, q, lp in zip(ratios, ps, qs, lp_norms(u, ps, spec.oversample)):
-            r.append(norm_lq(u, q) / (lp / Q_AREA ** (1.0 / p)))
+
+    def trial(u):
+        return [norm_lq(u, q) / (lp / Q_AREA ** (1.0 / p))
+                for p, q, lp in zip(ps, qs, lp_norms(u, ps, spec.oversample))]
+
+    ratios = _columns(_ensemble(trial, spec, "hy"), len(ps))
     reports = []
     for p, q, r in zip(ps, qs, ratios):
         violations = int(np.sum(np.asarray(r) > 1.0 + tol)) if p <= 2.0 else 0
@@ -194,10 +227,12 @@ def check_box_regularity(spec: EnsembleSpec, p: float = 2.0,
     """Holder proxy of the inverted wave operator against ||f_hat||_lq,
     q conjugate to p; the empirical shadow of the C^gamma estimate."""
     q = p / (p - 1.0)
-    ratios = []
-    for f in ensemble_fields(spec, _SALT["box"]):
+
+    def ratio(f):
         w = solve_box(f, resonant_tol=1e-12).w
-        ratios.append(holder_estimate(w, gamma, spec.oversample) / norm_lq(f, q))
+        return holder_estimate(w, gamma, spec.oversample) / norm_lq(f, q)
+
+    ratios = _ensemble(ratio, spec, "box")
     return _report("box_inverse_holder", spec, ratios, {"p": p, "q": q, "gamma": gamma})
 
 
@@ -210,16 +245,16 @@ def check_holder_to_sobolev(spec: EnsembleSpec, gamma: float,
     """
     if not 0.0 < gamma_prime < gamma < 1.0:
         raise ValueError("need 0 < gamma' < gamma < 1")
-    ratios = []
-    identity_err = 0.0
-    for u in ensemble_fields(spec, _SALT["holder"]):
+
+    def trial(u):
         h = holder_estimate(u, gamma, spec.oversample)
-        quads = quadrant_split(u)
-        qn2 = [sobolev_norm(qf, gamma_prime, "ell1") ** 2 for qf in quads]
+        qn2 = [sobolev_norm(qf, gamma_prime, "ell1") ** 2 for qf in quadrant_split(u)]
         total = sobolev_norm(u, gamma_prime, "ell1") ** 2
-        identity_err = max(identity_err, abs(total - sum(qn2)) / max(total, 1e-300))
-        for n2 in qn2:
-            ratios.append(np.sqrt(n2) / h)
+        return [np.sqrt(n2) / h for n2 in qn2], abs(total - sum(qn2)) / max(total, 1e-300)
+
+    rows = _ensemble(trial, spec, "holder")
+    ratios = [r for quad_ratios, _ in rows for r in quad_ratios]
+    identity_err = max([0.0, *(err for _, err in rows)])
     return _report("holder_to_sobolev", spec, ratios,
                    {"gamma": gamma, "gamma_prime": gamma_prime},
                    quadrant_identity_max_rel_err=identity_err)

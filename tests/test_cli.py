@@ -176,6 +176,40 @@ def test_verify_hy_suite_end_to_end(tmp_path):
     assert rep["reports"][0]["name"] == "hausdorff_young"
 
 
+def test_verify_writes_the_same_bytes_on_any_worker_count(tmp_path, monkeypatch):
+    # every suite, ratio CSVs included, on 1, 2 and 8 workers (the worker
+    # count set through the usable cores).  The 8-worker run (more workers
+    # than cores) switches threads every microsecond and starts from empty
+    # lattice and synthesis-table caches, so their first builds race
+    import sys
+    from pathlib import Path
+
+    import wavetorus.verify
+    from wavetorus.spectral import _synthesis_table, lattice
+
+    cfg = parse_config({"command": "verify", "seed": 12345,
+                        "verify": {"suite": "all", "count": 12, "ensemble_M": 12,
+                                   "tails": [4, 8], "tail_count": 8, "write_ratios": True}})
+
+    def files(workers):
+        monkeypatch.setattr(wavetorus.verify, "usable_cores", lambda: workers)
+        out = tmp_path / str(workers)
+        assert run(cfg, str(out)) == EXIT_OK
+        return {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+
+    serial = files(1)
+    assert len(serial) == 9 and "report.json" in serial  # and 8 ratio CSVs
+    interval = sys.getswitchinterval()
+    try:
+        assert files(2) == serial
+        lattice.cache_clear()
+        _synthesis_table.cache_clear()
+        sys.setswitchinterval(1e-6)
+        assert files(8) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_seed_override_changes_provenance(tmp_path):
     path = write_config(tmp_path, minimal_solve_config())
     out = str(tmp_path / "s")
@@ -570,13 +604,16 @@ if sys.argv[1] == "linalg":
     import scipy.linalg
     print(json.dumps(scipy_modules()))
     raise SystemExit
+def loaded():
+    return {"scipy": scipy_modules(), "futures": "concurrent.futures" in sys.modules,
+            "ctypes": sorted(name for name, mod in sys.modules.items()
+                             if name.startswith("wavetorus") and "ctypes" in vars(mod))}
+
 from wavetorus.cli import parse_config, run
-stages = {"import": scipy_modules(), "futures": "concurrent.futures" in sys.modules,
-          "ctypes": sorted(name for name, mod in sys.modules.items()
-                           if name.startswith("wavetorus") and "ctypes" in vars(mod))}
+stages = {"import": loaded()}
 for i, doc in enumerate(json.loads(sys.argv[1])):
     assert run(parse_config(doc), sys.argv[2] + str(i)) == 0
-    stages[doc["command"]] = scipy_modules()
+    stages[doc["command"]] = loaded()
 print(json.dumps(stages))
 """
 
@@ -584,9 +621,12 @@ print(json.dumps(stages))
 def test_grid_norm_commands_load_no_scipy(tmp_path):
     # import, verify and norms load no scipy module; a solve loads scipy.linalg
     # and, of scipy.fft and scipy.optimize, only what scipy.linalg itself loads.
-    # The import loads no concurrent.futures either: only multi's pool needs
-    # it.  numpy imports ctypes itself, so for ctypes, which only multi's BLAS
-    # thread pin uses, the check is that no wavetorus module binds it
+    # They load no concurrent.futures either, and no wavetorus module imports
+    # it: the package's pool is its own (scipy.linalg loads it, so the check
+    # stops before the solve).  numpy imports ctypes itself, so for ctypes,
+    # which only the BLAS thread pins use, the check is that no wavetorus
+    # module binds it, whatever command ran
+    import ast
     import os
     import subprocess
     import sys
@@ -611,12 +651,22 @@ def test_grid_norm_commands_load_no_scipy(tmp_path):
         return json.loads(out)
 
     seen = stages(json.dumps(docs), str(tmp_path / "out"))
-    assert seen["import"] == seen["verify"] == seen["norms"] == []
-    assert seen["futures"] is False
-    assert seen["ctypes"] == []
-    assert "scipy.linalg" in seen["solve"]
+    for stage in ("import", "verify", "norms"):
+        assert seen[stage]["scipy"] == [] and seen[stage]["futures"] is False, stage
+    assert all(seen[stage]["ctypes"] == [] for stage in seen)
+    assert "scipy.linalg" in seen["solve"]["scipy"]
+    package = os.path.dirname(wavetorus.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read())
+            imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                        for alias in node.names}
+            imported |= {node.module for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom) and node.module}
+            assert not any(m.startswith("concurrent") for m in imported), name
 
     def fft_or_optimize(mods):
         return {m for m in mods if m.startswith(("scipy.fft", "scipy.optimize"))}
 
-    assert fft_or_optimize(seen["solve"]) <= fft_or_optimize(stages("linalg"))
+    assert fft_or_optimize(seen["solve"]["scipy"]) <= fft_or_optimize(stages("linalg"))

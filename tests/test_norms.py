@@ -306,7 +306,7 @@ def test_lp_norms_products_agree_with_pow(M):
     (0, 2, 2), (0, 3, GRID_BLOCK + 1),  # one row per block
     (3, 9, 8), (5, 13, 17),  # the whole grid in one block
     (24, 200, 201), (24, 201, 200), (33, 271, 269),
-    (64, 520, 520), (64, 521, 519),  # 15 rows per block; 520 is not a multiple
+    (64, 520, 520), (64, 521, 519),  # 63 rows per block; 520 is not a multiple
     (96, 777, 776),
 ])
 def test_abs_blocks_stack_to_the_complex_path(M, nx, nt):

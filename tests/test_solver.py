@@ -743,9 +743,9 @@ def test_pool_workers_leave_blas_its_cores_and_bound_the_memory(monkeypatch):
     # one worker per core of the affinity set (cpu_count without one), each
     # running its LUs at one BLAS thread; the dense solves together stay
     # within POOL_BYTES.  No BLAS variable in the environment moves the count
-    from wavetorus import solver
+    from wavetorus import pool, solver
 
-    monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: set(range(16)),
+    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: set(range(16)),
                         raising=False)
     n24, n33, n34 = (lattice(M).n_real for M in (24, 33, 34))
     assert solver._pool_workers(32, n24) == 7
@@ -759,81 +759,109 @@ def test_pool_workers_leave_blas_its_cores_and_bound_the_memory(monkeypatch):
     assert solver._pool_workers(32, 73) == 16
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
     assert [solver._pool_workers(32, n) for n in (73, n24, n34)] == [16, 7, 1]
-    monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     assert solver._pool_workers(32, 73) == 3
-    monkeypatch.delattr(solver.os, "sched_getaffinity")
-    monkeypatch.setattr(solver.os, "cpu_count", lambda: 6)
+    monkeypatch.delattr(pool.os, "sched_getaffinity")
+    monkeypatch.setattr(pool.os, "cpu_count", lambda: 6)
     assert solver._pool_workers(32, 73) == 6
-    monkeypatch.setattr(solver.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(pool.os, "cpu_count", lambda: None)
     assert solver._pool_workers(32, 73) == 1
 
 
-def _recording_pool(monkeypatch):
-    """Record the max_workers of every thread pool multi_seed_search opens."""
-    import concurrent.futures
+def _pooled_call(module, probe, workers, monkeypatch, nl):
+    """(caller, call): a pooled call of six items that runs ``probe()`` in
+    every item on ``workers`` threads, where ``module``'s OpenBLAS is the
+    library the call pins.  For scipy.linalg it is multi's seed ladder, with
+    the worker count set through ``_pool_workers``; for numpy a verify
+    suite, with the usable cores set to ``workers``."""
+    from wavetorus import solver, verify
+    from wavetorus.solver import SolutionState
+    from wavetorus.verify import EnsembleSpec, check_box_regularity
+
+    if module == "scipy.linalg":
+        def newton(p, seed_u, tol, max_iter):
+            probe()
+            return SolutionState(seed_u, 0.0, 0.0, 0)
+
+        monkeypatch.setattr(solver, "newton_solve", newton)
+        monkeypatch.setattr(solver, "_pool_workers", lambda n_seeds, n_real: workers)
+        p = PenalizedProblem(M=8, beta=1e-4, nl=nl)
+        return solver, lambda: multi_seed_search(p, 6, master_seed=3)
+    real_norm_lq = verify.norm_lq
+
+    def norm_lq(u, q):
+        probe()
+        return real_norm_lq(u, q)
+
+    monkeypatch.setattr(verify, "norm_lq", norm_lq)
+    monkeypatch.setattr(verify, "usable_cores", lambda: workers)
+    return verify, lambda: check_box_regularity(EnsembleSpec(count=6, M=8, seed=3))
+
+
+def _recording_pool(monkeypatch, caller):
+    """Record the worker count of every ``share_work`` call of ``caller``."""
+    from wavetorus.pool import share_work
 
     opened = []
 
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-            super().__init__(max_workers)
+    def recording(fn, items, workers):
+        opened.append(workers)
+        return share_work(fn, items, workers)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(caller, "share_work", recording)
     return opened
 
 
-def test_multi_seed_search_runs_blas_at_one_thread_and_restores_it(default_nl, monkeypatch):
-    # every seed's Newton run sees scipy's OpenBLAS at one thread; the count
-    # from before the call is back when the search returns or raises
-    from wavetorus import solver
-    from wavetorus.solver import SolutionState
+@pytest.mark.parametrize("module", ["scipy.linalg", "numpy"])
+def test_pooled_call_runs_openblas_at_one_thread_and_restores_it(module, default_nl,
+                                                                 monkeypatch):
+    # every seed's Newton run sees scipy's OpenBLAS at one thread, every
+    # trial of a verify suite numpy's; the count from before the call is
+    # back when the call returns or a worker raises
+    from wavetorus.pool import openblas_threads
 
-    threads = solver._scipy_openblas()
+    threads = openblas_threads(module)
     if threads is None:
-        pytest.skip("scipy does not run on its bundled OpenBLAS here")
+        pytest.skip(f"{module} does not run on its wheel's bundled OpenBLAS here")
     get, set_threads = threads
-    p = PenalizedProblem(M=8, beta=1e-4, nl=default_nl)
     seen = []
+    raising = []
 
-    def newton(p, seed_u, tol, max_iter):
+    def probe():
         seen.append(get())
         if len(seen) == 3 and raising:
             raise ValueError("not a Newton failure")
-        return SolutionState(seed_u, 0.0, float(len(seen)), 0)
 
-    monkeypatch.setattr(solver, "newton_solve", newton)
-    monkeypatch.setattr(solver, "_pool_workers", lambda n_seeds, n_real: 2)
-    opened = _recording_pool(monkeypatch)
+    caller, call = _pooled_call(module, probe, 2, monkeypatch, default_nl)
+    opened = _recording_pool(monkeypatch, caller)
     original = get()
     set_threads(2)
     try:
-        raising = False
-        multi_seed_search(p, 6, master_seed=3)
+        call()
         assert seen == [1] * 6 and opened == [2]
         assert get() == 2
-        raising, seen[:] = True, []
+        raising.append(True)
+        seen.clear()
         with pytest.raises(ValueError, match="not a Newton failure"):
-            multi_seed_search(p, 6, master_seed=3)
+            call()
         assert seen == [1] * len(seen) and len(seen) >= 3
         assert get() == 2
     finally:
         set_threads(original)
 
 
-def test_multi_seed_search_runs_one_worker_without_scipys_openblas(default_nl, monkeypatch):
-    # another BLAS keeps its own thread count, so the seeds run on one worker
-    from wavetorus import solver
-    from wavetorus.solver import SolutionState
+@pytest.mark.parametrize("module", ["scipy.linalg", "numpy"])
+def test_pooled_call_runs_one_worker_without_bundled_openblas(module, default_nl,
+                                                              monkeypatch):
+    # another BLAS keeps its own thread count, so the call runs one worker
+    from wavetorus import pool
 
-    monkeypatch.setattr(solver, "_scipy_openblas", lambda: None)
-    monkeypatch.setattr(solver, "_pool_workers", lambda n_seeds, n_real: 4)
-    monkeypatch.setattr(solver, "newton_solve",
-                        lambda p, seed_u, tol, max_iter: SolutionState(seed_u, 0.0, 0.0, 0))
-    opened = _recording_pool(monkeypatch)
-    p = PenalizedProblem(M=8, beta=1e-4, nl=default_nl)
-    assert len(multi_seed_search(p, 8, master_seed=3)) >= 2
-    assert opened == [1]
+    monkeypatch.setattr(pool, "openblas_threads", lambda name: None)
+    seen = []
+    caller, call = _pooled_call(module, lambda: seen.append(1), 4, monkeypatch, default_nl)
+    opened = _recording_pool(monkeypatch, caller)
+    call()
+    assert opened == [1] and len(seen) == 6
 
 
 def test_critical_identity_gap(default_nl):

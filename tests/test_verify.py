@@ -252,3 +252,40 @@ def test_suites_reject_a_bad_exponent_before_drawing(monkeypatch):
     assert drawn == []
     hausdorff_young_reports(spec, (1.5,))  # the stub records a valid call
     assert drawn == [11]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_suite_draws_count_fields_through_ensemble_fields(monkeypatch, workers):
+    # the benchmark times each verify trial at the module's ensemble_fields,
+    # recording it when the generator is resumed after a field: every suite
+    # draws exactly count fields through that name and exhausts it, on one
+    # worker or several.  The fields are drawn lazily: when one is drawn, at
+    # most one earlier field per worker is still alive
+    import weakref
+
+    real = wavetorus.verify.ensemble_fields
+    drawn, freed, alive = [], [], []
+
+    def counting(spec, salt):
+        for u in real(spec, salt):
+            alive.append(len(drawn) - len(freed))
+            weakref.finalize(u, freed.append, None)
+            yield u
+            drawn.append(salt)
+
+    monkeypatch.setattr(wavetorus.verify, "ensemble_fields", counting)
+    monkeypatch.setattr(wavetorus.verify, "usable_cores", lambda: workers)
+    spec = small_spec(count=5, M=8)
+    suites = {
+        "hy": lambda: hausdorff_young_reports(spec, (1.5, 2.0)),
+        "gn": lambda: gn_reports(spec, (3.0, 4.0)),
+        "embedding": lambda: check_embedding(spec, 0.5, tails=(4,), tail_count=3),
+        "holder": lambda: check_holder_to_sobolev(spec, 0.6, 0.5),
+        "box": lambda: check_box_regularity(spec),
+    }
+    for name, run in suites.items():
+        drawn.clear()
+        freed.clear()
+        run()
+        assert drawn == [wavetorus.verify._SALT[name]] * spec.count, name
+    assert max(alive) <= workers
