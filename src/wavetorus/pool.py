@@ -14,11 +14,20 @@ last bits of its factors.  So each caller holds the OpenBLAS its calls reach
 at one thread (``one_blas_thread``) and runs one worker where it cannot.
 ``ctypes`` is imported inside ``openblas_threads``: importing the package
 binds no ``ctypes``.
+
+``lapack`` loads scipy's f2py LAPACK module, whose ``dgetrf`` and
+``dgetrs`` are all the dense Newton step needs, without importing
+``scipy.linalg`` (about 21 MB and 0.35 s of start-up against 2.5 MB and
+5 ms).  ``multi_seed_search``'s pin makes the first call on the calling
+thread, before any worker starts.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
+import sys
 import threading
 from contextlib import contextmanager
 from functools import lru_cache
@@ -76,29 +85,62 @@ def share_work(fn, items, workers: int) -> list:
     return results
 
 
+def _load_flapack():
+    """``scipy.linalg._flapack`` loaded from its file under its own name into
+    ``sys.modules``, where a later ``import scipy.linalg`` finds it; no scipy
+    package is imported, not even to find the file."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    stem = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                        "linalg", "_flapack")
+    path = next(stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                if os.path.isfile(stem + suffix))
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+@lru_cache(maxsize=None)
+def lapack():
+    """scipy's LAPACK wrappers, once per process: ``_load_flapack()``, or
+    ``scipy.linalg.lapack`` when that fails in any way.  Both hold the same
+    ``dgetrf`` and ``dgetrs``, the ones ``scipy.linalg.lu_factor`` and
+    ``lu_solve`` call."""
+    try:
+        return _load_flapack()
+    except Exception:
+        from scipy.linalg import lapack as module
+
+        return module
+
+
 @lru_cache(maxsize=None)
 def openblas_threads(module: str):
     """(get, set) of the thread count of the OpenBLAS that the Linux wheels
     of ``module``'s package bundle in ``<package>.libs`` beside it, or None
     (MKL, Accelerate, a system BLAS).
 
-    ``module`` is imported first (``scipy.linalg`` for scipy's LAPACK,
-    ``numpy`` for numpy's matrix products), so ctypes reaches the library
-    those calls go to.  The calls are ``openblas_get_num_threads`` and
-    ``openblas_set_num_threads`` with the prefix ``scipy_`` (the
-    scipy-openblas builds) or none, and the suffix ``64_`` (the builds with
-    64-bit integers, as numpy's) or none.  The lookup is made once per
-    process.
+    ``module`` is loaded first, so ctypes reaches the library its calls go
+    to: ``"scipy.linalg"`` names scipy's LAPACK, loaded by ``lapack`` (no
+    ``scipy.linalg`` import), ``"numpy"`` numpy's matrix products.  The
+    calls are ``openblas_get_num_threads`` and ``openblas_set_num_threads``
+    with the prefix ``scipy_`` (the scipy-openblas builds) or none, and the
+    suffix ``64_`` (the builds with 64-bit integers, as numpy's) or none.
+    The lookup is made once per process.
     """
     import ctypes  # not at module level: start-up
     import glob
-    import importlib
 
-    importlib.import_module(module)
-    package = importlib.import_module(module.partition(".")[0])
-    libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
-                        package.__name__ + ".libs")
-    for path in sorted(glob.glob(os.path.join(libs, "lib*openblas*"))):
+    if module == "scipy.linalg":
+        lapack()
+    else:
+        importlib.import_module(module)
+    package = module.partition(".")[0]
+    site = os.path.dirname(importlib.util.find_spec(package).submodule_search_locations[0])
+    for path in sorted(glob.glob(os.path.join(site, package + ".libs", "lib*openblas*"))):
         lib = ctypes.CDLL(path)
         for prefix in ("scipy_", ""):
             for suffix in ("", "64_"):

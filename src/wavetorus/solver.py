@@ -21,25 +21,24 @@ The functional whose gradient under the area-weighted pairing
 kappa = -4 is forced by the E-norm scaling |Q|/4: it is the unique constant
 making gradient and residual agree identically, for either sign convention.
 
-scipy is imported inside the functions that use it: ``scipy.linalg`` by
-``_linear_solver``, ``scipy.sparse.linalg`` on its lgmres path and
-``scipy.optimize`` by ``linking_report``.  Importing the package, and the
-commands that never solve (``verify``, ``norms``), then load no scipy
-module; ``lu_factor`` and ``lu_solve`` are still looked up on the
-``scipy.linalg`` module at call time.  ``multi_seed_search`` runs its seed
+scipy is loaded inside the functions that use it: the dense Newton step
+calls ``dgetrf`` and ``dgetrs`` on ``pool.lapack()`` (scipy's
+``scipy.linalg._flapack`` alone, loaded on the first solve), the lgmres path
+imports ``scipy.sparse.linalg`` and ``linking_report`` ``scipy.optimize``.
+Importing the package, and the commands that never solve (``verify``,
+``norms``), then load no scipy module.  ``multi_seed_search`` runs its seed
 ladder on the package's one thread pool (``pool.share_work``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 
 import numpy as np
 
 from .errors import NoConvergence, SingularJacobian, StallAt
 from .norms import norm_E, sobolev_norm
-from .pool import one_blas_thread, share_work, usable_cores
+from .pool import lapack, one_blas_thread, share_work, usable_cores
 from .spectral import (
     Q_AREA,
     GridField,
@@ -246,17 +245,18 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     ``work`` of at least (n_real + 1)^2 entries (a new one when None) and
     LU-factors it there, in place; ``levenberg(mu)`` refills J into the same
     buffer before adding mu on the field diagonal.  A solve is valid until
-    the next factorization, so ``levenberg`` ends the use of ``solve``.  An
-    exactly zero pivot or a non-finite factor (as a non-finite entry of J
-    gives) raises SingularJacobian.
+    the next factorization, so ``levenberg`` ends the use of ``solve``.
+    ``dgetrf`` and ``dgetrs`` are called as ``scipy.linalg.lu_factor(J,
+    overwrite_a=True, check_finite=False)`` and ``lu_solve`` call them, so
+    the factors are theirs.  An exactly zero pivot (dgetrf's ``info > 0``)
+    or a non-finite factor (as a non-finite entry of J gives) raises
+    SingularJacobian.
 
     With ``anchor`` (a packed direction), the system is bordered with the
     phase condition <anchor, delta> = 0: autonomous problems have the exact
     null vector d/dt u at any time-dependent solution, and the bordered
     solve removes it while staying an LU factorization.
     """
-    import scipy.linalg  # not at module level: see the module docstring
-
     lat = lattice(p.M)
     n = lat.n_real
     dim = n if anchor is None else n + 1
@@ -266,6 +266,7 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
         return lambda rhs: solve_dim(np.append(rhs, np.zeros(dim - n)))[:n]
 
     if n <= DENSE_LIMIT:
+        flapack = lapack()
         fill = _dense_jacobian(p, u)
         if work is None:
             work = np.empty((n + 1) ** 2)
@@ -278,12 +279,14 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
                 J[n, n] = 0.0
             if mu:  # Levenberg: damp only the field block, not the border
                 J[range(n), range(n)] += mu
-            # scipy's scan for non-finite input is skipped: a non-finite J
-            # gives a non-finite factor, and every right-hand side is finite
-            lu = scipy.linalg.lu_factor(J, overwrite_a=True, check_finite=False)
-            if not (np.all(np.isfinite(lu[0])) and np.all(np.diagonal(lu[0]))):
-                raise SingularJacobian("zero pivot or non-finite factorization")
-            return bordered(partial(scipy.linalg.lu_solve, lu, check_finite=False))
+            # no scan for non-finite input: a non-finite J gives a
+            # non-finite factor, and every right-hand side is finite
+            lu, piv, info = flapack.dgetrf(J, overwrite_a=1)
+            if not np.all(np.isfinite(lu)):
+                raise SingularJacobian("non-finite factorization")
+            if info > 0:
+                raise SingularJacobian(f"zero pivot U({info},{info})")
+            return bordered(lambda rhs: flapack.dgetrs(lu, piv, rhs)[0])
 
         return factor(0.0), factor
 
@@ -626,9 +629,10 @@ def multi_seed_search(p: PenalizedProblem, n_seeds: int,
     translation, sorted by functional value.
 
     The call holds scipy's OpenBLAS at one thread (``pool.one_blas_thread``),
-    so the LUs give the same bits on every host, and runs the seeds on
-    ``_pool_workers`` threads of ``pool.share_work`` (on one where that
-    library is missing).  Each ``newton_solve`` owns its dense buffer and
+    so the LUs give the same bits on every host; the pin loads scipy's
+    LAPACK module (``pool.lapack``) on the calling thread, before any
+    worker starts.  The seeds run on ``_pool_workers`` threads of
+    ``pool.share_work`` (on one where that library is missing).  Each ``newton_solve`` owns its dense buffer and
     closures, and the caches the threads share (``lattice``,
     ``jacobian_gather``) are read-only; LAPACK releases the GIL, so one
     seed's LU runs beside another seed's work.  Results come back in seed

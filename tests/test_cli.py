@@ -597,15 +597,9 @@ def test_continue_stall_writes_the_rows_reached(tmp_path, monkeypatch, capsys):
 _SCIPY_STAGES = """
 import json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-if sys.argv[1] == "linalg":
-    import scipy.linalg
-    print(json.dumps(scipy_modules()))
-    raise SystemExit
 def loaded():
-    return {"scipy": scipy_modules(), "futures": "concurrent.futures" in sys.modules,
+    return {"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+            "futures": "concurrent.futures" in sys.modules,
             "ctypes": sorted(name for name, mod in sys.modules.items()
                              if name.startswith("wavetorus") and "ctypes" in vars(mod))}
 
@@ -619,13 +613,14 @@ print(json.dumps(stages))
 
 
 def test_grid_norm_commands_load_no_scipy(tmp_path):
-    # import, verify and norms load no scipy module; a solve loads scipy.linalg
-    # and, of scipy.fft and scipy.optimize, only what scipy.linalg itself loads.
-    # They load no concurrent.futures either, and no wavetorus module imports
-    # it: the package's pool is its own (scipy.linalg loads it, so the check
-    # stops before the solve).  numpy imports ctypes itself, so for ctypes,
-    # which only the BLAS thread pins use, the check is that no wavetorus
-    # module binds it, whatever command ran
+    # import, verify and norms load no scipy module; a solve, and then a
+    # multi with its OpenBLAS pin, load scipy's LAPACK wrappers
+    # (scipy.linalg._flapack) and no other scipy module, not even the scipy
+    # package.  import, verify and norms load no concurrent.futures either,
+    # and no wavetorus module imports it: the package's pool is its own.
+    # numpy imports ctypes itself, so for ctypes, which only the BLAS thread
+    # pins use, the check is that no wavetorus module binds it, whatever
+    # command ran
     import ast
     import os
     import subprocess
@@ -641,20 +636,20 @@ def test_grid_norm_commands_load_no_scipy(tmp_path):
             {"command": "norms", "norms": {"field": str(fpath),
                                            "p": [4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, 2.5],
                                            "gamma": [0.5]}},
-            minimal_solve_config(initial={"kind": "random", "amplitude": 0.3})]
+            minimal_solve_config(initial={"kind": "random", "amplitude": 0.3}),
+            minimal_solve_config(command="multi", beta=1e-4, multi={"n_seeds": 2})]
     src = os.path.dirname(os.path.dirname(wavetorus.__file__))
     env = {**os.environ, "PYTHONPATH": src}
 
-    def stages(*args):
-        out = subprocess.run([sys.executable, "-c", _SCIPY_STAGES, *args], env=env,
-                             capture_output=True, text=True, check=True).stdout
-        return json.loads(out)
-
-    seen = stages(json.dumps(docs), str(tmp_path / "out"))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_STAGES, json.dumps(docs),
+                          str(tmp_path / "out")], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    seen = json.loads(out)
     for stage in ("import", "verify", "norms"):
         assert seen[stage]["scipy"] == [] and seen[stage]["futures"] is False, stage
     assert all(seen[stage]["ctypes"] == [] for stage in seen)
-    assert "scipy.linalg" in seen["solve"]["scipy"]
+    for stage in ("solve", "multi"):
+        assert seen[stage]["scipy"] == ["scipy.linalg._flapack"], stage
     package = os.path.dirname(wavetorus.__file__)
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
@@ -665,8 +660,3 @@ def test_grid_norm_commands_load_no_scipy(tmp_path):
             imported |= {node.module for node in ast.walk(tree)
                          if isinstance(node, ast.ImportFrom) and node.module}
             assert not any(m.startswith("concurrent") for m in imported), name
-
-    def fft_or_optimize(mods):
-        return {m for m in mods if m.startswith(("scipy.fft", "scipy.optimize"))}
-
-    assert fft_or_optimize(seen["solve"]["scipy"]) <= fft_or_optimize(stages("linalg"))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from dataclasses import replace
+from functools import lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -370,6 +371,98 @@ def test_dense_linear_solver_bit_identical_to_c_ordered_lu(default_nl, M, anchor
         assert np.array_equal(levenberg(mu)(rhs), oracle_solve(damped))
 
 
+_LAPACK_STEPS = """
+import hashlib, json, sys
+import numpy as np
+from wavetorus import make_nonlinearity, pool
+from wavetorus.solver import (PenalizedProblem, _dense_jacobian, _linear_solver,
+                              residual, time_derivative)
+from wavetorus.spectral import SubspaceTag, pack, random_field
+
+if sys.argv[1] == "fail":
+    def failing():
+        raise OSError("no _flapack file")
+    pool._load_flapack = failing
+nl = make_nonlinearity(3, [{"j": 0, "c": 1.0}, {"j": 1, "c_sin": 0.5}],
+                       {"kind": "tanh", "alpha": 1.0}, [])
+cases, steps = [], []
+for M in (8, 12):
+    p = PenalizedProblem(M=M, beta=1e-3, nl=nl)
+    u = 0.5 * random_field((M, 34), M, SubspaceTag.ALL, 0.5)
+    t_vec = pack(time_derivative(u))
+    anchor = t_vec / np.linalg.norm(t_vec)
+    rhs = -pack(residual(p, u))
+    solve, _ = _linear_solver(p, u)
+    bordered, levenberg = _linear_solver(p, u, anchor)
+    for case, step in (((None, 0.0), solve(rhs)), ((anchor, 0.0), bordered(rhs)),
+                       ((anchor, 1e-2), levenberg(1e-2)(rhs))):
+        cases.append((p, u, rhs) + case)
+        steps.append(step)
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import scipy.linalg
+
+def oracle(p, u, rhs, anchor, mu):
+    n = rhs.size
+    dim = n if anchor is None else n + 1
+    A = np.zeros((dim, dim))
+    A[:n, :n] = _dense_jacobian(p, u)()
+    if anchor is not None:
+        A[:n, n] = anchor
+        A[n, :n] = anchor
+    if mu:
+        A[range(n), range(n)] += mu
+    lu = scipy.linalg.lu_factor(A)
+    return scipy.linalg.lu_solve(lu, np.append(rhs, np.zeros(dim - n)))[:n]
+
+module = pool.lapack()
+print(json.dumps({
+    "loader": module.__name__, "before": before,
+    "wrappers": [scipy.linalg.lapack.dgetrf is module.dgetrf,
+                 scipy.linalg.lapack.dgetrs is module.dgetrs],
+    "steps": [hashlib.sha256(step.tobytes()).hexdigest() for step in steps],
+    "oracle": [step.tobytes() == oracle(*case).tobytes()
+               for case, step in zip(cases, steps)]}))
+"""
+
+
+@lru_cache(maxsize=None)
+def _lapack_steps(mode):
+    """Dense steps at M = 8 and 12 (plain, bordered, Levenberg at mu = 1e-2)
+    in a fresh process, where no test module has imported scipy.linalg;
+    ``mode`` "fail" makes the file-based load of _flapack fail first."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import wavetorus
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(wavetorus.__file__))}
+    return json.loads(subprocess.run([sys.executable, "-c", _LAPACK_STEPS, mode], env=env,
+                                     capture_output=True, text=True, check=True).stdout)
+
+
+def test_dense_steps_through_loaded_flapack_match_lu_factor():
+    # the solver loads scipy's LAPACK wrappers alone, its steps are the bytes
+    # of lu_factor/lu_solve, and a later scipy.linalg import reuses the module
+    seen = _lapack_steps("load")
+    assert seen["before"] == ["scipy.linalg._flapack"]
+    assert seen["loader"] == "scipy.linalg._flapack"
+    assert seen["wrappers"] == [True, True]
+    assert seen["oracle"] == [True] * 6
+
+
+def test_dense_steps_unchanged_when_flapack_load_falls_back():
+    # a failed file-based load falls back to scipy.linalg.lapack: the same
+    # wrappers, so the same step bytes
+    seen = _lapack_steps("fail")
+    assert seen["loader"] == "scipy.linalg.lapack"
+    assert seen["wrappers"] == [True, True]
+    assert seen["oracle"] == [True] * 6
+    assert seen["steps"] == _lapack_steps("load")["steps"]
+
+
 def _ladder_case(nl, M=8):
     """A seed steady up to 1e-10, so the phase anchor, and with it the
     n_real + 1 rows of the bordered system, appears only after the first
@@ -412,7 +505,6 @@ def test_newton_reused_buffers_match_fresh_ones(default_nl, monkeypatch):
     assert reused.I_value == fresh.I_value
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 @pytest.mark.parametrize("anchored", [False, True])
 def test_dense_linear_solver_raises_on_zero_pivot(default_nl, monkeypatch, anchored):
     # a fill of c I: the system with c = 0, and with c = -1 the Levenberg
@@ -450,7 +542,6 @@ def test_dense_linear_solver_raises_on_zero_pivot(default_nl, monkeypatch, ancho
     assert np.all(np.isfinite(levenberg(1e-4)(rhs)))
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("anchored", [False, True])
 def test_dense_linear_solver_raises_on_non_finite_jacobian(default_nl, monkeypatch,
