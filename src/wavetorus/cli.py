@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -41,6 +40,7 @@ from .solver import (
     newton_solve,
 )
 from .spectral import SpectralField, SubspaceTag, random_field, read_field, write_field
+from .spectral import _is_int, _is_num  # the rules of a field file's numbers
 from .spectral import write_json as _write_json  # the benchmark's spans look it up by this name
 from .verify import (
     EnsembleSpec,
@@ -82,19 +82,6 @@ class RunConfig:
     linking: dict = field(default_factory=dict)
     norms: dict = field(default_factory=dict)
     out: str | None = None
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_num(v) -> bool:
-    """A finite number: json.load reads Infinity, NaN and 1e400 as non-finite
-    floats, which no key takes."""
-    try:
-        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 def _choice(what: str, *options):

@@ -118,8 +118,6 @@ class TanhPart:
 
 @dataclass(frozen=True)
 class Certificate:
-    a_min: float
-    a_max: float
     c01: float
     c02: float
     c11: float
@@ -234,7 +232,7 @@ def make_nonlinearity(s: float, a, m, b=None) -> Nonlinearity:
     alpha_eff = _alpha_eff(s, a_min, m)
     a1, a2 = _coercivity(s, a_min, sup_m, max(abs(b_min), abs(b_max)))
     cert = Certificate(
-        a_min=a_min, a_max=a_max, c01=a_min, c02=a_max,
+        c01=a_min, c02=a_max,
         c11=b_min - sup_m, c21=b_max + sup_m,
         alpha_eff=alpha_eff, a1=a1, a2=a2,
     )

@@ -10,10 +10,10 @@ the ``verify`` suites their ensembles.
 Threads gain only where the work releases the GIL (LAPACK, BLAS and numpy's
 array loops).  An OpenBLAS call that runs on several threads oversubscribes
 the cores when several workers make such calls, and a threaded LU moves the
-last bits of its factors.  So each caller holds the OpenBLAS its calls reach
-at one thread (``one_blas_thread``) and runs one worker where it cannot.
-``ctypes`` is imported inside ``openblas_threads``: importing the package
-binds no ``ctypes``.
+last bits of its factors.  So ``share_work`` holds the OpenBLAS its caller's
+calls reach at one thread and runs one worker where it cannot.  ``ctypes``
+is imported inside ``openblas_threads``: importing the package binds no
+``ctypes``.
 
 ``lapack`` loads scipy's f2py LAPACK module, whose ``dgetrf`` and
 ``dgetrs`` are all the dense Newton step needs, without importing
@@ -29,10 +29,10 @@ import importlib.util
 import os
 import sys
 import threading
-from contextlib import contextmanager
 from functools import lru_cache
 
 _DONE = object()
+POOL_BYTES = 32 << 20  # memory the workers of one share_work call hold together
 
 
 def usable_cores() -> int:
@@ -42,7 +42,28 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def share_work(fn, items, workers: int) -> list:
+def share_work(fn, items, n: int, blas: str, item_bytes: int = 0) -> list:
+    """[fn(x) for x in items], ``n`` items, on min(n, usable cores,
+    POOL_BYTES // item_bytes) threads, at least one (``item_bytes``: the
+    memory one call of ``fn`` holds, 0 for no bound), with ``blas``'s
+    OpenBLAS held at one thread; on one thread where that OpenBLAS is not
+    found.  The count is process-wide and restored on return or raise, out
+    of order if pooled calls overlap in time.
+    """
+    threads = openblas_threads(blas)
+    if threads is None:
+        return _map(fn, items, 1)
+    get, set_threads = threads
+    before = get()
+    set_threads(1)
+    try:
+        cap = POOL_BYTES // item_bytes if item_bytes else n
+        return _map(fn, items, max(1, min(n, usable_cores(), cap)))
+    finally:
+        set_threads(before)
+
+
+def _map(fn, items, workers: int) -> list:
     """[fn(x) for x in items] on ``workers`` threads, the calling thread one
     of them; one worker (or fewer) is the serial loop.
 
@@ -151,23 +172,3 @@ def openblas_threads(module: str):
                     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
                     return get, set_threads
     return None
-
-
-@contextmanager
-def one_blas_thread(module: str):
-    """Hold ``module``'s bundled OpenBLAS (``openblas_threads``) at one
-    thread for the block; yield whether it could.  The count is
-    process-wide, and the previous one is restored on exit, also when the
-    block raises; blocks that overlap in time (two threads' calls) would
-    restore it out of order."""
-    threads = openblas_threads(module)
-    if threads is None:
-        yield False
-        return
-    get, set_threads = threads
-    before = get()
-    set_threads(1)
-    try:
-        yield True
-    finally:
-        set_threads(before)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import NoConvergence, SingularJacobian, StallAt
 from .norms import norm_E, sobolev_norm
-from .pool import lapack, one_blas_thread, share_work, usable_cores
+from .pool import lapack, share_work
 from .spectral import (
     Q_AREA,
     GridField,
@@ -64,7 +64,6 @@ KAPPA = -4.0
 
 DENSE_LIMIT = 4400  # real unknowns; M = 64 has 4161
 PHASE_GRID = 4096  # scan points of max_time_correlation
-POOL_BYTES = 32 << 20  # dense Newton memory of multi_seed_search's threads together
 
 
 @dataclass(frozen=True)
@@ -610,35 +609,22 @@ def dedup_solutions(found, dedup_threshold: float = 0.99):
     return distinct
 
 
-def _pool_workers(n_seeds: int, n_real: int) -> int:
-    """Threads of ``multi_seed_search``: min(n_seeds, usable cores,
-    POOL_BYTES // bytes of one dense solve), at least one.
-
-    Each worker's LUs run at one BLAS thread (``pool.one_blas_thread``).  A
-    dense solve holds its (n_real + 1)^2 buffer and, in the fill, two gather
-    temporaries of half that size: 12 (n_real + 1)^2 bytes, so from M = 34
-    up the search is serial.
-    """
-    return max(1, min(n_seeds, usable_cores(), POOL_BYTES // (12 * (n_real + 1) ** 2)))
-
-
 def multi_seed_search(p: PenalizedProblem, n_seeds: int,
                       dedup_threshold: float = 0.99, master_seed: int = 0,
                       tol: float = 1e-10, max_iter: int = 60):
     """Newton from a deterministic seed ladder, deduplicated modulo time
     translation, sorted by functional value.
 
-    The call holds scipy's OpenBLAS at one thread (``pool.one_blas_thread``),
-    so the LUs give the same bits on every host; the pin loads scipy's
-    LAPACK module (``pool.lapack``) on the calling thread, before any
-    worker starts.  The seeds run on ``_pool_workers`` threads of
-    ``pool.share_work`` (on one where that library is missing).  Each ``newton_solve`` owns its dense buffer and
-    closures, and the caches the threads share (``lattice``,
-    ``jacobian_gather``) are read-only; LAPACK releases the GIL, so one
-    seed's LU runs beside another seed's work.  Results come back in seed
-    order and are deduplicated as in a serial loop, so they do not depend
-    on the worker count.  Seeds ending in
-    NoConvergence or SingularJacobian are skipped; any other error is raised.
+    The seeds run on ``pool.share_work`` with scipy's OpenBLAS held at one
+    thread, so the LUs give the same bits on every host.  A dense solve
+    holds its (n_real + 1)^2 buffer and, in the fill, two gather temporaries
+    of half that size: 12 (n_real + 1)^2 bytes, bounded together by
+    ``pool.POOL_BYTES``, so from M = 34 up the search is serial.  The
+    threads share read-only caches (``lattice``, ``jacobian_gather``);
+    LAPACK releases the GIL, so one seed's LU runs beside another seed's
+    work.  Results come back in seed order and are deduplicated as in a
+    serial loop.  Seeds ending in NoConvergence or SingularJacobian are
+    skipped; any other error is raised.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
@@ -649,10 +635,9 @@ def multi_seed_search(p: PenalizedProblem, n_seeds: int,
         except (NoConvergence, SingularJacobian):
             return None
 
-    with one_blas_thread("scipy.linalg") as pinned:
-        workers = _pool_workers(n_seeds, lattice(p.M).n_real) if pinned else 1
-        found = [sol for sol in share_work(solve, _seed_fields(p, n_seeds, master_seed),
-                                           workers) if sol is not None]
+    solve_bytes = 12 * (lattice(p.M).n_real + 1) ** 2
+    found = [sol for sol in share_work(solve, _seed_fields(p, n_seeds, master_seed), n_seeds,
+                                       "scipy.linalg", solve_bytes) if sol is not None]
     distinct = dedup_solutions(found, dedup_threshold)
     distinct.sort(key=lambda s: s.I_value)
     return distinct
@@ -677,8 +662,7 @@ def critical_identity_gap(p: PenalizedProblem, u: SpectralField) -> float:
 
 
 def linking_report(p: PenalizedProblem, l_values, rho_values=(0.25, 0.5, 1.0, 2.0),
-                   n_starts: int = 5, n_sphere: int = 64, master_seed: int = 0,
-                   maxiter: int = 500) -> dict:
+                   n_starts: int = 5, n_sphere: int = 64, master_seed: int = 0) -> dict:
     """Per-level diagnostics of the linking geometry.
 
     For each l: M(l) = max of the functional over the finite subspace of
@@ -721,7 +705,7 @@ def linking_report(p: PenalizedProblem, l_values, rho_values=(0.25, 0.5, 1.0, 2.
                 rng = np.random.default_rng((master_seed, 303, l, s_idx))
                 x0 = rng.standard_normal(dim) * (0.3 * 2.0 ** (s_idx - 1))
             res = scipy.optimize.minimize(neg_I, x0, jac=True, method="L-BFGS-B",
-                                          options={"maxiter": maxiter})
+                                          options={"maxiter": 500})
             best_val = max(best_val, -float(res.fun))
         tail = packed_index(lat.eplus & (lat.weight > l - 1))
         rng = np.random.default_rng((master_seed, 404, l))

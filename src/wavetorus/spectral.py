@@ -58,9 +58,9 @@ All operations are pure: fields are treated as immutable values.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -571,25 +571,43 @@ def field_to_dict(u: SpectralField) -> dict:
     }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_num(v) -> bool:
+    """A finite number: json.load reads Infinity, NaN and 1e400 as non-finite floats."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def field_from_dict(d: dict) -> SpectralField:
+    """The field of ``field_to_dict``'s form; M, j, k must be integers, re, im finite numbers."""
     if not isinstance(d, dict):
         raise ValueError("a field file holds one JSON object")
     if d.get("domain") != DOMAIN_LABEL:
         raise ValueError(f"unexpected domain {d.get('domain')!r}")
     if d.get("normalization") != NORMALIZATION_LABEL:
         raise ValueError(f"unexpected normalization {d.get('normalization')!r}")
-    M = int(d["M"])
+    M = d["M"]
+    if not _is_int(M):
+        raise ValueError(f"M must be an integer (got {M!r})")
     modes = {}
-    for e in d["coeffs"]:
-        j, k = int(e["j"]), int(e["k"])
+    for i, e in enumerate(d["coeffs"]):
+        j, k = e["j"], e["k"]
+        if not (_is_int(j) and _is_int(k)):
+            raise ValueError(f"coeffs[{i}]: j and k must be integers (got {j!r}, {k!r})")
         if not (k > 0 or (k == 0 and j >= 0)):
             raise ValueError(f"entry ({j},{k}) is not in the stored half lattice")
         if (j, k) in modes:
             raise ValueError(f"entry ({j},{k}) appears twice")
-        c = complex(float(e["re"]), float(e["im"]))
-        if not cmath.isfinite(c):
-            raise ValueError(f"entry ({j},{k}) is not finite")
-        modes[(j, k)] = c
+        for part, v in (("re", e["re"]), ("im", e["im"])):
+            if not _is_num(v):
+                raise ValueError(f"entry ({j},{k}) is not finite" if isinstance(v, float) else
+                                 f"entry ({j},{k}): {part} must be a finite number (got {v!r})")
+        modes[(j, k)] = complex(e["re"], e["im"])
     u = SpectralField.from_modes(M, modes, hermitian=True)
     if not u.is_hermitian():  # the test field_to_dict applies: only (0,0) can fail it
         raise ValueError("entry (0,0) of a real field must have im = 0")
@@ -624,7 +642,7 @@ def _finite_or_none(value):
         return {k: _finite_or_none(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_finite_or_none(v) for v in value]
-    return None if isinstance(value, float) and not cmath.isfinite(value) else value
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def write_json(path, payload) -> None:

@@ -8,10 +8,10 @@ Sobolev estimate) the reports certify boundedness of empirical ratio
 ensembles under refinement instead of a numeric constant.
 
 Each suite draws its fields lazily through ``ensemble_fields`` and computes
-their ratios on the package's thread pool (``_pooled``), with numpy's
-OpenBLAS held at one thread.  The ratios come back in trial order and each
-is computed as in a serial loop, so the reports do not depend on the worker
-count.
+their ratios on the package's thread pool (``pool.share_work``), with
+numpy's OpenBLAS held at one thread.  The ratios come back in trial order
+and each is computed as in a serial loop, so the reports do not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .norms import (
     quadrant_split,
     sobolev_norm,
 )
-from .pool import one_blas_thread, share_work, usable_cores
+from .pool import share_work
 from .solver import MONITORED, PenalizedProblem, newton_solve, residual
 from .spectral import (
     Q_AREA,
@@ -65,18 +65,9 @@ def ensemble_fields(spec: EnsembleSpec, salt: int):
         yield random_field((spec.seed, salt, trial), spec.M, spec.tag, spec.decay)
 
 
-def _pooled(fn, items, n: int) -> list:
-    """[fn(x) for x in items], ``n`` items, on min(n, usable cores) threads
-    (``pool.share_work``) with numpy's OpenBLAS held at one thread, so the
-    workers' matrix products do not oversubscribe the cores; on one thread
-    where that library is not found."""
-    with one_blas_thread("numpy") as pinned:
-        return share_work(fn, items, min(n, usable_cores()) if pinned else 1)
-
-
 def _ensemble(fn, spec: EnsembleSpec, suite: str) -> list:
     """``fn`` of every field of the suite's ensemble, in trial order."""
-    return _pooled(fn, ensemble_fields(spec, _SALT[suite]), spec.count)
+    return share_work(fn, ensemble_fields(spec, _SALT[suite]), spec.count, "numpy")
 
 
 def _columns(rows, n: int) -> list:
@@ -182,7 +173,7 @@ def check_embedding(spec: EnsembleSpec, s: float, tails=(8, 16, 32, 64),
     ratios = _ensemble(ratio, spec, "embedding")
     tails = tuple(tails)
     bands = ((T, trial) for T in tails for trial in range(tail_count))
-    tail_ratios = _pooled(tail_ratio, bands, len(tails) * tail_count)
+    tail_ratios = share_work(tail_ratio, bands, len(tails) * tail_count, "numpy")
     tail_max = {int(T): max([0.0, *tail_ratios[i * tail_count:(i + 1) * tail_count]])
                 for i, T in enumerate(tails)}
     return _report("fractional_embedding", spec, ratios, {"s": s, "p": p},

@@ -184,7 +184,7 @@ def test_verify_writes_the_same_bytes_on_any_worker_count(tmp_path, monkeypatch)
     import sys
     from pathlib import Path
 
-    import wavetorus.verify
+    import wavetorus.pool
     from wavetorus.spectral import _synthesis_table, lattice
 
     cfg = parse_config({"command": "verify", "seed": 12345,
@@ -192,7 +192,7 @@ def test_verify_writes_the_same_bytes_on_any_worker_count(tmp_path, monkeypatch)
                                    "tails": [4, 8], "tail_count": 8, "write_ratios": True}})
 
     def files(workers):
-        monkeypatch.setattr(wavetorus.verify, "usable_cores", lambda: workers)
+        monkeypatch.setattr(wavetorus.pool, "usable_cores", lambda: workers)
         out = tmp_path / str(workers)
         assert run(cfg, str(out)) == EXIT_OK
         return {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
@@ -447,6 +447,10 @@ def _field_text(*coeffs, raw=None):
     pytest.param(_field_text(raw=5), id="coeffs-not-a-list"),
     pytest.param(_field_text(raw=[[1, 2]]), id="entry-not-an-object"),
     pytest.param(_field_text(raw=[{"j": 0, "k": 1, "re": None, "im": 0.0}]), id="re-null"),
+    pytest.param(_field_text(((0, 1), 0.0)).replace('"M": 2', '"M": 2.0'), id="M-float"),
+    pytest.param(_field_text(((0, 1), 0.0)).replace('"M": 2', '"M": "2"'), id="M-string"),
+    pytest.param(_field_text(raw=[{"j": 0, "k": True, "re": 0.5, "im": 0.0}]), id="k-true"),
+    pytest.param(_field_text(raw=[{"j": 0, "k": 1, "re": "0.5", "im": 0.0}]), id="re-string"),
 ])
 def test_main_rejects_file_that_is_not_a_field(tmp_path, capsys, text):
     fpath = tmp_path / "field.json"
@@ -570,7 +574,10 @@ def test_main_rejects_keys_the_kind_does_not_read(tmp_path, capsys):
         "wavetorus: config error: initial.path: not read by kind 'zero'"]
 
 
-def test_continue_stall_writes_the_rows_reached(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("stall, betas", [("after-floor", ["0.1", "0.05"]), ("first-beta", [])])
+def test_continue_stall_writes_the_rows_reached(tmp_path, monkeypatch, capsys, stall, betas):
+    # a stall forced after the floor keeps the rows reached; the continuation
+    # example's seed stalls at the first beta at M=8: a header-only trace
     import wavetorus.cli
     from wavetorus import StallAt
 
@@ -579,17 +586,21 @@ def test_continue_stall_writes_the_rows_reached(tmp_path, monkeypatch, capsys):
     def stall_after_floor(p, schedule, seed, **kwargs):
         raise StallAt(1e-3, "line search stalled", follow(p, schedule, seed, **kwargs))
 
-    monkeypatch.setattr(wavetorus.cli, "continuation_beta", stall_after_floor)
     doc = {"command": "continue", "seed": 3, "M": 8,
            "beta": {"start": 1e-1, "factor": 0.5, "floor": 5e-2},
            "nl": DEFAULT_NL_SPEC, "initial": {"kind": "zero"}}
+    if stall == "after-floor":
+        monkeypatch.setattr(wavetorus.cli, "continuation_beta", stall_after_floor)
+    else:
+        doc.update(seed=9, initial={"kind": "modes", "amplitude": 0.08,
+                                    "modes": [{"j": 2, "k": 2, "re": 1.25}]})
     out = tmp_path / "c"
     assert main(["continue", "--config", write_config(tmp_path, doc),
                  "--out", str(out)]) == EXIT_SOLVER
     rep = json.loads((out / "report.json").read_text())
     assert rep["status"] == "error" and rep["error_type"] == "StallAt"
     rows = (out / "trace.csv").read_text().splitlines()
-    assert [r.split(",")[0] for r in rows[1:]] == ["0.1", "0.05"]
+    assert [r.split(",")[0] for r in rows] == ["beta", *betas]
     assert not (out / "solution_final.json").exists()
     assert "line search stalled" in capsys.readouterr().err
 

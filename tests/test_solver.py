@@ -748,7 +748,7 @@ def test_multi_seed_pool_matches_one_worker(default_nl, monkeypatch, master_seed
     # empty lattice and gather caches, so their first builds race
     import sys
 
-    from wavetorus import solver
+    from wavetorus import pool, solver
     from wavetorus.spectral import jacobian_gather
 
     p = PenalizedProblem(M=8, beta=1e-4, nl=default_nl)
@@ -768,7 +768,7 @@ def test_multi_seed_pool_matches_one_worker(default_nl, monkeypatch, master_seed
             return sol
 
         monkeypatch.setattr(solver, "newton_solve", newton)
-        monkeypatch.setattr(solver, "_pool_workers", lambda n_seeds, n_real: workers)
+        monkeypatch.setattr(pool, "usable_cores", lambda: workers)
         return multi_seed_search(p, 8, master_seed=master_seed, max_iter=60), histories
 
     serial, serial_runs = search(1)
@@ -798,7 +798,7 @@ def test_multi_seed_pool_keeps_seed_order_and_failure_handling(default_nl, monke
     # NoConvergence and SingularJacobian seeds are skipped, other errors raised
     import threading
 
-    from wavetorus import solver
+    from wavetorus import pool, solver
     from wavetorus.solver import SolutionState, _seed_fields
 
     p = PenalizedProblem(M=8, beta=1e-4, nl=default_nl)
@@ -819,7 +819,7 @@ def test_multi_seed_pool_keeps_seed_order_and_failure_handling(default_nl, monke
             return SolutionState(seed_u, 0.0, float(i), 0)
         return newton
 
-    monkeypatch.setattr(solver, "_pool_workers", lambda n_seeds, n_real: 2)
+    monkeypatch.setattr(pool, "usable_cores", lambda: 2)
     monkeypatch.setattr(solver, "newton_solve", fake_newton(
         {1: NoConvergence("no convergence"), 2: SingularJacobian("zero pivot")}))
     sols = multi_seed_search(p, 8, master_seed=7)
@@ -830,54 +830,32 @@ def test_multi_seed_pool_keeps_seed_order_and_failure_handling(default_nl, monke
         multi_seed_search(p, 8, master_seed=7)
 
 
-def test_pool_workers_leave_blas_its_cores_and_bound_the_memory(monkeypatch):
-    # one worker per core of the affinity set (cpu_count without one), each
-    # running its LUs at one BLAS thread; the dense solves together stay
-    # within POOL_BYTES.  No BLAS variable in the environment moves the count
-    from wavetorus import pool, solver
-
-    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: set(range(16)),
-                        raising=False)
-    n24, n33, n34 = (lattice(M).n_real for M in (24, 33, 34))
-    assert solver._pool_workers(32, n24) == 7
-    assert solver._pool_workers(5, n24) == 5
-    assert solver._pool_workers(32, n33) == 2
-    for n in (n34, lattice(64).n_real, solver.DENSE_LIMIT + 1):
-        assert solver._pool_workers(32, n) == 1
-    for n in range(1, 2000, 37):
-        w = solver._pool_workers(10**6, n)
-        assert w == 1 or w * 12 * (n + 1) ** 2 <= solver.POOL_BYTES
-    assert solver._pool_workers(32, 73) == 16
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
-    assert [solver._pool_workers(32, n) for n in (73, n24, n34)] == [16, 7, 1]
-    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    assert solver._pool_workers(32, 73) == 3
-    monkeypatch.delattr(pool.os, "sched_getaffinity")
-    monkeypatch.setattr(pool.os, "cpu_count", lambda: 6)
-    assert solver._pool_workers(32, 73) == 6
-    monkeypatch.setattr(pool.os, "cpu_count", lambda: None)
-    assert solver._pool_workers(32, 73) == 1
-
-
 def _pooled_call(module, probe, workers, monkeypatch, nl):
-    """(caller, call): a pooled call of six items that runs ``probe()`` in
-    every item on ``workers`` threads, where ``module``'s OpenBLAS is the
-    library the call pins.  For scipy.linalg it is multi's seed ladder, with
-    the worker count set through ``_pool_workers``; for numpy a verify
-    suite, with the usable cores set to ``workers``."""
-    from wavetorus import solver, verify
+    """(call, opened): a pooled call of six items that runs ``probe()`` in
+    every item, with the usable cores set to ``workers``, where ``module``'s
+    OpenBLAS is the library the call pins (for scipy.linalg multi's seed
+    ladder, for numpy a verify suite); and the list of the worker counts the
+    pool runs on."""
+    from wavetorus import pool, solver, verify
     from wavetorus.solver import SolutionState
     from wavetorus.verify import EnsembleSpec, check_box_regularity
 
+    opened, real_map = [], pool._map
+
+    def recording(fn, items, n):
+        opened.append(n)
+        return real_map(fn, items, n)
+
+    monkeypatch.setattr(pool, "_map", recording)
+    monkeypatch.setattr(pool, "usable_cores", lambda: workers)
     if module == "scipy.linalg":
         def newton(p, seed_u, tol, max_iter):
             probe()
             return SolutionState(seed_u, 0.0, 0.0, 0)
 
         monkeypatch.setattr(solver, "newton_solve", newton)
-        monkeypatch.setattr(solver, "_pool_workers", lambda n_seeds, n_real: workers)
         p = PenalizedProblem(M=8, beta=1e-4, nl=nl)
-        return solver, lambda: multi_seed_search(p, 6, master_seed=3)
+        return lambda: multi_seed_search(p, 6, master_seed=3), opened
     real_norm_lq = verify.norm_lq
 
     def norm_lq(u, q):
@@ -885,22 +863,7 @@ def _pooled_call(module, probe, workers, monkeypatch, nl):
         return real_norm_lq(u, q)
 
     monkeypatch.setattr(verify, "norm_lq", norm_lq)
-    monkeypatch.setattr(verify, "usable_cores", lambda: workers)
-    return verify, lambda: check_box_regularity(EnsembleSpec(count=6, M=8, seed=3))
-
-
-def _recording_pool(monkeypatch, caller):
-    """Record the worker count of every ``share_work`` call of ``caller``."""
-    from wavetorus.pool import share_work
-
-    opened = []
-
-    def recording(fn, items, workers):
-        opened.append(workers)
-        return share_work(fn, items, workers)
-
-    monkeypatch.setattr(caller, "share_work", recording)
-    return opened
+    return lambda: check_box_regularity(EnsembleSpec(count=6, M=8, seed=3)), opened
 
 
 @pytest.mark.parametrize("module", ["scipy.linalg", "numpy"])
@@ -923,8 +886,7 @@ def test_pooled_call_runs_openblas_at_one_thread_and_restores_it(module, default
         if len(seen) == 3 and raising:
             raise ValueError("not a Newton failure")
 
-    caller, call = _pooled_call(module, probe, 2, monkeypatch, default_nl)
-    opened = _recording_pool(monkeypatch, caller)
+    call, opened = _pooled_call(module, probe, 2, monkeypatch, default_nl)
     original = get()
     set_threads(2)
     try:
@@ -949,8 +911,7 @@ def test_pooled_call_runs_one_worker_without_bundled_openblas(module, default_nl
 
     monkeypatch.setattr(pool, "openblas_threads", lambda name: None)
     seen = []
-    caller, call = _pooled_call(module, lambda: seen.append(1), 4, monkeypatch, default_nl)
-    opened = _recording_pool(monkeypatch, caller)
+    call, opened = _pooled_call(module, lambda: seen.append(1), 4, monkeypatch, default_nl)
     call()
     assert opened == [1] and len(seen) == 6
 

@@ -301,6 +301,25 @@ def test_field_file_rejects_non_finite_entry(entry, part, value):
             field_from_dict(doc)
 
 
+@pytest.mark.parametrize("raw, message", [
+    ({"M": 8.7}, r"M must be an integer \(got 8\.7\)"),
+    ({"M": "6"}, r"M must be an integer \(got '6'\)"),
+    ({"j": 1.9}, r"coeffs\[1\]: j and k must be integers \(got 1\.9, 1\)"),
+    ({"k": True}, r"coeffs\[1\]: j and k must be integers \(got 1, True\)"),
+    ({"re": "0.5"}, r"entry \(1,1\): re must be a finite number \(got '0\.5'\)"),
+    ({"im": 10**400}, r"entry \(1,1\): im must be a finite number \(got 1000"),
+], ids=["M-float", "M-string", "j-float", "k-true", "re-string", "im-huge"])
+def test_field_file_rejects_malformed_numbers(raw, message):
+    # a config's rules, not int() or float(): no bool, string or fraction
+    coeffs = [{"j": 0, "k": 0, "re": 1, "im": 0}, {"j": 1, "k": 1, "re": 0.5, "im": 0.0}]
+    doc = {"M": 8, "domain": "x:[0,pi],t:[0,2pi]", "normalization": "unit-modes",
+           "coeffs": coeffs}
+    assert field_from_dict(doc).get(1, 1) == 0.5
+    (doc if "M" in raw else coeffs[1]).update(raw)
+    with pytest.raises(ValueError, match="^" + message):
+        field_from_dict(doc)
+
+
 def test_synthesize_rejects_complex_fields():
     u = SpectralField.from_modes(4, {(1, 1): 1.0}, hermitian=False)
     with pytest.raises(NotHermitian):

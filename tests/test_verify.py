@@ -29,6 +29,7 @@ from wavetorus import (
     random_field,
     sobolev_norm,
 )
+import wavetorus.pool
 import wavetorus.verify
 from wavetorus.solver import ContinuationRow
 from wavetorus.verify import MONITORED
@@ -274,7 +275,7 @@ def test_every_suite_draws_count_fields_through_ensemble_fields(monkeypatch, wor
             drawn.append(salt)
 
     monkeypatch.setattr(wavetorus.verify, "ensemble_fields", counting)
-    monkeypatch.setattr(wavetorus.verify, "usable_cores", lambda: workers)
+    monkeypatch.setattr(wavetorus.pool, "usable_cores", lambda: workers)
     spec = small_spec(count=5, M=8)
     suites = {
         "hy": lambda: hausdorff_young_reports(spec, (1.5, 2.0)),
