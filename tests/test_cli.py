@@ -574,26 +574,7 @@ def test_main_rejects_keys_the_kind_does_not_read(tmp_path, capsys):
         "wavetorus: config error: initial.path: not read by kind 'zero'"]
 
 
-@pytest.mark.parametrize("stall, betas", [("after-floor", ["0.1", "0.05"]), ("first-beta", [])])
-def test_continue_stall_writes_the_rows_reached(tmp_path, monkeypatch, capsys, stall, betas):
-    # a stall forced after the floor keeps the rows reached; the continuation
-    # example's seed stalls at the first beta at M=8: a header-only trace
-    import wavetorus.cli
-    from wavetorus import StallAt
-
-    follow = wavetorus.cli.continuation_beta
-
-    def stall_after_floor(p, schedule, seed, **kwargs):
-        raise StallAt(1e-3, "line search stalled", follow(p, schedule, seed, **kwargs))
-
-    doc = {"command": "continue", "seed": 3, "M": 8,
-           "beta": {"start": 1e-1, "factor": 0.5, "floor": 5e-2},
-           "nl": DEFAULT_NL_SPEC, "initial": {"kind": "zero"}}
-    if stall == "after-floor":
-        monkeypatch.setattr(wavetorus.cli, "continuation_beta", stall_after_floor)
-    else:
-        doc.update(seed=9, initial={"kind": "modes", "amplitude": 0.08,
-                                    "modes": [{"j": 2, "k": 2, "re": 1.25}]})
+def _continue_stall(tmp_path, capsys, doc, betas):
     out = tmp_path / "c"
     assert main(["continue", "--config", write_config(tmp_path, doc),
                  "--out", str(out)]) == EXIT_SOLVER
@@ -603,6 +584,32 @@ def test_continue_stall_writes_the_rows_reached(tmp_path, monkeypatch, capsys, s
     assert [r.split(",")[0] for r in rows] == ["beta", *betas]
     assert not (out / "solution_final.json").exists()
     assert "line search stalled" in capsys.readouterr().err
+
+
+_STALL_DOC = {"command": "continue", "seed": 3, "M": 8,
+              "beta": {"start": 1e-1, "factor": 0.5, "floor": 5e-2},
+              "nl": DEFAULT_NL_SPEC, "initial": {"kind": "zero"}}
+
+
+def test_continue_stall_writes_the_rows_reached(tmp_path, monkeypatch, capsys):
+    # a stall forced after the floor keeps the rows reached
+    import wavetorus.cli
+    from wavetorus import StallAt
+
+    follow = wavetorus.cli.continuation_beta
+
+    def stall_after_floor(p, schedule, seed, **kwargs):
+        raise StallAt(1e-3, "line search stalled", follow(p, schedule, seed, **kwargs))
+
+    monkeypatch.setattr(wavetorus.cli, "continuation_beta", stall_after_floor)
+    _continue_stall(tmp_path, capsys, dict(_STALL_DOC), ["0.1", "0.05"])
+
+
+def test_continue_stall_at_the_first_beta_writes_a_header_only_trace(tmp_path, capsys):
+    # the continuation example's seed stalls at the first beta at M=8
+    doc = dict(_STALL_DOC, seed=9, initial={"kind": "modes", "amplitude": 0.08,
+                                            "modes": [{"j": 2, "k": 2, "re": 1.25}]})
+    _continue_stall(tmp_path, capsys, doc, [])
 
 
 _SCIPY_STAGES = """
