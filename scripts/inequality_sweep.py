@@ -8,14 +8,14 @@ plus the tail-compactness table of the fractional embedding.
 import argparse
 import os
 
-from wavetorus import (
+from wavetorus.spectral import write_csv
+from wavetorus.verify import (
     EnsembleSpec,
     check_box_regularity,
     check_embedding,
     gn_reports,
     hausdorff_young_reports,
 )
-from wavetorus.spectral import write_csv
 
 HY_PS = (4.0 / 3.0, 1.5, 2.0)
 GN_PS = (3.0, 4.0)

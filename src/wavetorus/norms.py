@@ -150,26 +150,9 @@ def block_index(w: int) -> int:
     return int(w - 1).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class DyadicDecomposition:
-    """Disjoint dyadic annuli that sum back to the original field."""
-
-    blocks: tuple  # ((m, SpectralField), ...)
-
-    def field(self, m: int) -> SpectralField:
-        for i, f in self.blocks:
-            if i == m:
-                return f
-        raise KeyError(m)
-
-    def total(self) -> SpectralField:
-        acc = self.blocks[0][1]
-        for _, f in self.blocks[1:]:
-            acc = acc + f
-        return acc
-
-
-def dyadic_blocks(u: SpectralField) -> DyadicDecomposition:
+def dyadic_blocks(u: SpectralField) -> tuple:
+    """Disjoint dyadic annuli ((m, Delta_m u), ...) for m = 0 .. block_index(M);
+    the blocks sum back to u."""
     lat = lattice(u.M)
     m_top = block_index(max(u.M, 1))
     out = []
@@ -178,7 +161,7 @@ def dyadic_blocks(u: SpectralField) -> DyadicDecomposition:
         lo = -1 if m == 0 else 2 * 2 ** (m - 1)  # block 0 keeps weight 0 too
         sel = lat.mask & (lat.weight > lo) & (lat.weight <= hi)
         out.append((m, SpectralField(u.M, np.where(sel, u.coeffs, 0.0))))
-    return DyadicDecomposition(tuple(out))
+    return tuple(out)
 
 
 def holder_estimate(u: SpectralField, gamma: float, oversample: int = 4) -> float:
@@ -191,7 +174,7 @@ def holder_estimate(u: SpectralField, gamma: float, oversample: int = 4) -> floa
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     best = 0.0
-    for m, f in dyadic_blocks(u).blocks:
+    for m, f in dyadic_blocks(u):
         if not np.any(f.coeffs):
             continue
         Mb = min(2 * 2**m, u.M)

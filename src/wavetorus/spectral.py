@@ -29,29 +29,22 @@ pruned (Markel, IEEE Trans. Audio Electroacoust. 19(4), 1971): synthesis
 transforms along t only the 2 jmax + 1 lattice rows, because the other
 rows are zero, and analysis transforms along x only the 2M + 1 lattice
 columns it keeps.  Each kept value is computed as ``ifft2``/``fft2``
-computes it, so the results equal theirs bit for bit.  The grid norms read
-|u| through ``abs_blocks``, which sends an exactly Hermitian field through a
-pruned real inverse transform: numpy's ``ifft`` along t on the rows
-j >= 0, then the x pass as real matrix products with a cached
-nx x 2(jmax + 1) cos/sin table (``_synthesis_table``), which reads only the
-jmax + 1 nonzero rows where ``irfft`` along x transformed all nx/2 + 1.  At
-M = 64 (520 x 520 grid, 2-core x86 host, one BLAS thread) the whole product
-took 0.6 ms against 2.0 ms for ``irfft`` (0.9 against 3.2 ms in a slower
-period); it equals the complex path to about 1e-15 relative, and its last
-bits depend on numpy's FFT (pocketfft) and on the BLAS build, as the
-solver's LU already does.  Every transform here is numpy's, so this module
-imports no scipy.  The x pass runs in row blocks of ``GRID_BLOCK`` grid
-values (256 KiB), each a slice of the table times the t-pass coefficients,
-written into one buffer that serves the whole grid; the L^p and sup norms
-reduce each block before the next is made.  A full 520 x 520 grid is a
-2.1 MB array, which the C allocator maps fresh and returns to the system on
-every call: at M = 64 the verify ensembles spent about a quarter of their
-time in the page faults of those grids.  The blocks are as large as that
-allows because each one is a turn of Python code that holds the GIL: a
-520 x 520 pass takes 9 of them where 8192-value blocks took 35, which
-leaves the other workers of verify's thread pool more time.  The solver stays on the complex
-path because its Newton trajectories are sensitive to rounding: the real
-path flipped one cold seed of the M = 24 multiplicity search.
+computes it, so the results equal theirs bit for bit.  The solver stays on
+this complex path because its Newton trajectories are sensitive to
+rounding: the real path flipped one cold seed of the M = 24 multiplicity
+search.
+
+The grid norms read |u| through ``abs_blocks``, which sends an exactly
+Hermitian field through a pruned real inverse transform: numpy's ``ifft``
+along t on the rows j >= 0, then the x pass as real matrix products with a
+cached nx x 2(jmax + 1) cos/sin table (``_synthesis_table``), which reads
+only the jmax + 1 nonzero rows.  It equals the complex path to about 1e-15
+relative, and its last bits depend on numpy's FFT (pocketfft) and on the
+BLAS build.  The x pass runs in row blocks of ``GRID_BLOCK`` grid values,
+all written into one reused buffer, so a block is valid only until the
+next one is requested; the L^p and sup norms reduce each block before the
+next is made, and no full-grid array is built.
+Every transform here is numpy's, so this module imports no scipy.
 
 All operations are pure: fields are treated as immutable values.
 """

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from wavetorus import GridTooCoarse, ParseError, SpectralField, random_field, write_field
 from wavetorus.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -13,8 +12,9 @@ from wavetorus.cli import (
     parse_config,
     run,
 )
+from wavetorus.errors import GridTooCoarse, ParseError
 from wavetorus.norms import holder_estimate, norm_Lp
-from wavetorus.spectral import default_grid
+from wavetorus.spectral import default_grid, random_field, write_field
 from wavetorus.verify import MONITORED
 from tests.conftest import DEFAULT_NL_SPEC
 
@@ -285,7 +285,7 @@ def test_mms_command(tmp_path):
 
 def test_mms_singular_levels_report_null_errors(tmp_path, monkeypatch):
     import wavetorus.verify
-    from wavetorus import SingularJacobian
+    from wavetorus.errors import SingularJacobian
 
     def singular(*args, **kwargs):
         raise SingularJacobian("zero pivot")
@@ -594,7 +594,7 @@ _STALL_DOC = {"command": "continue", "seed": 3, "M": 8,
 def test_continue_stall_writes_the_rows_reached(tmp_path, monkeypatch, capsys):
     # a stall forced after the floor keeps the rows reached
     import wavetorus.cli
-    from wavetorus import StallAt
+    from wavetorus.errors import StallAt
 
     follow = wavetorus.cli.continuation_beta
 

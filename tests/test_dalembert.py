@@ -3,17 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavetorus import (
-    NotInEperp,
-    ResonantMass,
-    SpectralField,
-    SubspaceTag,
-    apply_box,
-    h1_bound_ratio,
-    project,
-    random_field,
-    solve_box,
-)
+from wavetorus.dalembert import apply_box, h1_bound_ratio, solve_box
+from wavetorus.errors import NotInEperp, ResonantMass
+from wavetorus.spectral import SpectralField, SubspaceTag, project, random_field
 
 seeds = st.integers(0, 2**31 - 1)
 

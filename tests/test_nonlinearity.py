@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from wavetorus import (
-    GridField,
-    NonlinearityRejected,
+from wavetorus.errors import NonlinearityRejected, OrderUnavailable
+from wavetorus.nonlinearity import (
     Nonlinearity,
-    OrderUnavailable,
     TanhPart,
     TrigPolynomial,
     make_nonlinearity,
     nonlinearity_from_config,
 )
+from wavetorus.spectral import GridField
 
 A_TERMS = [{"j": 0, "c": 1.0}, {"j": 1, "c_sin": 0.5}]
 

@@ -7,46 +7,46 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavetorus import (
-    BetaSchedule,
-    NoConvergence,
-    Nonlinearity,
-    PenalizedProblem,
-    SingularJacobian,
-    SpectralField,
-    StallAt,
-    SubspaceTag,
-    TrigPolynomial,
-    apply_box,
-    continuation_beta,
-    critical_identity_gap,
-    functional_I,
-    max_time_correlation,
-    mms_problem,
-    monitored_quantities,
-    multi_seed_search,
-    newton_solve,
-    pair,
-    project,
-    random_field,
-    residual,
-    time_derivative,
-    time_translate,
-)
+from wavetorus.dalembert import apply_box
+from wavetorus.errors import NoConvergence, SingularJacobian, StallAt
+from wavetorus.nonlinearity import Nonlinearity, TrigPolynomial
 from wavetorus.solver import (
     PHASE_GRID,
+    BetaSchedule,
+    PenalizedProblem,
     _dense_jacobian,
     _f_hat,
     _grid_side,
     _linear_solver,
     _phase_scan,
+    continuation_beta,
+    critical_identity_gap,
     dedup_solutions,
+    functional_I,
     linking_report,
+    max_time_correlation,
+    monitored_quantities,
+    multi_seed_search,
+    newton_solve,
     pack,
+    pair,
     penalized_symbol,
+    residual,
+    time_derivative,
     unpack,
 )
-from wavetorus.spectral import lattice
+from wavetorus.spectral import (
+    SpectralField,
+    SubspaceTag,
+    embed,
+    lattice,
+    project,
+    random_field,
+    synthesize,
+    time_translate,
+    truncate,
+)
+from wavetorus.verify import mms_problem
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -67,15 +67,11 @@ class FixedSource:
         self.M = M
 
     def values(self, x, u, order=0):
-        from wavetorus import synthesize
-
         if order == 0:
             return synthesize(self.g_field, u.shape[0], u.shape[1]).values
         return np.zeros_like(u)
 
     def potential_values(self, x, u):
-        from wavetorus import synthesize
-
         return synthesize(self.g_field, u.shape[0], u.shape[1]).values * u
 
 
@@ -267,8 +263,6 @@ def test_newton_from_exact_seed_is_immediate(default_nl):
 
 
 def test_newton_mms_recovery_and_quadratic_convergence(default_nl):
-    from wavetorus import embed, truncate
-
     target, p = mms_problem(default_nl, 0.5, 16, 1e-3, seed=7)
     cold = embed(truncate(target, 8), 16)
     sol = newton_solve(p, cold, tol=1e-12, max_iter=20)
@@ -293,8 +287,6 @@ def test_newton_iterative_path_matches_dense(default_nl, monkeypatch):
     import wavetorus.solver as solver
 
     target, p = mms_problem(default_nl, 0.5, 10, 1e-3, seed=9)
-    from wavetorus import embed, truncate
-
     cold = embed(truncate(target, 6), 10)
     dense = newton_solve(p, cold, tol=1e-11, max_iter=20)
     monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
@@ -998,7 +990,6 @@ def test_problem_validation(default_nl):
 def test_galerkin_consistency_under_refinement(default_nl):
     # warm-restarting a manufactured solve at twice the truncation moves the
     # solution by roughly the spectral tail, which shrinks geometrically
-    from wavetorus import embed, mms_problem, truncate
     from dataclasses import replace
 
     target, p_big = mms_problem(default_nl, 0.5, 32, 1e-3, seed=3)

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavetorus import (
+from wavetorus.errors import GridTooCoarse, NotHermitian, NotInKernel
+from wavetorus.norms import quadrant_split
+from wavetorus.spectral import (
     GridField,
-    GridTooCoarse,
-    NotHermitian,
-    NotInKernel,
     Q_AREA,
     SpectralField,
     SubspaceTag,
@@ -21,7 +20,6 @@ from wavetorus import (
     kernel_field,
     lattice,
     project,
-    quadrant_split,
     random_field,
     read_field,
     synthesize,

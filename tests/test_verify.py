@@ -1,38 +1,40 @@
 import numpy as np
 import pytest
 
-from wavetorus import (
+import wavetorus.pool
+import wavetorus.verify
+from wavetorus.norms import (
+    holder_estimate,
+    norm_Es,
+    norm_Lp,
+    norm_lq,
+    quadrant_split,
+    sobolev_norm,
+)
+from wavetorus.solver import (
     BetaSchedule,
+    ContinuationRow,
     ContinuationTrace,
+    continuation_beta,
+    monitored_quantities,
+)
+from wavetorus.spectral import Q_AREA, SpectralField, SubspaceTag, random_field
+from wavetorus.verify import (
+    MONITORED,
     EnsembleSpec,
-    Q_AREA,
-    SpectralField,
-    SubspaceTag,
     apriori_monitor,
     check_box_regularity,
     check_embedding,
     check_gn,
     check_hausdorff_young,
     check_holder_to_sobolev,
-    continuation_beta,
     embedding_integrability,
     gn_interpolation_exponent,
     gn_reports,
     hausdorff_young_reports,
-    holder_estimate,
     mms_problem,
     mms_run,
-    monitored_quantities,
-    norm_Es,
-    norm_Lp,
-    norm_lq,
-    random_field,
-    sobolev_norm,
 )
-import wavetorus.pool
-import wavetorus.verify
-from wavetorus.solver import ContinuationRow
-from wavetorus.verify import MONITORED
 
 
 def small_spec(count=60, M=12, decay=0.0, seed=7):
@@ -121,8 +123,6 @@ def test_holder_to_sobolev_closed_form_and_identity():
     u = SpectralField.from_modes(4, {(0, 3): 0.5})  # cos 3t, block 1
     h = holder_estimate(u, 0.6)
     assert h == pytest.approx(2.0**0.6, rel=1e-12)
-    from wavetorus import quadrant_split
-
     pp = quadrant_split(u)[0]
     npp = sobolev_norm(pp, 0.5, "ell1")
     assert npp == pytest.approx(np.sqrt(3.0) / 2.0, rel=1e-12)
