@@ -27,11 +27,10 @@ from .solver import (
     functional_I,
     max_time_correlation,
     multi_seed_search,
-    newton_solve,
     pair,
     residual,
 )
-from .spectral import SpectralField, SubspaceTag, embed, project, random_field, read_field, truncate
+from .spectral import SpectralField, SubspaceTag, project, random_field, read_field
 from .verify import (
     EnsembleSpec,
     apriori_monitor,

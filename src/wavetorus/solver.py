@@ -64,6 +64,9 @@ KAPPA = -4.0
 
 DENSE_LIMIT = 4400  # real unknowns; M = 64 has 4161
 PHASE_GRID = 4096  # scan points of max_time_correlation
+# entries per row panel of the dense Jacobian fill (256 KiB of complex128);
+# the M = 24 fill is slower with 8192 or 32768, and 2.5x slower in one panel
+_PANEL_ENTRIES = 16384
 
 
 @dataclass(frozen=True)
@@ -181,27 +184,34 @@ def _dense_jacobian(p: PenalizedProblem, u: SpectralField):
 
     and row and column 0 are [0, 0] = gr(0) + d(0), [0, x h'] =
     gr(-h') + gr(h'), [0, y h'] = -(gi(-h') - gi(h')), [x h, 0] = gr(h),
-    [y h, 0] = gi(h).  Every entry is one gather through the flat index
-    tables ``jacobian_gather(M)``, built once per M on the first call; row 0
+    [y h, 0] = gi(h).  Every entry is one gather from g_hat at flat
+    positions formed from ``jacobian_gather(M)``'s half-mode offsets; row 0
     reads -h' because g_hat is Hermitian only to rounding.
 
     Returns ``fill(out=None)``, which writes J into the leading
     n_real x n_real block of ``out`` (a new array when None) and returns
     ``out``.  ``out`` should be Fortran-ordered, as LAPACK's getrf wants it:
-    fill writes J^T row by row, which is the same memory, and reads
-    g_hat(h' - h) through the transposed table ``diff_t`` (the h + h' table
-    is symmetric).  Every entry gets the operands of the formulas above, in
-    their order.  g_hat is computed once, so a fill after an in-place LU
-    rebuilds J without a transform.
+    fill writes J^T row by row, which is the same memory.  The four field
+    blocks are written in row panels of about ``_PANEL_ENTRIES`` entries:
+    each panel gathers gr + i gi at its positions of h' - h and h + h', so
+    at most two complex panels and one index panel are alive beside
+    ``out``, and nothing of size n_half^2 is built or cached.  Every entry
+    gets the operands of the formulas above, in their order, so the panel
+    height does not change a bit of J.  g_hat is computed once, so a fill
+    after an in-place LU rebuilds J without a transform.
     """
     lat = lattice(p.M)
     tab = jacobian_gather(p.M)
     g = _f_hat(p, u, 1).coeffs.ravel()  # f_u(x, u), bandwidth 2M
     s = -p.sigma
-    gr, gi = s * g.real, s * g.imag
+    gc = np.empty_like(g)  # one gather reads both parts
+    gc.real, gc.imag = s * g.real, s * g.imag
+    gr, gi = gc.real, gc.imag
     sym = penalized_symbol(p)
     n, nh = lat.n_real, lat.n_half
     x, y = slice(1, 1 + nh), slice(1 + nh, n)
+    d = sym[lat.half_rows, lat.half_cols]
+    rows = max(1, _PANEL_ENTRIES // max(nh, 1))
 
     def fill(out=None):
         J = np.empty((n, n), order="F") if out is None else out
@@ -211,14 +221,17 @@ def _dense_jacobian(p: PenalizedProblem, u: SpectralField):
         T[y, 0] = -(gi[tab.minus] - gi[tab.plus])
         T[0, x] = gr[tab.plus]
         T[0, y] = gi[tab.plus]
-        dr, sr = gr[tab.diff_t], gr[tab.sum]
-        dr.reshape(-1)[::nh + 1] += sym[lat.half_rows, lat.half_cols]
-        np.add(dr, sr, out=T[x, x])
-        np.subtract(dr, sr, out=T[y, y])
-        del dr, sr  # at most two gather temporaries alive beside J
-        di, si = gi[tab.diff_t], gi[tab.sum]
-        np.add(di, si, out=T[x, y])
-        np.subtract(si, di, out=T[y, x])
+        Txx, Txy, Tyx, Tyy = T[x, x], T[x, y], T[y, x], T[y, y]
+        for a in range(0, nh, rows):
+            b = min(a + rows, nh)
+            dg = gc[tab.minus[a:b, None] + tab.off]  # at h' - h
+            sg = gc[tab.plus[a:b, None] + tab.off]  # at h + h'
+            dg.reshape(-1)[a::nh + 1].real += d[a:b]  # the entries h' = h
+            np.add(dg.real, sg.real, out=Txx[a:b])
+            np.subtract(dg.real, sg.real, out=Tyy[a:b])
+            np.add(dg.imag, sg.imag, out=Txy[a:b])
+            np.subtract(sg.imag, dg.imag, out=Tyx[a:b])
+            del dg, sg  # freed before the next panel is gathered
         return J
 
     return fill
@@ -242,14 +255,16 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
 
     The dense path fills J, Fortran-ordered, into the flat float64 buffer
     ``work`` of at least (n_real + 1)^2 entries (a new one when None) and
-    LU-factors it there, in place; ``levenberg(mu)`` refills J into the same
-    buffer before adding mu on the field diagonal.  A solve is valid until
-    the next factorization, so ``levenberg`` ends the use of ``solve``.
+    LU-factors it there, in place; the fill writes J in row panels straight
+    into that buffer, so no other array of J's size is made, and
+    ``levenberg(mu)`` refills J into the same buffer before adding mu on the
+    field diagonal.  A solve is valid until the next factorization, so
+    ``levenberg`` ends the use of ``solve``.
     ``dgetrf`` and ``dgetrs`` are called as ``scipy.linalg.lu_factor(J,
     overwrite_a=True, check_finite=False)`` and ``lu_solve`` call them, so
     the factors are theirs.  An exactly zero pivot (dgetrf's ``info > 0``)
-    or a non-finite factor (as a non-finite entry of J gives) raises
-    SingularJacobian.
+    or a non-finite factor (as a non-finite entry of J gives; found by the
+    factor's min and max) raises SingularJacobian.
 
     With ``anchor`` (a packed direction), the system is bordered with the
     phase condition <anchor, delta> = 0: autonomous problems have the exact
@@ -281,7 +296,9 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
             # no scan for non-finite input: a non-finite J gives a
             # non-finite factor, and every right-hand side is finite
             lu, piv, info = flapack.dgetrf(J, overwrite_a=1)
-            if not np.all(np.isfinite(lu)):
+            # min and max carry a NaN and reach either infinity, with no
+            # temporary of J's size (np.isfinite(lu) is one of dim^2 bytes)
+            if not (np.isfinite(lu.min()) and np.isfinite(lu.max())):
                 raise SingularJacobian("non-finite factorization")
             if info > 0:
                 raise SingularJacobian(f"zero pivot U({info},{info})")
@@ -609,6 +626,17 @@ def dedup_solutions(found, dedup_threshold: float = 0.99):
     return distinct
 
 
+def _solve_bytes(p: PenalizedProblem) -> int:
+    """Bytes one dense ``newton_solve`` holds at its peak: the (n_real + 1)^2
+    float64 buffer, the fill's panels (two complex128 and one index panel of
+    ``_PANEL_ENTRIES`` entries) and the grid work of a transform of f (80
+    bytes a point of the ``_grid_side(p)`` grid, five complex grids, which
+    also covers the coefficient arrays alive beside it).  The terms are
+    summed although the fill and the transforms never overlap."""
+    n = lattice(p.M).n_real
+    return 8 * (n + 1) ** 2 + 40 * _PANEL_ENTRIES + 80 * _grid_side(p) ** 2
+
+
 def multi_seed_search(p: PenalizedProblem, n_seeds: int,
                       dedup_threshold: float = 0.99, master_seed: int = 0,
                       tol: float = 1e-10, max_iter: int = 60):
@@ -616,15 +644,16 @@ def multi_seed_search(p: PenalizedProblem, n_seeds: int,
     translation, sorted by functional value.
 
     The seeds run on ``pool.share_work`` with scipy's OpenBLAS held at one
-    thread, so the LUs give the same bits on every host.  A dense solve
-    holds its (n_real + 1)^2 buffer and, in the fill, two gather temporaries
-    of half that size: 12 (n_real + 1)^2 bytes, bounded together by
-    ``pool.POOL_BYTES``, so from M = 34 up the search is serial.  The
-    threads share read-only caches (``lattice``, ``jacobian_gather``);
-    LAPACK releases the GIL, so one seed's LU runs beside another seed's
-    work.  Results come back in seed order and are deduplicated as in a
-    serial loop.  Seeds ending in NoConvergence or SingularJacobian are
-    skipped; any other error is raised.
+    thread, so the LUs give the same bits on every host.  The workers'
+    dense solves, ``_solve_bytes`` each, are bounded together by
+    ``pool.POOL_BYTES``: at oversample 4 with s <= 3 and an x-degree 1
+    nonlinearity, M = 34 to 36 still run two seeds at a time on two cores,
+    and from M = 37 up the search is serial.  The threads share read-only
+    caches (``lattice``, ``jacobian_gather``); LAPACK releases the GIL, so
+    one seed's LU runs beside another seed's work.  Results come back in
+    seed order and are deduplicated as in a serial loop.  Seeds ending in
+    NoConvergence or SingularJacobian are skipped; any other error is
+    raised.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
@@ -635,9 +664,8 @@ def multi_seed_search(p: PenalizedProblem, n_seeds: int,
         except (NoConvergence, SingularJacobian):
             return None
 
-    solve_bytes = 12 * (lattice(p.M).n_real + 1) ** 2
     found = [sol for sol in share_work(solve, _seed_fields(p, n_seeds, master_seed), n_seeds,
-                                       "scipy.linalg", solve_bytes) if sol is not None]
+                                       "scipy.linalg", _solve_bytes(p)) if sol is not None]
     distinct = dedup_solutions(found, dedup_threshold)
     distinct.sort(key=lambda s: s.I_value)
     return distinct

@@ -31,14 +31,11 @@ from wavetorus import (
     max_time_correlation,
     mms_run,
     multi_seed_search,
-    newton_solve,
     pair,
     project,
     random_field,
     residual,
     solve_box,
-    truncate,
-    embed,
 )
 from wavetorus.solver import linking_report
 from tests.conftest import DEFAULT_NL_SPEC

@@ -115,9 +115,9 @@ def test_share_work_reraises_an_error_of_the_items():
 
 def test_pool_workers_leave_blas_its_cores_and_bound_the_memory(monkeypatch):
     # one worker per core of the affinity set (cpu_count without one), each
-    # running its BLAS calls at one thread; multi's dense solves, 12
-    # (n_real + 1)^2 bytes each, stay within POOL_BYTES together.  No BLAS
-    # variable in the environment moves the count
+    # running its BLAS calls at one thread; items of 12 (n_real + 1)^2
+    # bytes each stay within POOL_BYTES together.  No BLAS variable in the
+    # environment moves the count
     opened = []
     monkeypatch.setattr(pool, "openblas_threads", lambda name: (lambda: 4, lambda n: None))
     monkeypatch.setattr(pool, "_map", lambda fn, items, workers: opened.append(workers))

@@ -19,6 +19,7 @@ from wavetorus.solver import (
     _grid_side,
     _linear_solver,
     _phase_scan,
+    _solve_bytes,
     continuation_beta,
     critical_identity_gap,
     dedup_solutions,
@@ -195,6 +196,118 @@ def test_forced_jacobian_bit_identical_to_complex_construction(default_nl):
     _, p = mms_problem(default_nl, 0.5, 12, 1e-3, seed=5)
     u = random_field(61, 12, SubspaceTag.ALL, 0.4)
     assert np.array_equal(_dense_jacobian(p, u)(), complex_jacobian_oracle(p, u))
+
+
+@pytest.mark.parametrize("M", [12, 24])
+def test_jacobian_fill_bit_identical_at_every_panel_height(default_nl, monkeypatch, M):
+    # one row per panel (budgets below and at n_half), 7-row panels with a
+    # shorter last one, one panel of exactly n_half rows, and a height beyond
+    # n_half; plain, bordered (the border is left as it was) and as the
+    # Levenberg refill dgetrf receives
+    from wavetorus import pool, solver
+
+    p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl)
+    u = random_field((63, M), M, SubspaceTag.ALL, 0.4)
+    oracle = complex_jacobian_oracle(p, u)
+    n, nh = lattice(M).n_real, lattice(M).n_half
+    assert nh % 7
+    t_vec = pack(time_derivative(u))
+    anchor = t_vec / np.linalg.norm(t_vec)
+    factored = []
+
+    class CapturingLapack:
+        def __getattr__(self, name):
+            return getattr(pool.lapack(), name)
+
+        def dgetrf(self, a, overwrite_a=0):
+            factored.append(a.copy(order="F"))
+            return pool.lapack().dgetrf(a, overwrite_a=overwrite_a)
+
+    monkeypatch.setattr(solver, "lapack", CapturingLapack)
+    for entries in (1, nh, 7 * nh, nh * nh, 3 * nh * nh):
+        monkeypatch.setattr(solver, "_PANEL_ENTRIES", entries)
+        plain = _dense_jacobian(p, u)()
+        assert np.array_equal(plain, oracle), entries
+        bordered = _dense_jacobian(p, u)(np.full((n + 1, n + 1), np.nan, order="F"))
+        assert np.array_equal(bordered[:n, :n], oracle), entries
+        assert np.isnan(bordered[n]).all() and np.isnan(bordered[:, n]).all()
+        factored.clear()
+        _linear_solver(p, u, anchor)[1](1e-2)
+        newton, refill = factored
+        assert np.array_equal(newton[:n, :n], oracle), entries
+        damped = plain.copy()
+        damped[range(n), range(n)] += 1e-2
+        assert np.array_equal(refill[:n, :n], damped), entries
+        assert np.array_equal(refill[:n, n], anchor) and np.array_equal(refill[n, :n], anchor)
+
+
+def test_jacobian_fill_holds_no_table_of_n_half_squared(default_nl):
+    # the fill into a preallocated buffer gathers in row panels: its
+    # temporaries stay below a quarter of one n_half x n_half float64
+    # block, and the cached positions are O(n_half)
+    import tracemalloc
+    from dataclasses import fields as dataclass_fields
+
+    from wavetorus.spectral import jacobian_gather
+
+    M = 40
+    p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl)
+    u = random_field((64, M), M, SubspaceTag.ALL, 0.4)
+    n, nh = lattice(M).n_real, lattice(M).n_half
+    out = np.empty((n + 1, n + 1), order="F")
+    fill = _dense_jacobian(p, u)
+    fill(out)
+    tracemalloc.start()
+    try:
+        fill(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nh * nh * 8 / 4
+    tab = jacobian_gather(M)
+    sizes = [np.size(getattr(tab, f.name)) for f in dataclass_fields(tab)]
+    assert max(sizes) == nh
+
+
+@pytest.mark.parametrize("M", [24, 32, 40])
+@pytest.mark.parametrize("forced", [True, False])
+def test_dense_step_peak_within_the_pool_memory_model(default_nl, M, forced):
+    # the tracemalloc peak of one dense Newton step (fill, LU, line search,
+    # the functional of the failed state) is what multi_seed_search tells
+    # the pool one solve holds, and more than its (n_real + 1)^2 buffer
+    import tracemalloc
+
+    if forced:  # square system
+        target, p = mms_problem(default_nl, 0.5, M, 1e-3, seed=5)
+        u0 = embed(truncate(target, M // 2), M)
+    else:  # bordered with the phase row
+        p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl)
+        u0 = random_field((65, M), M, SubspaceTag.ALL, 0.3)
+
+    def step():
+        try:
+            newton_solve(p, u0, max_iter=1)
+        except NoConvergence:
+            pass
+
+    step()  # builds the per-M caches and loads LAPACK
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * (lattice(M).n_real + 1) ** 2 < peak <= _solve_bytes(p)
+
+
+def test_pool_memory_model_keeps_two_workers_up_to_m36(default_nl):
+    # the docstring's count on two cores: share_work runs min(2, this, ...)
+    # workers, at least one
+    from wavetorus.pool import POOL_BYTES
+
+    workers = [POOL_BYTES // _solve_bytes(PenalizedProblem(M=M, beta=1e-3, nl=default_nl))
+               for M in (33, 34, 35, 36, 37, 64)]
+    assert [min(2, w) for w in workers] == [2, 2, 2, 2, 1, 0]
 
 
 def complex_fft_f_hat(p, u, order):
