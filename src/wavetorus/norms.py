@@ -150,18 +150,19 @@ def block_index(w: int) -> int:
     return int(w - 1).bit_length() - 1
 
 
-def dyadic_blocks(u: SpectralField) -> tuple:
-    """Disjoint dyadic annuli ((m, Delta_m u), ...) for m = 0 .. block_index(M);
-    the blocks sum back to u."""
+def _annulus(u: SpectralField, m: int) -> SpectralField:
+    """Delta_m u: the modes of u in block m (see ``block_index``), on u's own
+    lattice; the one definition of the annulus bounds."""
     lat = lattice(u.M)
-    m_top = block_index(max(u.M, 1))
-    out = []
-    for m in range(m_top + 1):
-        hi = 2 * 2**m
-        lo = -1 if m == 0 else 2 * 2 ** (m - 1)  # block 0 keeps weight 0 too
-        sel = lat.mask & (lat.weight > lo) & (lat.weight <= hi)
-        out.append((m, SpectralField(u.M, np.where(sel, u.coeffs, 0.0))))
-    return tuple(out)
+    lo = -1 if m == 0 else 2 * 2 ** (m - 1)  # block 0 keeps weight 0 too
+    sel = lat.mask & (lat.weight > lo) & (lat.weight <= 2 * 2**m)
+    return SpectralField(u.M, np.where(sel, u.coeffs, 0.0))
+
+
+def dyadic_blocks(u: SpectralField) -> tuple:
+    """Disjoint dyadic annuli ((m, Delta_m u), ...) for m = 0 .. block_index(M),
+    all on the lattice of u and held at once; the blocks sum back to u."""
+    return tuple((m, _annulus(u, m)) for m in range(block_index(max(u.M, 1)) + 1))
 
 
 def holder_estimate(u: SpectralField, gamma: float, oversample: int = 4) -> float:
@@ -169,33 +170,39 @@ def holder_estimate(u: SpectralField, gamma: float, oversample: int = 4) -> floa
 
     Block suprema are grid maxima (``grid_max_abs``) at the given
     oversampling, so the result is a lower bound on the true sup with
-    spectral-accuracy gap.
+    spectral-accuracy gap.  Block m is cut from ``truncate(u, min(2*2^m, M))``,
+    the smallest diamond that holds it, and reduced before the next is built,
+    so only the top block is as large as u.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     best = 0.0
-    for m, f in dyadic_blocks(u):
+    for m in range(block_index(max(u.M, 1)) + 1):
+        f = _annulus(truncate(u, min(2 * 2**m, u.M)), m)
         if not np.any(f.coeffs):
             continue
-        Mb = min(2 * 2**m, u.M)
-        sup = grid_max_abs(truncate(f, Mb), oversample)
-        best = max(best, 2.0 ** (gamma * m) * sup)
+        best = max(best, 2.0 ** (gamma * m) * grid_max_abs(f, oversample))
     return best
 
 
-def quadrant_split(u: SpectralField):
-    """Sign-quadrant split (u++, u+-, u-+, u--) by (sign j, sign k).
+def quadrants(u: SpectralField):
+    """The sign quadrants u++, u+-, u-+, u-- of ``quadrant_split``, made one at a
+    time, so a caller that reduces each before asking for the next holds one."""
+    lat = lattice(u.M)
+    jp, kp = lat.J >= 0, lat.K >= 0
+    for sel in (jp & kp, jp & ~kp, ~jp & kp, ~jp & ~kp):
+        yield SpectralField(u.M, np.where(sel, u.coeffs, 0.0))
+
+
+def quadrant_split(u: SpectralField) -> tuple:
+    """Sign-quadrant split (u++, u+-, u-+, u--) by (sign j, sign k): the tuple of
+    ``quadrants(u)``, all four held at once.
 
     Quadrants partition the lattice: j >= 0 vs j < 0 and k >= 0 vs k < 0.
     The pieces are genuinely complex (Hermitian symmetry intentionally broken)
     but their disjoint supports make coefficient-space identities exact.
     """
-    lat = lattice(u.M)
-    jp, kp = lat.J >= 0, lat.K >= 0
-    quads = []
-    for sel in (jp & kp, jp & ~kp, ~jp & kp, ~jp & ~kp):
-        quads.append(SpectralField(u.M, np.where(sel, u.coeffs, 0.0)))
-    return tuple(quads)
+    return tuple(quadrants(u))
 
 
 @dataclass(frozen=True)

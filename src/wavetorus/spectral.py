@@ -370,7 +370,8 @@ def _hermitian_values(u: SpectralField, nx: int, nt: int):
     coefficients: u(x_a, .) = sum_j w_j Re(A_j e^{2 pi i j a / nx}) restores
     the rows j < 0 from the symmetry and skips the rows above jmax, which
     are zero.  Every block is written into one buffer that serves the whole
-    grid, so a block is valid only until the next one is requested.
+    grid, so a block is valid only until the next one is requested.  The x
+    pass holds that buffer and the real t-pass coefficients C alone.
     """
     _require_grid(u.M, nx, nt)
     jmax = lattice(u.M).jmax
@@ -378,6 +379,9 @@ def _hermitian_values(u: SpectralField, nx: int, nt: int):
     A[:, np.arange(-u.M, u.M + 1) % nt] = u.coeffs[jmax:]
     A = np.fft.ifft(A, axis=1, norm="forward")
     C = np.concatenate((A.real, A.imag))
+    # this generator's frame keeps every local alive until the last block, so
+    # drop the complex t-pass result, which C now holds, before the x pass
+    del A
     table = _synthesis_table(jmax, nx)
     rows = max(1, GRID_BLOCK // nt)
     buf = np.empty((min(rows, nx), nt))

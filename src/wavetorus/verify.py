@@ -28,7 +28,7 @@ from .norms import (
     norm_Es,
     norm_Lp,
     norm_lq,
-    quadrant_split,
+    quadrants,
     sobolev_norm,
 )
 from .pool import share_work
@@ -239,7 +239,8 @@ def check_holder_to_sobolev(spec: EnsembleSpec, gamma: float,
 
     def trial(u):
         h = holder_estimate(u, gamma, spec.oversample)
-        qn2 = [sobolev_norm(qf, gamma_prime, "ell1") ** 2 for qf in quadrant_split(u)]
+        # one quadrant field at a time: each is reduced before the next is made
+        qn2 = [sobolev_norm(qf, gamma_prime, "ell1") ** 2 for qf in quadrants(u)]
         total = sobolev_norm(u, gamma_prime, "ell1") ** 2
         return [np.sqrt(n2) / h for n2 in qn2], abs(total - sum(qn2)) / max(total, 1e-300)
 

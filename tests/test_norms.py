@@ -15,6 +15,7 @@ from wavetorus.norms import (
     norm_Lp,
     norm_lq,
     quadrant_split,
+    quadrants,
     sobolev_norm,
 )
 from wavetorus.spectral import (
@@ -350,6 +351,60 @@ def test_lp_norms_never_hold_a_full_grid():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8  # one 520 x 520 float64 grid, 2.16 MB
+
+
+def blocks_at_once_holder(u, gamma, oversample=4):
+    """holder_estimate as the max over the whole ``dyadic_blocks(u)`` tuple,
+    each full-size block truncated to its own diamond afterwards."""
+    best = 0.0
+    for m, f in dyadic_blocks(u):
+        if not np.any(f.coeffs):
+            continue
+        Mb = min(2 * 2**m, u.M)
+        best = max(best, 2.0 ** (gamma * m) * grid_max_abs(truncate(f, Mb), oversample))
+    return best
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(0, 40), st.sampled_from([SubspaceTag.ALL, SubspaceTag.EPERP]),
+       st.floats(0.01, 0.99), st.floats(0.01, 0.99))
+def test_streamed_blocks_and_quadrants_equal_the_held_ones(seed, M, tag, gamma, gamma_prime):
+    # blocks built on their own truncation give the sup of the truncated
+    # full-size blocks bit for bit; the lazy quadrants are the split's
+    u = random_field(seed, M, tag, 0.05)
+    assert holder_estimate(u, gamma) == blocks_at_once_holder(u, gamma)
+    lazy = [sobolev_norm(q, gamma_prime, "ell1") for q in quadrants(u)]
+    assert lazy == [sobolev_norm(q, gamma_prime, "ell1") for q in quadrant_split(u)]
+
+
+def _warm_peak_mb(call):
+    """tracemalloc peak of ``call()`` in MB, after one untraced warm-up call
+    has built the cached lattices and synthesis tables."""
+    import tracemalloc
+
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+# Held all blocks at once, holder_estimate peaked at 1.62 and 3.58 MB (M = 64,
+# 96); built on their own truncations, one at a time, at 0.69 and 1.52 MB.
+# Keeping the complex t-pass array through the x pass raised one M = 64
+# abs_blocks pass from 0.55 to 0.81 MB.
+@pytest.mark.parametrize("M, bound_mb", [(64, 1.1), (96, 2.5)])
+def test_holder_estimate_holds_one_block_at_a_time(M, bound_mb):
+    u = random_field(5, M, SubspaceTag.ALL, 0.0)
+    assert _warm_peak_mb(lambda: holder_estimate(u, 0.5)) < bound_mb
+
+
+def test_abs_blocks_frees_the_t_pass_before_the_x_pass():
+    u = random_field(5, 64, SubspaceTag.ALL, 0.0)
+    n = default_grid(64)
+    assert _warm_peak_mb(lambda: [None for _ in abs_blocks(u, n, n)]) < 0.68
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -float("inf")])

@@ -133,6 +133,18 @@ def test_holder_to_sobolev_closed_form_and_identity():
         check_holder_to_sobolev(small_spec(), 0.5, 0.6)
 
 
+def test_holder_trial_reads_the_quadrant_split():
+    # the trial draws its quadrants one at a time; its ratios are those of the
+    # four fields of quadrant_split, in order, over the holder proxy
+    spec = small_spec(count=6, M=10)
+    rep = check_holder_to_sobolev(spec, 0.6, 0.5)
+    ref = []
+    for u in wavetorus.verify.ensemble_fields(spec, wavetorus.verify._SALT["holder"]):
+        h = holder_estimate(u, 0.6, spec.oversample)
+        ref += [np.sqrt(sobolev_norm(q, 0.5, "ell1") ** 2) / h for q in quadrant_split(u)]
+    assert rep.extras["per_trial"] == ref
+
+
 def test_box_regularity_report():
     rep = check_box_regularity(small_spec(count=40, M=16), p=2.0, gamma=0.45)
     assert np.isfinite(rep.ratios["max"]) and rep.ratios["max"] > 0
