@@ -22,6 +22,7 @@ non-constant leading coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -152,35 +153,63 @@ class Nonlinearity:
             return s * (s - 1) * (s - 2) * au ** (s - 3)
         raise OrderUnavailable(f"order {order} not provided")
 
+    def _profile(self, part: str, x) -> np.ndarray:
+        """a(x) or b(x) (``part`` "a" or "b") as float64; an int x stands for
+        the grid x_i = i pi / x, whose profiles are cached (``grid_profiles``)."""
+        if isinstance(x, (int, np.integer)):
+            return getattr(grid_profiles(self, int(x)), part)
+        return np.asarray(getattr(self, part)(x), dtype=np.float64)
+
     def values(self, x, u, order: int = 0):
-        """f and its u-derivatives on arrays; x broadcasts along axis 0."""
+        """f and its u-derivatives on arrays; x broadcasts along axis 0, and an
+        int x is the grid x_i = i pi / x along axis 0."""
         if order not in (0, 1, 2, 3):
             raise OrderUnavailable(f"order {order} not provided")
         u = np.asarray(u, dtype=np.float64)
-        ax = np.asarray(self.a(x), dtype=np.float64)
+        ax = self._profile("a", x)
         if u.ndim == 2 and ax.ndim == 1:
             ax = ax[:, None]
         out = ax * self._power(u, order)
         if self.m is not None:
             out = out + self.m(u, order)
         if order == 0:
-            bx = np.asarray(self.b(x), dtype=np.float64)
+            bx = self._profile("b", x)
             if u.ndim == 2 and bx.ndim == 1:
                 bx = bx[:, None]
             out = out + bx
         return out
 
     def potential_values(self, x, u):
-        """F(x, u) with dF/du = f and F(x, 0) = 0."""
+        """F(x, u) with dF/du = f and F(x, 0) = 0; x as in ``values``."""
         u = np.asarray(u, dtype=np.float64)
-        ax = np.asarray(self.a(x), dtype=np.float64)
-        bx = np.asarray(self.b(x), dtype=np.float64)
+        ax = self._profile("a", x)
+        bx = self._profile("b", x)
         if u.ndim == 2 and ax.ndim == 1:
             ax, bx = ax[:, None], bx[:, None]
         out = ax * np.abs(u) ** (self.s + 1) / (self.s + 1) + bx * u
         if self.m is not None:
             out = out + self.m.antiderivative(u)
         return out
+
+
+@dataclass(frozen=True, eq=False)
+class GridProfiles:
+    """a(x) and b(x) on one grid, read-only; built by ``grid_profiles``."""
+
+    a: np.ndarray
+    b: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def grid_profiles(nl: Nonlinearity, n: int) -> GridProfiles:
+    """The cached profiles of ``nl`` on the n-point grid x_i = i pi / n (the
+    x of ``spectral.GridField``), computed once per (nl, n) by the
+    expression ``values`` applies to any other x."""
+    x = np.pi * np.arange(n) / n
+    arrays = {part: np.asarray(getattr(nl, part)(x), dtype=np.float64) for part in ("a", "b")}
+    for a in arrays.values():
+        a.flags.writeable = False
+    return GridProfiles(**arrays)
 
 
 def _alpha_eff(s: float, a_min: float, m: TanhPart, n: int = 20001) -> float:

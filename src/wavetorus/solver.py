@@ -28,11 +28,19 @@ imports ``scipy.sparse.linalg`` and ``linking_report`` ``scipy.optimize``.
 Importing the package, and the commands that never solve (``verify``,
 ``norms``), then load no scipy module.  ``multi_seed_search`` runs its seed
 ladder on the package's one thread pool (``pool.share_work``).
+
+A Newton iterate is synthesized on the padded grid once: the residual that
+accepted it leaves its grid samples to the next Jacobian (``newton_solve``).
+What depends only on the problem is built once and cached read-only, as
+``lattice`` is: the penalized symbol per (M, beta), the padded grid's side,
+the nonlinearity's a(x) and b(x) on that grid (``nonlinearity.grid_profiles``)
+and the transforms' grid positions of the lattice rows and columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,45 +106,71 @@ class SolutionState:
 
 
 def _grid_side(p: PenalizedProblem) -> int:
-    s = float(getattr(p.nl, "s", 3.0))
+    """Side of the padded grid of ``p`` (cached per nonlinearity, M and
+    oversampling)."""
+    return _padded_side(p.nl, p.M, p.oversample)
+
+
+@lru_cache(maxsize=64)
+def _padded_side(nl, M: int, oversample: int) -> int:
+    s = float(getattr(nl, "s", 3.0))
     deg = 0
     for part in ("a", "b"):
-        poly = getattr(p.nl, part, None)
+        poly = getattr(nl, part, None)
         deg = max(deg, getattr(poly, "degree", 0))
-    factor = max(int(np.ceil(s)) + 1, p.oversample)
-    n = factor * (p.M + 1) + 2 * deg + 2
-    return max(n, 4 * p.M + 6)  # Jacobian needs analyze(..., 2M)
+    factor = max(int(np.ceil(s)) + 1, oversample)
+    n = factor * (M + 1) + 2 * deg + 2
+    return max(n, 4 * M + 6)  # Jacobian needs analyze(..., 2M)
 
 
-def _on_grid(p: PenalizedProblem, u: SpectralField, *orders):
-    """Samples U of u on the padded grid, then f^(order)(x, U) per order ("F": F(x, U))."""
+def _on_grid(p: PenalizedProblem, u: SpectralField, *orders, samples=None):
+    """Samples U of u on the padded grid, then f^(order)(x, U) per order ("F": F(x, U)).
+
+    U is taken out of ``samples`` when that list holds it (see ``residual``),
+    and synthesized otherwise.  x is passed as the grid side n, so the
+    nonlinearity reads its cached profiles on the grid.
+    """
     n = _grid_side(p)
-    g = synthesize(u, n, n)
-    x, U = g.x(), g.values
-    return (U, *(p.nl.potential_values(x, U) if o == "F" else p.nl.values(x, U, o)
+    U = samples.pop() if samples else synthesize(u, n, n).values
+    return (U, *(p.nl.potential_values(n, U) if o == "F" else p.nl.values(n, U, o)
                  for o in orders))
 
 
-def _f_hat(p: PenalizedProblem, u: SpectralField, order: int = 0) -> SpectralField:
-    _, vals = _on_grid(p, u, order)
+def _f_hat(p: PenalizedProblem, u: SpectralField, order: int = 0,
+           samples=None) -> SpectralField:
+    _, vals = _on_grid(p, u, order, samples=samples)
     return analyze(GridField(vals), p.M if order == 0 else 2 * p.M)
 
 
 def penalized_symbol(p: PenalizedProblem) -> np.ndarray:
     """Diagonal of the linear part on the lattice: 4j^2 - k^2 off the kernel,
-    beta (-k^2 - 1) on it."""
-    lat = lattice(p.M)
-    return np.where(lat.nonresonant, lat.symbol,
-                    p.beta * (-(lat.K.astype(np.float64) ** 2) - 1.0))
+    beta (-k^2 - 1) on it; cached and read-only, one array per (M, beta)."""
+    return _symbol(p.M, p.beta)
 
 
-def residual(p: PenalizedProblem, u: SpectralField) -> SpectralField:
-    """Spectral residual of the penalized system at u (bandlimited to M)."""
+@lru_cache(maxsize=64)
+def _symbol(M: int, beta: float) -> np.ndarray:
+    lat = lattice(M)
+    sym = np.where(lat.nonresonant, lat.symbol, beta * (-(lat.K.astype(np.float64) ** 2) - 1.0))
+    sym.flags.writeable = False
+    return sym
+
+
+def residual(p: PenalizedProblem, u: SpectralField, samples: list | None = None) -> SpectralField:
+    """Spectral residual of the penalized system at u (bandlimited to M).
+
+    With ``samples`` (a list), u's padded-grid samples U are appended to it,
+    so that the Jacobian at u (``_linear_solver``) takes them instead of
+    synthesizing u a second time.
+    """
     if u.M != p.M:
         raise ValueError("field truncation must match the problem")
-    fh = _f_hat(p, u, 0)
-    sym = penalized_symbol(p)
-    Rc = np.where(lattice(p.M).mask, sym * u.coeffs, 0.0) - p.sigma * fh.coeffs
+    U, fv = _on_grid(p, u, 0)
+    fh = analyze(GridField(fv), p.M)
+    if samples is not None:
+        samples.append(U)
+    # no mask here: SpectralField zeroes the entries off the diamond
+    Rc = penalized_symbol(p) * u.coeffs - p.sigma * fh.coeffs
     if p.forcing is not None:
         Rc = Rc - p.forcing.coeffs
     return SpectralField(p.M, Rc)
@@ -166,7 +200,7 @@ def functional_I(p: PenalizedProblem, u: SpectralField) -> float:
     return out
 
 
-def _dense_jacobian(p: PenalizedProblem, u: SpectralField):
+def _dense_jacobian(p: PenalizedProblem, u: SpectralField, samples: list | None = None):
     """The fill of J = d(residual)/du at u, a real matrix over the packed
     coordinates.
 
@@ -198,11 +232,14 @@ def _dense_jacobian(p: PenalizedProblem, u: SpectralField):
     ``out``, and nothing of size n_half^2 is built or cached.  Every entry
     gets the operands of the formulas above, in their order, so the panel
     height does not change a bit of J.  g_hat is computed once, so a fill
-    after an in-place LU rebuilds J without a transform.
+    after an in-place LU rebuilds J without a transform.  It is computed
+    from u's padded-grid samples when ``samples`` holds them (``residual``
+    leaves them there), which are taken out of the list, so they are freed
+    once g_hat is formed, before any fill; otherwise u is synthesized.
     """
     lat = lattice(p.M)
     tab = jacobian_gather(p.M)
-    g = _f_hat(p, u, 1).coeffs.ravel()  # f_u(x, u), bandwidth 2M
+    g = _f_hat(p, u, 1, samples).coeffs.ravel()  # f_u(x, u), bandwidth 2M
     s = -p.sigma
     gc = np.empty_like(g)  # one gather reads both parts
     gc.real, gc.imag = s * g.real, s * g.imag
@@ -243,7 +280,8 @@ def time_derivative(u: SpectralField) -> SpectralField:
 
 
 def _linear_solver(p: PenalizedProblem, u: SpectralField,
-                   anchor: np.ndarray | None = None, work: np.ndarray | None = None):
+                   anchor: np.ndarray | None = None, work: np.ndarray | None = None,
+                   samples: list | None = None):
     """Return ``(solve, levenberg)`` for the Jacobian at u.
 
     ``solve(rhs)`` solves J delta = rhs over the packed coordinates: dense LU
@@ -266,6 +304,10 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     or a non-finite factor (as a non-finite entry of J gives; found by the
     factor's min and max) raises SingularJacobian.
 
+    ``samples`` is the list into which ``residual`` put u's padded-grid
+    samples; both paths take them out of it instead of synthesizing u, and
+    the dense one has dropped them before J is filled.
+
     With ``anchor`` (a packed direction), the system is bordered with the
     phase condition <anchor, delta> = 0: autonomous problems have the exact
     null vector d/dt u at any time-dependent solution, and the bordered
@@ -281,7 +323,7 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
 
     if n <= DENSE_LIMIT:
         flapack = lapack()
-        fill = _dense_jacobian(p, u)
+        fill = _dense_jacobian(p, u, samples)
         if work is None:
             work = np.empty((n + 1) ** 2)
 
@@ -308,7 +350,7 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
 
     import scipy.sparse.linalg
 
-    U, fu_vals = _on_grid(p, u, 1)
+    U, fu_vals = _on_grid(p, u, 1, samples=samples)
     ng = U.shape[0]
     sym = penalized_symbol(p)
 
@@ -349,15 +391,18 @@ def _backtrack(p: PenalizedProblem, u: SpectralField, rnorm: float,
 
     The decrease is tested first, so ``accept``, which must have no side
     effects and may cost a linear solve, runs only on trials that fail it.
-    Returns (u_try, R_try, |R_try|), or None when every trial fails.
+    Returns (u_try, R_try, |R_try|, samples), samples the list holding
+    u_try's padded-grid samples (see ``residual``), or None when every trial
+    fails.  A failed trial's samples are dropped before the next trial.
     """
     lam = 1.0
     while lam >= floor:
         u_try = u + lam * step
-        R_try = residual(p, u_try)
+        samples = []
+        R_try = residual(p, u_try, samples)
         r_try = R_try.l2()
         if r_try <= (1.0 - 1e-4 * lam) * rnorm or accept(lam, R_try, r_try):
-            return u_try, R_try, r_try
+            return u_try, R_try, r_try, samples
         lam *= 0.5
     return None
 
@@ -377,6 +422,11 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
     system is exactly singular is skipped.  With ``line_search=False`` the
     full step is always taken.  Every dense factorization of one solve, the
     Levenberg ones included, runs in one buffer of (n_real + 1)^2 entries.
+    Each iterate is synthesized on the padded grid once: its residual's grid
+    samples go to the next Jacobian, which drops them once f_u is analyzed
+    (the first step takes those of the seed's residual).  The iterates, and
+    so the results, are the same bit for bit as with a synthesis per
+    Jacobian.
 
     For unforced (time-autonomous) problems the Jacobian is exactly singular
     at every genuinely time-dependent solution, with null vector d/dt u; the
@@ -392,7 +442,8 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
     if seed_u.M != p.M:
         raise ValueError("seed truncation must match the problem")
     u = seed_u
-    R = residual(p, u)
+    samples = []  # u's padded-grid samples, from its residual to its Jacobian
+    R = residual(p, u, samples)
     rnorm = R.l2()
     history = [rnorm]
     iters = 0
@@ -400,6 +451,7 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
     work = np.empty((n + 1) ** 2) if n <= DENSE_LIMIT else None
 
     def state(converged):
+        samples.clear()  # no Jacobian follows: free u's grid before I(u) makes its own
         return SolutionState(u, rnorm, functional_I(p, u), iters,
                              tuple(history), converged)
 
@@ -416,7 +468,7 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
             t_norm = np.linalg.norm(t_vec)
             if t_norm > 1e-9 * max(u.l2(), 1.0):
                 anchor = t_vec / t_norm
-        solve, levenberg = _linear_solver(p, u, anchor, work)
+        solve, levenberg = _linear_solver(p, u, anchor, work, samples)
         delta = solve(-pack(R))
         ndelta = np.linalg.norm(delta)
 
@@ -439,7 +491,7 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
                 if trial is not None:
                     break
         if trial is not None:
-            u, R, rnorm = trial
+            u, R, rnorm, samples = trial
         iters += 1
         history.append(rnorm)
         if trial is None:
@@ -631,8 +683,10 @@ def _solve_bytes(p: PenalizedProblem) -> int:
     float64 buffer, the fill's panels (two complex128 and one index panel of
     ``_PANEL_ENTRIES`` entries) and the grid work of a transform of f (80
     bytes a point of the ``_grid_side(p)`` grid, five complex grids, which
-    also covers the coefficient arrays alive beside it).  The terms are
-    summed although the fill and the transforms never overlap."""
+    also covers the coefficient arrays alive beside it).  The grid samples
+    an accepted residual keeps for the next Jacobian are part of that grid
+    work: they are dropped once f_u is analyzed, before the fill.  The terms
+    are summed although the fill and the transforms never overlap."""
     n = lattice(p.M).n_real
     return 8 * (n + 1) ** 2 + 40 * _PANEL_ENTRIES + 80 * _grid_side(p) ** 2
 
@@ -649,11 +703,11 @@ def multi_seed_search(p: PenalizedProblem, n_seeds: int,
     ``pool.POOL_BYTES``: at oversample 4 with s <= 3 and an x-degree 1
     nonlinearity, M = 34 to 36 still run two seeds at a time on two cores,
     and from M = 37 up the search is serial.  The threads share read-only
-    caches (``lattice``, ``jacobian_gather``); LAPACK releases the GIL, so
-    one seed's LU runs beside another seed's work.  Results come back in
-    seed order and are deduplicated as in a serial loop.  Seeds ending in
-    NoConvergence or SingularJacobian are skipped; any other error is
-    raised.
+    caches (``lattice``, ``jacobian_gather``, the problem's constants);
+    LAPACK releases the GIL, so one seed's LU runs beside another seed's
+    work.  Results come back in seed order and are deduplicated as in a
+    serial loop.  Seeds ending in NoConvergence or SingularJacobian are
+    skipped; any other error is raised.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")

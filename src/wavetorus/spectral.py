@@ -31,10 +31,12 @@ pruned (Markel, IEEE Trans. Audio Electroacoust. 19(4), 1971): synthesis
 transforms along t only the 2 jmax + 1 lattice rows, because the other
 rows are zero, and analysis transforms along x only the 2M + 1 lattice
 columns it keeps.  Each kept value is computed as ``ifft2``/``fft2``
-computes it, so the results equal theirs bit for bit.  The solver stays on
-this complex path because its Newton trajectories are sensitive to
-rounding: the real path flipped one cold seed of the M = 24 multiplicity
-search.
+computes it, so the results equal theirs bit for bit.  The grid rows and
+columns of the lattice are cached per (M, nx, nt), read-only
+(``_grid_index``), and ``analyze`` leaves the zeroing off the diamond to
+``SpectralField``.  The solver stays on this complex path because its
+Newton trajectories are sensitive to rounding: the real path flipped one
+cold seed of the M = 24 multiplicity search.
 
 The grid norms read |u| through ``abs_blocks``, which sends an exactly
 Hermitian field through a pruned real inverse transform: numpy's ``ifft``
@@ -320,6 +322,17 @@ def _require_grid(M: int, nx: int, nt: int) -> None:
         raise GridTooCoarse(f"grid {nx}x{nt} < {min_grid(M)} for M={M}")
 
 
+@lru_cache(maxsize=None)
+def _grid_index(M: int, nx: int, nt: int):
+    """The cached, read-only grid rows j mod nx of the lattice rows and grid
+    columns k mod nt of the lattice columns, at which the transforms place
+    and read the coefficients."""
+    lat = lattice(M)
+    rows, cols = lat.J[:, 0] % nx, lat.K[0] % nt
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def analyze(g: GridField, M: int) -> SpectralField:
     """Coefficients of the trigonometric interpolant, restricted to the diamond.
 
@@ -328,24 +341,29 @@ def analyze(g: GridField, M: int) -> SpectralField:
     """
     nx, nt = g.values.shape
     _require_grid(M, nx, nt)
-    lat = lattice(M)
-    # fft2 pruned: fft along t, then fft along x on the 2M + 1 lattice columns only
-    F = np.fft.fft(np.fft.fft(g.values, axis=1)[:, lat.K[0] % nt], axis=0)
-    c = F[lat.J[:, 0] % nx] / (nx * nt)
-    return SpectralField(M, np.where(lat.mask, c, 0.0))
+    rows, cols = _grid_index(M, nx, nt)
+    # fft2 pruned: fft along t, then fft along x on the 2M + 1 lattice columns
+    # only; SpectralField zeroes the entries off the diamond
+    F = np.fft.fft(np.fft.fft(g.values, axis=1)[:, cols], axis=0)
+    return SpectralField(M, F[rows] / (nx * nt))
 
 
 def synthesize_values(u: SpectralField, nx: int, nt: int) -> np.ndarray:
     """Complex grid samples of the (possibly non-Hermitian) field."""
     _require_grid(u.M, nx, nt)
-    lat = lattice(u.M)
+    rows, cols = _grid_index(u.M, nx, nt)
     # ifft2 pruned: the rows off the lattice are zero, so ifft along t runs on
     # the 2 jmax + 1 lattice rows only, then ifft along x on every row
-    A = np.zeros((lat.shape[0], nt), dtype=np.complex128)
-    A[:, lat.K[0] % nt] = u.coeffs
+    A = np.zeros((rows.size, nt), dtype=np.complex128)
+    A[:, cols] = u.coeffs
     B = np.zeros((nx, nt), dtype=np.complex128)
-    B[lat.J[:, 0] % nx] = np.fft.ifft(A, axis=1)
-    return np.fft.ifft(B, axis=0) * (nx * nt)
+    B[rows] = np.fft.ifft(A, axis=1)
+    C = np.fft.ifft(B, axis=0)
+    # B goes before the scaled copy is made, so two grids are alive, not
+    # three.  Scaling C in place instead raised verify's peak RSS (about
+    # 0.2 MB at M = 64) through glibc's dynamic mmap threshold
+    del B
+    return C * (nx * nt)
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,7 @@ from wavetorus.nonlinearity import (
     Nonlinearity,
     TanhPart,
     TrigPolynomial,
+    grid_profiles,
     make_nonlinearity,
     nonlinearity_from_config,
 )
@@ -183,3 +184,38 @@ def test_from_config_round_trip():
     assert nl.certificate is not None
     with pytest.raises(NonlinearityRejected):
         nonlinearity_from_config({"s": 3, "a": A_TERMS, "m": {"kind": "none"}})
+
+
+def values_by_expression(nl, x, u, order):
+    """f^(order)(x, u) and F(x, u) by the expressions ``values`` and
+    ``potential_values`` apply to an array x."""
+    ax = np.asarray(nl.a(x), dtype=np.float64)
+    bx = np.asarray(nl.b(x), dtype=np.float64)
+    if u.ndim == 2:
+        ax, bx = ax[:, None], bx[:, None]
+    f = ax * nl._power(u, order) + nl.m(u, order)
+    F = ax * np.abs(u) ** (nl.s + 1) / (nl.s + 1) + bx * u + nl.m.antiderivative(u)
+    return (f + bx if order == 0 else f), F
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_values_on_any_x_and_on_the_cached_grid(order):
+    # an array x is evaluated as it always was; an int n reads the cached
+    # profiles of the grid x_i = i pi / n and gives the same bits as that x
+    nl = make_nonlinearity(3, A_TERMS, {"kind": "tanh", "alpha": 1.0},
+                           [{"j": 0, "c": 0.2}, {"j": 2, "c": 0.1, "c_sin": -0.3}])
+    rng = np.random.default_rng(order)
+    x = rng.uniform(-2.0, 5.0, size=37)  # not a grid
+    for u in (rng.standard_normal(37), rng.standard_normal((37, 5))):
+        f, F = values_by_expression(nl, x, u, order)
+        assert nl.values(x, u, order).tobytes() == f.tobytes()
+        assert nl.potential_values(x, u).tobytes() == F.tobytes()
+    n = 24
+    U = rng.standard_normal((n, n))
+    x_grid = np.pi * np.arange(n) / n
+    assert nl.values(n, U, order).tobytes() == nl.values(x_grid, U, order).tobytes()
+    assert nl.potential_values(n, U).tobytes() == nl.potential_values(x_grid, U).tobytes()
+    profiles = grid_profiles(nl, n)
+    assert profiles.a.tobytes() == nl.a(x_grid).tobytes()
+    assert profiles.b.tobytes() == nl.b(x_grid).tobytes()
+    assert grid_profiles(nl, n) is profiles

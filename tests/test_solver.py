@@ -586,8 +586,8 @@ def test_newton_reused_buffers_match_fresh_ones(default_nl, monkeypatch):
     steps = []
 
     def run(fresh):
-        def spy(p, u, anchor=None, work=None):
-            solve, levenberg = linear_solver(p, u, anchor, None if fresh else work)
+        def spy(p, u, anchor=None, work=None, samples=None):
+            solve, levenberg = linear_solver(p, u, anchor, None if fresh else work, samples)
             steps.append("." if anchor is None else "A")
 
             def counted(mu):
@@ -629,7 +629,7 @@ def test_dense_linear_solver_raises_on_zero_pivot(default_nl, monkeypatch, ancho
         def fill(out):
             out[:n, :n] = c * np.eye(n)
             return out
-        return lambda p, u: fill
+        return lambda p, u, samples=None: fill
 
     monkeypatch.setattr(solver, "_dense_jacobian", scaled_identity(0.0))
     with pytest.raises(SingularJacobian, match="zero pivot"):
@@ -670,7 +670,7 @@ def test_dense_linear_solver_raises_on_non_finite_jacobian(default_nl, monkeypat
             for row, col in entries:
                 out[row, col] = bad
             return out
-        return lambda p, u: fill
+        return lambda p, u, samples=None: fill
 
     for entry in ((0, 0), (3, 1), (n - 1, n - 1)):
         monkeypatch.setattr(solver, "_dense_jacobian", identity_with(entry))
@@ -690,8 +690,8 @@ def test_levenberg_ladder_skips_singular_mu(default_nl, monkeypatch):
     linear_solver = solver._linear_solver
     mus = []
 
-    def spy(p, u, anchor=None, work=None):
-        solve, levenberg = linear_solver(p, u, anchor, work)
+    def spy(p, u, anchor=None, work=None, samples=None):
+        solve, levenberg = linear_solver(p, u, anchor, work, samples)
 
         def singular_first(mu):
             mus.append(mu)
@@ -705,6 +705,78 @@ def test_levenberg_ladder_skips_singular_mu(default_nl, monkeypatch):
     with pytest.raises(NoConvergence):
         newton_solve(p, seed_u, max_iter=30)
     assert mus[:2] == [1e-4, 1e-2], mus
+
+
+@pytest.mark.parametrize("case", ["bordered", "forced", "ladder"])
+def test_grid_reuse_bit_identical_to_resynthesis(default_nl, monkeypatch, case):
+    # an accepted trial's padded-grid samples feed the next Jacobian; when
+    # every Jacobian synthesizes its iterate again instead, the solve gives
+    # the same bytes with one synthesis more per Newton step
+    import wavetorus.solver as solver
+
+    if case == "bordered":  # unforced, anchored at every step, converges
+        p = PenalizedProblem(M=8, beta=1e-3, nl=default_nl)
+        seed_u = 0.3 * random_field((8, 2), 8, SubspaceTag.ALL, 0.3)
+    elif case == "forced":  # square system, converges
+        target, p = mms_problem(default_nl, 0.5, 16, 1e-3, seed=5)
+        seed_u = embed(truncate(target, 8), 16)
+    else:  # ends in NoConvergence after the Levenberg ladder
+        p, seed_u = _ladder_case(default_nl)
+    linear_solver, synthesize_ = solver._linear_solver, solver.synthesize
+    syntheses = []
+
+    def counted(*args):
+        syntheses.append(args)
+        return synthesize_(*args)
+
+    def resynthesizing(p, u, anchor=None, work=None, samples=None):
+        return linear_solver(p, u, anchor, work)
+
+    def run():
+        syntheses.clear()
+        try:
+            sol = newton_solve(p, seed_u, max_iter=30)
+        except NoConvergence as exc:
+            sol = exc.best
+        return sol, len(syntheses)
+
+    monkeypatch.setattr(solver, "synthesize", counted)
+    reused, n_reused = run()
+    monkeypatch.setattr(solver, "_linear_solver", resynthesizing)
+    fresh, n_fresh = run()
+    assert reused.converged == fresh.converged == (case != "ladder")
+    assert reused.newton_iters == fresh.newton_iters > 0
+    assert reused.u.coeffs.tobytes() == fresh.u.coeffs.tobytes()
+    assert (np.array(reused.residual_history).tobytes()
+            == np.array(fresh.residual_history).tobytes())
+    assert np.float64(reused.I_value).tobytes() == np.float64(fresh.I_value).tobytes()
+    assert n_fresh - n_reused == reused.newton_iters
+
+
+def test_per_problem_constants_are_cached_and_read_only(default_nl):
+    # the symbol is one read-only array per (M, beta), built by the
+    # expression it always had; the grid side is cached per problem shape
+    from wavetorus.nonlinearity import grid_profiles
+    from wavetorus.spectral import _grid_index
+
+    M, beta = 8, 1e-3
+    lat = lattice(M)
+    p = PenalizedProblem(M=M, beta=beta, nl=default_nl)
+    sym = penalized_symbol(p)
+    assert penalized_symbol(replace(p, sigma=-1)) is sym
+    assert np.array_equal(sym, np.where(lat.nonresonant, lat.symbol,
+                                        beta * (-(lat.K.astype(np.float64) ** 2) - 1.0)))
+    other = penalized_symbol(replace(p, beta=2 * beta))
+    assert not np.array_equal(other, sym)
+    assert np.array_equal(other[lat.nonresonant], sym[lat.nonresonant])
+    assert np.array_equal(other[lat.resonant], 2 * sym[lat.resonant])  # doubling is exact
+    n = _grid_side(p)
+    assert _grid_side(replace(p, beta=2 * beta)) == n
+    profiles = grid_profiles(default_nl, n)
+    assert grid_profiles(default_nl, n) is profiles
+    for array in (sym, profiles.a, profiles.b, *_grid_index(M, n, n)):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_residual_time_translation_equivariance():
