@@ -19,8 +19,13 @@ parent's interquartile range and the pairs the change won; beside them the
 host (cores, CPU affinity set, the benchmark's BLAS thread setting, the
 Python, numpy, scipy and OpenBLAS versions) and both commits.  It prints,
 per metric, whether the change won at least 8 of every 10 pairs with
-medians further apart than the parent's IQR.  That rule is printed, not
-enforced: the exit status is 0 whenever every run passed its gate.
+medians further apart than the parent's IQR.  It also prints and records the
+no-regression reading: the relative change of the medians against the
+metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the parent's median),
+as "within bound" or "beyond bound", or "unresolved" when the parent's IQR
+over its median exceeds the bound and not every change run beats every
+parent run.  Both readings are printed, not enforced: the exit status is 0
+whenever every run passed its gate.
 """
 
 from __future__ import annotations
@@ -40,8 +45,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# the benchmark's end-to-end metrics, each lower-is-better
-METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+# the benchmark's end-to-end metrics, each lower-is-better, and the worsening
+# each may show, as a fraction of the parent's median
+BOUNDS = {m["name"]: m["bound"]
+          for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 RULE_SHARE = 0.8  # share of pairs the change must win for the printed rule: 8 of 10
 DEFAULT_WORKLOADS = ("multi_m24:10", "verify_m64:6")
 
@@ -51,19 +58,26 @@ def git(*args, **kwargs):
                           **kwargs).stdout
 
 
-def summarize(parent: list, change: list) -> dict:
+def summarize(parent: list, change: list, bound: float) -> dict:
     """Pair statistics of one lower-is-better metric; ``parent[i]`` and
-    ``change[i]`` are the two runs of pair i."""
+    ``change[i]`` are the two runs of pair i, and ``bound`` is the metric's
+    allowed worsening as a fraction of the parent's median."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need one parent and one change value per pair")
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     p_med, c_med = statistics.median(parent), statistics.median(change)
     wins = sum(c < p for p, c in zip(parent, change))
     iqr = q3 - q1
+    relative = (c_med - p_med) / p_med
+    if iqr / p_med > bound and not max(change) < min(parent):
+        regression = "unresolved"
+    else:
+        regression = "beyond bound" if relative > bound else "within bound"
     return {"parent": list(parent), "change": list(change),
             "parent_median": p_med, "change_median": c_med, "parent_iqr": iqr,
             "wins": wins, "pairs": len(parent),
-            "rule_met": wins >= math.ceil(RULE_SHARE * len(parent)) and p_med - c_med > iqr}
+            "rule_met": wins >= math.ceil(RULE_SHARE * len(parent)) and p_med - c_med > iqr,
+            "relative_change": relative, "bound": bound, "regression": regression}
 
 
 def rule_line(workload: str, metric: str, s: dict) -> str:
@@ -71,6 +85,12 @@ def rule_line(workload: str, metric: str, s: dict) -> str:
     return (f"{workload} {metric}: median {s['parent_median']:.4g} -> {s['change_median']:.4g}, "
             f"parent IQR {s['parent_iqr']:.4g}, lower in {s['wins']} of {s['pairs']} pairs; "
             f"rule ({RULE_SHARE:.0%} of pairs and beyond the parent's IQR) {verdict}")
+
+
+def regression_line(workload: str, metric: str, s: dict) -> str:
+    return (f"{workload} {metric}: median change {s['relative_change']:+.1%}, bound "
+            f"{s['bound']:.0%}, parent IQR {s['parent_iqr'] / s['parent_median']:.1%} of its "
+            f"median: {s['regression']}")
 
 
 def extract(ref: str, dest: Path) -> None:
@@ -129,7 +149,10 @@ def main(argv=None) -> int:
 
     out = {"command": f"benchmark/run.py --seed {args.seed} --seconds {args.seconds} --trace 0",
            "host": host(), "rule": f"change lower in at least {RULE_SHARE:.0%} of pairs and "
-                                   "medians further apart than the parent's IQR (printed only)"}
+                                   "medians further apart than the parent's IQR (printed only)",
+           "regression": "relative change of the medians within the metric's bound; "
+                         "unresolved when the parent's IQR over its median exceeds the bound, "
+                         "unless every change run beats every parent run (printed only)"}
     all_correct = True
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
@@ -156,7 +179,7 @@ def main(argv=None) -> int:
                     all_correct &= bool(result["correct"])
                     runs[side].append(result)
                     values = ", ".join(f"{m} {result['metrics'][m]['value']:.4g}"
-                                       for m in METRICS if m in result["metrics"])
+                                       for m in BOUNDS if m in result["metrics"])
                     print(f"{workload} pair {i + 1}/{pairs} {side}: correct {result['correct']}, "
                           f"{result['attempted']} attempted / {result['failed']} failed, "
                           f"{values}", flush=True)
@@ -166,17 +189,18 @@ def main(argv=None) -> int:
                      "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
                      "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
                      "metrics": {}}
-            for m in METRICS:
+            for m, bound in BOUNDS.items():
                 if all(m in r["metrics"] for rs in runs.values() for r in rs):
                     entry["metrics"][m] = summarize(
                         *([r["metrics"][m]["value"] for r in runs[side]]
-                          for side in ("parent", "change")))
+                          for side in ("parent", "change")), bound)
             out["workloads"][workload] = entry
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     for workload, entry in out["workloads"].items():
         for m, s in entry["metrics"].items():
             print(rule_line(workload, m, s))
+            print(regression_line(workload, m, s))
     print(f"wrote {path.name}; every run passed its gate: {all_correct}")
     return 0 if all_correct else 1
 

@@ -13,10 +13,6 @@ class NotHermitian(WavetorusError):
     """A real-valued field was required but the coefficients lack Hermitian symmetry."""
 
 
-class NotInKernel(WavetorusError):
-    """Field carries too much mass off the resonant lines k = +-2j."""
-
-
 class NotInEperp(WavetorusError):
     """Field carries too much mass on the resonant lines k = +-2j."""
 

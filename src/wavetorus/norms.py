@@ -186,23 +186,18 @@ def holder_estimate(u: SpectralField, gamma: float, oversample: int = 4) -> floa
 
 
 def quadrants(u: SpectralField):
-    """The sign quadrants u++, u+-, u-+, u-- of ``quadrant_split``, made one at a
-    time, so a caller that reduces each before asking for the next holds one."""
-    lat = lattice(u.M)
-    jp, kp = lat.J >= 0, lat.K >= 0
-    for sel in (jp & kp, jp & ~kp, ~jp & kp, ~jp & ~kp):
-        yield SpectralField(u.M, np.where(sel, u.coeffs, 0.0))
-
-
-def quadrant_split(u: SpectralField) -> tuple:
-    """Sign-quadrant split (u++, u+-, u-+, u--) by (sign j, sign k): the tuple of
-    ``quadrants(u)``, all four held at once.
+    """Sign-quadrant split (u++, u+-, u-+, u--) by (sign j, sign k), made one
+    at a time, so a caller that reduces each before asking for the next holds
+    one.
 
     Quadrants partition the lattice: j >= 0 vs j < 0 and k >= 0 vs k < 0.
     The pieces are genuinely complex (Hermitian symmetry intentionally broken)
     but their disjoint supports make coefficient-space identities exact.
     """
-    return tuple(quadrants(u))
+    lat = lattice(u.M)
+    jp, kp = lat.J >= 0, lat.K >= 0
+    for sel in (jp & kp, jp & ~kp, ~jp & kp, ~jp & ~kp):
+        yield SpectralField(u.M, np.where(sel, u.coeffs, 0.0))
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridTooCoarse, NotHermitian, NotInKernel
+from .errors import GridTooCoarse, NotHermitian
 
 Q_AREA = 2.0 * np.pi**2  # |Q| = pi * 2pi
 
@@ -81,11 +81,6 @@ class SubspaceTag(Enum):
     EMINUS = "Eminus"
     EPERP = "Eperp"
     ALL = "All"
-
-
-def mode_weight(j: int, k: int) -> int:
-    """l1 lattice weight 2|j| + |k| used for truncation and dyadic blocks."""
-    return 2 * abs(j) + abs(k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +204,7 @@ class SpectralField:
         c = np.zeros(lat.shape, dtype=np.complex128)
         items = modes.items() if hasattr(modes, "items") else modes
         for (j, k), a in items:
-            if mode_weight(j, k) > M:
+            if 2 * abs(j) + abs(k) > M:
                 raise ValueError(f"mode ({j},{k}) outside diamond of size {M}")
             c[j + lat.jmax, k + M] += a
             if hermitian and (j, k) != (0, 0):
@@ -480,70 +475,6 @@ def time_translate(u: SpectralField, theta: float) -> SpectralField:
     """u(x, t) -> u(x, t + theta): multiply u_hat(j, k) by e^{i k theta}."""
     lat = lattice(u.M)
     return SpectralField(u.M, u.coeffs * np.exp(1j * theta * lat.K))
-
-
-@dataclass(frozen=True)
-class PeriodicProfile:
-    """pi-periodic function of one variable, p(y) = sum_j c_j e^{2ijy}.
-
-    ``coeffs`` is centered: index j + jmax holds c_j.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.ndim != 1 or c.size % 2 == 0:
-            raise ValueError("profile coefficients must be 1-D with odd length")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def jmax(self) -> int:
-        return (self.coeffs.size - 1) // 2
-
-    def __call__(self, y):
-        y = np.asarray(y, dtype=np.float64)
-        js = np.arange(-self.jmax, self.jmax + 1)
-        vals = np.exp(2j * y[..., None] * js) @ self.coeffs
-        return vals.real if self.is_real() else vals
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        flipped = np.conj(self.coeffs[::-1])
-        scale = max(np.max(np.abs(self.coeffs)), 1e-300)
-        return bool(np.max(np.abs(self.coeffs - flipped)) <= tol * scale)
-
-
-def kernel_decompose(v: SpectralField, tol: float = 1e-12):
-    """Split a kernel field into travelling profiles: v = p1(x+t) + p2(x-t).
-
-    Modes (j, 2j) feed p1, modes (j, -2j) feed p2; the constant mode is
-    split equally between the two profiles.
-    """
-    lat = lattice(v.M)
-    off = np.where(lat.nonresonant, v.coeffs, 0.0)
-    off_mass = float(np.linalg.norm(off))
-    total = max(v.l2(), 1e-300)
-    if off_mass > tol * total:
-        raise NotInKernel(f"relative off-kernel mass {off_mass / total:.3e} > {tol:g}")
-    js = np.arange(-lat.jmax, lat.jmax + 1)
-    c1 = v.coeffs[js + lat.jmax, v.M + 2 * js]
-    c2 = v.coeffs[js + lat.jmax, v.M - 2 * js]
-    c1[lat.jmax] = c2[lat.jmax] = v.coeffs[lat.jmax, v.M] / 2.0
-    return PeriodicProfile(c1), PeriodicProfile(c2)
-
-
-def kernel_field(p1: PeriodicProfile, p2: PeriodicProfile, M: int) -> SpectralField:
-    """Inverse of kernel_decompose: the field p1(x+t) + p2(x-t) on the diamond."""
-    modes = {}
-    for j in range(-p1.jmax, p1.jmax + 1):
-        c = p1.coeffs[j + p1.jmax]
-        if c != 0 and mode_weight(j, 2 * j) <= M:
-            modes[(j, 2 * j)] = modes.get((j, 2 * j), 0.0) + c
-    for j in range(-p2.jmax, p2.jmax + 1):
-        c = p2.coeffs[j + p2.jmax]
-        if c != 0 and mode_weight(j, -2 * j) <= M:
-            modes[(j, -2 * j)] = modes.get((j, -2 * j), 0.0) + c
-    return SpectralField.from_modes(M, modes, hermitian=False)
 
 
 def random_field(seed, M: int, tag: SubspaceTag = SubspaceTag.ALL,

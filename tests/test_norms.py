@@ -14,7 +14,6 @@ from wavetorus.norms import (
     norm_Es,
     norm_Lp,
     norm_lq,
-    quadrant_split,
     quadrants,
     sobolev_norm,
 )
@@ -204,14 +203,14 @@ def test_holder_monotone_in_gamma(seed, g1, g2):
 
 def test_quadrant_split_complex_probe():
     u = SpectralField.from_modes(4, {(1, 1): 1.0}, hermitian=False)  # e^{i(2x+t)}
-    pp, pm, mp, mm = quadrant_split(u)
+    pp, pm, mp, mm = tuple(quadrants(u))
     assert (pp - u).l2() == 0.0
     assert pm.l2() == 0.0 and mp.l2() == 0.0 and mm.l2() == 0.0
 
 
 def test_quadrant_split_real_cosine():
     u = SpectralField.from_modes(4, {(1, 1): 0.5})  # cos(2x + t)
-    pp, pm, mp, mm = quadrant_split(u)
+    pp, pm, mp, mm = tuple(quadrants(u))
     assert pp.get(1, 1) == pytest.approx(0.5)
     assert mm.get(-1, -1) == pytest.approx(0.5)
     assert pm.l2() == 0.0 and mp.l2() == 0.0
@@ -221,7 +220,7 @@ def test_quadrant_split_real_cosine():
 @given(seeds)
 def test_quadrant_parseval_exact(seed):
     u = random_field(seed, 14, SubspaceTag.ALL, 0.0)
-    quads = quadrant_split(u)
+    quads = tuple(quadrants(u))
     assert (quads[0] + quads[1] + quads[2] + quads[3] - u).l2() == 0.0
     assert sum(q.l2() ** 2 for q in quads) == pytest.approx(u.l2() ** 2, rel=1e-14)
 
@@ -247,7 +246,7 @@ def complex_path_holder(u, gamma, oversample=4):
 def test_grid_norms_of_non_hermitian_fields_keep_complex_path(seed, M, p, gamma):
     u = random_field(seed, M, SubspaceTag.ALL, 0.1)
     n = default_grid(M)
-    for q in quadrant_split(u):
+    for q in quadrants(u):
         vals = np.abs(synthesize_values(q, n, n))
         assert norm_Lp(q, p) == (_power_sum(vals, p) * cell_area(n, n)) ** (1.0 / p)
         assert holder_estimate(q, gamma) == complex_path_holder(q, gamma)
@@ -271,7 +270,7 @@ def test_lp_norms_equal_per_exponent_norm_Lp(seed, M, ps):
     # real path (exactly Hermitian u) and on the complex one (quadrant pieces)
     u = random_field(seed, M, SubspaceTag.ALL, 0.1)
     assert np.array_equal(u.coeffs, np.conj(u.coeffs[::-1, ::-1]))
-    for f in (u, *quadrant_split(u)):
+    for f in (u, *quadrants(u)):
         assert lp_norms(f, ps) == [norm_Lp(f, p) for p in ps]
 
 
@@ -367,14 +366,12 @@ def blocks_at_once_holder(u, gamma, oversample=4):
 
 @settings(max_examples=30, deadline=None)
 @given(seeds, st.integers(0, 40), st.sampled_from([SubspaceTag.ALL, SubspaceTag.EPERP]),
-       st.floats(0.01, 0.99), st.floats(0.01, 0.99))
-def test_streamed_blocks_and_quadrants_equal_the_held_ones(seed, M, tag, gamma, gamma_prime):
+       st.floats(0.01, 0.99))
+def test_streamed_blocks_and_quadrants_equal_the_held_ones(seed, M, tag, gamma):
     # blocks built on their own truncation give the sup of the truncated
-    # full-size blocks bit for bit; the lazy quadrants are the split's
+    # full-size blocks bit for bit
     u = random_field(seed, M, tag, 0.05)
     assert holder_estimate(u, gamma) == blocks_at_once_holder(u, gamma)
-    lazy = [sobolev_norm(q, gamma_prime, "ell1") for q in quadrants(u)]
-    assert lazy == [sobolev_norm(q, gamma_prime, "ell1") for q in quadrant_split(u)]
 
 
 def _warm_peak_mb(call):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavetorus.errors import GridTooCoarse, NotHermitian, NotInKernel
-from wavetorus.norms import quadrant_split
+from wavetorus.errors import GridTooCoarse, NotHermitian
+from wavetorus.norms import quadrants
 from wavetorus.spectral import (
     GridField,
     Q_AREA,
@@ -16,8 +16,6 @@ from wavetorus.spectral import (
     analyze,
     field_from_dict,
     field_to_dict,
-    kernel_decompose,
-    kernel_field,
     lattice,
     project,
     random_field,
@@ -163,40 +161,25 @@ def test_time_translate_isometry_and_group(seed, theta):
     assert (two - one).l2() <= 1e-12 * u.l2()
 
 
-def test_kernel_decompose_travelling_cosine():
-    v = SpectralField.from_modes(8, {(1, 2): 0.5})  # cos(2(x+t))
-    p1, p2 = kernel_decompose(v)
-    y = np.linspace(0.0, np.pi, 13)
-    assert np.allclose(p1(y), np.cos(2 * y), atol=1e-14)
-    assert np.allclose(p2(y), 0.0, atol=1e-14)
-
-
-def test_kernel_decompose_constant_split():
-    v = SpectralField.from_modes(4, {(0, 0): 3.0})
-    p1, p2 = kernel_decompose(v)
-    assert np.allclose(p1(0.3), 1.5) and np.allclose(p2(1.1), 1.5)
-
-
-def test_kernel_decompose_rejects_off_kernel():
-    u = SpectralField.from_modes(6, {(1, 3): 1.0})
-    with pytest.raises(NotInKernel):
-        kernel_decompose(u)
-
-
 @settings(max_examples=20, deadline=None)
 @given(seeds)
 def test_kernel_reconstruction_oracle(seed):
+    # a kernel field is p1(x+t) + p2(x-t), p(y) = sum_j c_j e^{2ijy}: p1 reads
+    # u_hat(j, 2j) and p2 reads u_hat(j, -2j), the constant mode split in half
     M = 16
     v = random_field(seed, M, SubspaceTag.N, 0.2)
-    p1, p2 = kernel_decompose(v)
+    jmax = lattice(M).jmax
+    js = np.arange(-jmax, jmax + 1)
+    c1 = v.coeffs[js + jmax, M + 2 * js]
+    c2 = v.coeffs[js + jmax, M - 2 * js]
+    c1[jmax] = c2[jmax] = v.coeffs[jmax, M] / 2.0
     n = 4 * (2 * M + 2)
     g = synthesize(v, n, n)
     x = np.pi * np.arange(n) / n
     t = 2.0 * np.pi * np.arange(n) / n
-    recon = p1(np.add.outer(x, t)) + p2(np.subtract.outer(x, t))
+    recon = (np.exp(2j * np.add.outer(x, t)[..., None] * js) @ c1
+             + np.exp(2j * np.subtract.outer(x, t)[..., None] * js) @ c2)
     assert np.max(np.abs(recon - g.values)) <= 1e-12 * max(1.0, np.max(np.abs(g.values)))
-    back = kernel_field(p1, p2, M)
-    assert (back - v).l2() <= 1e-13 * v.l2()
 
 
 def test_random_field_deterministic():
@@ -422,7 +405,7 @@ def test_abs_blocks_keeps_complex_path_off_exact_symmetry():
     c = u.coeffs.copy()
     c[7, 15] = np.nextafter(c[7, 15].real, np.inf) + 1j * c[7, 15].imag
     near = SpectralField(12, c)  # mode (1, 3): Hermitian to one ulp only
-    for f in (near, *quadrant_split(u)):
+    for f in (near, *quadrants(u)):
         assert np.array_equal(stacked_abs(f, 30, 27), np.abs(synthesize_values(f, 30, 27)))
     with pytest.raises(GridTooCoarse):  # a generator: raised at the first block
         next(abs_blocks(u, 25, 40))
@@ -438,7 +421,7 @@ def test_pruned_complex_transforms_equal_fft2(M, ex, et, seed, quadrant):
     # the same 1-D passes as ifft2/fft2, so equal to them bit for bit
     u = random_field(seed, M, SubspaceTag.ALL, 0.3)  # exactly Hermitian
     if quadrant is not None:
-        u = quadrant_split(u)[quadrant]
+        u = tuple(quadrants(u))[quadrant]
     lat = lattice(M)
     nx, nt = 2 * M + 2 + ex, 2 * M + 2 + et  # both parities, independent
     A = np.zeros((nx, nt), dtype=np.complex128)

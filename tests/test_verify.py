@@ -8,7 +8,7 @@ from wavetorus.norms import (
     norm_Es,
     norm_Lp,
     norm_lq,
-    quadrant_split,
+    quadrants,
     sobolev_norm,
 )
 from wavetorus.solver import (
@@ -123,7 +123,7 @@ def test_holder_to_sobolev_closed_form_and_identity():
     u = SpectralField.from_modes(4, {(0, 3): 0.5})  # cos 3t, block 1
     h = holder_estimate(u, 0.6)
     assert h == pytest.approx(2.0**0.6, rel=1e-12)
-    pp = quadrant_split(u)[0]
+    pp = tuple(quadrants(u))[0]
     npp = sobolev_norm(pp, 0.5, "ell1")
     assert npp == pytest.approx(np.sqrt(3.0) / 2.0, rel=1e-12)
     rep = check_holder_to_sobolev(small_spec(count=40), 0.6, 0.5)
@@ -135,13 +135,13 @@ def test_holder_to_sobolev_closed_form_and_identity():
 
 def test_holder_trial_reads_the_quadrant_split():
     # the trial draws its quadrants one at a time; its ratios are those of the
-    # four fields of quadrant_split, in order, over the holder proxy
+    # four fields of quadrants(u), in order, over the holder proxy
     spec = small_spec(count=6, M=10)
     rep = check_holder_to_sobolev(spec, 0.6, 0.5)
     ref = []
     for u in wavetorus.verify.ensemble_fields(spec, wavetorus.verify._SALT["holder"]):
         h = holder_estimate(u, 0.6, spec.oversample)
-        ref += [np.sqrt(sobolev_norm(q, 0.5, "ell1") ** 2) / h for q in quadrant_split(u)]
+        ref += [np.sqrt(sobolev_norm(q, 0.5, "ell1") ** 2) / h for q in quadrants(u)]
     assert rep.extras["per_trial"] == ref
 
 
