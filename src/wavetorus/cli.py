@@ -11,7 +11,6 @@ identical artifacts.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -520,6 +519,8 @@ def run(cfg: RunConfig, out_dir: str | None = None) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # not at module level: run() and the benchmark parse no argv
+
     parser = argparse.ArgumentParser(
         prog="wavetorus",
         description="Spectral lab for time-periodic waves on the torus")

@@ -1,4 +1,5 @@
-"""The package's one thread pool, and the OpenBLAS thread pin its callers hold.
+"""The package's one thread pool, the OpenBLAS thread pin its callers hold,
+and the dense LU routines of that OpenBLAS.
 
 ``share_work`` maps a function over an iterable on several threads, the
 calling thread one of them.  Workers pull items one at a time under a lock,
@@ -7,29 +8,32 @@ Results come back in item order, so they depend neither on the worker count
 nor on the schedule.  ``multi_seed_search`` runs its seed ladder on it, and
 the ``verify`` suites their ensembles.
 
-Threads gain only where the work releases the GIL (LAPACK, BLAS and numpy's
-array loops).  An OpenBLAS call that runs on several threads oversubscribes
-the cores when several workers make such calls, and a threaded LU moves the
-last bits of its factors.  So ``share_work`` holds the OpenBLAS its caller's
-calls reach at one thread and runs one worker where it cannot.  ``ctypes``
-is imported inside ``openblas_threads``: importing the package binds no
-``ctypes``.
+Threads gain only where the work releases the GIL: numpy's array loops and
+matrix products, and the LU routines of ``lapack``, which ``ctypes`` calls
+with the GIL released.  An OpenBLAS call that runs on several threads
+oversubscribes the cores when several workers make such calls, and a
+threaded LU moves the last bits of its factors.  So ``share_work`` holds the
+OpenBLAS its caller's calls reach at one thread and runs one worker where it
+cannot.
 
-``lapack`` loads scipy's f2py LAPACK module, whose ``dgetrf`` and
-``dgetrs`` are all the dense Newton step needs, without importing
-``scipy.linalg`` (about 21 MB and 0.35 s of start-up against 2.5 MB and
-5 ms).  ``multi_seed_search``'s pin makes the first call on the calling
-thread, before any worker starts.
+Both the pin (``openblas_threads``) and the dense Newton step's LU
+(``lapack``) reach scipy's OpenBLAS through one ``ctypes`` lookup of the
+library its wheel bundles (``_bundled_openblas``), so they act on the same
+library, and a solve imports no scipy module: scipy's f2py LAPACK module
+alone would add about 1.3 MB to a toy solve's peak RSS, all of
+``scipy.linalg`` about 21 MB and 0.35 s of start-up.  ``ctypes`` is
+imported inside the functions that use it: importing the package binds no
+``ctypes``.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
 import importlib.util
 import os
-import sys
 import threading
 from functools import lru_cache
+
+import numpy as np
 
 _DONE = object()
 POOL_BYTES = 32 << 20  # memory the workers of one share_work call hold together
@@ -106,69 +110,128 @@ def _map(fn, items, workers: int) -> list:
     return results
 
 
-def _load_flapack():
-    """``scipy.linalg._flapack`` loaded from its file under its own name into
-    ``sys.modules``, where a later ``import scipy.linalg`` finds it; no scipy
-    package is imported, not even to find the file."""
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    stem = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
-                        "linalg", "_flapack")
-    path = next(stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
-                if os.path.isfile(stem + suffix))
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[name] = module
-    return module
+class BundledLapack:
+    """``dgetrf`` and ``dgetrs`` of a bundled OpenBLAS, reached through
+    ``ctypes`` and called as scipy's f2py wrappers of the same routines
+    are: ``dgetrf(a, overwrite_a=1) -> (lu, piv, info)`` and
+    ``dgetrs(lu, piv, b) -> (x, info)``, with 0-based pivots and LAPACK's
+    ``info`` returned, not raised.
 
-
-@lru_cache(maxsize=None)
-def lapack():
-    """scipy's LAPACK wrappers, once per process: ``_load_flapack()``, or
-    ``scipy.linalg.lapack`` when that fails in any way.  Both hold the same
-    ``dgetrf`` and ``dgetrs``, the ones ``scipy.linalg.lu_factor`` and
-    ``lu_solve`` call."""
-    try:
-        return _load_flapack()
-    except Exception:
-        from scipy.linalg import lapack as module
-
-        return module
-
-
-@lru_cache(maxsize=None)
-def openblas_threads(module: str):
-    """(get, set) of the thread count of the OpenBLAS that the Linux wheels
-    of ``module``'s package bundle in ``<package>.libs`` beside it, or None
-    (MKL, Accelerate, a system BLAS).
-
-    ``module`` is loaded first, so ctypes reaches the library its calls go
-    to: ``"scipy.linalg"`` names scipy's LAPACK, loaded by ``lapack`` (no
-    ``scipy.linalg`` import), ``"numpy"`` numpy's matrix products.  The
-    calls are ``openblas_get_num_threads`` and ``openblas_set_num_threads``
-    with the prefix ``scipy_`` (the scipy-openblas builds) or none, and the
-    suffix ``64_`` (the builds with 64-bit integers, as numpy's) or none.
-    The lookup is made once per process.
+    ``dgetrf`` factors ``a`` in place, so ``lu`` is ``a``; ``dgetrs`` solves
+    for one right-hand side, on a copy of ``b``.  ``a`` and ``lu`` must be
+    writeable, Fortran-contiguous float64 arrays, else ValueError: f2py
+    would factor a copy of any other array, silently, and leave ``a`` as it
+    was.  Every call makes its own integers, so threads may call at once,
+    and ``ctypes`` releases the GIL for the call, as the f2py wrappers do.
     """
-    import ctypes  # not at module level: start-up
+
+    def __init__(self, lib, prefix: str, suffix: str):
+        import ctypes
+
+        # the builds with the suffix 64_ take 64-bit integers
+        self._int = ctypes.c_int64 if suffix == "64_" else ctypes.c_int
+        self._index = np.int64 if suffix == "64_" else np.int32
+        ref, ptr = ctypes.POINTER(self._int), ctypes.c_void_p
+        self._getrf = lib[f"{prefix}dgetrf_{suffix}"]
+        self._getrf.argtypes = [ref, ref, ptr, ref, ptr, ref]  # m, n, a, lda, ipiv, info
+        self._getrs = lib[f"{prefix}dgetrs_{suffix}"]
+        # trans, n, nrhs, a, lda, ipiv, b, ldb, info, and trans's hidden length
+        self._getrs.argtypes = [ctypes.c_char_p, ref, ref, ptr, ref, ptr, ptr, ref, ref,
+                                ctypes.c_size_t]
+        self._getrf.restype = self._getrs.restype = None
+
+    @staticmethod
+    def _check_matrix(a, name):
+        if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == np.float64
+                and a.flags.f_contiguous and a.flags.writeable):
+            raise ValueError(f"{name} must be a writeable, Fortran-contiguous 2-d float64 array")
+
+    def dgetrf(self, a, overwrite_a=1):
+        """(a, piv, info): ``a`` holds L and U, row i was swapped with row
+        piv[i], and info > 0 names a zero pivot U(info, info)."""
+        if not overwrite_a:
+            raise ValueError("dgetrf factors in place only: pass a copy to keep a")
+        self._check_matrix(a, "a")
+        m, n = a.shape
+        piv = np.empty(min(m, n), self._index)
+        info = self._int()
+        self._getrf(self._int(m), self._int(n), a.ctypes.data, self._int(max(1, m)),
+                    piv.ctypes.data, info)
+        piv -= 1
+        return a, piv, info.value
+
+    def dgetrs(self, lu, piv, b):
+        """(x, info): the solution of A x = b from ``dgetrf``'s factors of A."""
+        self._check_matrix(lu, "lu")
+        n = lu.shape[0]
+        x = np.array(b, dtype=np.float64)
+        if lu.shape != (n, n) or len(piv) != n or x.shape != (n,):
+            raise ValueError(f"dgetrs needs an n x n lu, n pivots and a b of n entries (n = {n})")
+        ipiv = np.asarray(piv, self._index) + 1
+        info = self._int()
+        self._getrs(b"N", self._int(n), self._int(1), lu.ctypes.data, self._int(max(1, n)),
+                    ipiv.ctypes.data, x.ctypes.data, self._int(max(1, n)), info, 1)
+        return x, info.value
+
+
+@lru_cache(maxsize=None)
+def _bundled_openblas(package: str):
+    """(library, prefix, suffix) of the OpenBLAS that the Linux wheels of
+    ``package`` bundle in ``<package>.libs`` beside it, or None (MKL,
+    Accelerate, a system BLAS), found once per process.
+
+    The library is opened by its path through ``ctypes``; the package's own
+    extension modules link it by the same name, so both reach one copy,
+    whichever loads it first.  Its symbols are LAPACK's and OpenBLAS's
+    names with the prefix ``scipy_`` (the scipy-openblas builds) or none,
+    and the suffix ``64_`` (the builds with 64-bit integers, as numpy's) or
+    none: ``scipy_dgetrf_``, ``scipy_openblas_get_num_threads64_``.
+    """
+    import ctypes
     import glob
 
-    if module == "scipy.linalg":
-        lapack()
-    else:
-        importlib.import_module(module)
-    package = module.partition(".")[0]
     site = os.path.dirname(importlib.util.find_spec(package).submodule_search_locations[0])
     for path in sorted(glob.glob(os.path.join(site, package + ".libs", "lib*openblas*"))):
         lib = ctypes.CDLL(path)
         for prefix in ("scipy_", ""):
             for suffix in ("", "64_"):
-                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-                if get is not None:
-                    set_threads = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                    return get, set_threads
+                if hasattr(lib, f"{prefix}openblas_get_num_threads{suffix}"):
+                    return lib, prefix, suffix
     return None
+
+
+@lru_cache(maxsize=None)
+def lapack():
+    """The ``dgetrf`` and ``dgetrs`` that ``scipy.linalg.lu_factor`` and
+    ``lu_solve`` reach, once per process: a ``BundledLapack`` on scipy's
+    bundled OpenBLAS, the library ``openblas_threads("scipy.linalg")``
+    pins, so that no scipy module is imported; or ``scipy.linalg.lapack``,
+    whose f2py wrappers take the same calls, where no such library is
+    found."""
+    found = _bundled_openblas("scipy")
+    if found is None:
+        from scipy.linalg import lapack as module
+
+        return module
+    return BundledLapack(*found)
+
+
+@lru_cache(maxsize=None)
+def openblas_threads(module: str):
+    """(get, set) of the thread count of the OpenBLAS bundled with
+    ``module``'s package (``_bundled_openblas``), or None where there is
+    none.  ``"scipy.linalg"`` names scipy's LAPACK, which ``lapack`` calls,
+    and ``"numpy"`` numpy's matrix products.  The calls are
+    ``openblas_get_num_threads`` and ``openblas_set_num_threads``.
+    """
+    import ctypes
+
+    found = _bundled_openblas(module.partition(".")[0])
+    if found is None:
+        return None
+    lib, prefix, suffix = found
+    get = lib[f"{prefix}openblas_get_num_threads{suffix}"]
+    set_threads = lib[f"{prefix}openblas_set_num_threads{suffix}"]
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get, set_threads

@@ -22,12 +22,13 @@ kappa = -4 is forced by the E-norm scaling |Q|/4: it is the unique constant
 making gradient and residual agree identically, for either sign convention.
 
 scipy is loaded inside the functions that use it: the dense Newton step
-calls ``dgetrf`` and ``dgetrs`` on ``pool.lapack()`` (scipy's
-``scipy.linalg._flapack`` alone, loaded on the first solve), the lgmres path
-imports ``scipy.sparse.linalg`` and ``linking_report`` ``scipy.optimize``.
-Importing the package, and the commands that never solve (``verify``,
-``norms``), then load no scipy module.  ``multi_seed_search`` runs its seed
-ladder on the package's one thread pool (``pool.share_work``).
+calls ``dgetrf`` and ``dgetrs`` on ``pool.lapack()`` (scipy's bundled
+OpenBLAS through ``ctypes``, opened on the first solve, so no scipy module),
+the lgmres path imports ``scipy.sparse.linalg`` and ``linking_report``
+``scipy.optimize``.  Importing the package, and every command but
+``linking`` below ``DENSE_LIMIT`` unknowns, then load no scipy module.
+``multi_seed_search`` runs its seed ladder on the package's one thread pool
+(``pool.share_work``).
 
 A Newton iterate is synthesized on the padded grid once: the residual that
 accepted it leaves its grid samples to the next Jacobian (``newton_solve``).
@@ -298,11 +299,12 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     ``levenberg(mu)`` refills J into the same buffer before adding mu on the
     field diagonal.  A solve is valid until the next factorization, so
     ``levenberg`` ends the use of ``solve``.
-    ``dgetrf`` and ``dgetrs`` are called as ``scipy.linalg.lu_factor(J,
-    overwrite_a=True, check_finite=False)`` and ``lu_solve`` call them, so
-    the factors are theirs.  An exactly zero pivot (dgetrf's ``info > 0``)
-    or a non-finite factor (as a non-finite entry of J gives; found by the
-    factor's min and max) raises SingularJacobian.
+    ``pool.lapack()``'s ``dgetrf`` and ``dgetrs`` are the routines
+    ``scipy.linalg.lu_factor(J, overwrite_a=True, check_finite=False)`` and
+    ``lu_solve`` reach, called with the same arguments, so the factors and
+    steps are theirs, bit for bit.  An exactly zero pivot (dgetrf's
+    ``info > 0``) or a non-finite factor (as a non-finite entry of J gives;
+    found by the factor's min and max) raises SingularJacobian.
 
     ``samples`` is the list into which ``residual`` put u's padded-grid
     samples; both paths take them out of it instead of synthesizing u, and
@@ -322,7 +324,7 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
         return lambda rhs: solve_dim(np.append(rhs, np.zeros(dim - n)))[:n]
 
     if n <= DENSE_LIMIT:
-        flapack = lapack()
+        lib = lapack()
         fill = _dense_jacobian(p, u, samples)
         if work is None:
             work = np.empty((n + 1) ** 2)
@@ -337,14 +339,14 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
                 J[range(n), range(n)] += mu
             # no scan for non-finite input: a non-finite J gives a
             # non-finite factor, and every right-hand side is finite
-            lu, piv, info = flapack.dgetrf(J, overwrite_a=1)
+            lu, piv, info = lib.dgetrf(J, overwrite_a=1)
             # min and max carry a NaN and reach either infinity, with no
             # temporary of J's size (np.isfinite(lu) is one of dim^2 bytes)
             if not (np.isfinite(lu.min()) and np.isfinite(lu.max())):
                 raise SingularJacobian("non-finite factorization")
             if info > 0:
                 raise SingularJacobian(f"zero pivot U({info},{info})")
-            return bordered(lambda rhs: flapack.dgetrs(lu, piv, rhs)[0])
+            return bordered(lambda rhs: lib.dgetrs(lu, piv, rhs)[0])
 
         return factor(0.0), factor
 
@@ -441,14 +443,18 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
         raise ValueError("tol must be > 0")
     if seed_u.M != p.M:
         raise ValueError("seed truncation must match the problem")
+    # the LU buffer before the seed's residual: in a pooled search it then
+    # takes whole the hole the thread's previous buffer left in its malloc
+    # arena, which the residual's temporaries would otherwise split, making
+    # the arena grow by most of a buffer
+    n = lattice(p.M).n_real
+    work = np.empty((n + 1) ** 2) if n <= DENSE_LIMIT else None
     u = seed_u
     samples = []  # u's padded-grid samples, from its residual to its Jacobian
     R = residual(p, u, samples)
     rnorm = R.l2()
     history = [rnorm]
     iters = 0
-    n = lattice(p.M).n_real
-    work = np.empty((n + 1) ** 2) if n <= DENSE_LIMIT else None
 
     def state(converged):
         samples.clear()  # no Jacobian follows: free u's grid before I(u) makes its own
@@ -704,10 +710,11 @@ def multi_seed_search(p: PenalizedProblem, n_seeds: int,
     nonlinearity, M = 34 to 36 still run two seeds at a time on two cores,
     and from M = 37 up the search is serial.  The threads share read-only
     caches (``lattice``, ``jacobian_gather``, the problem's constants);
-    LAPACK releases the GIL, so one seed's LU runs beside another seed's
-    work.  Results come back in seed order and are deduplicated as in a
-    serial loop.  Seeds ending in NoConvergence or SingularJacobian are
-    skipped; any other error is raised.
+    the LU routines run with the GIL released (``pool.BundledLapack``
+    through ``ctypes``, or scipy's f2py wrappers), so one seed's LU runs
+    beside another seed's work.  Results come back in seed order and are
+    deduplicated as in a serial loop.  Seeds ending in NoConvergence or
+    SingularJacobian are skipped; any other error is raised.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")

@@ -618,6 +618,7 @@ import json, sys
 def loaded():
     return {"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
             "futures": "concurrent.futures" in sys.modules,
+            "argparse": "argparse" in sys.modules,
             "ctypes": sorted(name for name, mod in sys.modules.items()
                              if name.startswith("wavetorus") and "ctypes" in vars(mod))}
 
@@ -631,20 +632,21 @@ print(json.dumps(stages))
 
 
 def test_grid_norm_commands_load_no_scipy(tmp_path):
-    # import, verify and norms load no scipy module; a solve, and then a
-    # multi with its OpenBLAS pin, load scipy's LAPACK wrappers
-    # (scipy.linalg._flapack) and no other scipy module, not even the scipy
-    # package.  import, verify and norms load no concurrent.futures either,
-    # and no wavetorus module imports it: the package's pool is its own.
-    # numpy imports ctypes itself, so for ctypes, which only the BLAS thread
-    # pins use, the check is that no wavetorus module binds it, whatever
-    # command ran
+    # import, verify, norms, a solve, a multi with its OpenBLAS pin, a
+    # continue and an mms load no scipy module, not even the scipy package:
+    # the dense LU reaches scipy's bundled OpenBLAS through ctypes.  No
+    # stage loads argparse, which only main() uses.  import, verify and
+    # norms load no concurrent.futures either, and no wavetorus module
+    # imports it: the package's pool is its own.  numpy imports ctypes
+    # itself, so for ctypes, which only the pool's OpenBLAS lookups use, the
+    # check is that no wavetorus module binds it, whatever command ran
     import ast
     import os
     import subprocess
     import sys
 
     import wavetorus
+    from wavetorus import pool
 
     fpath = tmp_path / "field.json"
     write_field(random_field(1, 8, decay=0.3), fpath)
@@ -655,7 +657,11 @@ def test_grid_norm_commands_load_no_scipy(tmp_path):
                                            "p": [4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, 2.5],
                                            "gamma": [0.5]}},
             minimal_solve_config(initial={"kind": "random", "amplitude": 0.3}),
-            minimal_solve_config(command="multi", beta=1e-4, multi={"n_seeds": 2})]
+            minimal_solve_config(command="multi", beta=1e-4, multi={"n_seeds": 2}),
+            minimal_solve_config(command="continue", initial={"kind": "random", "amplitude": 0.3},
+                                 beta={"start": 0.1, "factor": 0.5, "floor": 0.05}),
+            {key: value for key, value in minimal_solve_config(command="mms").items()
+             if key != "M"} | {"mms": {"M_list": [6, 8]}}]
     src = os.path.dirname(os.path.dirname(wavetorus.__file__))
     env = {**os.environ, "PYTHONPATH": src}
 
@@ -666,8 +672,11 @@ def test_grid_norm_commands_load_no_scipy(tmp_path):
     for stage in ("import", "verify", "norms"):
         assert seen[stage]["scipy"] == [] and seen[stage]["futures"] is False, stage
     assert all(seen[stage]["ctypes"] == [] for stage in seen)
-    for stage in ("solve", "multi"):
-        assert seen[stage]["scipy"] == ["scipy.linalg._flapack"], stage
+    assert all(seen[stage]["argparse"] is False for stage in seen)
+    # without a bundled OpenBLAS the LU comes from scipy.linalg.lapack
+    bundled = pool._bundled_openblas("scipy") is not None
+    for stage in ("solve", "multi", "continue", "mms"):
+        assert (seen[stage]["scipy"] == []) is bundled, stage
     package = os.path.dirname(wavetorus.__file__)
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):

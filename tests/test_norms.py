@@ -201,14 +201,14 @@ def test_holder_monotone_in_gamma(seed, g1, g2):
 # -- quadrants -----------------------------------------------------------------
 
 
-def test_quadrant_split_complex_probe():
+def test_quadrants_keep_a_complex_exponential_in_its_own_quadrant():
     u = SpectralField.from_modes(4, {(1, 1): 1.0}, hermitian=False)  # e^{i(2x+t)}
     pp, pm, mp, mm = tuple(quadrants(u))
     assert (pp - u).l2() == 0.0
     assert pm.l2() == 0.0 and mp.l2() == 0.0 and mm.l2() == 0.0
 
 
-def test_quadrant_split_real_cosine():
+def test_quadrants_split_a_real_cosine_into_opposite_quadrants():
     u = SpectralField.from_modes(4, {(1, 1): 0.5})  # cos(2x + t)
     pp, pm, mp, mm = tuple(quadrants(u))
     assert pp.get(1, 1) == pytest.approx(0.5)
@@ -367,7 +367,7 @@ def blocks_at_once_holder(u, gamma, oversample=4):
 @settings(max_examples=30, deadline=None)
 @given(seeds, st.integers(0, 40), st.sampled_from([SubspaceTag.ALL, SubspaceTag.EPERP]),
        st.floats(0.01, 0.99))
-def test_streamed_blocks_and_quadrants_equal_the_held_ones(seed, M, tag, gamma):
+def test_holder_blocks_on_their_own_truncation_equal_the_held_ones(seed, M, tag, gamma):
     # blocks built on their own truncation give the sup of the truncated
     # full-size blocks bit for bit
     u = random_field(seed, M, tag, 0.05)

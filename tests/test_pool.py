@@ -2,6 +2,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from wavetorus import pool
@@ -145,3 +146,118 @@ def test_pool_workers_leave_blas_its_cores_and_bound_the_memory(monkeypatch):
     assert workers(32, 73) == 6
     monkeypatch.setattr(pool.os, "cpu_count", lambda: None)
     assert workers(32, 73) == 1
+
+
+def _bundled_lapack():
+    lapack = pool.lapack()
+    if not isinstance(lapack, pool.BundledLapack):
+        pytest.skip("scipy does not bundle OpenBLAS here")
+    return lapack
+
+
+def test_bundled_lapack_returns_what_scipys_wrappers_return():
+    # factors, 0-based pivots and info of a square, a tall and a singular
+    # matrix, and a solve
+    from scipy.linalg import lapack as f2py
+
+    lapack = _bundled_lapack()
+    rng = np.random.default_rng(7)
+    square = np.asfortranarray(rng.standard_normal((40, 40)))
+    singular = square.copy(order="F")
+    singular[:, 3] = singular[:, 5]
+    for a in (square, np.asfortranarray(rng.standard_normal((9, 5))), singular,
+              np.zeros((4, 4), order="F")):
+        mine, theirs = lapack.dgetrf(a.copy(order="F")), f2py.dgetrf(a)
+        assert np.array_equal(mine[0], theirs[0]) and mine[2] == theirs[2]
+        assert mine[1].dtype == theirs[1].dtype and np.array_equal(mine[1], theirs[1])
+    lu, piv, _ = lapack.dgetrf(square.copy(order="F"))
+    b = rng.standard_normal(40)
+    x, info = lapack.dgetrs(lu, piv, b)
+    assert info == 0 and x is not b
+    assert np.array_equal(x, f2py.dgetrs(lu, piv, b)[0])
+    a = square.copy(order="F")
+    assert lapack.dgetrf(a, overwrite_a=1)[0] is a
+
+
+def test_bundled_lapack_rejects_what_it_would_factor_as_a_copy():
+    # f2py factors a copy of an array that is not a writeable,
+    # Fortran-contiguous float64 matrix; the binding factors in place only,
+    # so it raises, and the array is left as it was
+    lapack = _bundled_lapack()
+    a = np.arange(16.0).reshape(4, 4) + np.eye(4)
+    readonly = np.asfortranarray(a)
+    readonly.flags.writeable = False
+    for bad in (a, np.asfortranarray(a, dtype=np.float32), np.asfortranarray(a)[:, ::2],
+                readonly, a.ravel(), a.tolist()):
+        before = np.array(bad)
+        with pytest.raises(ValueError):
+            lapack.dgetrf(bad, overwrite_a=1)
+        assert np.array_equal(np.array(bad), before)
+    with pytest.raises(ValueError, match="in place"):
+        lapack.dgetrf(np.asfortranarray(a), overwrite_a=0)
+    lu, piv, _ = lapack.dgetrf(np.asfortranarray(a))
+    with pytest.raises(ValueError):
+        lapack.dgetrs(np.ascontiguousarray(lu), piv, np.ones(4))
+    for b in (np.ones(5), np.ones((4, 1))):
+        with pytest.raises(ValueError):
+            lapack.dgetrs(lu, piv, b)
+
+
+def test_bundled_lapack_passes_each_call_its_own_ctypes_integers():
+    # the pool calls the binding from several threads at once, so no ctypes
+    # integer may outlive a call, where another call could write it while
+    # LAPACK reads it: over four calls into a recording library, no ctypes
+    # scalar is passed twice
+    import ctypes
+
+    passed = []
+
+    class Routine:
+        argtypes = restype = None
+
+        def __call__(self, *args):
+            passed.append([x for x in args if isinstance(x, ctypes._SimpleCData)])
+
+    class Library:
+        def __getitem__(self, name):
+            return Routine()
+
+    lapack = pool.BundledLapack(Library(), "scipy_", "")
+    for _ in range(2):
+        lu, piv, _ = lapack.dgetrf(np.eye(3, order="F"))
+        lapack.dgetrs(lu, np.arange(3), np.ones(3))
+    ids = [id(x) for args in passed for x in args]
+    assert [len(args) for args in passed] == [4, 5] * 2
+    assert len(set(ids)) == len(ids)
+
+
+def test_bundled_lapack_gives_the_serial_bits_on_eight_threads():
+    # eight threads factor and solve their own matrices, of three sizes, each
+    # with a zero column at its own place or none, so that each call has its
+    # own info; they get the serial factors, pivots, infos and solutions
+    # (OpenBLAS at one thread, as the pool holds it)
+    lapack = _bundled_lapack()
+    get, set_threads = pool.openblas_threads("scipy.linalg")
+    rng = np.random.default_rng(3)
+    systems = []
+    for i, n in enumerate((40, 150, 250) * 8):
+        a = np.asfortranarray(rng.standard_normal((n, n)))
+        if i % 4:
+            a[:, (7 * i) % n] = 0.0
+        systems.append((a, rng.standard_normal(n)))
+
+    def step(system):
+        a, b = system
+        lu, piv, info = lapack.dgetrf(a.copy(order="F"))
+        return lu, piv, info, *lapack.dgetrs(lu, piv, b)
+
+    threads = get()
+    set_threads(1)
+    try:
+        serial = [step(s) for s in systems]
+        assert len({out[2] for out in serial}) > 10
+        for _ in range(3):
+            for got, want in zip(_map(step, systems, 8), serial):
+                assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
+    finally:
+        set_threads(threads)

@@ -485,9 +485,7 @@ from wavetorus.solver import (PenalizedProblem, _dense_jacobian, _linear_solver,
 from wavetorus.spectral import SubspaceTag, pack, random_field
 
 if sys.argv[1] == "fail":
-    def failing():
-        raise OSError("no _flapack file")
-    pool._load_flapack = failing
+    pool._bundled_openblas = lambda package: None
 nl = make_nonlinearity(3, [{"j": 0, "c": 1.0}, {"j": 1, "c_sin": 0.5}],
                        {"kind": "tanh", "alpha": 1.0}, [])
 cases, steps = [], []
@@ -522,7 +520,7 @@ def oracle(p, u, rhs, anchor, mu):
 
 module = pool.lapack()
 print(json.dumps({
-    "loader": module.__name__, "before": before,
+    "loader": getattr(module, "__name__", type(module).__name__), "before": before,
     "wrappers": [scipy.linalg.lapack.dgetrf is module.dgetrf,
                  scipy.linalg.lapack.dgetrs is module.dgetrs],
     "steps": [hashlib.sha256(step.tobytes()).hexdigest() for step in steps],
@@ -535,7 +533,7 @@ print(json.dumps({
 def _lapack_steps(mode):
     """Dense steps at M = 8 and 12 (plain, bordered, Levenberg at mu = 1e-2)
     in a fresh process, where no test module has imported scipy.linalg;
-    ``mode`` "fail" makes the file-based load of _flapack fail first."""
+    ``mode`` "fail" makes the lookup of scipy's bundled OpenBLAS find none."""
     import json
     import os
     import subprocess
@@ -548,19 +546,24 @@ def _lapack_steps(mode):
                                      capture_output=True, text=True, check=True).stdout)
 
 
-def test_dense_steps_through_loaded_flapack_match_lu_factor():
-    # the solver loads scipy's LAPACK wrappers alone, its steps are the bytes
-    # of lu_factor/lu_solve, and a later scipy.linalg import reuses the module
+def test_dense_steps_through_bundled_openblas_match_lu_factor():
+    # the solver calls dgetrf and dgetrs on scipy's bundled OpenBLAS through
+    # ctypes, with no scipy module loaded, and its steps are the bytes of
+    # lu_factor/lu_solve
+    from wavetorus import pool
+
+    if pool._bundled_openblas("scipy") is None:
+        pytest.skip("scipy does not bundle OpenBLAS here")
     seen = _lapack_steps("load")
-    assert seen["before"] == ["scipy.linalg._flapack"]
-    assert seen["loader"] == "scipy.linalg._flapack"
-    assert seen["wrappers"] == [True, True]
+    assert seen["loader"] == "BundledLapack"
+    assert seen["before"] == []
+    assert seen["wrappers"] == [False, False]
     assert seen["oracle"] == [True] * 6
 
 
-def test_dense_steps_unchanged_when_flapack_load_falls_back():
-    # a failed file-based load falls back to scipy.linalg.lapack: the same
-    # wrappers, so the same step bytes
+def test_dense_steps_unchanged_when_bundled_openblas_is_not_found():
+    # without a bundled OpenBLAS the solver takes scipy.linalg.lapack's f2py
+    # wrappers, which call the same routines, so the same step bytes
     seen = _lapack_steps("fail")
     assert seen["loader"] == "scipy.linalg.lapack"
     assert seen["wrappers"] == [True, True]

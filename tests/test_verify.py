@@ -133,7 +133,7 @@ def test_holder_to_sobolev_closed_form_and_identity():
         check_holder_to_sobolev(small_spec(), 0.5, 0.6)
 
 
-def test_holder_trial_reads_the_quadrant_split():
+def test_holder_trial_ratios_are_those_of_the_four_quadrants():
     # the trial draws its quadrants one at a time; its ratios are those of the
     # four fields of quadrants(u), in order, over the holder proxy
     spec = small_spec(count=6, M=10)
