@@ -8,7 +8,8 @@ Run from the root of a checkout.  The parent ``REF`` is extracted with
 without it the change is the working tree: its tracked and untracked, not
 ignored, files are copied into a fresh directory, so both sides run from
 clean copies.  For each workload (default ``multi_m24:10`` and
-``verify_m64:6``), ``python3 benchmark/run.py --workload NAME --seed SEED
+``verify_m64:10``; fewer than 10 pairs cannot express the 8-of-10 rule
+below), ``python3 benchmark/run.py --workload NAME --seed SEED
 --seconds SECONDS --trace 0`` runs in PAIRS pairs, the parent first in even
 pairs and the change first in odd ones, so a drift of the host falls on
 both sides.
@@ -50,7 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BOUNDS = {m["name"]: m["bound"]
           for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 RULE_SHARE = 0.8  # share of pairs the change must win for the printed rule: 8 of 10
-DEFAULT_WORKLOADS = ("multi_m24:10", "verify_m64:6")
+DEFAULT_WORKLOADS = ("multi_m24:10", "verify_m64:10")
 
 
 def git(*args, **kwargs):

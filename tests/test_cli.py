@@ -73,6 +73,8 @@ def test_parse_rejects_inadmissible_nonlinearity():
 def test_config_hash_stable():
     doc = minimal_solve_config()
     assert config_hash(doc) == config_hash(json.loads(json.dumps(doc)))
+    # the digest is pinned, so the provenance hashes of earlier reports stay valid
+    assert config_hash(doc) == "9b58473ebb8cd3ac"
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -619,6 +621,7 @@ def loaded():
     return {"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
             "futures": "concurrent.futures" in sys.modules,
             "argparse": "argparse" in sys.modules,
+            "ma": "numpy.ma" in sys.modules,
             "ctypes": sorted(name for name, mod in sys.modules.items()
                              if name.startswith("wavetorus") and "ctypes" in vars(mod))}
 
@@ -639,7 +642,9 @@ def test_grid_norm_commands_load_no_scipy(tmp_path):
     # norms load no concurrent.futures either, and no wavetorus module
     # imports it: the package's pool is its own.  numpy imports ctypes
     # itself, so for ctypes, which only the pool's OpenBLAS lookups use, the
-    # check is that no wavetorus module binds it, whatever command ran
+    # check is that no wavetorus module binds it, whatever command ran.
+    # verify's quantiles are written out, so it loads no numpy.ma where numpy
+    # imports that lazily (numpy 2; numpy 1.24 imports it at import numpy)
     import ast
     import os
     import subprocess
@@ -673,6 +678,8 @@ def test_grid_norm_commands_load_no_scipy(tmp_path):
         assert seen[stage]["scipy"] == [] and seen[stage]["futures"] is False, stage
     assert all(seen[stage]["ctypes"] == [] for stage in seen)
     assert all(seen[stage]["argparse"] is False for stage in seen)
+    if not seen["import"]["ma"]:
+        assert seen["verify"]["ma"] is False
     # without a bundled OpenBLAS the LU comes from scipy.linalg.lapack
     bundled = pool._bundled_openblas("scipy") is not None
     for stage in ("solve", "multi", "continue", "mms"):

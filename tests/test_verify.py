@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wavetorus.pool
 import wavetorus.verify
@@ -104,6 +106,34 @@ def test_gn_report_summary_fields():
     assert rep.ensemble_size == 40
     assert rep.parameters["s"] == pytest.approx(2.0 / 3.0)
     assert 0 < rep.ratios["q50"] <= rep.ratios["q90"] <= rep.ratios["max"]
+
+
+# finite floats from 1e-303 to 1e303 in size; + 0.0 turns -0.0 into 0.0, as
+# the sign of a zero quantile may differ from numpy's (no ratio is -0.0)
+_finite = st.builds(lambda m, e: m * 10.0 ** e + 0.0, st.floats(-1e3, 1e3), st.integers(-300, 300))
+_ratio_lists = st.one_of(
+    st.lists(st.one_of(_finite, st.sampled_from([0.0, 1.0, 2.5])), min_size=1, max_size=200),
+    st.builds(lambda v, n: [v] * n, _finite, st.integers(1, 200)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ratio_lists)
+@example([1.0, np.nan])
+@example([np.nan])
+@example([np.nan, np.inf, 1.0])
+@example([np.inf])
+@example([1.0, np.inf])
+@example([1.0, 2.0, np.inf, np.inf])
+@example([-np.inf, 1.0])
+@example([-np.inf, -np.inf, 2.0])
+@example([-np.inf, np.inf])
+def test_summary_quantile_is_numpys_bit_for_bit(values):
+    r = np.array(values)
+    s = np.sort(r)
+    with np.errstate(invalid="ignore"):  # numpy's inf - inf
+        for q in (0.0, 0.5, 0.9, 0.99, 1.0):
+            ours, numpys = wavetorus.verify._quantile(s, q), np.quantile(r, q)
+            assert np.float64(ours).tobytes() == np.float64(numpys).tobytes(), q
 
 
 def test_embedding_single_mode_closed_form():
