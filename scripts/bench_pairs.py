@@ -7,20 +7,21 @@ Run from the root of a checkout.  The parent ``REF`` is extracted with
 ``git archive`` into a fresh directory, and so is ``--change`` when given;
 without it the change is the working tree: its tracked and untracked, not
 ignored, files are copied into a fresh directory, so both sides run from
-clean copies.  For each workload (default ``multi_m24:10`` and
-``verify_m64:10``; fewer than 10 pairs cannot express the 8-of-10 rule
-below), ``python3 benchmark/run.py --workload NAME --seed SEED
---seconds SECONDS --trace 0`` runs in PAIRS pairs, the parent first in even
-pairs and the change first in odd ones, so a drift of the host falls on
-both sides.
+clean copies.  For each workload (by default every workload that
+``BENCHMARK.json`` lists, at 10 pairs each; fewer than 10 pairs cannot
+express the 9-of-10 rule below), ``python3 benchmark/run.py --workload NAME
+--seed SEED --seconds SECONDS --trace 0`` runs in PAIRS pairs, the parent
+first in even pairs and the change first in odd ones, so a drift of the
+host falls on both sides.
 
 It writes ``BENCH_<TAG>.json`` at the root of the checkout: per workload
 and end-to-end metric, the per-pair values of both sides, both medians, the
 parent's interquartile range and the pairs the change won; beside them the
 host (cores, CPU affinity set, the benchmark's BLAS thread setting, the
 Python, numpy, scipy and OpenBLAS versions) and both commits.  It prints,
-per metric, whether the change won at least 8 of every 10 pairs with
-medians further apart than the parent's IQR.  It also prints and records the
+per metric, whether a claimed gain is met: the change won at least 9 of
+every 10 pairs run (a tie is a win for neither side), and the medians are
+further apart than the parent's IQR.  It also prints and records the
 no-regression reading: the relative change of the medians against the
 metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the parent's median),
 as "within bound" or "beyond bound", or "unresolved" when the parent's IQR
@@ -46,12 +47,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 # the benchmark's end-to-end metrics, each lower-is-better, and the worsening
 # each may show, as a fraction of the parent's median
-BOUNDS = {m["name"]: m["bound"]
-          for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-RULE_SHARE = 0.8  # share of pairs the change must win for the printed rule: 8 of 10
-DEFAULT_WORKLOADS = ("multi_m24:10", "verify_m64:10")
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
+RULE_SHARE = 0.9  # share of pairs the change must win for the printed rule: 9 of 10
+DEFAULT_WORKLOADS = tuple(f"{w['name']}:10" for w in BENCHMARK["workloads"])
 
 
 def git(*args, **kwargs):
@@ -149,8 +150,9 @@ def main(argv=None) -> int:
             (w.split(":") for w in args.workload or DEFAULT_WORKLOADS)]
 
     out = {"command": f"benchmark/run.py --seed {args.seed} --seconds {args.seconds} --trace 0",
-           "host": host(), "rule": f"change lower in at least {RULE_SHARE:.0%} of pairs and "
-                                   "medians further apart than the parent's IQR (printed only)",
+           "host": host(), "rule": f"change lower in at least {RULE_SHARE:.0%} of pairs (a tie "
+                                   "wins for neither side) and medians further apart than the "
+                                   "parent's IQR (printed only)",
            "regression": "relative change of the medians within the metric's bound; "
                          "unresolved when the parent's IQR over its median exceeds the bound, "
                          "unless every change run beats every parent run (printed only)"}

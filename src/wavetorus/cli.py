@@ -5,8 +5,8 @@ command reads: a key the command does not read, an ill-typed or out-of-range
 value, and a missing required key are rejected with the offending key path,
 and any randomized command requires an explicit seed.  Reports are
 JSON-first with CSV sidecars; every report carries a provenance block
-(config hash, seed, package version) and reruns of the same config produce
-identical artifacts.
+(config hash, seed, package version), and reruns of the same config on one
+host produce identical artifacts (README, "Determinism").
 """
 
 from __future__ import annotations

@@ -19,11 +19,11 @@ cannot.
 Both the pin (``openblas_threads``) and the dense Newton step's LU
 (``lapack``) reach scipy's OpenBLAS through one ``ctypes`` lookup of the
 library its wheel bundles (``_bundled_openblas``), so they act on the same
-library, and a solve imports no scipy module: scipy's f2py LAPACK module
-alone would add about 1.3 MB to a toy solve's peak RSS, all of
-``scipy.linalg`` about 21 MB and 0.35 s of start-up.  ``ctypes`` is
-imported inside the functions that use it: importing the package binds no
-``ctypes``.
+library, and a solve imports no scipy module: neither ``scipy.linalg``,
+which brings ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma`` with it,
+nor its f2py LAPACK module alone, each of which adds start-up time and peak
+RSS (measured in CHANGES.md).  ``ctypes`` is imported inside the functions
+that use it: importing the package binds no ``ctypes``.
 """
 
 from __future__ import annotations

@@ -73,8 +73,8 @@ KAPPA = -4.0
 
 DENSE_LIMIT = 4400  # real unknowns; M = 64 has 4161
 PHASE_GRID = 4096  # scan points of max_time_correlation
-# entries per row panel of the dense Jacobian fill (256 KiB of complex128);
-# the M = 24 fill is slower with 8192 or 32768, and 2.5x slower in one panel
+# entries per row panel of the dense Jacobian fill, complex128; the M = 24
+# fill is slower with half or twice as many, and slower still in one panel
 _PANEL_ENTRIES = 16384
 
 

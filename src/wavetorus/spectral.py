@@ -68,7 +68,9 @@ from .errors import GridTooCoarse, NotHermitian
 
 Q_AREA = 2.0 * np.pi**2  # |Q| = pi * 2pi
 
-# grid values per row block of the grid norms' pass (256 KiB of float64)
+# grid values (float64) per row block of the grid norms' pass: small enough
+# that no full grid is mapped and faulted in per field, large enough that the
+# per-block Python turns, which hold the GIL, stay few (README, grid norms)
 GRID_BLOCK = 32768
 
 DOMAIN_LABEL = "x:[0,pi],t:[0,2pi]"
@@ -355,8 +357,8 @@ def synthesize_values(u: SpectralField, nx: int, nt: int) -> np.ndarray:
     B[rows] = np.fft.ifft(A, axis=1)
     C = np.fft.ifft(B, axis=0)
     # B goes before the scaled copy is made, so two grids are alive, not
-    # three.  Scaling C in place instead raised verify's peak RSS (about
-    # 0.2 MB at M = 64) through glibc's dynamic mmap threshold
+    # three.  Scaling C in place instead raised verify's peak RSS through
+    # glibc's dynamic mmap threshold
     del B
     return C * (nx * nt)
 

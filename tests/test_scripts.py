@@ -51,12 +51,20 @@ def test_bench_pairs_summary_on_fixed_numbers():
     assert s["parent"] == parent and s["change"] == change
     assert (s["parent_median"], s["change_median"]) == (12.25, 9.75)
     assert s["parent_iqr"] == 13.375 - 11.125  # inclusive quartiles
-    assert (s["wins"], s["pairs"], s["rule_met"]) == (8, 10, True)
+    # 8 wins of 10 with medians 2.5 apart: short of the 9-of-10 rule
+    assert (s["wins"], s["pairs"], s["rule_met"]) == (8, 10, False)
     assert bench.rule_line("multi_m24", "wall_s", s) == (
         "multi_m24 wall_s: median 12.25 -> 9.75, parent IQR 2.25, lower in 8 of 10 pairs; "
-        "rule (80% of pairs and beyond the parent's IQR) met")
-    # 8 wins, but the medians 2.0 apart are inside the parent's IQR
-    assert not bench.summarize(parent, [c + 0.5 for c in change], 0.25)["rule_met"]
+        "rule (90% of pairs and beyond the parent's IQR) not met")
+    nine = change[:-1] + [9.0]
+    met = bench.summarize(parent, nine, 0.25)
+    assert (met["change_median"], met["wins"], met["rule_met"]) == (9.5, 9, True)
+    assert bench.rule_line("multi_m24", "wall_s", met) == (
+        "multi_m24 wall_s: median 12.25 -> 9.5, parent IQR 2.25, lower in 9 of 10 pairs; "
+        "rule (90% of pairs and beyond the parent's IQR) met")
+    # 9 wins, but the medians 2.15 apart are inside the parent's IQR
+    inside = bench.summarize(parent, [c + 0.6 for c in nine], 0.25)
+    assert (inside["wins"], inside["rule_met"]) == (9, False)
     # a tie is not a win: 7 of 10 misses the rule, with medians 3.25 apart
     tied = bench.summarize(parent, [10.0, 9.0, 9.0, 9.0, 9.0, 11.0, 9.0, 9.0, 9.0, 15.0], 0.25)
     assert (tied["change_median"], tied["wins"], tied["rule_met"]) == (9.0, 7, False)
