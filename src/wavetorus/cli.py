@@ -206,11 +206,14 @@ def _cross_key_errors(doc: dict, cmd: str) -> list:
         if too_big:
             errors.append(f"linking.l_values: entries {too_big} exceed M={M}")
     initial = doc.get("initial", {})
-    if M is not None and initial.get("kind") == "modes":
+    if initial.get("kind") == "modes":
         for i, m in enumerate(initial.get("modes", ())):
-            if 2 * abs(m["j"]) + abs(m["k"]) > M:
+            if M is not None and 2 * abs(m["j"]) + abs(m["k"]) > M:
                 errors.append(f"initial.modes[{i}]: mode ({m['j']}, {m['k']}) lies"
                               f" outside the diamond 2|j| + |k| <= M={M}")
+            if (m["j"], m["k"]) == (0, 0) and m.get("im", 0.0) != 0.0:
+                errors.append(f"initial.modes[{i}]: entry (0, 0) of a real field must"
+                              f" have im = 0 (got {m['im']!r})")
     beta = doc.get("beta")
     if isinstance(beta, dict) and beta["start"] <= beta["floor"]:
         errors.append("beta: requires start > floor")

@@ -21,12 +21,14 @@ The functional whose gradient under the area-weighted pairing
 kappa = -4 is forced by the E-norm scaling |Q|/4: it is the unique constant
 making gradient and residual agree identically, for either sign convention.
 
-scipy is loaded inside the functions that use it: the dense Newton step
-calls ``dgetrf`` and ``dgetrs`` on ``pool.lapack()`` (scipy's bundled
-OpenBLAS through ``ctypes``, opened on the first solve, so no scipy module),
-the lgmres path imports ``scipy.sparse.linalg`` and ``linking_report``
-``scipy.optimize``.  Importing the package, and every command but
-``linking`` below ``DENSE_LIMIT`` unknowns, then load no scipy module.
+scipy is loaded inside the functions that use it: the Newton step calls
+``dgetrf`` and ``dgetrs`` on ``pool.lapack()`` (scipy's bundled OpenBLAS
+through ``ctypes``, opened on the first solve, so no scipy module) to
+factor its coarse block, which is all of J up to ``DENSE_LIMIT`` unknowns;
+above that its lgmres imports ``scipy.sparse.linalg``, and
+``linking_report`` imports ``scipy.optimize``.  Importing the package, and
+every command but ``linking`` up to ``DENSE_LIMIT`` unknowns, then load no
+scipy module.
 ``multi_seed_search`` runs its seed ladder on the package's one thread pool
 (``pool.share_work``).
 
@@ -72,6 +74,10 @@ from .spectral import (
 KAPPA = -4.0
 
 DENSE_LIMIT = 4400  # real unknowns; M = 64 has 4161
+# above DENSE_LIMIT the Newton step factors the block of the modes of
+# weight <= M // _COARSE_DIVISOR, the coarse half of lgmres's preconditioner
+_COARSE_DIVISOR = 4
+_INNER_M = 50  # lgmres's Krylov vectors per restart
 PHASE_GRID = 4096  # scan points of max_time_correlation
 # entries per row panel of the dense Jacobian fill, complex128; the M = 24
 # fill is slower with half or twice as many, and slower still in one panel
@@ -201,9 +207,12 @@ def functional_I(p: PenalizedProblem, u: SpectralField) -> float:
     return out
 
 
-def _dense_jacobian(p: PenalizedProblem, u: SpectralField, samples: list | None = None):
+def _dense_jacobian(p: PenalizedProblem, u: SpectralField, samples: list | None = None,
+                    half: np.ndarray | None = None, f_u: np.ndarray | None = None):
     """The fill of J = d(residual)/du at u, a real matrix over the packed
-    coordinates.
+    coordinates, or with ``half`` (indices into the half modes) its block
+    over the coordinates of those half modes and of (0, 0), in the same
+    order.
 
     Rows and columns follow ``pack``: [Re u_hat(0, 0), x h, y h] with x the
     real and y the imaginary parts of the half modes h.  With
@@ -237,33 +246,39 @@ def _dense_jacobian(p: PenalizedProblem, u: SpectralField, samples: list | None 
     from u's padded-grid samples when ``samples`` holds them (``residual``
     leaves them there), which are taken out of the list, so they are freed
     once g_hat is formed, before any fill; otherwise u is synthesized.
+    ``f_u``, f_u(x, u) on the padded grid, replaces both.
     """
     lat = lattice(p.M)
     tab = jacobian_gather(p.M)
-    g = _f_hat(p, u, 1, samples).coeffs.ravel()  # f_u(x, u), bandwidth 2M
+    g = _f_hat(p, u, 1, samples) if f_u is None else analyze(GridField(f_u), 2 * p.M)
+    g = g.coeffs.ravel()  # f_u(x, u), bandwidth 2M
     s = -p.sigma
     gc = np.empty_like(g)  # one gather reads both parts
     gc.real, gc.imag = s * g.real, s * g.imag
     gr, gi = gc.real, gc.imag
     sym = penalized_symbol(p)
-    n, nh = lat.n_real, lat.n_half
-    x, y = slice(1, 1 + nh), slice(1 + nh, n)
+    minus, plus, off = tab.minus, tab.plus, tab.off
     d = sym[lat.half_rows, lat.half_cols]
+    if half is not None:
+        minus, plus, off, d = minus[half], plus[half], off[half], d[half]
+    nh = off.size
+    n = 1 + 2 * nh
+    x, y = slice(1, 1 + nh), slice(1 + nh, n)
     rows = max(1, _PANEL_ENTRIES // max(nh, 1))
 
     def fill(out=None):
         J = np.empty((n, n), order="F") if out is None else out
         T = J.T  # T[a, b] = J[b, a]
         T[0, 0] = gr[tab.zero] + sym[lat.jmax, p.M]
-        T[x, 0] = gr[tab.minus] + gr[tab.plus]
-        T[y, 0] = -(gi[tab.minus] - gi[tab.plus])
-        T[0, x] = gr[tab.plus]
-        T[0, y] = gi[tab.plus]
+        T[x, 0] = gr[minus] + gr[plus]
+        T[y, 0] = -(gi[minus] - gi[plus])
+        T[0, x] = gr[plus]
+        T[0, y] = gi[plus]
         Txx, Txy, Tyx, Tyy = T[x, x], T[x, y], T[y, x], T[y, y]
         for a in range(0, nh, rows):
             b = min(a + rows, nh)
-            dg = gc[tab.minus[a:b, None] + tab.off]  # at h' - h
-            sg = gc[tab.plus[a:b, None] + tab.off]  # at h + h'
+            dg = gc[minus[a:b, None] + off]  # at h' - h
+            sg = gc[plus[a:b, None] + off]  # at h + h'
             dg.reshape(-1)[a::nh + 1].real += d[a:b]  # the entries h' = h
             np.add(dg.real, sg.real, out=Txx[a:b])
             np.subtract(dg.real, sg.real, out=Tyy[a:b])
@@ -273,6 +288,17 @@ def _dense_jacobian(p: PenalizedProblem, u: SpectralField, samples: list | None 
         return J
 
     return fill
+
+
+def _coarse_truncation(M: int) -> int:
+    """M_c, the weight bound of the modes whose block of J the Newton step
+    factors: M while lattice(M) has at most ``DENSE_LIMIT`` real unknowns,
+    else M // _COARSE_DIVISOR, lowered until its lattice fits ``DENSE_LIMIT``
+    (0 at least: the one mode (0, 0))."""
+    M_c = M if lattice(M).n_real <= DENSE_LIMIT else M // _COARSE_DIVISOR
+    while M_c > 0 and lattice(M_c).n_real > DENSE_LIMIT:
+        M_c -= 1
+    return M_c
 
 
 def time_derivative(u: SpectralField) -> SpectralField:
@@ -285,105 +311,135 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
                    samples: list | None = None):
     """Return ``(solve, levenberg)`` for the Jacobian at u.
 
-    ``solve(rhs)`` solves J delta = rhs over the packed coordinates: dense LU
-    up to ``DENSE_LIMIT`` real unknowns, otherwise preconditioned lgmres with
-    the diagonal symbol as preconditioner.  ``levenberg(mu)`` factors the
-    Levenberg system J + mu I and returns its solve; it exists on the dense
-    path only and is None on the iterative one.  Both solves map a
-    length-n_real right-hand side to a length-n_real step.
+    ``solve(rhs)`` solves J delta = rhs over the packed coordinates, and
+    ``levenberg(mu)`` factors the Levenberg system J + mu I and returns its
+    solve; both map a length-n_real right-hand side to a length-n_real step.
+    Each factors the block of J over the coarse modes, those of weight at
+    most M_c (``_coarse_truncation``).  Up to ``DENSE_LIMIT`` real unknowns
+    M_c is M: that block is J, and its LU solve is the step.  Above it the
+    factor is the coarse half of a preconditioner whose fine half is the
+    Jacobi diagonal of J, and lgmres solves the system with the matrix-free product by J, the same
+    mu added to the product and to both halves of the preconditioner.
 
-    The dense path fills J, Fortran-ordered, into the flat float64 buffer
-    ``work`` of at least (n_real + 1)^2 entries (a new one when None) and
-    LU-factors it there, in place; the fill writes J in row panels straight
-    into that buffer, so no other array of J's size is made, and
-    ``levenberg(mu)`` refills J into the same buffer before adding mu on the
-    field diagonal.  A solve is valid until the next factorization, so
-    ``levenberg`` ends the use of ``solve``.
+    The block is filled, Fortran-ordered, into the flat float64 buffer
+    ``work`` of at least (n_c + 1)^2 entries, n_c the coarse count of real
+    unknowns (a new one when None), and LU-factored there, in place; the
+    fill writes the block in row panels straight into that buffer, so no
+    other array of its size is made, and ``levenberg(mu)`` refills it into
+    the same buffer before adding mu on the field diagonal.  A solve is
+    valid until the next factorization, so ``levenberg`` ends the use of
+    ``solve``.
     ``pool.lapack()``'s ``dgetrf`` and ``dgetrs`` are the routines
     ``scipy.linalg.lu_factor(J, overwrite_a=True, check_finite=False)`` and
     ``lu_solve`` reach, called with the same arguments, so the factors and
     steps are theirs, bit for bit.  An exactly zero pivot (dgetrf's
     ``info > 0``) or a non-finite factor (as a non-finite entry of J gives;
-    found by the factor's min and max) raises SingularJacobian.
+    found by the factor's min and max) raises SingularJacobian, and so does
+    an lgmres solve that does not converge.
 
     ``samples`` is the list into which ``residual`` put u's padded-grid
-    samples; both paths take them out of it instead of synthesizing u, and
-    the dense one has dropped them before J is filled.
+    samples; the solver takes them out of it instead of synthesizing u, and
+    has dropped them before the block is filled.
 
     With ``anchor`` (a packed direction), the system is bordered with the
     phase condition <anchor, delta> = 0: autonomous problems have the exact
     null vector d/dt u at any time-dependent solution, and the bordered
-    solve removes it while staying an LU factorization.
+    solve removes it while staying an LU factorization.  The preconditioner
+    is the bordered system with J replaced by its coarse block and the fine
+    diagonal; eliminating the fine rows leaves the coarse block bordered by
+    the anchor's coarse part, with -sum a_f^2 / diagonal (over the fine
+    coordinates f) in the corner, where the exact system has 0.
     """
     lat = lattice(p.M)
     n = lat.n_real
     dim = n if anchor is None else n + 1
+    M_c = _coarse_truncation(p.M)
+    dense = M_c == p.M
+    lib = lapack()
 
     def bordered(solve_dim):
         # every solve: zero right-hand side for the phase row, field part back
         return lambda rhs: solve_dim(np.append(rhs, np.zeros(dim - n)))[:n]
 
-    if n <= DENSE_LIMIT:
-        lib = lapack()
+    if dense:
+        coarse, nc = slice(None), n
         fill = _dense_jacobian(p, u, samples)
-        if work is None:
-            work = np.empty((n + 1) ** 2)
+    else:
+        import scipy.sparse.linalg
 
-        def factor(mu):
-            J = fill(work[:dim * dim].reshape(dim, dim, order="F"))
-            if anchor is not None:
-                J[:n, n] = anchor
-                J[n, :n] = anchor
-                J[n, n] = 0.0
-            if mu:  # Levenberg: damp only the field block, not the border
-                J[range(n), range(n)] += mu
-            # no scan for non-finite input: a non-finite J gives a
-            # non-finite factor, and every right-hand side is finite
-            lu, piv, info = lib.dgetrf(J, overwrite_a=1)
-            # min and max carry a NaN and reach either infinity, with no
-            # temporary of J's size (np.isfinite(lu) is one of dim^2 bytes)
-            if not (np.isfinite(lu.min()) and np.isfinite(lu.max())):
-                raise SingularJacobian("non-finite factorization")
-            if info > 0:
-                raise SingularJacobian(f"zero pivot U({info},{info})")
+        half = np.flatnonzero(lat.weight[lat.half_rows, lat.half_cols] <= M_c)
+        coarse = np.concatenate(([0], 1 + half, 1 + lat.n_half + half))
+        nc = coarse.size
+        fine = np.setdiff1d(np.arange(n), coarse)
+        fu_vals = _on_grid(p, u, 1, samples=samples)[1]
+        fill = _dense_jacobian(p, u, half=half, f_u=fu_vals)
+        ng = fu_vals.shape[0]
+        sym = penalized_symbol(p)
+        # exact Jacobi diagonal: every convolution row carries the mean of f_u
+        fu_mean = float(np.mean(fu_vals))
+        d = sym[lat.half_rows, lat.half_cols] - p.sigma * fu_mean
+        jacobi = np.concatenate(([sym[lat.jmax, p.M] - p.sigma * fu_mean], d, d))[fine]
+        border_f = (np.empty((0, n)) if anchor is None else anchor[None, :])[:, fine]
+
+        def matvec(z, mu):
+            x = z[:n]
+            dz = unpack(x, p.M)
+            dv = synthesize_values(dz, ng, ng).real
+            prod = analyze(GridField(fu_vals * dv), p.M)
+            out = pack(SpectralField(p.M, sym * dz.coeffs - p.sigma * prod.coeffs)) + mu * x
+            if anchor is None:
+                return out
+            return np.append(out + z[n] * anchor, anchor @ x)
+    dim_c = nc + dim - n  # the factored block and the phase row
+    if work is None:
+        work = np.empty((nc + 1) ** 2)
+
+    def factor(mu):
+        if not dense:  # the fine half of the preconditioner
+            diag = jacobi + mu
+            diag[np.abs(diag) < 1e-12] = 1.0
+        J = fill(work[:dim_c * dim_c].reshape(dim_c, dim_c, order="F"))
+        if anchor is not None:
+            J[:nc, nc] = anchor[coarse]
+            J[nc, :nc] = anchor[coarse]
+            J[nc, nc] = 0.0 if dense else -(border_f[0] / diag) @ border_f[0]
+        if mu:  # Levenberg: damp only the field block, not the border
+            J[range(nc), range(nc)] += mu
+        # no scan for non-finite input: a non-finite J gives a
+        # non-finite factor, and every right-hand side is finite
+        lu, piv, info = lib.dgetrf(J, overwrite_a=1)
+        # min and max carry a NaN and reach either infinity, with no
+        # temporary of J's size (np.isfinite(lu) is one of dim^2 bytes)
+        if not (np.isfinite(lu.min()) and np.isfinite(lu.max())):
+            raise SingularJacobian("non-finite factorization")
+        if info > 0:
+            raise SingularJacobian(f"zero pivot U({info},{info})")
+        if dense:
             return bordered(lambda rhs: lib.dgetrs(lu, piv, rhs)[0])
 
-        return factor(0.0), factor
+        def precondition(z):
+            x = np.empty(dim)
+            x[fine] = z[fine] / diag
+            w = lib.dgetrs(lu, piv, np.append(z[coarse], z[n:] - border_f @ x[fine]))[0]
+            x[coarse], x[n:] = w[:nc], w[nc:]
+            x[fine] -= (w[nc:] @ border_f) / diag
+            return x
 
-    import scipy.sparse.linalg
+        # with a dtype, LinearOperator makes no probe product
+        op = scipy.sparse.linalg.LinearOperator((dim, dim), lambda z: matvec(z, mu),
+                                                dtype=np.float64)
+        pre = scipy.sparse.linalg.LinearOperator((dim, dim), precondition, dtype=np.float64)
 
-    U, fu_vals = _on_grid(p, u, 1, samples=samples)
-    ng = U.shape[0]
-    sym = penalized_symbol(p)
+        def krylov(b):
+            sol, info = scipy.sparse.linalg.lgmres(op, b, M=pre, rtol=1e-9, atol=0.0,
+                                                   inner_m=_INNER_M, maxiter=600)
+            if info != 0:
+                raise SingularJacobian(f"iterative linear solve failed (info={info})")
+            return sol
 
-    def matvec(z):
-        x = z[:n]
-        d = unpack(x, p.M)
-        dv = synthesize_values(d, ng, ng).real
-        prod = analyze(GridField(fu_vals * dv), p.M)
-        out = pack(SpectralField(p.M, sym * d.coeffs - p.sigma * prod.coeffs))
-        if anchor is None:
-            return out
-        return np.append(out + z[n] * anchor, anchor @ x)
+        return bordered(krylov)
 
-    # exact Jacobi diagonal: every convolution row carries the mean of f_u
-    fu_mean = float(np.mean(fu_vals))
-    diag = sym[lat.half_rows, lat.half_cols] - p.sigma * fu_mean
-    dpk = np.concatenate(([sym[lat.jmax, p.M] - p.sigma * fu_mean], diag, diag))
-    dpk = np.where(np.abs(dpk) < 1e-12, 1.0, dpk)
-    op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec)
-    pre = scipy.sparse.linalg.LinearOperator(
-        (dim, dim), matvec=lambda z: np.append(z[:n] / dpk, z[n:]))
-
-    def krylov(b):
-        sol, info = scipy.sparse.linalg.lgmres(op, b, M=pre, rtol=1e-9,
-                                               atol=0.0, inner_m=50,
-                                               maxiter=600)
-        if info != 0:
-            raise SingularJacobian(f"iterative linear solve failed (info={info})")
-        return sol
-
-    return bordered(krylov), None
+    return factor(0.0), factor
 
 
 def _backtrack(p: PenalizedProblem, u: SpectralField, rnorm: float,
@@ -413,19 +469,21 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
                  max_iter: int = 40, line_search: bool = True) -> SolutionState:
     """Damped Newton on the packed real system.
 
-    Each step backtracks lam = 1, 1/2, ... down to 2^-16.  On the dense path
-    (up to ``DENSE_LIMIT`` real unknowns) a trial also passes the
-    affine-covariant (natural monotonicity) test
-    ||J^{-1} R(u + lam d)|| <= (1 - lam/2) ||d||, reusing the factorization;
-    every trial passes on plain residual decrease.  Near a root the full step
-    passes both and the iteration is quadratic.  When no trial passes, the
-    dense path retries with Levenberg steps (J + mu I) d = -R for growing mu,
-    each backtracked down to 2^-8 on residual decrease only; a mu whose
-    system is exactly singular is skipped.  With ``line_search=False`` the
-    full step is always taken.  Every dense factorization of one solve, the
-    Levenberg ones included, runs in one buffer of (n_real + 1)^2 entries.
+    Each step backtracks lam = 1, 1/2, ... down to 2^-16.  A trial passes on
+    plain residual decrease or on the affine-covariant (natural
+    monotonicity) test ||J^{-1} R(u + lam d)|| <= (1 - lam/2) ||d||, which
+    reuses the step's factorization (and above ``DENSE_LIMIT`` its lgmres
+    solve).  Near a root the full step passes both and the iteration is
+    quadratic.  When no trial passes, the step is retried with Levenberg
+    steps (J + mu I) d = -R for growing mu, each backtracked down to 2^-8 on
+    residual decrease only; a mu whose system is exactly singular, or whose
+    lgmres solve fails, is skipped.  With ``line_search=False`` the full
+    step is always taken.  Every factorization of one solve, the Levenberg
+    ones included, runs in one buffer of (n_c + 1)^2 entries, n_c the
+    number of real unknowns of weight at most ``_coarse_truncation(M)``
+    (n_real up to ``DENSE_LIMIT``).
     Each iterate is synthesized on the padded grid once: its residual's grid
-    samples go to the next Jacobian, which drops them once f_u is analyzed
+    samples go to the next Jacobian, which drops them once f_u is formed
     (the first step takes those of the seed's residual).  The iterates, and
     so the results, are the same bit for bit as with a synthesis per
     Jacobian.
@@ -447,8 +505,7 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
     # takes whole the hole the thread's previous buffer left in its malloc
     # arena, which the residual's temporaries would otherwise split, making
     # the arena grow by most of a buffer
-    n = lattice(p.M).n_real
-    work = np.empty((n + 1) ** 2) if n <= DENSE_LIMIT else None
+    work = np.empty((lattice(_coarse_truncation(p.M)).n_real + 1) ** 2)
     u = seed_u
     samples = []  # u's padded-grid samples, from its residual to its Jacobian
     R = residual(p, u, samples)
@@ -479,13 +536,13 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
         ndelta = np.linalg.norm(delta)
 
         def natural(lam, R_try, r_try):
-            if levenberg is not None and np.isfinite(r_try):  # dense path
-                if np.linalg.norm(solve(pack(R_try))) <= (1.0 - 0.5 * lam) * ndelta:
-                    return True
+            if np.isfinite(r_try) and (np.linalg.norm(solve(pack(R_try)))
+                                       <= (1.0 - 0.5 * lam) * ndelta):
+                return True
             return not line_search
 
         trial = _backtrack(p, u, rnorm, unpack(delta, p.M), 2.0**-16, natural)
-        if trial is None and levenberg is not None:
+        if trial is None:
             # Levenberg ladder: escape merit plateaus near folds
             for mu in (1e-4, 1e-2, 1.0, 1e2, 1e4):
                 try:
@@ -685,16 +742,26 @@ def dedup_solutions(found, dedup_threshold: float = 0.99):
 
 
 def _solve_bytes(p: PenalizedProblem) -> int:
-    """Bytes one dense ``newton_solve`` holds at its peak: the (n_real + 1)^2
-    float64 buffer, the fill's panels (two complex128 and one index panel of
+    """Bytes one ``newton_solve`` holds at its peak: the (n_c + 1)^2 float64
+    buffer of the factored block (n_c real unknowns, ``_coarse_truncation``),
+    the fill's panels (two complex128 and one index panel of
     ``_PANEL_ENTRIES`` entries) and the grid work of a transform of f (80
     bytes a point of the ``_grid_side(p)`` grid, five complex grids, which
     also covers the coefficient arrays alive beside it).  The grid samples
     an accepted residual keeps for the next Jacobian are part of that grid
-    work: they are dropped once f_u is analyzed, before the fill.  The terms
-    are summed although the fill and the transforms never overlap."""
-    n = lattice(p.M).n_real
-    return 8 * (n + 1) ** 2 + 40 * _PANEL_ENTRIES + 80 * _grid_side(p) ** 2
+    work: they are dropped once f_u is formed, before the fill.  Above
+    ``DENSE_LIMIT`` lgmres adds two grids, f_u kept for its products and a
+    trial's samples kept through the monotonicity test's solve, and its
+    vectors of n_real + 1 entries: two Krylov bases of ``_INNER_M`` + 4
+    (the last restart's stays bound while the next one is built), six
+    augmentation vectors and about ten temporaries.  The terms are summed
+    although the fill and the transforms never overlap."""
+    n, grid = lattice(p.M).n_real, _grid_side(p) ** 2
+    n_c = lattice(_coarse_truncation(p.M)).n_real
+    held = 8 * (n_c + 1) ** 2 + 40 * _PANEL_ENTRIES + 80 * grid
+    if n_c < n:
+        held += 16 * grid + 8 * (n + 1) * (2 * _INNER_M + 24)
+    return held
 
 
 def multi_seed_search(p: PenalizedProblem, n_seeds: int,
@@ -705,14 +772,16 @@ def multi_seed_search(p: PenalizedProblem, n_seeds: int,
 
     The seeds run on ``pool.share_work`` with scipy's OpenBLAS held at one
     thread, so the LUs give the same bits on every host.  The workers'
-    dense solves, ``_solve_bytes`` each, are bounded together by
+    solves, ``_solve_bytes`` each, are bounded together by
     ``pool.POOL_BYTES``: at oversample 4 with s <= 3 and an x-degree 1
     nonlinearity, M = 34 to 36 still run two seeds at a time on two cores,
-    and from M = 37 up the search is serial.  The threads share read-only
-    caches (``lattice``, ``jacobian_gather``, the problem's constants);
-    the LU routines run with the GIL released (``pool.BundledLapack``
-    through ``ctypes``, or scipy's f2py wrappers), so one seed's LU runs
-    beside another seed's work.  Results come back in seed order and are
+    and from M = 37 to 65 the search is serial; above ``DENSE_LIMIT`` a
+    solve holds only its coarse block beside lgmres, so M = 66 to 75 run
+    two seeds at a time again, and from M = 76 up one.  The threads share
+    read-only caches (``lattice``, ``jacobian_gather``, the problem's
+    constants); the LU routines run with the GIL released
+    (``pool.BundledLapack`` through ``ctypes``, or scipy's f2py wrappers),
+    so one seed's LU runs beside another seed's work.  Results come back in seed order and are
     deduplicated as in a serial loop.  Seeds ending in NoConvergence or
     SingularJacobian are skipped; any other error is raised.
     """

@@ -184,8 +184,8 @@ def tail_band_field(seed, T: int, tag=SubspaceTag.EPERP, decay: float = 0.0) -> 
     return SpectralField(2 * T, np.where(lat.weight > T, u.coeffs, 0.0))
 
 
-def check_embedding(spec: EnsembleSpec, s: float, tails=(8, 16, 32, 64),
-                    tail_count: int = 128) -> InequalityReport:
+def check_embedding(spec: EnsembleSpec, s: float, tails,
+                    tail_count: int) -> InequalityReport:
     """Ratios ||u||_Lp / ||u||_E^s at p = (2-s)/(1-s), plus the compactness
     witness: the same max ratio over tail-supported bands, decaying in T."""
     p = embedding_integrability(s)

@@ -394,6 +394,10 @@ def test_continue_csv_header_names_every_monitored_quantity(tmp_path):
     ({"command": "verify", "verify": {"suite": "hy", "p": float("inf")}}, "verify.p"),
     ({"command": "norms", "norms": {"field": "f.json", "p": [float("inf")]}}, "norms.p"),
     ({"command": "norms", "norms": {"field": "f.json", "q": [2.0, float("inf")]}}, "norms.q"),
+    # a complex (0, 0) entry, which no real field has (the diamond rule's neighbour)
+    ({"initial": {"kind": "modes", "modes": [{"j": 1, "k": 2, "re": 1.0},
+                                             {"j": 0, "k": 0, "re": 0.5, "im": 0.25}]}},
+     "initial.modes[1]"),
 ])
 def test_main_rejects_malformed_config(tmp_path, capsys, overrides, key):
     doc = minimal_solve_config(**overrides)

@@ -7,7 +7,7 @@ import pytest
 
 from wavetorus import pool
 from wavetorus.pool import _map, share_work
-from wavetorus.solver import DENSE_LIMIT
+from wavetorus.solver import DENSE_LIMIT, PenalizedProblem, _solve_bytes
 from wavetorus.spectral import lattice
 
 
@@ -114,7 +114,7 @@ def test_share_work_reraises_an_error_of_the_items():
         _map(lambda x: x, items(), 2)
 
 
-def test_pool_workers_leave_blas_its_cores_and_bound_the_memory(monkeypatch):
+def test_pool_workers_leave_blas_its_cores_and_bound_the_memory(monkeypatch, default_nl):
     # one worker per core of the affinity set (cpu_count without one), each
     # running its BLAS calls at one thread; items of 12 (n_real + 1)^2
     # bytes each stay within POOL_BYTES together.  No BLAS variable in the
@@ -131,7 +131,14 @@ def test_pool_workers_leave_blas_its_cores_and_bound_the_memory(monkeypatch):
                         raising=False)
     n24, n33, n34 = (lattice(M).n_real for M in (24, 33, 34))
     assert [workers(32, n24), workers(5, n24), workers(32, n33)] == [7, 5, 2]
-    assert [workers(32, n) for n in (n34, lattice(64).n_real, DENSE_LIMIT + 1)] == [1, 1, 1]
+    assert [workers(32, n) for n in (n34, lattice(64).n_real)] == [1, 1]
+    # above DENSE_LIMIT a solve factors only its coarse block and runs lgmres
+    # beside it, so the first such M (66, coarse weight 16) holds
+    # _solve_bytes, not (n_real + 1)^2 floats: two solves fit POOL_BYTES
+    M = next(M for M in range(64, 100) if lattice(M).n_real > DENSE_LIMIT)
+    share_work(None, (), 32, "scipy.linalg",
+               _solve_bytes(PenalizedProblem(M=M, beta=1e-3, nl=default_nl)))
+    assert (M, opened.pop()) == (66, 2)
     for n in range(1, 2000, 37):
         w = workers(10**6, n)
         assert w == 1 or w * 12 * (n + 1) ** 2 <= pool.POOL_BYTES

@@ -14,6 +14,7 @@ from wavetorus.solver import (
     PHASE_GRID,
     BetaSchedule,
     PenalizedProblem,
+    _coarse_truncation,
     _dense_jacobian,
     _f_hat,
     _grid_side,
@@ -269,14 +270,20 @@ def test_jacobian_fill_holds_no_table_of_n_half_squared(default_nl):
     assert max(sizes) == nh
 
 
-@pytest.mark.parametrize("M", [24, 32, 40])
+@pytest.mark.parametrize("M", [24, 32, 40, 28])
 @pytest.mark.parametrize("forced", [True, False])
-def test_dense_step_peak_within_the_pool_memory_model(default_nl, M, forced):
-    # the tracemalloc peak of one dense Newton step (fill, LU, line search,
-    # the functional of the failed state) is what multi_seed_search tells
-    # the pool one solve holds, and more than its (n_real + 1)^2 buffer
+def test_dense_step_peak_within_the_pool_memory_model(default_nl, monkeypatch, M, forced):
+    # the tracemalloc peak of one Newton step (fill, LU, line search, the
+    # functional of the failed state) is what multi_seed_search tells the
+    # pool one solve holds, and more than its (n_c + 1)^2 buffer; M = 28
+    # runs above a DENSE_LIMIT lowered to M = 24's unknowns, so lgmres
+    # solves with the LU of the modes of weight <= 7
     import tracemalloc
 
+    import wavetorus.solver as solver
+
+    if M == 28:
+        monkeypatch.setattr(solver, "DENSE_LIMIT", lattice(24).n_real)
     if forced:  # square system
         target, p = mms_problem(default_nl, 0.5, M, 1e-3, seed=5)
         u0 = embed(truncate(target, M // 2), M)
@@ -297,7 +304,7 @@ def test_dense_step_peak_within_the_pool_memory_model(default_nl, M, forced):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 8 * (lattice(M).n_real + 1) ** 2 < peak <= _solve_bytes(p)
+    assert 8 * (lattice(_coarse_truncation(M)).n_real + 1) ** 2 < peak <= _solve_bytes(p)
 
 
 def test_pool_memory_model_keeps_two_workers_up_to_m36(default_nl):
@@ -397,14 +404,18 @@ def test_newton_no_convergence_carries_best(default_nl):
 
 
 def test_newton_iterative_path_matches_dense(default_nl, monkeypatch):
+    # above DENSE_LIMIT Newton reaches the dense root, with the coarse LU of
+    # the modes of weight <= M // 4 and with the one mode (0, 0)
     import wavetorus.solver as solver
 
     target, p = mms_problem(default_nl, 0.5, 10, 1e-3, seed=9)
     cold = embed(truncate(target, 6), 10)
     dense = newton_solve(p, cold, tol=1e-11, max_iter=20)
-    monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
-    iterative = newton_solve(p, cold, tol=1e-11, max_iter=25)
-    assert (dense.u - iterative.u).l2() <= 1e-8
+    for limit, M_c in ((lattice(10).n_real - 1, 2), (0, 0)):
+        monkeypatch.setattr(solver, "DENSE_LIMIT", limit)
+        assert _coarse_truncation(10) == M_c
+        iterative = newton_solve(p, cold, tol=1e-11, max_iter=25)
+        assert (dense.u - iterative.u).l2() <= 1e-8
 
 
 @pytest.mark.parametrize("amplitude, line_search", [(1e103, True), (1e60, False)])
@@ -423,6 +434,11 @@ def test_newton_non_finite_residual_raises(default_nl, amplitude, line_search):
 @pytest.mark.parametrize("M", [8, 12])
 @pytest.mark.parametrize("anchored", [False, True])
 def test_linear_solver_iterative_path_matches_dense(default_nl, monkeypatch, M, anchored):
+    # above DENSE_LIMIT lgmres solves with the LU of the coarse modes as the
+    # coarse half of its preconditioner: of weight <= M // 4 below a
+    # DENSE_LIMIT just under n_real, the one mode (0, 0) at DENSE_LIMIT = 0,
+    # whose block and phase row fit a buffer of (1 + 1)^2 entries.  Both
+    # solves, and the Levenberg one, match the dense ones
     import wavetorus.solver as solver
 
     p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl)
@@ -433,15 +449,21 @@ def test_linear_solver_iterative_path_matches_dense(default_nl, monkeypatch, M, 
         anchor = t_vec / np.linalg.norm(t_vec)
     rhs = -pack(residual(p, u))
     solve_dense, levenberg_dense = _linear_solver(p, u, anchor)
+    dense = solve_dense(rhs)
+    damped_dense = levenberg_dense(1e-2)(rhs)
+    monkeypatch.setattr(solver, "DENSE_LIMIT", lattice(M).n_real - 1)
+    assert _coarse_truncation(M) == M // 4
+    krylov = _linear_solver(p, u, anchor)[0](rhs)
     monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
-    solve_krylov, levenberg_krylov = _linear_solver(p, u, anchor)
-    assert levenberg_dense is not None and levenberg_krylov is None
-    dense, krylov = solve_dense(rhs), solve_krylov(rhs)
-    assert dense.shape == krylov.shape == rhs.shape
+    assert lattice(_coarse_truncation(M)).n_real == 1
+    damped = _linear_solver(p, u, anchor, np.full(4, np.nan))[1](1e-2)(rhs)
+    assert dense.shape == krylov.shape == damped.shape == rhs.shape
     assert np.linalg.norm(krylov - dense) <= 1e-8 * np.linalg.norm(dense)
+    assert np.linalg.norm(damped - damped_dense) <= 1e-8 * np.linalg.norm(damped_dense)
     if anchored:  # the phase condition holds to each solver's own accuracy
         assert abs(anchor @ dense) <= 1e-13 * np.linalg.norm(dense)
         assert abs(anchor @ krylov) <= 1e-8 * np.linalg.norm(krylov)
+        assert abs(anchor @ damped) <= 1e-8 * np.linalg.norm(damped)
 
 
 @pytest.mark.parametrize("M", [4, 8, 12])
@@ -685,11 +707,12 @@ def test_dense_linear_solver_raises_on_non_finite_jacobian(default_nl, monkeypat
         levenberg(bad)
 
 
-def test_levenberg_ladder_skips_singular_mu(default_nl, monkeypatch):
-    # a ladder step whose system is singular goes on with the next mu
+def _ladder_mus(nl, monkeypatch):
+    """The mus of the ladder case's Levenberg solves, the one at 1e-4
+    failing as an exactly singular system does."""
     import wavetorus.solver as solver
 
-    p, seed_u = _ladder_case(default_nl)
+    p, seed_u = _ladder_case(nl)
     linear_solver = solver._linear_solver
     mus = []
 
@@ -707,7 +730,39 @@ def test_levenberg_ladder_skips_singular_mu(default_nl, monkeypatch):
     monkeypatch.setattr(solver, "_linear_solver", spy)
     with pytest.raises(NoConvergence):
         newton_solve(p, seed_u, max_iter=30)
+    return mus
+
+
+def test_levenberg_ladder_skips_singular_mu(default_nl, monkeypatch):
+    # a ladder step whose system is singular goes on with the next mu
+    mus = _ladder_mus(default_nl, monkeypatch)
     assert mus[:2] == [1e-4, 1e-2], mus
+
+
+def test_levenberg_ladder_skips_singular_mu_above_dense_limit(default_nl, monkeypatch):
+    # above DENSE_LIMIT the same ladder runs, lgmres with the coarse LU of
+    # weight <= 2
+    import wavetorus.solver as solver
+
+    monkeypatch.setattr(solver, "DENSE_LIMIT", lattice(8).n_real - 1)
+    mus = _ladder_mus(default_nl, monkeypatch)
+    assert mus[:2] == [1e-4, 1e-2], mus
+
+
+def test_criterion_09_branch_refined_above_dense_limit(default_nl, monkeypatch):
+    # the (2, 2) branch solved at M = 24, embedded and solved at M = 48
+    # above a DENSE_LIMIT lowered to M = 24's unknowns (coarse weight <= 12),
+    # reaches the I of the dense M = 48 solve, within its 3 steps
+    import wavetorus.solver as solver
+
+    monkeypatch.setattr(solver, "DENSE_LIMIT", lattice(24).n_real)
+    seed_u = (SpectralField.from_modes(24, {(2, 2): 1.25})
+              + 0.08 * random_field((9, 2, 102), 24, SubspaceTag.ALL, 0.8))
+    coarse = newton_solve(PenalizedProblem(M=24, beta=0.1, nl=default_nl), seed_u)
+    fine = newton_solve(PenalizedProblem(M=48, beta=0.1, nl=default_nl), embed(coarse.u, 48))
+    assert _coarse_truncation(48) == 12
+    assert fine.newton_iters <= 3
+    assert fine.I_value == pytest.approx(439.4605129079056, rel=1e-9)  # the dense solve's
 
 
 @pytest.mark.parametrize("case", ["bordered", "forced", "ladder"])
