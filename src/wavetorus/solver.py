@@ -21,14 +21,15 @@ The functional whose gradient under the area-weighted pairing
 kappa = -4 is forced by the E-norm scaling |Q|/4: it is the unique constant
 making gradient and residual agree identically, for either sign convention.
 
-scipy is loaded inside the functions that use it: the Newton step calls
-``dgetrf`` and ``dgetrs`` on ``pool.lapack()`` (scipy's bundled OpenBLAS
-through ``ctypes``, opened on the first solve, so no scipy module) to
-factor its coarse block, which is all of J up to ``DENSE_LIMIT`` unknowns;
-above that its lgmres imports ``scipy.sparse.linalg``, and
-``linking_report`` imports ``scipy.optimize``.  Importing the package, and
-every command but ``linking`` up to ``DENSE_LIMIT`` unknowns, then load no
-scipy module.
+scipy is loaded inside the functions that use it.  The Newton step factors
+the block of J over the coarse modes with ``dgetrf`` and ``dgetrs`` on
+``pool.lapack()`` (scipy's bundled OpenBLAS through ``ctypes``, opened on
+the first solve, so no scipy module).  Up to ``DENSE_LIMIT`` unknowns that
+block is all of J and its solve is the step; above it fine modes remain,
+and lgmres, which imports ``scipy.sparse.linalg``, takes that solve as its
+preconditioner.  ``linking_report`` imports ``scipy.optimize``.  Importing
+the package, and every command but ``linking`` up to ``DENSE_LIMIT``
+unknowns, then load no scipy module.
 ``multi_seed_search`` runs its seed ladder on the package's one thread pool
 (``pool.share_work``).
 
@@ -210,9 +211,9 @@ def functional_I(p: PenalizedProblem, u: SpectralField) -> float:
 def _dense_jacobian(p: PenalizedProblem, u: SpectralField, samples: list | None = None,
                     half: np.ndarray | None = None, f_u: np.ndarray | None = None):
     """The fill of J = d(residual)/du at u, a real matrix over the packed
-    coordinates, or with ``half`` (indices into the half modes) its block
-    over the coordinates of those half modes and of (0, 0), in the same
-    order.
+    coordinates, or with ``half`` (a boolean mask over the half modes) its
+    block over the coordinates of those half modes and of (0, 0), in the
+    same order.
 
     Rows and columns follow ``pack``: [Re u_hat(0, 0), x h, y h] with x the
     real and y the imaginary parts of the half modes h.  With
@@ -314,12 +315,15 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     ``solve(rhs)`` solves J delta = rhs over the packed coordinates, and
     ``levenberg(mu)`` factors the Levenberg system J + mu I and returns its
     solve; both map a length-n_real right-hand side to a length-n_real step.
-    Each factors the block of J over the coarse modes, those of weight at
-    most M_c (``_coarse_truncation``).  Up to ``DENSE_LIMIT`` real unknowns
-    M_c is M: that block is J, and its LU solve is the step.  Above it the
-    factor is the coarse half of a preconditioner whose fine half is the
-    Jacobi diagonal of J, and lgmres solves the system with the matrix-free product by J, the same
-    mu added to the product and to both halves of the preconditioner.
+    The packed coordinates split into the coarse ones, of the modes of
+    weight at most M_c (``_coarse_truncation``), and the fine rest.  Each
+    factorization is the LU of the block of J (+ mu) over the coarse
+    coordinates, and the solve is that of a preconditioner whose coarse
+    half is this LU and whose fine half is the Jacobi diagonal of J (+ mu).
+    Up to ``DENSE_LIMIT`` real unknowns M_c is M: there is no fine mode, the
+    block is J, and the preconditioner's solve is the exact step.  Only when
+    fine modes exist does lgmres solve the system, with the matrix-free
+    product by J (+ mu) and that preconditioner, within 10 restarts.
 
     The block is filled, Fortran-ordered, into the flat float64 buffer
     ``work`` of at least (n_c + 1)^2 entries, n_c the coarse count of real
@@ -332,14 +336,15 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     ``pool.lapack()``'s ``dgetrf`` and ``dgetrs`` are the routines
     ``scipy.linalg.lu_factor(J, overwrite_a=True, check_finite=False)`` and
     ``lu_solve`` reach, called with the same arguments, so the factors and
-    steps are theirs, bit for bit.  An exactly zero pivot (dgetrf's
+    exact steps are theirs, bit for bit.  An exactly zero pivot (dgetrf's
     ``info > 0``) or a non-finite factor (as a non-finite entry of J gives;
     found by the factor's min and max) raises SingularJacobian, and so does
     an lgmres solve that does not converge.
 
     ``samples`` is the list into which ``residual`` put u's padded-grid
     samples; the solver takes them out of it instead of synthesizing u, and
-    has dropped them before the block is filled.
+    has dropped them before the block is filled.  f_u on the grid is kept
+    only for lgmres's products.
 
     With ``anchor`` (a packed direction), the system is bordered with the
     phase condition <anchor, delta> = 0: autonomous problems have the exact
@@ -348,38 +353,27 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     is the bordered system with J replaced by its coarse block and the fine
     diagonal; eliminating the fine rows leaves the coarse block bordered by
     the anchor's coarse part, with -sum a_f^2 / diagonal (over the fine
-    coordinates f) in the corner, where the exact system has 0.
+    coordinates f) in the corner, 0 when there is no fine mode.
     """
     lat = lattice(p.M)
     n = lat.n_real
     dim = n if anchor is None else n + 1
-    M_c = _coarse_truncation(p.M)
-    dense = M_c == p.M
     lib = lapack()
-
-    def bordered(solve_dim):
-        # every solve: zero right-hand side for the phase row, field part back
-        return lambda rhs: solve_dim(np.append(rhs, np.zeros(dim - n)))[:n]
-
-    if dense:
-        coarse, nc = slice(None), n
-        fill = _dense_jacobian(p, u, samples)
-    else:
+    half = lat.weight[lat.half_rows, lat.half_cols] <= _coarse_truncation(p.M)
+    packed = np.concatenate(([True], half, half))  # pack's (0, 0), x h, y h
+    coarse, fine = np.flatnonzero(packed), np.flatnonzero(~packed)
+    nc = coarse.size
+    border_f = (np.empty((0, n)) if anchor is None else anchor[None, :])[:, fine]
+    jacobi, fu_vals = np.empty(0), None
+    if fine.size:
         import scipy.sparse.linalg
 
-        half = np.flatnonzero(lat.weight[lat.half_rows, lat.half_cols] <= M_c)
-        coarse = np.concatenate(([0], 1 + half, 1 + lat.n_half + half))
-        nc = coarse.size
-        fine = np.setdiff1d(np.arange(n), coarse)
         fu_vals = _on_grid(p, u, 1, samples=samples)[1]
-        fill = _dense_jacobian(p, u, half=half, f_u=fu_vals)
         ng = fu_vals.shape[0]
         sym = penalized_symbol(p)
         # exact Jacobi diagonal: every convolution row carries the mean of f_u
-        fu_mean = float(np.mean(fu_vals))
-        d = sym[lat.half_rows, lat.half_cols] - p.sigma * fu_mean
-        jacobi = np.concatenate(([sym[lat.jmax, p.M] - p.sigma * fu_mean], d, d))[fine]
-        border_f = (np.empty((0, n)) if anchor is None else anchor[None, :])[:, fine]
+        d = sym[lat.half_rows, lat.half_cols] - p.sigma * float(np.mean(fu_vals))
+        jacobi = np.concatenate((d, d))[fine - 1]  # (0, 0) is coarse: fine >= 1
 
         def matvec(z, mu):
             x = z[:n]
@@ -390,19 +384,20 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
             if anchor is None:
                 return out
             return np.append(out + z[n] * anchor, anchor @ x)
+    fill = _dense_jacobian(p, u, samples, half=half, f_u=fu_vals)
     dim_c = nc + dim - n  # the factored block and the phase row
     if work is None:
         work = np.empty((nc + 1) ** 2)
 
     def factor(mu):
-        if not dense:  # the fine half of the preconditioner
-            diag = jacobi + mu
-            diag[np.abs(diag) < 1e-12] = 1.0
+        diag = jacobi + mu  # the fine half of the preconditioner
+        diag[np.abs(diag) < 1e-12] = 1.0
         J = fill(work[:dim_c * dim_c].reshape(dim_c, dim_c, order="F"))
         if anchor is not None:
             J[:nc, nc] = anchor[coarse]
             J[nc, :nc] = anchor[coarse]
-            J[nc, nc] = 0.0 if dense else -(border_f[0] / diag) @ border_f[0]
+            # negating the factor, not the product, leaves +0.0 with no fine mode
+            J[nc, nc] = (border_f[0] / diag) @ -border_f[0]
         if mu:  # Levenberg: damp only the field block, not the border
             J[range(nc), range(nc)] += mu
         # no scan for non-finite input: a non-finite J gives a
@@ -414,30 +409,32 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
             raise SingularJacobian("non-finite factorization")
         if info > 0:
             raise SingularJacobian(f"zero pivot U({info},{info})")
-        if dense:
-            return bordered(lambda rhs: lib.dgetrs(lu, piv, rhs)[0])
 
         def precondition(z):
             x = np.empty(dim)
             x[fine] = z[fine] / diag
-            w = lib.dgetrs(lu, piv, np.append(z[coarse], z[n:] - border_f @ x[fine]))[0]
+            w = lib.dgetrs(lu, piv, np.concatenate((z[coarse], z[n:] - border_f @ x[fine])))[0]
             x[coarse], x[n:] = w[:nc], w[nc:]
             x[fine] -= (w[nc:] @ border_f) / diag
             return x
 
-        # with a dtype, LinearOperator makes no probe product
-        op = scipy.sparse.linalg.LinearOperator((dim, dim), lambda z: matvec(z, mu),
-                                                dtype=np.float64)
-        pre = scipy.sparse.linalg.LinearOperator((dim, dim), precondition, dtype=np.float64)
+        solve = precondition
+        if fine.size:
+            # with a dtype, LinearOperator makes no probe product
+            op = scipy.sparse.linalg.LinearOperator((dim, dim), lambda z: matvec(z, mu),
+                                                    dtype=np.float64)
+            pre = scipy.sparse.linalg.LinearOperator((dim, dim), precondition,
+                                                     dtype=np.float64)
 
-        def krylov(b):
-            sol, info = scipy.sparse.linalg.lgmres(op, b, M=pre, rtol=1e-9, atol=0.0,
-                                                   inner_m=_INNER_M, maxiter=600)
-            if info != 0:
-                raise SingularJacobian(f"iterative linear solve failed (info={info})")
-            return sol
+            def solve(b):
+                sol, info = scipy.sparse.linalg.lgmres(op, b, M=pre, rtol=1e-9, atol=0.0,
+                                                       inner_m=_INNER_M, maxiter=10)
+                if info != 0:
+                    raise SingularJacobian(f"iterative linear solve failed (info={info})")
+                return sol
 
-        return bordered(krylov)
+        # every solve: zero right-hand side for the phase row, field part back
+        return lambda rhs: solve(np.concatenate((rhs, np.zeros(dim - n))))[:n]
 
     return factor(0.0), factor
 
@@ -472,13 +469,14 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
     Each step backtracks lam = 1, 1/2, ... down to 2^-16.  A trial passes on
     plain residual decrease or on the affine-covariant (natural
     monotonicity) test ||J^{-1} R(u + lam d)|| <= (1 - lam/2) ||d||, which
-    reuses the step's factorization (and above ``DENSE_LIMIT`` its lgmres
-    solve).  Near a root the full step passes both and the iteration is
-    quadratic.  When no trial passes, the step is retried with Levenberg
-    steps (J + mu I) d = -R for growing mu, each backtracked down to 2^-8 on
-    residual decrease only; a mu whose system is exactly singular, or whose
-    lgmres solve fails, is skipped.  With ``line_search=False`` the full
-    step is always taken.  Every factorization of one solve, the Levenberg
+    reuses the step's linear solver (``_linear_solver``: its coarse LU, and
+    lgmres when fine modes exist).  Near a root the full step passes both
+    and the iteration is quadratic.  When no trial passes, the step is
+    retried with Levenberg steps (J + mu I) d = -R for growing mu, each
+    backtracked down to 2^-8 on residual decrease only; a mu whose system is
+    exactly singular, or whose lgmres solve fails, is skipped.  With
+    ``line_search=False`` the full step is always taken, and no solve is
+    made beyond the step's.  Every factorization of one solve, the Levenberg
     ones included, runs in one buffer of (n_c + 1)^2 entries, n_c the
     number of real unknowns of weight at most ``_coarse_truncation(M)``
     (n_real up to ``DENSE_LIMIT``).
@@ -536,10 +534,8 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
         ndelta = np.linalg.norm(delta)
 
         def natural(lam, R_try, r_try):
-            if np.isfinite(r_try) and (np.linalg.norm(solve(pack(R_try)))
-                                       <= (1.0 - 0.5 * lam) * ndelta):
-                return True
-            return not line_search
+            return not line_search or (np.isfinite(r_try) and (
+                np.linalg.norm(solve(pack(R_try))) <= (1.0 - 0.5 * lam) * ndelta))
 
         trial = _backtrack(p, u, rnorm, unpack(delta, p.M), 2.0**-16, natural)
         if trial is None:

@@ -647,8 +647,11 @@ def test_grid_norm_commands_load_no_scipy(tmp_path):
     # imports it: the package's pool is its own.  numpy imports ctypes
     # itself, so for ctypes, which only the pool's OpenBLAS lookups use, the
     # check is that no wavetorus module binds it, whatever command ran.
-    # verify's quantiles are written out, so it loads no numpy.ma where numpy
-    # imports that lazily (numpy 2; numpy 1.24 imports it at import numpy)
+    # verify's quantiles are written out, and the Newton step splits its
+    # coarse and fine coordinates from the weight mask (np.setdiff1d would
+    # go through np.unique), so neither loads numpy.ma where numpy imports
+    # that lazily (numpy 2; numpy 1.24 imports it at import numpy); for the
+    # solves that holds where the LU loads no scipy module either
     import ast
     import os
     import subprocess
@@ -688,6 +691,8 @@ def test_grid_norm_commands_load_no_scipy(tmp_path):
     bundled = pool._bundled_openblas("scipy") is not None
     for stage in ("solve", "multi", "continue", "mms"):
         assert (seen[stage]["scipy"] == []) is bundled, stage
+        if bundled and not seen["import"]["ma"]:
+            assert seen[stage]["ma"] is False, stage
     package = os.path.dirname(wavetorus.__file__)
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):

@@ -654,7 +654,7 @@ def test_dense_linear_solver_raises_on_zero_pivot(default_nl, monkeypatch, ancho
         def fill(out):
             out[:n, :n] = c * np.eye(n)
             return out
-        return lambda p, u, samples=None: fill
+        return lambda p, u, samples=None, half=None, f_u=None: fill
 
     monkeypatch.setattr(solver, "_dense_jacobian", scaled_identity(0.0))
     with pytest.raises(SingularJacobian, match="zero pivot"):
@@ -695,7 +695,7 @@ def test_dense_linear_solver_raises_on_non_finite_jacobian(default_nl, monkeypat
             for row, col in entries:
                 out[row, col] = bad
             return out
-        return lambda p, u, samples=None: fill
+        return lambda p, u, samples=None, half=None, f_u=None: fill
 
     for entry in ((0, 0), (3, 1), (n - 1, n - 1)):
         monkeypatch.setattr(solver, "_dense_jacobian", identity_with(entry))
@@ -763,6 +763,54 @@ def test_criterion_09_branch_refined_above_dense_limit(default_nl, monkeypatch):
     assert _coarse_truncation(48) == 12
     assert fine.newton_iters <= 3
     assert fine.I_value == pytest.approx(439.4605129079056, rel=1e-9)  # the dense solve's
+
+
+def test_krylov_solve_that_does_not_converge_fails_fast(default_nl, monkeypatch):
+    # with the one-mode coarse block (DENSE_LIMIT = 0) the first step's lgmres
+    # solve does not converge at M = 20; it raises after at most its 10
+    # restarts of _INNER_M products and one for the restart's residual, each
+    # product one synthesis of the direction on the grid
+    import wavetorus.solver as solver
+
+    synthesize_values = solver.synthesize_values
+    products = []
+
+    def counted(*args):
+        products.append(args)
+        return synthesize_values(*args)
+
+    monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(solver, "synthesize_values", counted)
+    p = PenalizedProblem(M=20, beta=1e-3, nl=default_nl)
+    seed_u = random_field((65, 20), 20, SubspaceTag.ALL, 0.3)
+    with pytest.raises(SingularJacobian, match="iterative linear solve failed"):
+        newton_solve(p, seed_u, max_iter=1)
+    assert 0 < len(products) <= 11 * (solver._INNER_M + 1)
+
+
+def test_newton_without_line_search_solves_once_per_step(default_nl, monkeypatch):
+    # with line_search=False every trial is taken, so the natural-monotonicity
+    # test makes no solve: one linear solve per Newton step
+    import wavetorus.solver as solver
+
+    linear_solver = solver._linear_solver
+    solves = []
+
+    def spy(p, u, anchor=None, work=None, samples=None):
+        solve, levenberg = linear_solver(p, u, anchor, work, samples)
+
+        def counted(rhs):
+            solves.append(rhs)
+            return solve(rhs)
+
+        return counted, levenberg
+
+    monkeypatch.setattr(solver, "_linear_solver", spy)
+    p = PenalizedProblem(M=8, beta=1e-3, nl=default_nl)
+    seed_u = 2.0 * random_field((12345, 55), 8, SubspaceTag.ALL, 0.5)
+    sol = newton_solve(p, seed_u, line_search=False)
+    assert sol.newton_iters > 0
+    assert len(solves) == sol.newton_iters
 
 
 @pytest.mark.parametrize("case", ["bordered", "forced", "ladder"])
