@@ -710,21 +710,21 @@ def max_time_correlation(u1: SpectralField, u2: SpectralField):
 
 def _seed_fields(p: PenalizedProblem, n_seeds: int, master_seed: int):
     """Deterministic seed ladder: zero, random fields of growing amplitude,
-    and concentrated high-temporal-frequency (Eplus) directions."""
-    seeds = []
+    and concentrated high-temporal-frequency (Eplus) directions.
+
+    A generator: seed i is drawn when it is pulled, from its own
+    ``(master_seed, 101|202, i)`` stream, so it is the same field however
+    the ladder is consumed, and the frame keeps no field between pulls."""
     for i in range(n_seeds):
-        if i == 0:
-            seeds.append(SpectralField.zeros(p.M))
-            continue
         amp = 0.3 * 1.15**i
-        if i % 2 == 1:
-            rf = random_field((master_seed, 101, i), p.M, SubspaceTag.ALL, 0.3)
+        if i == 0:
+            yield SpectralField.zeros(p.M)
+        elif i % 2 == 1:
+            yield amp * random_field((master_seed, 101, i), p.M, SubspaceTag.ALL, 0.3)
         else:
             level = min(2 + (i // 2) * 2, p.M)
-            rf = embed(random_field((master_seed, 202, i), level,
-                                    SubspaceTag.EPLUS, 0.0), p.M)
-        seeds.append(amp * rf)
-    return seeds
+            yield amp * embed(random_field((master_seed, 202, i), level,
+                                           SubspaceTag.EPLUS, 0.0), p.M)
 
 
 def dedup_solutions(found, dedup_threshold: float = 0.99):
@@ -751,7 +751,9 @@ def _solve_bytes(p: PenalizedProblem) -> int:
     vectors of n_real + 1 entries: two Krylov bases of ``_INNER_M`` + 4
     (the last restart's stays bound while the next one is built), six
     augmentation vectors and about ten temporaries.  The terms are summed
-    although the fill and the transforms never overlap."""
+    although the fill and the transforms never overlap.  Beside the solve a
+    worker holds only its seed, one lattice field: the ladder is drawn as
+    the workers pull it (``_seed_fields``)."""
     n, grid = lattice(p.M).n_real, _grid_side(p) ** 2
     n_c = lattice(_coarse_truncation(p.M)).n_real
     held = 8 * (n_c + 1) ** 2 + 40 * _PANEL_ENTRIES + 80 * grid
@@ -777,9 +779,12 @@ def multi_seed_search(p: PenalizedProblem, n_seeds: int,
     read-only caches (``lattice``, ``jacobian_gather``, the problem's
     constants); the LU routines run with the GIL released
     (``pool.BundledLapack`` through ``ctypes``, or scipy's f2py wrappers),
-    so one seed's LU runs beside another seed's work.  Results come back in seed order and are
-    deduplicated as in a serial loop.  Seeds ending in NoConvergence or
-    SingularJacobian are skipped; any other error is raised.
+    so one seed's LU runs beside another seed's work.  The ladder is a
+    generator that the workers advance under the pool's lock, so a search
+    holds one seed per worker, not all ``n_seeds``.  Results come back in
+    seed order and are deduplicated as in a serial loop.  Seeds ending in
+    NoConvergence or SingularJacobian are skipped; any other error is
+    raised.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")

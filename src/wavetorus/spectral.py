@@ -424,12 +424,8 @@ def abs_blocks(u: SpectralField, nx: int, nt: int):
         yield np.abs(synthesize_values(u, nx, nt))
 
 
-def synthesize(u: SpectralField, nx: int | None = None, nt: int | None = None) -> GridField:
+def synthesize(u: SpectralField, nx: int, nt: int) -> GridField:
     """Real grid samples; raises NotHermitian if the field is not real-valued."""
-    if nx is None:
-        nx = min_grid(u.M)
-    if nt is None:
-        nt = min_grid(u.M)
     vals = synthesize_values(u, nx, nt)
     scale = u.l2()
     if np.max(np.abs(vals.imag)) > 1e-12 * max(scale, 1e-300):

@@ -177,9 +177,10 @@ def check_gn(spec: EnsembleSpec, p: float) -> InequalityReport:
     return gn_reports(spec, (p,))[0]
 
 
-def tail_band_field(seed, T: int, tag=SubspaceTag.EPERP, decay: float = 0.0) -> SpectralField:
-    """Random field supported on the octave band T < 2|j| + |k| <= 2T."""
-    u = random_field(seed, 2 * T, tag, decay)
+def tail_band_field(seed, T: int) -> SpectralField:
+    """Random Eperp field with flat magnitudes (decay 0) supported on the
+    octave band T < 2|j| + |k| <= 2T."""
+    u = random_field(seed, 2 * T, SubspaceTag.EPERP, 0.0)
     lat = lattice(2 * T)
     return SpectralField(2 * T, np.where(lat.weight > T, u.coeffs, 0.0))
 
@@ -187,7 +188,12 @@ def tail_band_field(seed, T: int, tag=SubspaceTag.EPERP, decay: float = 0.0) -> 
 def check_embedding(spec: EnsembleSpec, s: float, tails,
                     tail_count: int) -> InequalityReport:
     """Ratios ||u||_Lp / ||u||_E^s at p = (2-s)/(1-s), plus the compactness
-    witness: the same max ratio over tail-supported bands, decaying in T."""
+    witness: the same max ratio over tail-supported bands, decaying in T.
+
+    The bands are not drawn from ``spec``'s ensemble: for each T in
+    ``tails``, ``tail_count`` fields of ``tail_band_field`` at M = 2T, with
+    flat magnitudes, so ``spec.M`` and ``spec.decay`` never reach them;
+    ``spec.seed`` and ``spec.oversample`` do."""
     p = embedding_integrability(s)
 
     def ratio(u):

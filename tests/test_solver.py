@@ -1085,7 +1085,7 @@ def test_multi_seed_pool_keeps_seed_order_and_failure_handling(default_nl, monke
     from wavetorus.solver import SolutionState, _seed_fields
 
     p = PenalizedProblem(M=8, beta=1e-4, nl=default_nl)
-    ladder = _seed_fields(p, 8, 7)
+    ladder = list(_seed_fields(p, 8, 7))
 
     def fake_newton(raise_at):
         seed4_done = threading.Event()
@@ -1111,6 +1111,54 @@ def test_multi_seed_pool_keeps_seed_order_and_failure_handling(default_nl, monke
         {1: NoConvergence("no convergence"), 5: ValueError("not a Newton failure")}))
     with pytest.raises(ValueError, match="not a Newton failure"):
         multi_seed_search(p, 8, master_seed=7)
+
+
+@pytest.mark.parametrize("master_seed, digest", [
+    (12345, "b29700fd61e9ede77c15c572c7ab112052d876d58dd20245ede7d569d0bf6871"),
+    (2718, "dc23b5032e3aed6b0b1037a72ef3ef47d7661a5d152ca46a6feae7eba524b86e"),
+])
+def test_seed_ladder_keeps_its_bits(default_nl, master_seed, digest):
+    # the 32-seed ladder at M = 24, drawn one seed at a time, is the one the
+    # eagerly built list gave: the SHA-256 of its concatenated coefficients
+    import hashlib
+
+    from wavetorus.solver import _seed_fields
+
+    p = PenalizedProblem(M=24, beta=1e-4, nl=default_nl)
+    ladder = b"".join(u.coeffs.tobytes() for u in _seed_fields(p, 32, master_seed))
+    assert hashlib.sha256(ladder).hexdigest() == digest
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_multi_seed_search_draws_the_ladder_as_the_workers_pull_it(default_nl, monkeypatch,
+                                                                    workers):
+    # when a solve starts, at most one ladder field per worker is alive,
+    # plus the one a worker still holds while it pulls its next seed; the
+    # whole ladder is drawn and solved
+    import weakref
+
+    from wavetorus import pool, solver
+
+    real = solver._seed_fields
+    drawn, freed, alive = [], [], []
+
+    def counting(p, n_seeds, master_seed):
+        for u in real(p, n_seeds, master_seed):
+            drawn.append(u.M)
+            weakref.finalize(u, freed.append, None)
+            yield u
+
+    def newton(p, seed_u, tol, max_iter):
+        alive.append(len(drawn) - len(freed))
+        raise NoConvergence("stub")
+
+    monkeypatch.setattr(solver, "_seed_fields", counting)
+    monkeypatch.setattr(solver, "newton_solve", newton)
+    monkeypatch.setattr(pool, "usable_cores", lambda: workers)
+    p = PenalizedProblem(M=8, beta=1e-4, nl=default_nl)
+    assert multi_seed_search(p, 8, master_seed=7) == []
+    assert drawn == [8] * 8 and len(alive) == 8
+    assert max(alive) <= workers + 1
 
 
 def _pooled_call(module, probe, workers, monkeypatch, nl):
