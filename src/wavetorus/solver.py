@@ -21,15 +21,16 @@ The functional whose gradient under the area-weighted pairing
 kappa = -4 is forced by the E-norm scaling |Q|/4: it is the unique constant
 making gradient and residual agree identically, for either sign convention.
 
-scipy is loaded inside the functions that use it.  The Newton step factors
-the block of J over the coarse modes with ``dgetrf`` and ``dgetrs`` on
-``pool.lapack()`` (scipy's bundled OpenBLAS through ``ctypes``, opened on
-the first solve, so no scipy module).  Up to ``DENSE_LIMIT`` unknowns that
-block is all of J and its solve is the step; above it fine modes remain,
-and lgmres, which imports ``scipy.sparse.linalg``, takes that solve as its
-preconditioner.  ``linking_report`` imports ``scipy.optimize``.  Importing
-the package, and every command but ``linking`` up to ``DENSE_LIMIT``
-unknowns, then load no scipy module.
+The Newton step factors the block of J over the coarse modes with
+``dgetrf`` and ``dgetrs`` on ``pool.lapack()`` (scipy's bundled OpenBLAS
+through ``ctypes``, opened on the first solve, so no scipy module).  Up to
+``DENSE_LIMIT`` unknowns that block is all of J and its solve is the step;
+above it fine modes remain, and the package's own restarted GMRES
+(``_gmres``) takes that solve as its preconditioner.  So where the bundled
+OpenBLAS is found, the Newton step loads no scipy module at any size, and
+only ``linking_report`` imports one (``scipy.optimize``, inside the
+function); importing the package and every command but ``linking`` load
+none.
 ``multi_seed_search`` runs its seed ladder on the package's one thread pool
 (``pool.share_work``).
 
@@ -76,9 +77,9 @@ KAPPA = -4.0
 
 DENSE_LIMIT = 4400  # real unknowns; M = 64 has 4161
 # above DENSE_LIMIT the Newton step factors the block of the modes of
-# weight <= M // _COARSE_DIVISOR, the coarse half of lgmres's preconditioner
+# weight <= M // _COARSE_DIVISOR, the coarse half of the GMRES preconditioner
 _COARSE_DIVISOR = 4
-_INNER_M = 50  # lgmres's Krylov vectors per restart
+_INNER_M = 50  # GMRES's Krylov vectors per restart
 PHASE_GRID = 4096  # scan points of max_time_correlation
 # entries per row panel of the dense Jacobian fill, complex128; the M = 24
 # fill is slower with half or twice as many, and slower still in one panel
@@ -307,6 +308,58 @@ def time_derivative(u: SpectralField) -> SpectralField:
     return SpectralField(u.M, u.coeffs * (1j * lattice(u.M).K))
 
 
+def _norm(v: np.ndarray) -> float:
+    return float(np.sqrt(np.einsum("i,i", v, v)))
+
+
+def _gmres(apply, precondition, b: np.ndarray) -> np.ndarray:
+    """x with |b - apply(x)| <= 1e-9 |b|, by GMRES (Saad & Schultz, SIAM J.
+    Sci. Stat. Comput. 7, 1986) restarted every ``_INNER_M`` products and
+    right-preconditioned.  Each restart builds an orthonormal basis V of the
+    Krylov space of apply(precondition(.)) from the true residual, by
+    classical Gram-Schmidt applied twice, stops once the least-squares
+    residual on the small Hessenberg matrix reaches the target, and moves x
+    by precondition(V y), y that least-squares solution; ``precondition``
+    must be linear, so no second basis of preconditioned vectors is kept.
+    10 restarts cost at most 10 (``_INNER_M`` + 1) products; a solve still
+    above the target after them, or one that meets a non-finite vector,
+    raises SingularJacobian.  The reductions over vectors of length n_real
+    are ``einsum`` loops, not BLAS calls, so their bits follow no BLAS
+    thread count (``multi`` pins scipy's OpenBLAS, not numpy's).
+    """
+    x, r = np.zeros_like(b), b
+    bnorm = _norm(b)
+    target = 1e-9 * bnorm
+    V = np.empty((_INNER_M + 1, b.size))
+    for restart in range(11):
+        beta = _norm(r)
+        if not target < beta < np.inf or restart == 10:  # converged, non-finite or spent
+            break
+        H = np.zeros((_INNER_M + 1, _INNER_M))
+        e = np.zeros(_INNER_M + 1)  # beta times the first unit vector
+        V[0], e[0] = r / beta, beta
+        for k in range(1, _INNER_M + 1):
+            w = apply(precondition(V[k - 1]))
+            for _ in range(2):
+                h = np.einsum("ij,j->i", V[:k], w)
+                w -= np.einsum("ij,i->j", V[:k], h)
+                H[:k, k - 1] += h
+            H[k, k - 1] = _norm(w)
+            if not np.isfinite(H[k, k - 1]):
+                raise SingularJacobian("iterative linear solve failed "
+                                       "(non-finite Krylov vector)")
+            y = np.linalg.lstsq(H[:k + 1, :k], e[:k + 1], rcond=None)[0]
+            if _norm(e[:k + 1] - H[:k + 1, :k] @ y) <= target or H[k, k - 1] == 0.0:
+                break
+            V[k] = w / H[k, k - 1]
+        x = x + precondition(np.einsum("ij,i->j", V[:k], y))
+        r = b - apply(x)
+    if not beta <= target:
+        raise SingularJacobian(f"iterative linear solve failed (relative residual "
+                               f"{beta / bnorm:.1e} after {restart} restarts)")
+    return x
+
+
 def _linear_solver(p: PenalizedProblem, u: SpectralField,
                    anchor: np.ndarray | None = None, work: np.ndarray | None = None,
                    samples: list | None = None):
@@ -322,7 +375,7 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     half is this LU and whose fine half is the Jacobi diagonal of J (+ mu).
     Up to ``DENSE_LIMIT`` real unknowns M_c is M: there is no fine mode, the
     block is J, and the preconditioner's solve is the exact step.  Only when
-    fine modes exist does lgmres solve the system, with the matrix-free
+    fine modes exist does ``_gmres`` solve the system, with the matrix-free
     product by J (+ mu) and that preconditioner, within 10 restarts.
 
     The block is filled, Fortran-ordered, into the flat float64 buffer
@@ -339,12 +392,12 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     exact steps are theirs, bit for bit.  An exactly zero pivot (dgetrf's
     ``info > 0``) or a non-finite factor (as a non-finite entry of J gives;
     found by the factor's min and max) raises SingularJacobian, and so does
-    an lgmres solve that does not converge.
+    a GMRES solve that does not converge.
 
     ``samples`` is the list into which ``residual`` put u's padded-grid
     samples; the solver takes them out of it instead of synthesizing u, and
     has dropped them before the block is filled.  f_u on the grid is kept
-    only for lgmres's products.
+    only for the GMRES's products.
 
     With ``anchor`` (a packed direction), the system is bordered with the
     phase condition <anchor, delta> = 0: autonomous problems have the exact
@@ -366,8 +419,6 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     border_f = (np.empty((0, n)) if anchor is None else anchor[None, :])[:, fine]
     jacobi, fu_vals = np.empty(0), None
     if fine.size:
-        import scipy.sparse.linalg
-
         fu_vals = _on_grid(p, u, 1, samples=samples)[1]
         ng = fu_vals.shape[0]
         sym = penalized_symbol(p)
@@ -420,18 +471,8 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
 
         solve = precondition
         if fine.size:
-            # with a dtype, LinearOperator makes no probe product
-            op = scipy.sparse.linalg.LinearOperator((dim, dim), lambda z: matvec(z, mu),
-                                                    dtype=np.float64)
-            pre = scipy.sparse.linalg.LinearOperator((dim, dim), precondition,
-                                                     dtype=np.float64)
-
             def solve(b):
-                sol, info = scipy.sparse.linalg.lgmres(op, b, M=pre, rtol=1e-9, atol=0.0,
-                                                       inner_m=_INNER_M, maxiter=10)
-                if info != 0:
-                    raise SingularJacobian(f"iterative linear solve failed (info={info})")
-                return sol
+                return _gmres(lambda z: matvec(z, mu), precondition, b)
 
         # every solve: zero right-hand side for the phase row, field part back
         return lambda rhs: solve(np.concatenate((rhs, np.zeros(dim - n))))[:n]
@@ -470,11 +511,11 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
     plain residual decrease or on the affine-covariant (natural
     monotonicity) test ||J^{-1} R(u + lam d)|| <= (1 - lam/2) ||d||, which
     reuses the step's linear solver (``_linear_solver``: its coarse LU, and
-    lgmres when fine modes exist).  Near a root the full step passes both
+    ``_gmres`` when fine modes exist).  Near a root the full step passes both
     and the iteration is quadratic.  When no trial passes, the step is
     retried with Levenberg steps (J + mu I) d = -R for growing mu, each
     backtracked down to 2^-8 on residual decrease only; a mu whose system is
-    exactly singular, or whose lgmres solve fails, is skipped.  With
+    exactly singular, or whose GMRES solve fails, is skipped.  With
     ``line_search=False`` the full step is always taken, and no solve is
     made beyond the step's.  Every factorization of one solve, the Levenberg
     ones included, runs in one buffer of (n_c + 1)^2 entries, n_c the
@@ -746,11 +787,11 @@ def _solve_bytes(p: PenalizedProblem) -> int:
     also covers the coefficient arrays alive beside it).  The grid samples
     an accepted residual keeps for the next Jacobian are part of that grid
     work: they are dropped once f_u is formed, before the fill.  Above
-    ``DENSE_LIMIT`` lgmres adds two grids, f_u kept for its products and a
-    trial's samples kept through the monotonicity test's solve, and its
-    vectors of n_real + 1 entries: two Krylov bases of ``_INNER_M`` + 4
-    (the last restart's stays bound while the next one is built), six
-    augmentation vectors and about ten temporaries.  The terms are summed
+    ``DENSE_LIMIT`` the GMRES adds two grids, f_u kept for its products and
+    a trial's samples kept through the monotonicity test's solve, and
+    vectors of n_real + 1 entries: its one basis of ``_INNER_M`` + 1, which
+    every restart reuses, and 24 more for its temporaries and the lattice
+    fields the Newton step holds around the solve.  The terms are summed
     although the fill and the transforms never overlap.  Beside the solve a
     worker holds only its seed, one lattice field: the ladder is drawn as
     the workers pull it (``_seed_fields``)."""
@@ -758,7 +799,7 @@ def _solve_bytes(p: PenalizedProblem) -> int:
     n_c = lattice(_coarse_truncation(p.M)).n_real
     held = 8 * (n_c + 1) ** 2 + 40 * _PANEL_ENTRIES + 80 * grid
     if n_c < n:
-        held += 16 * grid + 8 * (n + 1) * (2 * _INNER_M + 24)
+        held += 16 * grid + 8 * (n + 1) * (_INNER_M + 25)
     return held
 
 
@@ -774,8 +815,8 @@ def multi_seed_search(p: PenalizedProblem, n_seeds: int,
     ``pool.POOL_BYTES``: at oversample 4 with s <= 3 and an x-degree 1
     nonlinearity, M = 34 to 36 still run two seeds at a time on two cores,
     and from M = 37 to 65 the search is serial; above ``DENSE_LIMIT`` a
-    solve holds only its coarse block beside lgmres, so M = 66 to 75 run
-    two seeds at a time again, and from M = 76 up one.  The threads share
+    solve holds only its coarse block beside the GMRES, so M = 66 to 81 run
+    two seeds at a time again, and from M = 82 up one.  The threads share
     read-only caches (``lattice``, ``jacobian_gather``, the problem's
     constants); the LU routines run with the GIL released
     (``pool.BundledLapack`` through ``ctypes``, or scipy's f2py wrappers),

@@ -132,13 +132,13 @@ def test_pool_workers_leave_blas_its_cores_and_bound_the_memory(monkeypatch, def
     n24, n33, n34 = (lattice(M).n_real for M in (24, 33, 34))
     assert [workers(32, n24), workers(5, n24), workers(32, n33)] == [7, 5, 2]
     assert [workers(32, n) for n in (n34, lattice(64).n_real)] == [1, 1]
-    # above DENSE_LIMIT a solve factors only its coarse block and runs lgmres
-    # beside it, so the first such M (66, coarse weight 16) holds
-    # _solve_bytes, not (n_real + 1)^2 floats: two solves fit POOL_BYTES
+    # above DENSE_LIMIT a solve factors only its coarse block and runs the
+    # GMRES beside it, so the first such M (66, coarse weight 16) holds
+    # _solve_bytes, not (n_real + 1)^2 floats: three solves fit POOL_BYTES
     M = next(M for M in range(64, 100) if lattice(M).n_real > DENSE_LIMIT)
     share_work(None, (), 32, "scipy.linalg",
                _solve_bytes(PenalizedProblem(M=M, beta=1e-3, nl=default_nl)))
-    assert (M, opened.pop()) == (66, 2)
+    assert (M, opened.pop()) == (66, 3)
     for n in range(1, 2000, 37):
         w = workers(10**6, n)
         assert w == 1 or w * 12 * (n + 1) ** 2 <= pool.POOL_BYTES

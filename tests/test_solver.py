@@ -276,7 +276,7 @@ def test_dense_step_peak_within_the_pool_memory_model(default_nl, monkeypatch, M
     # the tracemalloc peak of one Newton step (fill, LU, line search, the
     # functional of the failed state) is what multi_seed_search tells the
     # pool one solve holds, and more than its (n_c + 1)^2 buffer; M = 28
-    # runs above a DENSE_LIMIT lowered to M = 24's unknowns, so lgmres
+    # runs above a DENSE_LIMIT lowered to M = 24's unknowns, so the GMRES
     # solves with the LU of the modes of weight <= 7
     import tracemalloc
 
@@ -418,6 +418,26 @@ def test_newton_iterative_path_matches_dense(default_nl, monkeypatch):
         assert (dense.u - iterative.u).l2() <= 1e-8
 
 
+def test_newton_above_dense_limit_needs_no_scipy_sparse(default_nl, monkeypatch):
+    # the Krylov solve above DENSE_LIMIT is the package's own GMRES: with
+    # scipy.sparse unimportable, the solve with the coarse LU of weight <= 4
+    # takes the dense solve's steps to its root
+    import sys
+
+    import wavetorus.solver as solver
+
+    target, p = mms_problem(default_nl, 0.5, 16, 1e-3, seed=5)
+    cold = embed(truncate(target, 8), 16)
+    dense = newton_solve(p, cold)
+    monkeypatch.setitem(sys.modules, "scipy.sparse", None)
+    monkeypatch.setitem(sys.modules, "scipy.sparse.linalg", None)
+    monkeypatch.setattr(solver, "DENSE_LIMIT", lattice(16).n_real - 1)
+    assert _coarse_truncation(16) == 4
+    iterative = newton_solve(p, cold)
+    assert iterative.newton_iters == dense.newton_iters
+    assert (iterative.u - dense.u).l2() <= 1e-12 * dense.u.l2()
+
+
 @pytest.mark.parametrize("amplitude, line_search", [(1e103, True), (1e60, False)])
 def test_newton_non_finite_residual_raises(default_nl, amplitude, line_search):
     # 1e103 overflows the grid values to a NaN norm, 1e60 the norm to inf
@@ -434,7 +454,7 @@ def test_newton_non_finite_residual_raises(default_nl, amplitude, line_search):
 @pytest.mark.parametrize("M", [8, 12])
 @pytest.mark.parametrize("anchored", [False, True])
 def test_linear_solver_iterative_path_matches_dense(default_nl, monkeypatch, M, anchored):
-    # above DENSE_LIMIT lgmres solves with the LU of the coarse modes as the
+    # above DENSE_LIMIT the GMRES solves with the LU of the coarse modes as the
     # coarse half of its preconditioner: of weight <= M // 4 below a
     # DENSE_LIMIT just under n_real, the one mode (0, 0) at DENSE_LIMIT = 0,
     # whose block and phase row fit a buffer of (1 + 1)^2 entries.  Both
@@ -740,7 +760,7 @@ def test_levenberg_ladder_skips_singular_mu(default_nl, monkeypatch):
 
 
 def test_levenberg_ladder_skips_singular_mu_above_dense_limit(default_nl, monkeypatch):
-    # above DENSE_LIMIT the same ladder runs, lgmres with the coarse LU of
+    # above DENSE_LIMIT the same ladder runs, the GMRES with the coarse LU of
     # weight <= 2
     import wavetorus.solver as solver
 
@@ -766,7 +786,7 @@ def test_criterion_09_branch_refined_above_dense_limit(default_nl, monkeypatch):
 
 
 def test_krylov_solve_that_does_not_converge_fails_fast(default_nl, monkeypatch):
-    # with the one-mode coarse block (DENSE_LIMIT = 0) the first step's lgmres
+    # with the one-mode coarse block (DENSE_LIMIT = 0) the first step's GMRES
     # solve does not converge at M = 20; it raises after at most its 10
     # restarts of _INNER_M products and one for the restart's residual, each
     # product one synthesis of the direction on the grid
