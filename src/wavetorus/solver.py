@@ -209,12 +209,12 @@ def functional_I(p: PenalizedProblem, u: SpectralField) -> float:
     return out
 
 
-def _dense_jacobian(p: PenalizedProblem, u: SpectralField, samples: list | None = None,
-                    half: np.ndarray | None = None, f_u: np.ndarray | None = None):
-    """The fill of J = d(residual)/du at u, a real matrix over the packed
-    coordinates, or with ``half`` (a boolean mask over the half modes) its
-    block over the coordinates of those half modes and of (0, 0), in the
-    same order.
+def _dense_jacobian(p: PenalizedProblem, u: SpectralField, half: np.ndarray,
+                    samples: list | None = None, f_u: np.ndarray | None = None):
+    """The fill of the block of J = d(residual)/du at u, a real matrix over
+    the packed coordinates, over the coordinates of (0, 0) and of the half
+    modes where ``half`` (a boolean mask over the half modes) is True, in
+    the same order; all True gives the whole J.
 
     Rows and columns follow ``pack``: [Re u_hat(0, 0), x h, y h] with x the
     real and y the imaginary parts of the half modes h.  With
@@ -234,10 +234,11 @@ def _dense_jacobian(p: PenalizedProblem, u: SpectralField, samples: list | None 
     positions formed from ``jacobian_gather(M)``'s half-mode offsets; row 0
     reads -h' because g_hat is Hermitian only to rounding.
 
-    Returns ``fill(out=None)``, which writes J into the leading
-    n_real x n_real block of ``out`` (a new array when None) and returns
-    ``out``.  ``out`` should be Fortran-ordered, as LAPACK's getrf wants it:
-    fill writes J^T row by row, which is the same memory.  The four field
+    Returns ``fill(out=None)``, which writes the block, n x n with n one
+    more than twice the count of True in ``half``, into the leading n x n
+    block of ``out`` (a new array when None) and returns ``out``.  ``out``
+    should be Fortran-ordered, as LAPACK's getrf wants it: fill writes the
+    transpose row by row, which is the same memory.  The four field
     blocks are written in row panels of about ``_PANEL_ENTRIES`` entries:
     each panel gathers gr + i gi at its positions of h' - h and h + h', so
     at most two complex panels and one index panel are alive beside
@@ -259,10 +260,8 @@ def _dense_jacobian(p: PenalizedProblem, u: SpectralField, samples: list | None 
     gc.real, gc.imag = s * g.real, s * g.imag
     gr, gi = gc.real, gc.imag
     sym = penalized_symbol(p)
-    minus, plus, off = tab.minus, tab.plus, tab.off
-    d = sym[lat.half_rows, lat.half_cols]
-    if half is not None:
-        minus, plus, off, d = minus[half], plus[half], off[half], d[half]
+    minus, plus, off = tab.minus[half], tab.plus[half], tab.off[half]
+    d = sym[lat.half_rows, lat.half_cols][half]
     nh = off.size
     n = 1 + 2 * nh
     x, y = slice(1, 1 + nh), slice(1 + nh, n)
@@ -435,7 +434,7 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
             if anchor is None:
                 return out
             return np.append(out + z[n] * anchor, anchor @ x)
-    fill = _dense_jacobian(p, u, samples, half=half, f_u=fu_vals)
+    fill = _dense_jacobian(p, u, half, samples, f_u=fu_vals)
     dim_c = nc + dim - n  # the factored block and the phase row
     if work is None:
         work = np.empty((nc + 1) ** 2)

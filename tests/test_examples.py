@@ -1,4 +1,4 @@
-"""The example configs of the MMS and beta-continuation studies."""
+"""The example configs: the MMS and beta-continuation studies, and CI's toy configs."""
 
 import json
 from pathlib import Path
@@ -10,11 +10,21 @@ from wavetorus.cli import EXIT_OK, main, parse_config
 from wavetorus.verify import write_mms_csv
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+WORKFLOW = EXAMPLES.parent / ".github" / "workflows" / "tests.yml"
 
 
-@pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.json")), ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", sorted(EXAMPLES.glob("**/*.json")),
+                         ids=lambda p: p.relative_to(EXAMPLES).with_suffix("").as_posix())
 def test_example_configs_parse(path):
     parse_config(json.loads(path.read_text()))
+
+
+def test_workflow_reads_its_configs_and_programs_from_files():
+    # CI's configs live in examples/ci/ and its programs in scripts/, where
+    # the byte check and the test above read them too
+    text = WORKFLOW.read_text()
+    assert '"command"' not in text
+    assert "python - <<" not in text
 
 
 def test_mms_example_writes_the_convergence_table(tmp_path, default_nl):

@@ -1,8 +1,9 @@
-"""The experiment script under scripts/, run as a user runs it."""
+"""The scripts under scripts/, run as a user runs them."""
 
 import csv
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -84,3 +85,49 @@ def test_bench_pairs_summary_on_fixed_numbers():
     # ... unless every change run beats every parent run
     assert bench.summarize(parent, [9.0] * 10, 0.1)["regression"] == "within bound"
     assert bench.summarize(parent, [14.0] * 10, 0.1)["regression"] == "unresolved"
+
+
+def test_same_bytes_compares_the_corpus_of_two_trees(tmp_path, monkeypatch, capsys):
+    same = load_script("same_bytes")
+    ci = Path(__file__).resolve().parents[1] / "examples" / "ci"
+    toy = [(name, (ci / f"{name}.json").read_text()) for name in ("solve", "norms")]
+    monkeypatch.setattr(same, "corpus", lambda: toy)
+    trees = []
+    for side in ("a", "b"):
+        trees.append(tmp_path / side)
+        shutil.copytree(Path(wavetorus.__file__).parent, trees[-1] / "src" / "wavetorus",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    assert same.check(*trees, tmp_path / "same") == 0
+    assert capsys.readouterr().out == "13 files compared: 0 differ, 0 runs exited nonzero\n"
+    solution = tmp_path / "same" / "change" / "solve" / "solution.json"
+    data = bytearray(solution.read_bytes())
+    data[-2] ^= 1
+    solution.write_bytes(bytes(data))
+    assert same.compare(tmp_path / "same" / "parent", tmp_path / "same" / "change") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: solve/solution.json",
+        "13 files compared: 1 differ, 0 runs exited nonzero"]
+    # norms alone finds no field on either side: the same bytes, both runs failed
+    monkeypatch.setattr(same, "corpus", lambda: toy[1:])
+    assert same.check(*trees, tmp_path / "failed") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "4 files compared: 0 differ, 2 runs exited nonzero"
+    assert [line.rsplit(" ", 1)[0] for line in out[:-1]] == ["parent norms exited",
+                                                          "change norms exited"]
+
+
+@pytest.mark.parametrize("text, error", [
+    ('{"a": 1.5}\n', None), ('{"a": NaN}\n', "NaN is not strict JSON"),
+    ('{"a": -Infinity}\n', "-Infinity is not strict JSON"), ('{"a": 1}', "no final newline"),
+    ('{"a": }\n', "Expecting value")])
+def test_strict_json_rejects_what_json_dumps_allows(tmp_path, capsys, text, error):
+    strict = load_script("strict_json")
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "report.json").write_text(text)
+    (tmp_path / "run" / "table.csv").write_text("NaN\n")
+    if error is None:
+        strict.main([tmp_path])
+        assert capsys.readouterr().out == "1 JSON artifacts are strict JSON and end in a newline\n"
+    else:
+        with pytest.raises(SystemExit, match=error):
+            strict.main([tmp_path])

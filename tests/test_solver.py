@@ -53,6 +53,11 @@ from wavetorus.verify import mms_problem
 seeds = st.integers(0, 2**31 - 1)
 
 
+def every_mode(M):
+    """The mask of every half mode, under which ``_dense_jacobian`` fills J."""
+    return np.ones(lattice(M).n_half, dtype=bool)
+
+
 def zero_nl():
     """f identically 0: isolates the quadratic parts of the system."""
     return Nonlinearity(s=3.0, a=TrigPolynomial.constant(0.0), m=None,
@@ -135,7 +140,7 @@ def test_jacobian_matches_finite_differences(default_nl):
     M = 4
     p = PenalizedProblem(M=M, beta=1e-2, nl=default_nl)
     u = random_field(8, M, SubspaceTag.ALL, 0.3)
-    J = _dense_jacobian(p, u)()
+    J = _dense_jacobian(p, u, every_mode(p.M))()
     x0 = pack(u)
     n = x0.size
     h = 1e-6
@@ -186,17 +191,19 @@ def test_jacobian_bit_identical_to_complex_construction(default_nl, sigma, overs
         p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl, sigma=sigma,
                              oversample=oversample)
         u = random_field((60, M), M, SubspaceTag.ALL, 0.4)
-        J = _dense_jacobian(p, u)()
+        J = _dense_jacobian(p, u, every_mode(M))()
         assert np.array_equal(J, complex_jacobian_oracle(p, u)), M
         n = J.shape[0]
-        bordered = _dense_jacobian(p, u)(np.full((n + 1, n + 1), np.nan, order="F"))
+        bordered = _dense_jacobian(p, u, every_mode(M))(
+            np.full((n + 1, n + 1), np.nan, order="F"))
         assert np.array_equal(bordered[:n, :n], J), M
 
 
 def test_forced_jacobian_bit_identical_to_complex_construction(default_nl):
     _, p = mms_problem(default_nl, 0.5, 12, 1e-3, seed=5)
     u = random_field(61, 12, SubspaceTag.ALL, 0.4)
-    assert np.array_equal(_dense_jacobian(p, u)(), complex_jacobian_oracle(p, u))
+    assert np.array_equal(_dense_jacobian(p, u, every_mode(12))(),
+                          complex_jacobian_oracle(p, u))
 
 
 @pytest.mark.parametrize("M", [12, 24])
@@ -227,9 +234,10 @@ def test_jacobian_fill_bit_identical_at_every_panel_height(default_nl, monkeypat
     monkeypatch.setattr(solver, "lapack", CapturingLapack)
     for entries in (1, nh, 7 * nh, nh * nh, 3 * nh * nh):
         monkeypatch.setattr(solver, "_PANEL_ENTRIES", entries)
-        plain = _dense_jacobian(p, u)()
+        plain = _dense_jacobian(p, u, every_mode(M))()
         assert np.array_equal(plain, oracle), entries
-        bordered = _dense_jacobian(p, u)(np.full((n + 1, n + 1), np.nan, order="F"))
+        bordered = _dense_jacobian(p, u, every_mode(M))(
+            np.full((n + 1, n + 1), np.nan, order="F"))
         assert np.array_equal(bordered[:n, :n], oracle), entries
         assert np.isnan(bordered[n]).all() and np.isnan(bordered[:, n]).all()
         factored.clear()
@@ -256,7 +264,7 @@ def test_jacobian_fill_holds_no_table_of_n_half_squared(default_nl):
     u = random_field((64, M), M, SubspaceTag.ALL, 0.4)
     n, nh = lattice(M).n_real, lattice(M).n_half
     out = np.empty((n + 1, n + 1), order="F")
-    fill = _dense_jacobian(p, u)
+    fill = _dense_jacobian(p, u, every_mode(p.M))
     fill(out)
     tracemalloc.start()
     try:
@@ -357,7 +365,7 @@ def test_weighted_jacobian_is_symmetric(default_nl, seed, M, sigma):
     # J is the Hessian of I under the pairing, whose packed weights are 1, 2, ..., 2
     p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl, sigma=sigma)
     u = random_field(seed, M, SubspaceTag.ALL, 0.4)
-    J = _dense_jacobian(p, u)()
+    J = _dense_jacobian(p, u, every_mode(p.M))()
     WJ = np.r_[1.0, np.full(J.shape[0] - 1, 2.0)][:, None] * J
     assert np.max(np.abs(WJ - WJ.T)) <= 1e-13 * np.max(np.abs(WJ))
 
@@ -524,7 +532,7 @@ import numpy as np
 from wavetorus import make_nonlinearity, pool
 from wavetorus.solver import (PenalizedProblem, _dense_jacobian, _linear_solver,
                               residual, time_derivative)
-from wavetorus.spectral import SubspaceTag, pack, random_field
+from wavetorus.spectral import SubspaceTag, lattice, pack, random_field
 
 if sys.argv[1] == "fail":
     pool._bundled_openblas = lambda package: None
@@ -551,7 +559,7 @@ def oracle(p, u, rhs, anchor, mu):
     n = rhs.size
     dim = n if anchor is None else n + 1
     A = np.zeros((dim, dim))
-    A[:n, :n] = _dense_jacobian(p, u)()
+    A[:n, :n] = _dense_jacobian(p, u, np.ones(lattice(p.M).n_half, dtype=bool))()
     if anchor is not None:
         A[:n, n] = anchor
         A[n, :n] = anchor
@@ -674,7 +682,7 @@ def test_dense_linear_solver_raises_on_zero_pivot(default_nl, monkeypatch, ancho
         def fill(out):
             out[:n, :n] = c * np.eye(n)
             return out
-        return lambda p, u, samples=None, half=None, f_u=None: fill
+        return lambda p, u, half, samples=None, f_u=None: fill
 
     monkeypatch.setattr(solver, "_dense_jacobian", scaled_identity(0.0))
     with pytest.raises(SingularJacobian, match="zero pivot"):
@@ -715,7 +723,7 @@ def test_dense_linear_solver_raises_on_non_finite_jacobian(default_nl, monkeypat
             for row, col in entries:
                 out[row, col] = bad
             return out
-        return lambda p, u, samples=None, half=None, f_u=None: fill
+        return lambda p, u, half, samples=None, f_u=None: fill
 
     for entry in ((0, 0), (3, 1), (n - 1, n - 1)):
         monkeypatch.setattr(solver, "_dense_jacobian", identity_with(entry))
