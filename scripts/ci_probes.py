@@ -2,9 +2,12 @@
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/ci_probes.py
 
-Each probe runs in a fresh interpreter of its own (``multiprocessing``'s
-spawn), so the modules it lists as loaded and its ``ru_maxrss`` are that
-probe's alone, and prints one line (the M=72 probe two):
+It first prints the size of ``src/``: its lines in all, and its code-only
+lines, counted with ``tokenize`` (``count_lines``), which leave out blank
+lines, comment lines and docstrings.  Each probe then runs in a fresh
+interpreter of its own (``multiprocessing``'s spawn), so the modules it
+lists as loaded and its ``ru_maxrss`` are that probe's alone, and prints
+one line (the M=72 probe two):
 
 - a toy ``verify`` and a toy ``solve``: the scipy modules each loads and
   whether ``verify`` loads ``numpy.ma`` (none, and not where numpy imports
@@ -31,15 +34,35 @@ is 1 when a probe's run exits nonzero or raises, else 0.
 
 from __future__ import annotations
 
+import io
 import multiprocessing
 import resource
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 NL = {"s": 3, "a": [{"j": 0, "c": 1.0}, {"j": 1, "c_sin": 0.5}],
       "m": {"kind": "tanh", "alpha": 1.0}}
+
+
+def count_lines(source: str) -> tuple:
+    """(lines in all, code-only lines) of Python source.  A code line holds
+    part of a statement that is not a docstring: a statement made of string
+    literals alone is one, wherever it stands.  Blank lines and comment
+    lines hold no such token, also inside brackets."""
+    code, statement = set(), []
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
+            if any(t.type != tokenize.STRING for t in statement):
+                code.update(n for t in statement for n in range(t.start[0], t.end[0] + 1))
+            statement = []
+        elif tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.INDENT, tokenize.DEDENT):
+            statement.append(tok)
+    return len(source.splitlines()), len(code)
 
 
 def _scipy_modules() -> list:
@@ -165,6 +188,9 @@ def _exit_with(probe, *args) -> None:
 
 
 def main() -> int:
+    sizes = [count_lines(path.read_text()) for path in sorted(SRC.rglob("*.py"))]
+    print(f"src/ lines: {sum(t for t, _ in sizes)} in all, "
+          f"{sum(c for _, c in sizes)} code-only")
     spawn = multiprocessing.get_context("spawn")
     failed = False
     with tempfile.TemporaryDirectory(prefix="ci_probes_") as tmp:

@@ -528,11 +528,12 @@ def main(argv=None) -> int:
         prog="wavetorus",
         description="Spectral lab for time-periodic waves on the torus")
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in COMMANDS:
+    for cmd, (section, _) in _COMMANDS.items():
         sp = sub.add_parser(cmd)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=None)
+        if "seed" in section.rules:  # offered only where the config's seed is read
+            sp.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     try:
         with open(args.config) as fh:
@@ -540,8 +541,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"wavetorus: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.seed is not None and isinstance(doc, dict):  # else parse_config reports it
-        doc["seed"] = args.seed
+    seed = getattr(args, "seed", None)
+    if seed is not None and isinstance(doc, dict):  # else parse_config reports it
+        doc["seed"] = seed
     try:
         cfg = parse_config(doc, command=args.command)
         return run(cfg, out_dir=args.out)

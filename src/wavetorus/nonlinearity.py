@@ -202,8 +202,8 @@ class GridProfiles:
 
 @lru_cache(maxsize=64)
 def grid_profiles(nl: Nonlinearity, n: int) -> GridProfiles:
-    """The cached profiles of ``nl`` on the n-point grid x_i = i pi / n (the
-    x of ``spectral.GridField``), computed once per (nl, n) by the
+    """The cached profiles of ``nl`` on the n-point grid x_i = i pi / n, the
+    x of the solver's padded grid, computed once per (nl, n) by the
     expression ``values`` applies to any other x."""
     x = np.pi * np.arange(n) / n
     arrays = {part: np.asarray(getattr(nl, part)(x), dtype=np.float64) for part in ("a", "b")}

@@ -35,7 +35,9 @@ none.
 (``pool.share_work``).
 
 A Newton iterate is synthesized on the padded grid once: the residual that
-accepted it leaves its grid samples to the next Jacobian (``newton_solve``).
+accepted it leaves its grid samples to the next step, which forms f_u(x, u)
+from them once, at every size, for the Jacobian fill, the Jacobi diagonal
+and the GMRES's products (``_linear_solver``).
 What depends only on the problem is built once and cached read-only, as
 ``lattice`` is: the penalized symbol per (M, beta), the padded grid's side,
 the nonlinearity's a(x) and b(x) on that grid (``nonlinearity.grid_profiles``)
@@ -44,6 +46,7 @@ and the transforms' grid positions of the lattice rows and columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
@@ -145,12 +148,6 @@ def _on_grid(p: PenalizedProblem, u: SpectralField, *orders, samples=None):
                  for o in orders))
 
 
-def _f_hat(p: PenalizedProblem, u: SpectralField, order: int = 0,
-           samples=None) -> SpectralField:
-    _, vals = _on_grid(p, u, order, samples=samples)
-    return analyze(GridField(vals), p.M if order == 0 else 2 * p.M)
-
-
 def penalized_symbol(p: PenalizedProblem) -> np.ndarray:
     """Diagonal of the linear part on the lattice: 4j^2 - k^2 off the kernel,
     beta (-k^2 - 1) on it; cached and read-only, one array per (M, beta)."""
@@ -209,12 +206,12 @@ def functional_I(p: PenalizedProblem, u: SpectralField) -> float:
     return out
 
 
-def _dense_jacobian(p: PenalizedProblem, u: SpectralField, half: np.ndarray,
-                    samples: list | None = None, f_u: np.ndarray | None = None):
-    """The fill of the block of J = d(residual)/du at u, a real matrix over
-    the packed coordinates, over the coordinates of (0, 0) and of the half
-    modes where ``half`` (a boolean mask over the half modes) is True, in
-    the same order; all True gives the whole J.
+def _jacobian_fill(p: PenalizedProblem, half: np.ndarray, f_u: np.ndarray):
+    """The fill of the block of J = d(residual)/du at the iterate u whose
+    f_u(x, u) on the padded grid is ``f_u``, a real matrix over the packed
+    coordinates, over the coordinates of (0, 0) and of the half modes where
+    ``half`` (a boolean mask over the half modes) is True, in the same
+    order; all True gives the whole J.
 
     Rows and columns follow ``pack``: [Re u_hat(0, 0), x h, y h] with x the
     real and y the imaginary parts of the half modes h.  With
@@ -244,17 +241,13 @@ def _dense_jacobian(p: PenalizedProblem, u: SpectralField, half: np.ndarray,
     at most two complex panels and one index panel are alive beside
     ``out``, and nothing of size n_half^2 is built or cached.  Every entry
     gets the operands of the formulas above, in their order, so the panel
-    height does not change a bit of J.  g_hat is computed once, so a fill
-    after an in-place LU rebuilds J without a transform.  It is computed
-    from u's padded-grid samples when ``samples`` holds them (``residual``
-    leaves them there), which are taken out of the list, so they are freed
-    once g_hat is formed, before any fill; otherwise u is synthesized.
-    ``f_u``, f_u(x, u) on the padded grid, replaces both.
+    height does not change a bit of J.  g_hat is analyzed from ``f_u``
+    here, once, and the fill keeps g_hat, not the grid, so a fill after an
+    in-place LU rebuilds J without a transform.
     """
     lat = lattice(p.M)
     tab = jacobian_gather(p.M)
-    g = _f_hat(p, u, 1, samples) if f_u is None else analyze(GridField(f_u), 2 * p.M)
-    g = g.coeffs.ravel()  # f_u(x, u), bandwidth 2M
+    g = analyze(GridField(f_u), 2 * p.M).coeffs.ravel()  # f_u(x, u), bandwidth 2M
     s = -p.sigma
     gc = np.empty_like(g)  # one gather reads both parts
     gc.real, gc.imag = s * g.real, s * g.imag
@@ -316,9 +309,12 @@ def _gmres(apply, precondition, b: np.ndarray) -> np.ndarray:
     Sci. Stat. Comput. 7, 1986) restarted every ``_INNER_M`` products and
     right-preconditioned.  Each restart builds an orthonormal basis V of the
     Krylov space of apply(precondition(.)) from the true residual, by
-    classical Gram-Schmidt applied twice, stops once the least-squares
-    residual on the small Hessenberg matrix reaches the target, and moves x
-    by precondition(V y), y that least-squares solution; ``precondition``
+    classical Gram-Schmidt applied twice, and turns the Hessenberg matrix
+    into the triangular R by Givens rotations, one column per product
+    (Saad, Iterative Methods for Sparse Linear Systems, 2003, sec. 6.5.3):
+    the rotated right-hand side g carries the least-squares residual as
+    |g_k|.  A restart stops once that reaches the target or the space is
+    invariant, and moves x by precondition(V y), R y = g; ``precondition``
     must be linear, so no second basis of preconditioned vectors is kept.
     10 restarts cost at most 10 (``_INNER_M`` + 1) products; a solve still
     above the target after them, or one that meets a non-finite vector,
@@ -330,27 +326,40 @@ def _gmres(apply, precondition, b: np.ndarray) -> np.ndarray:
     bnorm = _norm(b)
     target = 1e-9 * bnorm
     V = np.empty((_INNER_M + 1, b.size))
+    R = np.zeros((_INNER_M, _INNER_M))
     for restart in range(11):
         beta = _norm(r)
         if not target < beta < np.inf or restart == 10:  # converged, non-finite or spent
             break
-        H = np.zeros((_INNER_M + 1, _INNER_M))
-        e = np.zeros(_INNER_M + 1)  # beta times the first unit vector
-        V[0], e[0] = r / beta, beta
+        g = np.zeros(_INNER_M + 1)
+        V[0], g[0] = r / beta, beta
+        rotations = []  # (cos, sin) of the rotation of rows i, i + 1
         for k in range(1, _INNER_M + 1):
             w = apply(precondition(V[k - 1]))
+            h = np.zeros(k + 1)  # column k of the Hessenberg matrix
             for _ in range(2):
-                h = np.einsum("ij,j->i", V[:k], w)
-                w -= np.einsum("ij,i->j", V[:k], h)
-                H[:k, k - 1] += h
-            H[k, k - 1] = _norm(w)
-            if not np.isfinite(H[k, k - 1]):
+                hk = np.einsum("ij,j->i", V[:k], w)
+                w -= np.einsum("ij,i->j", V[:k], hk)
+                h[:k] += hk
+            h[k] = _norm(w)
+            if not np.isfinite(h[k]):
                 raise SingularJacobian("iterative linear solve failed "
                                        "(non-finite Krylov vector)")
-            y = np.linalg.lstsq(H[:k + 1, :k], e[:k + 1], rcond=None)[0]
-            if _norm(e[:k + 1] - H[:k + 1, :k] @ y) <= target or H[k, k - 1] == 0.0:
+            h = h.tolist()  # the rotations run on Python floats
+            for i, (c, s) in enumerate(rotations):
+                h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+            rho = math.hypot(h[k - 1], h[k])
+            if rho == 0.0:  # invariant, and singular on it: y leaves column k out
+                k -= 1
                 break
-            V[k] = w / H[k, k - 1]
+            c, s = h[k - 1] / rho, h[k] / rho
+            rotations.append((c, s))
+            R[:k - 1, k - 1], R[k - 1, k - 1] = h[:k - 1], rho
+            g[k - 1], g[k] = c * g[k - 1], -s * g[k - 1]
+            if abs(g[k]) <= target or h[k] == 0.0:
+                break
+            V[k] = w / h[k]
+        y = np.linalg.solve(R[:k, :k], g[:k])
         x = x + precondition(np.einsum("ij,i->j", V[:k], y))
         r = b - apply(x)
     if not beta <= target:
@@ -393,10 +402,11 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     found by the factor's min and max) raises SingularJacobian, and so does
     a GMRES solve that does not converge.
 
-    ``samples`` is the list into which ``residual`` put u's padded-grid
-    samples; the solver takes them out of it instead of synthesizing u, and
-    has dropped them before the block is filled.  f_u on the grid is kept
-    only for the GMRES's products.
+    f_u(x, u) on the padded grid is formed once, from the samples of u that
+    ``residual`` put in the list ``samples`` (taken out of it, and dropped
+    once f_u is formed; u is synthesized when there are none).  That one
+    grid gives the fill (``_jacobian_fill``), the Jacobi diagonal and the
+    GMRES's products; with no fine mode it is dropped before the fill runs.
 
     With ``anchor`` (a packed direction), the system is bordered with the
     phase condition <anchor, delta> = 0: autonomous problems have the exact
@@ -416,25 +426,25 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     coarse, fine = np.flatnonzero(packed), np.flatnonzero(~packed)
     nc = coarse.size
     border_f = (np.empty((0, n)) if anchor is None else anchor[None, :])[:, fine]
-    jacobi, fu_vals = np.empty(0), None
-    if fine.size:
-        fu_vals = _on_grid(p, u, 1, samples=samples)[1]
-        ng = fu_vals.shape[0]
-        sym = penalized_symbol(p)
-        # exact Jacobi diagonal: every convolution row carries the mean of f_u
-        d = sym[lat.half_rows, lat.half_cols] - p.sigma * float(np.mean(fu_vals))
-        jacobi = np.concatenate((d, d))[fine - 1]  # (0, 0) is coarse: fine >= 1
+    f_u = _on_grid(p, u, 1, samples=samples)[1]
+    sym = penalized_symbol(p)
+    # exact Jacobi diagonal: every convolution row carries the mean of f_u
+    d = sym[lat.half_rows, lat.half_cols] - p.sigma * float(np.mean(f_u))
+    jacobi = np.concatenate((d, d))[fine - 1]  # (0, 0) is coarse: fine >= 1
+    fill = _jacobian_fill(p, half, f_u)
+    if not fine.size:  # no product reads the grid: free it before the fill runs
+        f_u = None
 
-        def matvec(z, mu):
-            x = z[:n]
-            dz = unpack(x, p.M)
-            dv = synthesize_values(dz, ng, ng).real
-            prod = analyze(GridField(fu_vals * dv), p.M)
-            out = pack(SpectralField(p.M, sym * dz.coeffs - p.sigma * prod.coeffs)) + mu * x
-            if anchor is None:
-                return out
-            return np.append(out + z[n] * anchor, anchor @ x)
-    fill = _dense_jacobian(p, u, half, samples, f_u=fu_vals)
+    def matvec(z, mu):
+        x = z[:n]
+        dz = unpack(x, p.M)
+        dv = synthesize_values(dz, *f_u.shape).real
+        prod = analyze(GridField(f_u * dv), p.M)
+        out = pack(SpectralField(p.M, sym * dz.coeffs - p.sigma * prod.coeffs)) + mu * x
+        if anchor is None:
+            return out
+        return np.append(out + z[n] * anchor, anchor @ x)
+
     dim_c = nc + dim - n  # the factored block and the phase row
     if work is None:
         work = np.empty((nc + 1) ** 2)
@@ -520,11 +530,9 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
     ones included, runs in one buffer of (n_c + 1)^2 entries, n_c the
     number of real unknowns of weight at most ``_coarse_truncation(M)``
     (n_real up to ``DENSE_LIMIT``).
-    Each iterate is synthesized on the padded grid once: its residual's grid
-    samples go to the next Jacobian, which drops them once f_u is formed
-    (the first step takes those of the seed's residual).  The iterates, and
-    so the results, are the same bit for bit as with a synthesis per
-    Jacobian.
+    Each iterate is synthesized on the padded grid once: its residual's
+    samples go to the next Jacobian (``_linear_solver``), which gives the
+    same bits as a synthesis per Jacobian.
 
     For unforced (time-autonomous) problems the Jacobian is exactly singular
     at every genuinely time-dependent solution, with null vector d/dt u; the

@@ -257,22 +257,11 @@ def unify(a: SpectralField, b: SpectralField):
 
 @dataclass(frozen=True)
 class GridField:
-    """Real samples on the uniform grid x_a = a pi/nx, t_b = 2 pi b/nt."""
+    """Real float64 samples, shape (nx, nt), on the uniform grid
+    x_a = a pi/nx, t_b = 2 pi b/nt: what ``synthesize`` returns and
+    ``analyze`` reads."""
 
     values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError("grid values must be 2-D (nx, nt)")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def nx(self) -> int:
-        return self.values.shape[0]
-
-    def x(self) -> np.ndarray:
-        return np.pi * np.arange(self.nx) / self.nx
 
 
 def cell_area(nx: int, nt: int) -> float:

@@ -220,6 +220,24 @@ def test_seed_override_changes_provenance(tmp_path):
     assert rep["provenance"]["seed"] == 99
 
 
+def test_seed_option_only_on_commands_that_read_a_seed(tmp_path, capsys):
+    # norms reads no seed, so its parser has no --seed (argparse exits 2 on
+    # it) and a norms run without it still works
+    for cmd in ("solve", "continue", "multi", "verify", "norms", "mms", "linking"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--help"])
+        assert exc.value.code == 0
+        assert ("--seed" in capsys.readouterr().out) == (cmd != "norms"), cmd
+    fpath = tmp_path / "field.json"
+    write_field(random_field(1, 6, decay=0.3), fpath)
+    path = write_config(tmp_path, {"command": "norms", "norms": {"field": str(fpath)}})
+    with pytest.raises(SystemExit) as exc:
+        main(["norms", "--config", path, "--seed", "1"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert main(["norms", "--config", path, "--out", str(tmp_path / "n")]) == EXIT_OK
+
+
 def test_norms_command(tmp_path):
     u = random_field(1, 6, decay=0.3)
     fpath = tmp_path / "field.json"

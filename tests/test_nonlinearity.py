@@ -10,13 +10,13 @@ from wavetorus.nonlinearity import (
     make_nonlinearity,
     nonlinearity_from_config,
 )
-from wavetorus.spectral import GridField
 
 A_TERMS = [{"j": 0, "c": 1.0}, {"j": 1, "c_sin": 0.5}]
 
 
-def grid_of(values):
-    return GridField(np.asarray(values, dtype=float))
+def zero_grid(n):
+    """The grid's x_a = a pi / n and zero samples on the n x n grid."""
+    return np.pi * np.arange(n) / n, np.zeros((n, n))
 
 
 def test_default_family_certificate():
@@ -59,23 +59,23 @@ def test_reject_smoothness_exponent():
 
 
 def test_eval_at_zero(default_nl):
-    u = grid_of(np.zeros((8, 8)))
-    assert np.allclose(default_nl.values(u.x(), u.values, 0), 0.0)
-    assert np.allclose(default_nl.values(u.x(), u.values, 1), 1.0)  # m'(0) = alpha
+    x, u = zero_grid(8)
+    assert np.allclose(default_nl.values(x, u, 0), 0.0)
+    assert np.allclose(default_nl.values(x, u, 1), 1.0)  # m'(0) = alpha
 
 
 def test_eval_order_validation(default_nl):
-    u = grid_of(np.zeros((4, 4)))
+    x, u = zero_grid(4)
     with pytest.raises(OrderUnavailable):
-        default_nl.values(u.x(), u.values, 4)
+        default_nl.values(x, u, 4)
 
 
 def test_third_derivative_symmetric_value_at_zero():
     # |u|^{s-1} u at s = 3 has third derivative 6 a(x) everywhere; the
     # even-continuation formula returns exactly that at u = 0
     nl = make_nonlinearity(3, 2.0, {"kind": "tanh", "alpha": 1.0})
-    u = grid_of(np.zeros((4, 4)))
-    vals = nl.values(u.x(), u.values, 3)
+    x, u = zero_grid(4)
+    vals = nl.values(x, u, 3)
     m3 = nl.m(0.0, 3)
     assert np.allclose(vals, 6.0 * 2.0 + m3)
 
@@ -96,8 +96,8 @@ def test_derivative_orders_by_finite_differences(default_nl, order):
 
 
 def test_potential_convention_and_derivative(default_nl):
-    z = grid_of(np.zeros((6, 6)))
-    assert np.allclose(default_nl.potential_values(z.x(), z.values), 0.0)
+    x, z = zero_grid(6)
+    assert np.allclose(default_nl.potential_values(x, z), 0.0)
     rng = np.random.default_rng(3)
     x = np.pi * np.arange(12) / 12
     u = 1.5 * rng.standard_normal((12, 12))

@@ -131,3 +131,30 @@ def test_strict_json_rejects_what_json_dumps_allows(tmp_path, capsys, text, erro
     else:
         with pytest.raises(SystemExit, match=error):
             strict.main([tmp_path])
+
+
+_COUNTED = '''"""Module docstring,
+on two lines."""
+
+import os  # a comment
+
+
+def f(x):
+    """One-line docstring."""
+    # a comment line
+    y = (x +
+
+         1)
+    "a bare string statement"
+    return """a string
+that is code"""
+'''
+
+
+def test_ci_probes_counts_code_lines_with_tokenize():
+    # 15 lines; code: the import, the def, the two lines of y's statement
+    # holding tokens and the two of the returned string
+    probes = load_script("ci_probes")
+    assert probes.count_lines(_COUNTED) == (15, 6)
+    assert probes.count_lines("") == (0, 0)
+    assert probes.count_lines("x = 1") == (1, 1)

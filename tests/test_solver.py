@@ -11,14 +11,16 @@ from wavetorus.dalembert import apply_box
 from wavetorus.errors import NoConvergence, SingularJacobian, StallAt
 from wavetorus.nonlinearity import Nonlinearity, TrigPolynomial
 from wavetorus.solver import (
+    _INNER_M,
     PHASE_GRID,
     BetaSchedule,
     PenalizedProblem,
     _coarse_truncation,
-    _dense_jacobian,
-    _f_hat,
+    _gmres,
     _grid_side,
+    _jacobian_fill,
     _linear_solver,
+    _on_grid,
     _phase_scan,
     _solve_bytes,
     continuation_beta,
@@ -38,7 +40,9 @@ from wavetorus.solver import (
     unpack,
 )
 from wavetorus.spectral import (
+    GridField,
     SpectralField,
+    analyze,
     SubspaceTag,
     embed,
     lattice,
@@ -53,9 +57,9 @@ from wavetorus.verify import mms_problem
 seeds = st.integers(0, 2**31 - 1)
 
 
-def every_mode(M):
-    """The mask of every half mode, under which ``_dense_jacobian`` fills J."""
-    return np.ones(lattice(M).n_half, dtype=bool)
+def full_fill(p, u):
+    """``_jacobian_fill`` at u under the mask of every half mode: the fill of J."""
+    return _jacobian_fill(p, np.ones(lattice(p.M).n_half, dtype=bool), _on_grid(p, u, 1)[1])
 
 
 def zero_nl():
@@ -140,7 +144,7 @@ def test_jacobian_matches_finite_differences(default_nl):
     M = 4
     p = PenalizedProblem(M=M, beta=1e-2, nl=default_nl)
     u = random_field(8, M, SubspaceTag.ALL, 0.3)
-    J = _dense_jacobian(p, u, every_mode(p.M))()
+    J = full_fill(p, u)()
     x0 = pack(u)
     n = x0.size
     h = 1e-6
@@ -164,7 +168,7 @@ def complex_jacobian_oracle(p, u):
     h_idx = pos[lat.half_rows, lat.half_cols]
     m_idx = pos[2 * lat.jmax - lat.half_rows, 2 * p.M - lat.half_cols]
     z_idx = pos[lat.jmax, p.M]
-    gh = _f_hat(p, u, 1)
+    gh = analyze(GridField(_on_grid(p, u, 1)[1]), 2 * p.M)
     big = lattice(2 * p.M)
     jj = lat.J[mode_rows, mode_cols]
     kk = lat.K[mode_rows, mode_cols]
@@ -191,10 +195,10 @@ def test_jacobian_bit_identical_to_complex_construction(default_nl, sigma, overs
         p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl, sigma=sigma,
                              oversample=oversample)
         u = random_field((60, M), M, SubspaceTag.ALL, 0.4)
-        J = _dense_jacobian(p, u, every_mode(M))()
+        J = full_fill(p, u)()
         assert np.array_equal(J, complex_jacobian_oracle(p, u)), M
         n = J.shape[0]
-        bordered = _dense_jacobian(p, u, every_mode(M))(
+        bordered = full_fill(p, u)(
             np.full((n + 1, n + 1), np.nan, order="F"))
         assert np.array_equal(bordered[:n, :n], J), M
 
@@ -202,7 +206,7 @@ def test_jacobian_bit_identical_to_complex_construction(default_nl, sigma, overs
 def test_forced_jacobian_bit_identical_to_complex_construction(default_nl):
     _, p = mms_problem(default_nl, 0.5, 12, 1e-3, seed=5)
     u = random_field(61, 12, SubspaceTag.ALL, 0.4)
-    assert np.array_equal(_dense_jacobian(p, u, every_mode(12))(),
+    assert np.array_equal(full_fill(p, u)(),
                           complex_jacobian_oracle(p, u))
 
 
@@ -234,9 +238,9 @@ def test_jacobian_fill_bit_identical_at_every_panel_height(default_nl, monkeypat
     monkeypatch.setattr(solver, "lapack", CapturingLapack)
     for entries in (1, nh, 7 * nh, nh * nh, 3 * nh * nh):
         monkeypatch.setattr(solver, "_PANEL_ENTRIES", entries)
-        plain = _dense_jacobian(p, u, every_mode(M))()
+        plain = full_fill(p, u)()
         assert np.array_equal(plain, oracle), entries
-        bordered = _dense_jacobian(p, u, every_mode(M))(
+        bordered = full_fill(p, u)(
             np.full((n + 1, n + 1), np.nan, order="F"))
         assert np.array_equal(bordered[:n, :n], oracle), entries
         assert np.isnan(bordered[n]).all() and np.isnan(bordered[:, n]).all()
@@ -264,7 +268,7 @@ def test_jacobian_fill_holds_no_table_of_n_half_squared(default_nl):
     u = random_field((64, M), M, SubspaceTag.ALL, 0.4)
     n, nh = lattice(M).n_real, lattice(M).n_half
     out = np.empty((n + 1, n + 1), order="F")
-    fill = _dense_jacobian(p, u, every_mode(p.M))
+    fill = full_fill(p, u)
     fill(out)
     tracemalloc.start()
     try:
@@ -356,7 +360,8 @@ def test_solver_transforms_pinned_to_complex_fft(default_nl, sigma):
     expected = (np.where(lattice(8).mask, penalized_symbol(p) * u.coeffs, 0.0)
                 - sigma * complex_fft_f_hat(p, u, 0))
     assert np.array_equal(residual(p, u).coeffs, expected)
-    assert np.array_equal(_f_hat(p, u, 1).coeffs, complex_fft_f_hat(p, u, 1))
+    assert np.array_equal(analyze(GridField(_on_grid(p, u, 1)[1]), 2 * p.M).coeffs,
+                          complex_fft_f_hat(p, u, 1))
 
 
 @settings(max_examples=30, deadline=None)
@@ -365,7 +370,7 @@ def test_weighted_jacobian_is_symmetric(default_nl, seed, M, sigma):
     # J is the Hessian of I under the pairing, whose packed weights are 1, 2, ..., 2
     p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl, sigma=sigma)
     u = random_field(seed, M, SubspaceTag.ALL, 0.4)
-    J = _dense_jacobian(p, u, every_mode(p.M))()
+    J = full_fill(p, u)()
     WJ = np.r_[1.0, np.full(J.shape[0] - 1, 2.0)][:, None] * J
     assert np.max(np.abs(WJ - WJ.T)) <= 1e-13 * np.max(np.abs(WJ))
 
@@ -530,7 +535,7 @@ _LAPACK_STEPS = """
 import hashlib, json, sys
 import numpy as np
 from wavetorus import make_nonlinearity, pool
-from wavetorus.solver import (PenalizedProblem, _dense_jacobian, _linear_solver,
+from wavetorus.solver import (PenalizedProblem, _jacobian_fill, _linear_solver, _on_grid,
                               residual, time_derivative)
 from wavetorus.spectral import SubspaceTag, lattice, pack, random_field
 
@@ -559,7 +564,8 @@ def oracle(p, u, rhs, anchor, mu):
     n = rhs.size
     dim = n if anchor is None else n + 1
     A = np.zeros((dim, dim))
-    A[:n, :n] = _dense_jacobian(p, u, np.ones(lattice(p.M).n_half, dtype=bool))()
+    A[:n, :n] = _jacobian_fill(p, np.ones(lattice(p.M).n_half, dtype=bool),
+                               _on_grid(p, u, 1)[1])()
     if anchor is not None:
         A[:n, n] = anchor
         A[n, :n] = anchor
@@ -682,12 +688,12 @@ def test_dense_linear_solver_raises_on_zero_pivot(default_nl, monkeypatch, ancho
         def fill(out):
             out[:n, :n] = c * np.eye(n)
             return out
-        return lambda p, u, half, samples=None, f_u=None: fill
+        return lambda p, half, f_u: fill
 
-    monkeypatch.setattr(solver, "_dense_jacobian", scaled_identity(0.0))
+    monkeypatch.setattr(solver, "_jacobian_fill", scaled_identity(0.0))
     with pytest.raises(SingularJacobian, match="zero pivot"):
         _linear_solver(p, u, anchor)
-    monkeypatch.setattr(solver, "_dense_jacobian", scaled_identity(-1.0))
+    monkeypatch.setattr(solver, "_jacobian_fill", scaled_identity(-1.0))
     solve, levenberg = _linear_solver(p, u, anchor)
     rhs = np.arange(1.0, n + 1.0)
     step = solve(rhs)
@@ -723,13 +729,13 @@ def test_dense_linear_solver_raises_on_non_finite_jacobian(default_nl, monkeypat
             for row, col in entries:
                 out[row, col] = bad
             return out
-        return lambda p, u, half, samples=None, f_u=None: fill
+        return lambda p, half, f_u: fill
 
     for entry in ((0, 0), (3, 1), (n - 1, n - 1)):
-        monkeypatch.setattr(solver, "_dense_jacobian", identity_with(entry))
+        monkeypatch.setattr(solver, "_jacobian_fill", identity_with(entry))
         with pytest.raises(SingularJacobian, match="non-finite"):
             _linear_solver(p, u, anchor)
-    monkeypatch.setattr(solver, "_dense_jacobian", identity_with())
+    monkeypatch.setattr(solver, "_jacobian_fill", identity_with())
     solve, levenberg = _linear_solver(p, u, anchor)
     with pytest.raises(SingularJacobian, match="non-finite"):
         levenberg(bad)
@@ -814,6 +820,114 @@ def test_krylov_solve_that_does_not_converge_fails_fast(default_nl, monkeypatch)
     with pytest.raises(SingularJacobian, match="iterative linear solve failed"):
         newton_solve(p, seed_u, max_iter=1)
     assert 0 < len(products) <= 11 * (solver._INNER_M + 1)
+
+
+def _nonsymmetric_system(n=12):
+    """A nonsymmetric system with well-separated eigenvalues 1, ..., n, so
+    GMRES needs all n products."""
+    rng = np.random.default_rng(71)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = Q @ (np.diag(np.arange(1.0, n + 1.0)) + np.triu(rng.standard_normal((n, n)), 1)) @ Q.T
+    return A, rng.standard_normal(n)
+
+
+def test_gmres_matches_a_direct_solve():
+    A, b = _nonsymmetric_system()
+    x = _gmres(lambda z: A @ z, lambda z: z, b)
+    exact = np.linalg.solve(A, b)
+    assert np.linalg.norm(x - exact) <= 1e-9 * np.linalg.norm(exact)
+
+
+def _counted_stall(operator="shift", n=60):
+    """An operator on which restarted GMRES makes no progress from e_0, and
+    the list its products are counted in: the cyclic shift (with fewer than
+    n vectors its Krylov residual stays |b|) or zero (singular on the
+    invariant space of e_0)."""
+    products = []
+
+    def apply(z):
+        products.append(1)
+        return np.roll(z, 1) if operator == "shift" else 0.0 * z
+
+    return apply, products
+
+
+@pytest.mark.parametrize("operator", ["shift", "zero"])
+def test_gmres_raises_within_its_restart_budget(operator):
+    apply, products = _counted_stall(operator)
+    with pytest.raises(SingularJacobian, match=r"relative residual 1\.0e\+00 after 10 restarts"):
+        _gmres(apply, lambda z: z, np.eye(60)[0])
+    assert 0 < len(products) <= 11 * (_INNER_M + 1)
+
+
+def test_gmres_raises_on_a_non_finite_vector():
+    A, b = _nonsymmetric_system()
+
+    def apply(z):
+        out = A @ z
+        out[3] = np.nan
+        return out
+
+    with pytest.raises(SingularJacobian, match="non-finite Krylov vector"):
+        _gmres(apply, lambda z: z, b)
+
+
+def test_gmres_makes_no_least_squares_solve(monkeypatch):
+    # the Givens rotations carry the least-squares residual: a raising lstsq
+    # is never reached, by a converging solve or by one that spends its budget
+    def lstsq(*args, **kwargs):
+        raise AssertionError("lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    A, b = _nonsymmetric_system()
+    x = _gmres(lambda z: A @ z, lambda z: z, b)
+    assert np.linalg.norm(A @ x - b) <= 1e-9 * np.linalg.norm(b)
+    apply, _ = _counted_stall()
+    with pytest.raises(SingularJacobian, match="after 10 restarts"):
+        _gmres(apply, lambda z: z, np.eye(60)[0])
+
+
+@pytest.mark.parametrize("case", ["bordered", "forced", "ladder"])
+@pytest.mark.parametrize("above_limit", [False, True])
+def test_each_newton_step_forms_f_u_once(default_nl, monkeypatch, case, above_limit):
+    # every Newton step evaluates f_u on the padded grid once and analyzes
+    # it onto lattice(2M) once, on the dense path at M = 8 and above a
+    # DENSE_LIMIT lowered under M = 8's unknowns (coarse weight <= 2); the
+    # Levenberg refills and the GMRES's products form neither again
+    import wavetorus.solver as solver
+
+    if above_limit:
+        monkeypatch.setattr(solver, "DENSE_LIMIT", lattice(8).n_real - 1)
+    if case == "bordered":
+        p = PenalizedProblem(M=8, beta=1e-3, nl=default_nl)
+        seed_u = 0.3 * random_field((8, 2), 8, SubspaceTag.ALL, 0.3)
+    elif case == "forced":
+        target, p = mms_problem(default_nl, 0.5, 8, 1e-3, seed=5)
+        seed_u = embed(truncate(target, 4), 8)
+    else:
+        p, seed_u = _ladder_case(default_nl)
+    values, analyze_ = Nonlinearity.values, solver.analyze
+    f_u_grids, onto_2M = [], []
+
+    def counted_values(self, x, u, order=0):
+        if order == 1:
+            f_u_grids.append(x)
+        return values(self, x, u, order)
+
+    def counted_analyze(g, M):
+        if M == 2 * p.M:
+            onto_2M.append(M)
+        return analyze_(g, M)
+
+    monkeypatch.setattr(Nonlinearity, "values", counted_values)
+    monkeypatch.setattr(solver, "analyze", counted_analyze)
+    try:
+        sol = newton_solve(p, seed_u, max_iter=30)
+    except NoConvergence as exc:
+        sol = exc.best
+    assert sol.converged == (case != "ladder")
+    assert sol.newton_iters > 0
+    assert len(f_u_grids) == len(onto_2M) == sol.newton_iters
 
 
 def test_newton_without_line_search_solves_once_per_step(default_nl, monkeypatch):
