@@ -3,8 +3,8 @@
     python scripts/strict_json.py DIR [DIR ...]
 
 NaN, Infinity, a file that does not parse or a missing final newline ends
-it with the file's name and exit status 1; otherwise it prints the number of
-files checked.
+it with the file's name and exit status 1, and so does a directory that does
+not exist; otherwise it prints the number of files checked, which may be 0.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ def reject(constant):
 
 
 def main(dirs) -> None:
+    for d in dirs:
+        if not Path(d).is_dir():
+            sys.exit(f"{d}: no such directory")
     paths = sorted(p for d in dirs for p in Path(d).rglob("*.json"))
     for path in paths:
         text = path.read_text()

@@ -38,10 +38,12 @@ A Newton iterate is synthesized on the padded grid once: the residual that
 accepted it leaves its grid samples to the next step, which forms f_u(x, u)
 from them once, at every size, for the Jacobian fill, the Jacobi diagonal
 and the GMRES's products (``_linear_solver``).
-What depends only on the problem is built once and cached read-only, as
-``lattice`` is: the penalized symbol per (M, beta), the padded grid's side,
-the nonlinearity's a(x) and b(x) on that grid (``nonlinearity.grid_profiles``)
-and the transforms' grid positions of the lattice rows and columns.
+A table that depends only on the problem is cached read-only, as
+``lattice`` is, where a hit saves at least 1% of the call it serves: the
+penalized symbol per (M, beta), the nonlinearity's a(x) and b(x) on the
+padded grid (``nonlinearity.grid_profiles``) and the transforms' grid
+positions of the lattice rows and columns.  The padded grid's side and the
+fill's gather positions are computed on each call.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from .spectral import (
     embed,
     grid_integral,
     grid_max_abs,
-    jacobian_gather,
     lattice,
     pack,
     project,
@@ -118,21 +119,15 @@ class SolutionState:
 
 
 def _grid_side(p: PenalizedProblem) -> int:
-    """Side of the padded grid of ``p`` (cached per nonlinearity, M and
-    oversampling)."""
-    return _padded_side(p.nl, p.M, p.oversample)
-
-
-@lru_cache(maxsize=64)
-def _padded_side(nl, M: int, oversample: int) -> int:
-    s = float(getattr(nl, "s", 3.0))
+    """Side of the padded grid of ``p``."""
+    s = float(getattr(p.nl, "s", 3.0))
     deg = 0
     for part in ("a", "b"):
-        poly = getattr(nl, part, None)
+        poly = getattr(p.nl, part, None)
         deg = max(deg, getattr(poly, "degree", 0))
-    factor = max(int(np.ceil(s)) + 1, oversample)
-    n = factor * (M + 1) + 2 * deg + 2
-    return max(n, 4 * M + 6)  # Jacobian needs analyze(..., 2M)
+    factor = max(int(np.ceil(s)) + 1, p.oversample)
+    n = factor * (p.M + 1) + 2 * deg + 2
+    return max(n, 4 * p.M + 6)  # Jacobian needs analyze(..., 2M)
 
 
 def _on_grid(p: PenalizedProblem, u: SpectralField, *orders, samples=None):
@@ -227,8 +222,10 @@ def _jacobian_fill(p: PenalizedProblem, half: np.ndarray, f_u: np.ndarray):
 
     and row and column 0 are [0, 0] = gr(0) + d(0), [0, x h'] =
     gr(-h') + gr(h'), [0, y h'] = -(gi(-h') - gi(h')), [x h, 0] = gr(h),
-    [y h, 0] = gi(h).  Every entry is one gather from g_hat at flat
-    positions formed from ``jacobian_gather(M)``'s half-mode offsets; row 0
+    [y h, 0] = gi(h).  Every entry is one gather from the raveled g_hat,
+    whose rows hold 4M + 1 coefficients: with off(h) = (4M + 1) j + k and
+    zero = M(4M + 1) + 2M, the position of (0, 0), h' - h sits at
+    zero - off(h) + off(h') and h + h' at zero + off(h) + off(h').  Row 0
     reads -h' because g_hat is Hermitian only to rounding.
 
     Returns ``fill(out=None)``, which writes the block, n x n with n one
@@ -246,14 +243,15 @@ def _jacobian_fill(p: PenalizedProblem, half: np.ndarray, f_u: np.ndarray):
     in-place LU rebuilds J without a transform.
     """
     lat = lattice(p.M)
-    tab = jacobian_gather(p.M)
+    zero = p.M * (4 * p.M + 1) + 2 * p.M
+    off = ((4 * p.M + 1) * lat.J + lat.K)[lat.half][half]
+    minus, plus = zero - off, zero + off
     g = analyze(GridField(f_u), 2 * p.M).coeffs.ravel()  # f_u(x, u), bandwidth 2M
     s = -p.sigma
     gc = np.empty_like(g)  # one gather reads both parts
     gc.real, gc.imag = s * g.real, s * g.imag
     gr, gi = gc.real, gc.imag
     sym = penalized_symbol(p)
-    minus, plus, off = tab.minus[half], tab.plus[half], tab.off[half]
     d = sym[lat.half_rows, lat.half_cols][half]
     nh = off.size
     n = 1 + 2 * nh
@@ -263,7 +261,7 @@ def _jacobian_fill(p: PenalizedProblem, half: np.ndarray, f_u: np.ndarray):
     def fill(out=None):
         J = np.empty((n, n), order="F") if out is None else out
         T = J.T  # T[a, b] = J[b, a]
-        T[0, 0] = gr[tab.zero] + sym[lat.jmax, p.M]
+        T[0, 0] = gr[zero] + sym[lat.jmax, p.M]
         T[x, 0] = gr[minus] + gr[plus]
         T[y, 0] = -(gi[minus] - gi[plus])
         T[0, x] = gr[plus]
@@ -824,15 +822,15 @@ def multi_seed_search(p: PenalizedProblem, n_seeds: int,
     and from M = 37 to 65 the search is serial; above ``DENSE_LIMIT`` a
     solve holds only its coarse block beside the GMRES, so M = 66 to 81 run
     two seeds at a time again, and from M = 82 up one.  The threads share
-    read-only caches (``lattice``, ``jacobian_gather``, the problem's
-    constants); the LU routines run with the GIL released
-    (``pool.BundledLapack`` through ``ctypes``, or scipy's f2py wrappers),
-    so one seed's LU runs beside another seed's work.  The ladder is a
-    generator that the workers advance under the pool's lock, so a search
-    holds one seed per worker, not all ``n_seeds``.  Results come back in
-    seed order and are deduplicated as in a serial loop.  Seeds ending in
-    NoConvergence or SingularJacobian are skipped; any other error is
-    raised.
+    read-only caches (``lattice``, the penalized symbol, the grid profiles
+    and the transforms' grid positions); the LU routines run with the GIL
+    released (``pool.BundledLapack`` through ``ctypes``, or scipy's f2py
+    wrappers), so one seed's LU runs beside another seed's work.  The
+    ladder is a generator that the workers advance under the pool's lock,
+    so a search holds one seed per worker, not all ``n_seeds``.  Results
+    come back in seed order and are deduplicated as in a serial loop.  Seeds
+    ending in NoConvergence or SingularJacobian are skipped; any other error
+    is raised.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")

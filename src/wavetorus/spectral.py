@@ -20,10 +20,6 @@ N they partition the diamond), and half (k > 0, or k = 0 and j > 0).
 A real field has n_real = 1 + 2 n_half real coordinates, one per diamond
 mode.  ``pack`` lays them out as [Re u_hat(0, 0), Re h, Im h], h holding
 the half-mode coefficients in row-major order (half_rows, half_cols).
-``jacobian_gather(M)`` caches, on first use, the flat positions in the
-order-2M coefficients of the half modes, +h and -h, from which the Jacobian
-fill forms the h' - h and h + h' positions it reads, a row panel at a
-time; it holds O(n_half) entries.
 
 Transforms: ``synthesize``/``synthesize_values`` and ``analyze``, which the
 solver calls, run the 1-D passes of the complex ``np.fft.ifft2``/``fft2``,
@@ -133,33 +129,6 @@ def lattice(M: int) -> Lattice:
         a.flags.writeable = False
     return Lattice(M=M, jmax=jmax, shape=shape, n_modes=int(np.sum(mask)),
                    n_half=hr.size, n_real=1 + 2 * hr.size, **arrays)
-
-
-@dataclass(frozen=True, eq=False)
-class JacobianGather:
-    """Flat positions, in the raveled coefficients of ``lattice(2M)``, of the
-    half modes the real Jacobian blocks read (see ``jacobian_gather``)."""
-
-    off: np.ndarray  # (n_half,): flat step of h from (0, 0)
-    plus: np.ndarray  # (n_half,): +h
-    minus: np.ndarray  # (n_half,): -h
-    zero: int  # (0, 0)
-
-
-@lru_cache(maxsize=None)
-def jacobian_gather(M: int) -> JacobianGather:
-    """The cached O(n_half) positions of the order-M Jacobian, built on first use."""
-    lat = lattice(M)
-    big = lattice(2 * M)
-    # flat(j, k) = (j + jmax) * ncols + (k + 2M) is affine in (j, k), so
-    # h' - h sits at minus[h] + off[h'] and h + h' at plus[h] + off[h']
-    zero = big.jmax * big.shape[1] + 2 * M
-    off = (big.shape[1] * lat.J[lat.half_rows, lat.half_cols]
-           + lat.K[lat.half_rows, lat.half_cols]).astype(np.intp)
-    arrays = dict(off=off, plus=zero + off, minus=zero - off)
-    for a in arrays.values():
-        a.flags.writeable = False
-    return JacobianGather(zero=zero, **arrays)
 
 
 _TAG_MASK = {SubspaceTag.ALL: "mask", SubspaceTag.N: "resonant",

@@ -158,3 +158,18 @@ def test_ci_probes_counts_code_lines_with_tokenize():
     assert probes.count_lines(_COUNTED) == (15, 6)
     assert probes.count_lines("") == (0, 0)
     assert probes.count_lines("x = 1") == (1, 1)
+
+
+def test_strict_json_names_a_missing_directory(tmp_path, capsys):
+    # a mistyped path fails instead of passing with 0 files; an existing
+    # directory with no JSON file still passes
+    strict = load_script("strict_json")
+    (tmp_path / "sweep").mkdir()
+    (tmp_path / "sweep" / "sweep.csv").write_text("M\n")
+    strict.main([tmp_path / "sweep"])
+    assert capsys.readouterr().out == "0 JSON artifacts are strict JSON and end in a newline\n"
+    missing = tmp_path / "no" / "such"
+    with pytest.raises(SystemExit) as exc:
+        strict.main([tmp_path / "sweep", missing])
+    assert exc.value.code == f"{missing}: no such directory"
+    assert capsys.readouterr().out == ""

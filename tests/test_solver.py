@@ -210,6 +210,24 @@ def test_forced_jacobian_bit_identical_to_complex_construction(default_nl):
                           complex_jacobian_oracle(p, u))
 
 
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("M", [5, 8, 12])
+def test_coarse_jacobian_fill_bit_identical_to_the_oracle_block(default_nl, M, sigma):
+    # under the mask of the modes of weight <= M_c the fill is the oracle's
+    # rows and columns of (0, 0) and of those modes' x and y coordinates
+    p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl, sigma=sigma)
+    u = random_field((62, M), M, SubspaceTag.ALL, 0.4)
+    lat = lattice(M)
+    oracle = complex_jacobian_oracle(p, u)
+    for M_c in (0, M // 4, M - 1):
+        half = lat.weight[lat.half_rows, lat.half_cols] <= M_c
+        at = 1 + np.flatnonzero(half)
+        idx = np.concatenate(([0], at, at + lat.n_half))
+        J = _jacobian_fill(p, half, _on_grid(p, u, 1)[1])()
+        assert J.shape == (idx.size, idx.size)
+        assert np.array_equal(J, oracle[np.ix_(idx, idx)]), M_c
+
+
 @pytest.mark.parametrize("M", [12, 24])
 def test_jacobian_fill_bit_identical_at_every_panel_height(default_nl, monkeypatch, M):
     # one row per panel (budgets below and at n_half), 7-row panels with a
@@ -256,12 +274,8 @@ def test_jacobian_fill_bit_identical_at_every_panel_height(default_nl, monkeypat
 
 def test_jacobian_fill_holds_no_table_of_n_half_squared(default_nl):
     # the fill into a preallocated buffer gathers in row panels: its
-    # temporaries stay below a quarter of one n_half x n_half float64
-    # block, and the cached positions are O(n_half)
+    # temporaries stay below a quarter of one n_half x n_half float64 block
     import tracemalloc
-    from dataclasses import fields as dataclass_fields
-
-    from wavetorus.spectral import jacobian_gather
 
     M = 40
     p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl)
@@ -277,9 +291,6 @@ def test_jacobian_fill_holds_no_table_of_n_half_squared(default_nl):
     finally:
         tracemalloc.stop()
     assert peak < nh * nh * 8 / 4
-    tab = jacobian_gather(M)
-    sizes = [np.size(getattr(tab, f.name)) for f in dataclass_fields(tab)]
-    assert max(sizes) == nh
 
 
 @pytest.mark.parametrize("M", [24, 32, 40, 28])
@@ -1170,11 +1181,10 @@ def test_multi_seed_pool_matches_one_worker(default_nl, monkeypatch, master_seed
     # the same order, whatever the worker count; every seed's Newton run,
     # failed ones included, takes the same steps.  The 8-worker run (more
     # workers than cores) switches threads every microsecond and starts from
-    # empty lattice and gather caches, so their first builds race
+    # an empty lattice cache, so its first builds race
     import sys
 
     from wavetorus import pool, solver
-    from wavetorus.spectral import jacobian_gather
 
     p = PenalizedProblem(M=8, beta=1e-4, nl=default_nl)
     real_newton = solver.newton_solve
@@ -1204,7 +1214,6 @@ def test_multi_seed_pool_matches_one_worker(default_nl, monkeypatch, master_seed
         for workers in (2, 8):
             if workers == 8:
                 lattice.cache_clear()
-                jacobian_gather.cache_clear()
                 sys.setswitchinterval(1e-6)
             pooled, pooled_runs = search(workers)
             assert pooled_runs == serial_runs
