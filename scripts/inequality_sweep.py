@@ -10,15 +10,14 @@ import os
 
 from wavetorus.spectral import write_csv
 from wavetorus.verify import (
+    GN_PS,
+    HY_PS,
     EnsembleSpec,
     check_box_regularity,
     check_embedding,
     gn_reports,
     hausdorff_young_reports,
 )
-
-HY_PS = (4.0 / 3.0, 1.5, 2.0)
-GN_PS = (3.0, 4.0)
 
 
 def main():
@@ -43,9 +42,9 @@ def main():
             rep = check_embedding(spec, s, tails=(), tail_count=0)
             rows.append(("embedding", f"s={s:.4g}", M, rep.ratios["max"],
                          rep.ratios["mean"], 0))
-        rep = check_box_regularity(spec, 2.0, 0.45)
-        rows.append(("box_inverse_holder", "p=2,gamma=0.45", M,
-                     rep.ratios["max"], rep.ratios["mean"], 0))
+        rep = check_box_regularity(spec)
+        rows.append(("box_inverse_holder", "p={p:g},gamma={gamma:g}".format(**rep.parameters),
+                     M, rep.ratios["max"], rep.ratios["mean"], 0))
 
     tail_rep = check_embedding(EnsembleSpec(count=64, M=16, seed=args.seed),
                                0.5, tails=(8, 16, 32, 64), tail_count=64)

@@ -42,6 +42,8 @@ from .spectral import SpectralField, SubspaceTag, random_field, read_field, writ
 from .spectral import _is_int, _is_num  # the rules of a field file's numbers
 from .spectral import write_json as _write_json  # the benchmark's spans look it up by this name
 from .verify import (
+    GN_PS,
+    HY_PS,
     EnsembleSpec,
     apriori_monitor,
     check_box_regularity,
@@ -386,10 +388,9 @@ def _cmd_verify(cfg: RunConfig, out: str) -> dict:
     suite = v.get("suite", "all")
     reports = []
     if suite in ("hy", "all"):
-        reports += hausdorff_young_reports(
-            spec, [float(v["p"])] if "p" in v else [4.0 / 3.0, 1.5, 2.0])
+        reports += hausdorff_young_reports(spec, [float(v["p"])] if "p" in v else HY_PS)
     if suite in ("gn", "all"):
-        reports += gn_reports(spec, [float(v["p"])] if "p" in v else [3.0, 4.0])
+        reports += gn_reports(spec, [float(v["p"])] if "p" in v else GN_PS)
     if suite in ("embedding", "all"):
         s = float(v.get("s", 0.5))
         reports.append(check_embedding(spec, s, tails=tuple(v.get("tails", (8, 16, 32))),
@@ -399,8 +400,8 @@ def _cmd_verify(cfg: RunConfig, out: str) -> dict:
             spec, float(v.get("gamma", _HOLDER_GAMMAS[0])),
             float(v.get("gamma_prime", _HOLDER_GAMMAS[1]))))
     if suite in ("box", "all"):
-        reports.append(check_box_regularity(spec, float(v.get("p", 2.0)),
-                                            float(v.get("gamma", 0.45))))
+        reports.append(check_box_regularity(
+            spec, **{key: float(v[key]) for key in ("p", "gamma") if key in v}))
     violations = sum(r.violation_count for r in reports)
     out_reports = []
     for i, r in enumerate(reports):

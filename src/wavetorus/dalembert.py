@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInEperp, ResonantMass
-from .norms import sobolev_norm
+from .norms import _resonant_fraction, sobolev_norm
 from .spectral import SpectralField, lattice
 
 
@@ -38,11 +38,10 @@ def solve_box(f: SpectralField, resonant_tol: float = 1e-10) -> BoxSolveResult:
     exceeds ``resonant_tol`` (the compatibility condition f _|_ N fails);
     below the tolerance that mass is dropped and reported.
     """
-    lat = lattice(f.M)
-    res_mass = float(np.linalg.norm(f.coeffs[lat.resonant]))
-    rel = res_mass / max(f.l2(), 1e-300)
+    res_mass, rel = _resonant_fraction(f)
     if rel > resonant_tol:
         raise ResonantMass(f"relative kernel mass {rel:.3e} > {resonant_tol:g}")
+    lat = lattice(f.M)
     denom = np.where(lat.nonresonant, lat.symbol, 1).astype(np.float64)
     w = np.where(lat.nonresonant, f.coeffs / denom, 0.0)
     return BoxSolveResult(SpectralField(f.M, w), res_mass)
@@ -50,12 +49,10 @@ def solve_box(f: SpectralField, resonant_tol: float = 1e-10) -> BoxSolveResult:
 
 def h1_bound_ratio(f: SpectralField) -> float:
     """||box^{-1} f||_{H^1, aniso} / ||f_hat||_{l2}; always <= 1, sharp at (0,+-1)."""
-    lat = lattice(f.M)
-    res = float(np.linalg.norm(f.coeffs[lat.resonant]))
     total = f.l2()
     if total == 0.0:
         return 0.0
-    if res > 1e-12 * total:
+    if _resonant_fraction(f)[1] > 1e-12:
         raise NotInEperp("H^1 bound is stated for right-hand sides off the kernel")
     w = solve_box(f, resonant_tol=1e-12).w
     return sobolev_norm(w, 1.0, "aniso") / total

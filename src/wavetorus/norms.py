@@ -38,10 +38,13 @@ def norm_E(u: SpectralField) -> float:
     return float(np.sqrt(off + res + const))
 
 
-def _resonant_fraction(u: SpectralField) -> float:
-    lat = lattice(u.M)
-    res = float(np.linalg.norm(u.coeffs[lat.resonant]))
-    return res / max(u.l2(), 1e-300)
+def _resonant_fraction(u: SpectralField) -> tuple:
+    """(||P_N u_hat||, its fraction of ||u_hat||): the l2 mass of u on the
+    kernel N of the wave operator, the resonant lines, whose vanishing is
+    the compatibility condition f _|_ N of inverting it (the fraction is
+    taken over max(||u_hat||, 1e-300), so it is 0 for the zero field)."""
+    res = float(np.linalg.norm(u.coeffs[lattice(u.M).resonant]))
+    return res, res / max(u.l2(), 1e-300)
 
 
 def norm_Es(u: SpectralField, s: float) -> float:
@@ -52,7 +55,7 @@ def norm_Es(u: SpectralField, s: float) -> float:
     """
     if not 0.0 < s <= 1.0:
         raise ValueError("s must lie in (0, 1]")
-    if _resonant_fraction(u) > 1e-12:
+    if _resonant_fraction(u)[1] > 1e-12:
         raise NotInEperp("field has resonant mass; E^s is defined off the kernel")
     lat = lattice(u.M)
     a2 = np.abs(u.coeffs[lat.nonresonant]) ** 2

@@ -1,5 +1,5 @@
-"""The package's one thread pool, the OpenBLAS thread pin its callers hold,
-and the dense LU routines of that OpenBLAS.
+"""The package's one thread pool, and the binding of each bundled OpenBLAS:
+the thread pin the pool's callers hold, and the dense LU routines.
 
 ``share_work`` maps a function over an iterable on several threads, the
 calling thread one of them.  Workers pull items one at a time under a lock,
@@ -16,14 +16,15 @@ threaded LU moves the last bits of its factors.  So ``share_work`` holds the
 OpenBLAS its caller's calls reach at one thread and runs one worker where it
 cannot.
 
-Both the pin (``openblas_threads``) and the dense Newton step's LU
-(``lapack``) reach scipy's OpenBLAS through one ``ctypes`` lookup of the
-library its wheel bundles (``_bundled_openblas``), so they act on the same
-library, and a solve imports no scipy module: neither ``scipy.linalg``,
-which brings ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma`` with it,
-nor its f2py LAPACK module alone, each of which adds start-up time and peak
-RSS (measured in CHANGES.md).  ``ctypes`` is imported inside the functions
-that use it: importing the package binds no ``ctypes``.
+One ``BundledOpenBLAS`` binds each bundled library (``_bundled_openblas``):
+its thread count, which ``share_work`` pins, and its ``dgetrf`` and
+``dgetrs``, which the dense Newton step calls on scipy's (``lapack``).  So
+the pin and the LU act on the same library, and a solve imports no scipy
+module: neither ``scipy.linalg``, which brings ``numpy.f2py``,
+``numpy.testing`` and ``numpy.ma`` with it, nor its f2py LAPACK module
+alone, each of which adds start-up time and peak RSS (measured in
+CHANGES.md).  ``ctypes`` is imported inside the functions that use it:
+importing the package binds no ``ctypes``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import importlib.util
 import os
 import threading
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,25 +47,26 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def share_work(fn, items, n: int, blas: str, item_bytes: int = 0) -> list:
+def share_work(fn, items, n: int, package: str, item_bytes: int = 0) -> list:
     """[fn(x) for x in items], ``n`` items, on min(n, usable cores,
     POOL_BYTES // item_bytes) threads, at least one (``item_bytes``: the
-    memory one call of ``fn`` holds, 0 for no bound), with ``blas``'s
-    OpenBLAS held at one thread; on one thread where that OpenBLAS is not
-    found.  The count is process-wide and restored on return or raise, out
-    of order if pooled calls overlap in time.
+    memory one call of ``fn`` holds, 0 for no bound), with the OpenBLAS
+    that ``package`` bundles held at one thread: ``"scipy"``'s, which runs
+    the LU of ``lapack``, or ``"numpy"``'s, which runs its matrix products;
+    on one thread where that OpenBLAS is not found.  The count is
+    process-wide and restored on return or raise, out of order if pooled
+    calls overlap in time.
     """
-    threads = openblas_threads(blas)
-    if threads is None:
+    blas = _bundled_openblas(package)
+    if blas is None:
         return _map(fn, items, 1)
-    get, set_threads = threads
-    before = get()
-    set_threads(1)
+    before = blas.threads()
+    blas.set_threads(1)
     try:
         cap = POOL_BYTES // item_bytes if item_bytes else n
         return _map(fn, items, max(1, min(n, usable_cores(), cap)))
     finally:
-        set_threads(before)
+        blas.set_threads(before)
 
 
 def _map(fn, items, workers: int) -> list:
@@ -110,12 +112,21 @@ def _map(fn, items, workers: int) -> list:
     return results
 
 
-class BundledLapack:
-    """``dgetrf`` and ``dgetrs`` of a bundled OpenBLAS, reached through
-    ``ctypes`` and called as scipy's f2py wrappers of the same routines
-    are: ``dgetrf(a, overwrite_a=1) -> (lu, piv, info)`` and
+class BundledOpenBLAS:
+    """One OpenBLAS that a Linux wheel bundles, bound through ``ctypes``:
+    its thread count (``threads``, ``set_threads``) and its ``dgetrf`` and
+    ``dgetrs``, called as scipy's f2py wrappers of the same routines are:
+    ``dgetrf(a, overwrite_a=1) -> (lu, piv, info)`` and
     ``dgetrs(lu, piv, b) -> (x, info)``, with 0-based pivots and LAPACK's
     ``info`` returned, not raised.
+
+    The library names each routine with its ``prefix`` before and its
+    ``suffix`` after: ``scipy_`` (the scipy-openblas builds) or none, and
+    ``64_`` (the builds with 64-bit integers, as numpy's) or none, so
+    ``scipy_dgetrf_`` and ``scipy_openblas_get_num_threads64_``.  The thread
+    calls are bound when the object is made, and an AttributeError says the
+    library does not name them so; the LAPACK routines at their first call,
+    so a library that is only pinned need not export them.
 
     ``dgetrf`` factors ``a`` in place, so ``lu`` is ``a``; ``dgetrs`` solves
     for one right-hand side, on a copy of ``b``.  ``a`` and ``lu`` must be
@@ -128,17 +139,27 @@ class BundledLapack:
     def __init__(self, lib, prefix: str, suffix: str):
         import ctypes
 
+        self._lib, self.prefix, self.suffix = lib, prefix, suffix
         # the builds with the suffix 64_ take 64-bit integers
         self._int = ctypes.c_int64 if suffix == "64_" else ctypes.c_int
-        self._index = np.int64 if suffix == "64_" else np.int32
+        self.threads = self._routine("openblas_get_num_threads", [], ctypes.c_int)
+        self.set_threads = self._routine("openblas_set_num_threads", [ctypes.c_int])
+
+    def _routine(self, name: str, argtypes: list, restype=None):
+        routine = self._lib[self.prefix + name + self.suffix]
+        routine.argtypes, routine.restype = argtypes, restype
+        return routine
+
+    @cached_property
+    def _lu(self):
+        """(dgetrf, dgetrs), bound at their first call."""
+        import ctypes
+
         ref, ptr = ctypes.POINTER(self._int), ctypes.c_void_p
-        self._getrf = lib[f"{prefix}dgetrf_{suffix}"]
-        self._getrf.argtypes = [ref, ref, ptr, ref, ptr, ref]  # m, n, a, lda, ipiv, info
-        self._getrs = lib[f"{prefix}dgetrs_{suffix}"]
-        # trans, n, nrhs, a, lda, ipiv, b, ldb, info, and trans's hidden length
-        self._getrs.argtypes = [ctypes.c_char_p, ref, ref, ptr, ref, ptr, ptr, ref, ref,
-                                ctypes.c_size_t]
-        self._getrf.restype = self._getrs.restype = None
+        return (self._routine("dgetrf_", [ref, ref, ptr, ref, ptr, ref]),  # m, n, a, lda, ipiv, info
+                # trans, n, nrhs, a, lda, ipiv, b, ldb, info, and trans's hidden length
+                self._routine("dgetrs_", [ctypes.c_char_p, ref, ref, ptr, ref, ptr, ptr, ref, ref,
+                                          ctypes.c_size_t]))
 
     @staticmethod
     def _check_matrix(a, name):
@@ -153,9 +174,9 @@ class BundledLapack:
             raise ValueError("dgetrf factors in place only: pass a copy to keep a")
         self._check_matrix(a, "a")
         m, n = a.shape
-        piv = np.empty(min(m, n), self._index)
+        piv = np.empty(min(m, n), self._int)
         info = self._int()
-        self._getrf(self._int(m), self._int(n), a.ctypes.data, self._int(max(1, m)),
+        self._lu[0](self._int(m), self._int(n), a.ctypes.data, self._int(max(1, m)),
                     piv.ctypes.data, info)
         piv -= 1
         return a, piv, info.value
@@ -167,25 +188,23 @@ class BundledLapack:
         x = np.array(b, dtype=np.float64)
         if lu.shape != (n, n) or len(piv) != n or x.shape != (n,):
             raise ValueError(f"dgetrs needs an n x n lu, n pivots and a b of n entries (n = {n})")
-        ipiv = np.asarray(piv, self._index) + 1
+        ipiv = np.asarray(piv, self._int) + 1
         info = self._int()
-        self._getrs(b"N", self._int(n), self._int(1), lu.ctypes.data, self._int(max(1, n)),
+        self._lu[1](b"N", self._int(n), self._int(1), lu.ctypes.data, self._int(max(1, n)),
                     ipiv.ctypes.data, x.ctypes.data, self._int(max(1, n)), info, 1)
         return x, info.value
 
 
 @lru_cache(maxsize=None)
 def _bundled_openblas(package: str):
-    """(library, prefix, suffix) of the OpenBLAS that the Linux wheels of
+    """The ``BundledOpenBLAS`` of the library that the Linux wheels of
     ``package`` bundle in ``<package>.libs`` beside it, or None (MKL,
     Accelerate, a system BLAS), found once per process.
 
     The library is opened by its path through ``ctypes``; the package's own
     extension modules link it by the same name, so both reach one copy,
-    whichever loads it first.  Its symbols are LAPACK's and OpenBLAS's
-    names with the prefix ``scipy_`` (the scipy-openblas builds) or none,
-    and the suffix ``64_`` (the builds with 64-bit integers, as numpy's) or
-    none: ``scipy_dgetrf_``, ``scipy_openblas_get_num_threads64_``.
+    whichever loads it first.  Its naming is the first (prefix, suffix) of
+    ``BundledOpenBLAS`` under which it exports the thread calls.
     """
     import ctypes
     import glob
@@ -193,45 +212,24 @@ def _bundled_openblas(package: str):
     site = os.path.dirname(importlib.util.find_spec(package).submodule_search_locations[0])
     for path in sorted(glob.glob(os.path.join(site, package + ".libs", "lib*openblas*"))):
         lib = ctypes.CDLL(path)
-        for prefix in ("scipy_", ""):
-            for suffix in ("", "64_"):
-                if hasattr(lib, f"{prefix}openblas_get_num_threads{suffix}"):
-                    return lib, prefix, suffix
+        for prefix, suffix in (("scipy_", ""), ("scipy_", "64_"), ("", ""), ("", "64_")):
+            try:
+                return BundledOpenBLAS(lib, prefix, suffix)
+            except AttributeError:  # not this library's naming
+                pass
     return None
 
 
 @lru_cache(maxsize=None)
 def lapack():
     """The ``dgetrf`` and ``dgetrs`` that ``scipy.linalg.lu_factor`` and
-    ``lu_solve`` reach, once per process: a ``BundledLapack`` on scipy's
-    bundled OpenBLAS, the library ``openblas_threads("scipy.linalg")``
-    pins, so that no scipy module is imported; or ``scipy.linalg.lapack``,
-    whose f2py wrappers take the same calls, where no such library is
-    found."""
-    found = _bundled_openblas("scipy")
-    if found is None:
+    ``lu_solve`` reach, once per process: scipy's ``BundledOpenBLAS``, the
+    library ``share_work(..., "scipy")`` pins, so that no scipy module is
+    imported; or ``scipy.linalg.lapack``, whose f2py wrappers take the same
+    calls, where no such library is found."""
+    blas = _bundled_openblas("scipy")
+    if blas is None:
         from scipy.linalg import lapack as module
 
         return module
-    return BundledLapack(*found)
-
-
-@lru_cache(maxsize=None)
-def openblas_threads(module: str):
-    """(get, set) of the thread count of the OpenBLAS bundled with
-    ``module``'s package (``_bundled_openblas``), or None where there is
-    none.  ``"scipy.linalg"`` names scipy's LAPACK, which ``lapack`` calls,
-    and ``"numpy"`` numpy's matrix products.  The calls are
-    ``openblas_get_num_threads`` and ``openblas_set_num_threads``.
-    """
-    import ctypes
-
-    found = _bundled_openblas(module.partition(".")[0])
-    if found is None:
-        return None
-    lib, prefix, suffix = found
-    get = lib[f"{prefix}openblas_get_num_threads{suffix}"]
-    set_threads = lib[f"{prefix}openblas_set_num_threads{suffix}"]
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    return get, set_threads
+    return blas

@@ -22,8 +22,9 @@ kappa = -4 is forced by the E-norm scaling |Q|/4: it is the unique constant
 making gradient and residual agree identically, for either sign convention.
 
 The Newton step factors the block of J over the coarse modes with
-``dgetrf`` and ``dgetrs`` on ``pool.lapack()`` (scipy's bundled OpenBLAS
-through ``ctypes``, opened on the first solve, so no scipy module).  Up to
+``dgetrf`` and ``dgetrs`` on ``pool.lapack()`` (``pool.BundledOpenBLAS``,
+the ``ctypes`` binding of scipy's bundled OpenBLAS that ``multi_seed_search``'s
+pool also pins, opened on the first solve, so no scipy module).  Up to
 ``DENSE_LIMIT`` unknowns that block is all of J and its solve is the step;
 above it fine modes remain, and the package's own restarted GMRES
 (``_gmres``) takes that solve as its preconditioner.  So where the bundled
@@ -824,7 +825,7 @@ def multi_seed_search(p: PenalizedProblem, n_seeds: int,
     two seeds at a time again, and from M = 82 up one.  The threads share
     read-only caches (``lattice``, the penalized symbol, the grid profiles
     and the transforms' grid positions); the LU routines run with the GIL
-    released (``pool.BundledLapack`` through ``ctypes``, or scipy's f2py
+    released (``pool.BundledOpenBLAS`` through ``ctypes``, or scipy's f2py
     wrappers), so one seed's LU runs beside another seed's work.  The
     ladder is a generator that the workers advance under the pool's lock,
     so a search holds one seed per worker, not all ``n_seeds``.  Results
@@ -842,7 +843,7 @@ def multi_seed_search(p: PenalizedProblem, n_seeds: int,
             return None
 
     found = [sol for sol in share_work(solve, _seed_fields(p, n_seeds, master_seed), n_seeds,
-                                       "scipy.linalg", _solve_bytes(p)) if sol is not None]
+                                       "scipy", _solve_bytes(p)) if sol is not None]
     distinct = dedup_solutions(found, dedup_threshold)
     distinct.sort(key=lambda s: s.I_value)
     return distinct

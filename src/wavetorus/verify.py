@@ -48,6 +48,10 @@ from .spectral import (
 
 # fixed salts so every suite draws an independent, reproducible stream
 _SALT = {"hy": 11, "gn": 12, "embedding": 13, "holder": 14, "box": 15, "tail": 16}
+# the exponents of the Hausdorff-Young and Gagliardo-Nirenberg suites where
+# no single p is asked for
+HY_PS = (4.0 / 3.0, 1.5, 2.0)
+GN_PS = (3.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,24 @@ class EnsembleSpec:
 
 
 def ensemble_fields(spec: EnsembleSpec, salt: int):
+    """The ensemble's ``spec.count`` fields, drawn one at a time.
+
+    Every suite's ratio is scale-invariant.  So where the largest
+    coefficient lies below 2^-64, below which |u|^4 leaves the normal range
+    and the q = 4 and p = 4 sums underflow, each field is lifted by the
+    power of two that brings that coefficient into [2^-64, 2^-63), an exact
+    scaling.  The envelope is exactly e^(-decay weight), so the first
+    field's factor serves every field.  At ordinary scales (an EPERP
+    ensemble with decay below about 44) the factor is 1 and the fields are
+    ``random_field``'s.
+    """
+    lift = None
     for trial in range(spec.count):
-        yield random_field((spec.seed, salt, trial), spec.M, spec.tag, spec.decay)
+        u = random_field((spec.seed, salt, trial), spec.M, spec.tag, spec.decay)
+        if lift is None:
+            e = int(np.frexp(np.max(np.abs(u.coeffs)))[1])  # top in [2^(e-1), 2^e)
+            lift = 2.0 ** (-63 - e) if e < -63 else 1.0
+        yield u if lift == 1.0 else SpectralField(u.M, lift * u.coeffs)
 
 
 def _ensemble(fn, spec: EnsembleSpec, suite: str) -> list:
@@ -249,7 +269,14 @@ def check_hausdorff_young(spec: EnsembleSpec, p: float,
 def check_box_regularity(spec: EnsembleSpec, p: float = 2.0,
                          gamma: float = 0.45) -> InequalityReport:
     """Holder proxy of the inverted wave operator against ||f_hat||_lq,
-    q conjugate to p; the empirical shadow of the C^gamma estimate."""
+    q conjugate to p; the empirical shadow of the C^gamma estimate.
+
+    The defaults p = 2 and gamma = 0.45 are the ``box`` suite's: the
+    ``verify`` command passes ``verify.p`` and ``verify.gamma`` only where
+    the config sets them.  Under suite ``all`` those keys are shared with
+    ``hy``/``gn`` and ``holder``, so ``{"suite": "all", "p": 3}`` runs this
+    at q = 1.5.
+    """
     q = p / (p - 1.0)
 
     def ratio(f):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -176,6 +177,44 @@ def test_verify_hy_suite_end_to_end(tmp_path):
     rep = json.loads((tmp_path / "v" / "report.json").read_text())
     assert rep["violation_count"] == 0
     assert rep["reports"][0]["name"] == "hausdorff_young"
+
+
+def _verify_reports(tmp_path, name, **verify):
+    cfg = parse_config({"command": "verify", "seed": 1,
+                        "verify": {"suite": "all", "count": 6, "ensemble_M": 8, "tails": [4],
+                                   "tail_count": 2, **verify}})
+    assert run(cfg, str(tmp_path / name)) == EXIT_OK
+    return load_strict(tmp_path / name / "report.json")["reports"]
+
+
+def test_verify_at_a_large_decay_reads_the_ratios_of_an_ordinary_scale(tmp_path):
+    # every suite's ratio is scale-invariant, so an ensemble whose
+    # coefficients lie below 2^-64 is lifted by a power of two: without
+    # that, decay 200 reads 0 (the q = 4 and p = 4 sums underflow) and decay
+    # 400 ends in a ZeroDivisionError.  From decay 40 (not lifted) up, the
+    # fields are one mode pair to double precision, so the maxima agree
+    ordinary = [r["ratios"]["max"] for r in _verify_reports(tmp_path, "40", decay=40)]
+    assert all(0.0 < m < math.inf for m in ordinary)
+    for decay in (200, 400, 700):
+        maxima = [r["ratios"]["max"] for r in _verify_reports(tmp_path, str(decay), decay=decay)]
+        assert maxima == pytest.approx(ordinary, rel=1e-12), decay
+
+
+def test_verify_box_shares_p_and_gamma_under_suite_all(tmp_path):
+    # box reads verify.p and verify.gamma, defaulting to 2 and 0.45; under
+    # suite all it shares them with hy/gn and with holder (whose gamma
+    # defaults to 0.6), and an int p still reports as a float
+    def params(reports):
+        return {r["name"]: r["parameters"] for r in reports}
+
+    box = params(_verify_reports(tmp_path, "defaults"))["box_inverse_holder"]
+    assert (box["p"], box["q"], box["gamma"]) == (2.0, 2.0, 0.45)
+    shared = params(_verify_reports(tmp_path, "shared", p=3, gamma=0.55))
+    box = shared["box_inverse_holder"]
+    assert (box["p"], box["q"], box["gamma"]) == (3.0, 1.5, 0.55)
+    assert isinstance(box["p"], float)
+    assert shared["hausdorff_young"]["p"] == shared["gagliardo_nirenberg"]["p"] == 3.0
+    assert shared["holder_to_sobolev"]["gamma"] == 0.55
 
 
 def test_verify_writes_the_same_bytes_on_any_worker_count(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -120,11 +121,12 @@ def test_pool_workers_leave_blas_its_cores_and_bound_the_memory(monkeypatch, def
     # bytes each stay within POOL_BYTES together.  No BLAS variable in the
     # environment moves the count
     opened = []
-    monkeypatch.setattr(pool, "openblas_threads", lambda name: (lambda: 4, lambda n: None))
+    monkeypatch.setattr(pool, "_bundled_openblas", lambda package: SimpleNamespace(
+        threads=lambda: 4, set_threads=lambda n: None))
     monkeypatch.setattr(pool, "_map", lambda fn, items, workers: opened.append(workers))
 
     def workers(n, n_real):
-        share_work(None, (), n, "scipy.linalg", 12 * (n_real + 1) ** 2)
+        share_work(None, (), n, "scipy", 12 * (n_real + 1) ** 2)
         return opened.pop()
 
     monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: set(range(16)),
@@ -136,7 +138,7 @@ def test_pool_workers_leave_blas_its_cores_and_bound_the_memory(monkeypatch, def
     # GMRES beside it, so the first such M (66, coarse weight 16) holds
     # _solve_bytes, not (n_real + 1)^2 floats: three solves fit POOL_BYTES
     M = next(M for M in range(64, 100) if lattice(M).n_real > DENSE_LIMIT)
-    share_work(None, (), 32, "scipy.linalg",
+    share_work(None, (), 32, "scipy",
                _solve_bytes(PenalizedProblem(M=M, beta=1e-3, nl=default_nl)))
     assert (M, opened.pop()) == (66, 3)
     for n in range(1, 2000, 37):
@@ -157,7 +159,7 @@ def test_pool_workers_leave_blas_its_cores_and_bound_the_memory(monkeypatch, def
 
 def _bundled_lapack():
     lapack = pool.lapack()
-    if not isinstance(lapack, pool.BundledLapack):
+    if not isinstance(lapack, pool.BundledOpenBLAS):
         pytest.skip("scipy does not bundle OpenBLAS here")
     return lapack
 
@@ -229,7 +231,7 @@ def test_bundled_lapack_passes_each_call_its_own_ctypes_integers():
         def __getitem__(self, name):
             return Routine()
 
-    lapack = pool.BundledLapack(Library(), "scipy_", "")
+    lapack = pool.BundledOpenBLAS(Library(), "scipy_", "")
     for _ in range(2):
         lu, piv, _ = lapack.dgetrf(np.eye(3, order="F"))
         lapack.dgetrs(lu, np.arange(3), np.ones(3))
@@ -244,7 +246,7 @@ def test_bundled_lapack_gives_the_serial_bits_on_eight_threads():
     # own info; they get the serial factors, pivots, infos and solutions
     # (OpenBLAS at one thread, as the pool holds it)
     lapack = _bundled_lapack()
-    get, set_threads = pool.openblas_threads("scipy.linalg")
+    get, set_threads = lapack.threads, lapack.set_threads
     rng = np.random.default_rng(3)
     systems = []
     for i, n in enumerate((40, 150, 250) * 8):

@@ -37,6 +37,32 @@ def test_inequality_sweep_writes_its_two_tables(tmp_path):
     assert [r[0] for r in rows] == ["8", "16", "32", "64"]
 
 
+def test_inequality_sweep_and_verify_keep_the_same_defaults(tmp_path):
+    # the sweep and `wavetorus verify` read their exponents and box's p and
+    # gamma from one place: at one seed, count and truncation the HY, GN,
+    # embedding (s = 0.5) and box maxima are equal
+    import json
+
+    from wavetorus.cli import EXIT_OK, main
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(wavetorus.__file__))}
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "inequality_sweep.py"), "--count", "4",
+         "--truncations", "8", "--seed", "9", "--out", str(tmp_path / "sweep")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    _, *rows = read_csv(tmp_path / "sweep" / "sweep.csv")
+    # HY at 4/3, 1.5, 2, GN at 3, 4, the embedding at s = 0.5 and box; the
+    # sweep's seventh row is the embedding at s = 2/3
+    swept = [float(r[3]) for r in rows[:6] + rows[7:]]
+    config = tmp_path / "verify.json"
+    config.write_text(json.dumps({"command": "verify", "seed": 9, "verify": {
+        "count": 4, "ensemble_M": 8, "tails": [4], "tail_count": 1}}))
+    assert main(["verify", "--config", str(config), "--out", str(tmp_path / "v")]) == EXIT_OK
+    reports = json.loads((tmp_path / "v" / "report.json").read_text())["reports"]
+    assert [r["ratios"]["max"] for r in reports if r["name"] != "holder_to_sobolev"] == swept
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

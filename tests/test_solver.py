@@ -622,7 +622,7 @@ def test_dense_steps_through_bundled_openblas_match_lu_factor():
     if pool._bundled_openblas("scipy") is None:
         pytest.skip("scipy does not bundle OpenBLAS here")
     seen = _lapack_steps("load")
-    assert seen["loader"] == "BundledLapack"
+    assert seen["loader"] == "BundledOpenBLAS"
     assert seen["before"] == []
     assert seen["wrappers"] == [False, False]
     assert seen["oracle"] == [True] * 6
@@ -1354,12 +1354,12 @@ def test_pooled_call_runs_openblas_at_one_thread_and_restores_it(module, default
     # every seed's Newton run sees scipy's OpenBLAS at one thread, every
     # trial of a verify suite numpy's; the count from before the call is
     # back when the call returns or a worker raises
-    from wavetorus.pool import openblas_threads
+    from wavetorus.pool import _bundled_openblas
 
-    threads = openblas_threads(module)
-    if threads is None:
+    blas = _bundled_openblas(module.partition(".")[0])
+    if blas is None:
         pytest.skip(f"{module} does not run on its wheel's bundled OpenBLAS here")
-    get, set_threads = threads
+    get, set_threads = blas.threads, blas.set_threads
     seen = []
     raising = []
 
@@ -1391,7 +1391,7 @@ def test_pooled_call_runs_one_worker_without_bundled_openblas(module, default_nl
     # another BLAS keeps its own thread count, so the call runs one worker
     from wavetorus import pool
 
-    monkeypatch.setattr(pool, "openblas_threads", lambda name: None)
+    monkeypatch.setattr(pool, "_bundled_openblas", lambda package: None)
     seen = []
     call, opened = _pooled_call(module, lambda: seen.append(1), 4, monkeypatch, default_nl)
     call()
