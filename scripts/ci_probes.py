@@ -109,7 +109,7 @@ def verify_m32(out: Path) -> int:
 
 def _problem(M: int):
     from wavetorus.nonlinearity import make_nonlinearity
-    from wavetorus.verify import mms_problem
+    from wavetorus.solver import mms_problem
 
     nl = make_nonlinearity(NL["s"], NL["a"], NL["m"], [])
     return nl, *mms_problem(nl, 0.5, M, 1e-3, seed=5)

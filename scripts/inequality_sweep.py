@@ -10,8 +10,6 @@ import os
 
 from wavetorus.spectral import write_csv
 from wavetorus.verify import (
-    GN_PS,
-    HY_PS,
     EnsembleSpec,
     check_box_regularity,
     check_embedding,
@@ -32,12 +30,12 @@ def main():
     rows = []
     for M in args.truncations:
         spec = EnsembleSpec(count=args.count, M=M, seed=args.seed)
-        for p, rep in zip(HY_PS, hausdorff_young_reports(spec, HY_PS)):
-            rows.append(("hausdorff_young", f"p={p:.4g}", M, rep.ratios["max"],
-                         rep.ratios["mean"], rep.violation_count))
-        for p, rep in zip(GN_PS, gn_reports(spec, GN_PS)):
-            rows.append(("gagliardo_nirenberg", f"p={p:g}", M, rep.ratios["max"],
-                         rep.ratios["mean"], 0))
+        for rep in hausdorff_young_reports(spec):
+            rows.append(("hausdorff_young", "p={p:.4g}".format(**rep.parameters), M,
+                         rep.ratios["max"], rep.ratios["mean"], rep.violation_count))
+        for rep in gn_reports(spec):
+            rows.append(("gagliardo_nirenberg", "p={p:g}".format(**rep.parameters), M,
+                         rep.ratios["max"], rep.ratios["mean"], 0))
         for s in (0.5, 2.0 / 3.0):
             rep = check_embedding(spec, s, tails=(), tail_count=0)
             rows.append(("embedding", f"s={s:.4g}", M, rep.ratios["max"],

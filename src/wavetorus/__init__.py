@@ -22,10 +22,12 @@ from .norms import holder_estimate
 from .solver import (
     BetaSchedule,
     PenalizedProblem,
+    apriori_monitor,
     continuation_beta,
     critical_identity_gap,
     functional_I,
     max_time_correlation,
+    mms_run,
     multi_seed_search,
     pair,
     residual,
@@ -33,10 +35,8 @@ from .solver import (
 from .spectral import SpectralField, SubspaceTag, project, random_field, read_field
 from .verify import (
     EnsembleSpec,
-    apriori_monitor,
     check_box_regularity,
     check_embedding,
     check_gn,
     check_hausdorff_young,
-    mms_run,
 )

@@ -31,29 +31,29 @@ from .norms import (
     write_norm_reports_csv,
 )
 from .solver import (
+    MMS_DECAY,
     BetaSchedule,
     PenalizedProblem,
+    apriori_monitor,
     continuation_beta,
     linking_report,
+    mms_problem,
+    mms_run,
     multi_seed_search,
     newton_solve,
+    write_mms_csv,
 )
-from .spectral import SpectralField, SubspaceTag, random_field, read_field, write_field
+from .spectral import OVERSAMPLE, SpectralField, SubspaceTag, random_field, read_field, write_field
 from .spectral import _is_int, _is_num  # the rules of a field file's numbers
 from .spectral import write_json as _write_json  # the benchmark's spans look it up by this name
 from .verify import (
-    GN_PS,
-    HY_PS,
+    HOLDER_GAMMAS,
     EnsembleSpec,
-    apriori_monitor,
     check_box_regularity,
     check_embedding,
     check_holder_to_sobolev,
     gn_reports,
     hausdorff_young_reports,
-    mms_problem,
-    mms_run,
-    write_mms_csv,
     write_ratio_csv,
 )
 
@@ -71,7 +71,7 @@ class RunConfig:
     M: int = 16
     beta: object = 1e-3
     sigma: int = 1
-    oversample: int = 4
+    oversample: int = OVERSAMPLE
     newton: dict = field(default_factory=lambda: {"tol": 1e-10, "max_iter": 40,
                                                   "line_search": True})
     nl: dict | None = None
@@ -154,9 +154,7 @@ _SCHEDULE = _Section({"start": _POS_NUM, "floor": _POS_NUM, "factor": (
     ("start", "factor", "floor"))
 _SOLVES = ("seed", "M", "beta", "nl")  # required by solve, continue, multi, linking
 
-# defaults the cross-key rules share with the commands
-_HOLDER_GAMMAS = (0.6, 0.5)  # verify.gamma, verify.gamma_prime for suite holder
-_L_VALUES = (4, 8)  # linking.l_values
+_L_VALUES = (4, 8)  # linking.l_values, the default the cross-key rules share with linking
 
 
 def _check(value, rule, path: str) -> list:
@@ -197,8 +195,8 @@ def _cross_key_errors(doc: dict, cmd: str) -> list:
     if suite in ("gn", "all") and "p" in v and v["p"] <= 2:
         errors.append(f"verify.p: must be > 2 for suite {suite} (got {v['p']!r})")
     if suite in ("holder", "all"):
-        gamma = v.get("gamma", _HOLDER_GAMMAS[0])
-        gamma_prime = v.get("gamma_prime", _HOLDER_GAMMAS[1])
+        gamma = v.get("gamma", HOLDER_GAMMAS[0])
+        gamma_prime = v.get("gamma_prime", HOLDER_GAMMAS[1])
         if gamma_prime >= gamma:
             errors.append(f"verify.gamma_prime: must be < verify.gamma for suite {suite}"
                           f" (got {gamma_prime!r} >= {gamma!r})")
@@ -303,7 +301,7 @@ def _build_forcing(cfg: RunConfig, problem):
         f = _load_field(cfg, "forcing.path")
         return replace(problem, forcing=f), None
     target, forced = mms_problem(
-        problem.nl, float(cfg.forcing.get("decay", 0.5)), problem.M, problem.beta,
+        problem.nl, float(cfg.forcing.get("decay", MMS_DECAY)), problem.M, problem.beta,
         seed=cfg.forcing.get("target_seed", cfg.seed), sigma=problem.sigma,
         oversample=problem.oversample,
         kernel_free=bool(cfg.forcing.get("kernel_free")))
@@ -378,30 +376,36 @@ def _cmd_multi(cfg: RunConfig, out: str) -> dict:
     return {"n_distinct": len(sols), "solutions": entries}
 
 
+# the cast of each verify key that a suite's function reads
+_VERIFY_CASTS = {"count": int, "ensemble_M": int, "decay": float, "p": float, "s": float,
+                 "gamma": float, "gamma_prime": float, "tails": tuple, "tail_count": int}
+
+
 def _cmd_verify(cfg: RunConfig, out: str) -> dict:
     v = cfg.verify
-    spec = EnsembleSpec(count=int(v.get("count", 1000)),
-                        M=int(v.get("ensemble_M", 16)),
-                        decay=float(v.get("decay", 0.0)),
-                        seed=cfg.seed, tag=SubspaceTag.EPERP,
-                        oversample=cfg.oversample)
+
+    def given(*keys, **renamed) -> dict:
+        """The keys among ``keys`` and ``renamed``'s values that the config
+        sets, cast, by parameter name; a key left out is not passed, so its
+        default is verify's."""
+        names = {**{k: k for k in keys}, **{k: name for name, k in renamed.items()}}
+        return {name: _VERIFY_CASTS[k](v[k]) for k, name in names.items() if k in v}
+
+    spec = EnsembleSpec(seed=cfg.seed, oversample=cfg.oversample,
+                        **given("count", "decay", M="ensemble_M"))
     suite = v.get("suite", "all")
+    ps = {"ps": (float(v["p"]),)} if "p" in v else {}
     reports = []
     if suite in ("hy", "all"):
-        reports += hausdorff_young_reports(spec, [float(v["p"])] if "p" in v else HY_PS)
+        reports += hausdorff_young_reports(spec, **ps)
     if suite in ("gn", "all"):
-        reports += gn_reports(spec, [float(v["p"])] if "p" in v else GN_PS)
+        reports += gn_reports(spec, **ps)
     if suite in ("embedding", "all"):
-        s = float(v.get("s", 0.5))
-        reports.append(check_embedding(spec, s, tails=tuple(v.get("tails", (8, 16, 32))),
-                                       tail_count=int(v.get("tail_count", 64))))
+        reports.append(check_embedding(spec, **given("s", "tails", "tail_count")))
     if suite in ("holder", "all"):
-        reports.append(check_holder_to_sobolev(
-            spec, float(v.get("gamma", _HOLDER_GAMMAS[0])),
-            float(v.get("gamma_prime", _HOLDER_GAMMAS[1]))))
+        reports.append(check_holder_to_sobolev(spec, **given("gamma", "gamma_prime")))
     if suite in ("box", "all"):
-        reports.append(check_box_regularity(
-            spec, **{key: float(v[key]) for key in ("p", "gamma") if key in v}))
+        reports.append(check_box_regularity(spec, **given("p", "gamma")))
     violations = sum(r.violation_count for r in reports)
     out_reports = []
     for i, r in enumerate(reports):
@@ -442,7 +446,7 @@ def _cmd_norms(cfg: RunConfig, out: str) -> dict:
 
 def _cmd_mms(cfg: RunConfig, out: str) -> dict:
     nl = nonlinearity_from_config(cfg.nl)
-    table = mms_run(nl, float(cfg.mms.get("decay", 0.5)),
+    table = mms_run(nl, float(cfg.mms.get("decay", MMS_DECAY)),
                     [int(m) for m in cfg.mms["M_list"]], float(cfg.beta),
                     seed=cfg.seed, sigma=cfg.sigma,
                     oversample=cfg.oversample,

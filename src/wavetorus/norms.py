@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import NotInEperp
 from .spectral import (
+    OVERSAMPLE,
     Q_AREA,
     SpectralField,
     abs_blocks,
@@ -26,6 +27,9 @@ from .spectral import (
     truncate,
     write_csv,
 )
+
+
+_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
 
 
 def norm_E(u: SpectralField) -> float:
@@ -105,7 +109,7 @@ def _power_sum(a: np.ndarray, p: float) -> float:
     return float(np.sum(v**p))
 
 
-def lp_norms(u: SpectralField, ps, oversample: int = 4) -> list:
+def lp_norms(u: SpectralField, ps, oversample: int = OVERSAMPLE) -> list:
     """[(int_Q |u|^p)^(1/p) for p in ps] by the rectangle rule of
     ``grid_integral`` on an oversampled grid (on a periodic grid it equals
     the trapezoid rule).
@@ -131,7 +135,7 @@ def lp_norms(u: SpectralField, ps, oversample: int = 4) -> list:
     return [(s * cell) ** (1.0 / p) for s, p in zip(sums, ps)]
 
 
-def norm_Lp(u: SpectralField, p: float, oversample: int = 4) -> float:
+def norm_Lp(u: SpectralField, p: float, oversample: int = OVERSAMPLE) -> float:
     """(int_Q |u|^p)^(1/p): the one-exponent case of ``lp_norms``.  To read
     several exponents of one field, call ``lp_norms``, which serves them all
     from one blocked pass."""
@@ -139,10 +143,24 @@ def norm_Lp(u: SpectralField, p: float, oversample: int = 4) -> float:
 
 
 def norm_lq(u: SpectralField, q: float) -> float:
-    """Coefficient norm (sum |u_hat|^q)^(1/q); a non-finite q raises ValueError."""
+    """Coefficient norm (sum |u_hat|^q)^(1/q); a non-finite q raises ValueError.
+
+    Where that sum leaves the normal range (0, subnormal or inf) for a
+    nonzero field, as |u_hat|^q does for small coefficients at large q, the
+    sum is of (|u_hat| 2^-e)^q instead, 2^e the power of two with the
+    largest |u_hat| in [2^(e-1), 2^e), and the root is scaled back by 2^e;
+    both scalings are exact.  The largest term is then at least 2^-q, so
+    this holds for q up to about 1000 (p = q/(q-1) down to about 1.001).
+    """
     _check_exponents("q", (q,))
     a = np.abs(u.coeffs[lattice(u.M).mask])
-    return float(np.sum(a**q) ** (1.0 / q))
+    total = np.sum(a**q)
+    if not _TINY <= total < math.inf:
+        top = float(np.max(a, initial=0.0))
+        if 0.0 < top < math.inf:
+            e = math.frexp(top)[1]
+            return float(np.ldexp(np.sum(np.ldexp(a, -e) ** q) ** (1.0 / q), e))
+    return float(total ** (1.0 / q))
 
 
 def block_index(w: int) -> int:
@@ -168,7 +186,7 @@ def dyadic_blocks(u: SpectralField) -> tuple:
     return tuple((m, _annulus(u, m)) for m in range(block_index(max(u.M, 1)) + 1))
 
 
-def holder_estimate(u: SpectralField, gamma: float, oversample: int = 4) -> float:
+def holder_estimate(u: SpectralField, gamma: float, oversample: int = OVERSAMPLE) -> float:
     """Block proxy for the C^gamma norm: max_m 2^(gamma m) * sup |Delta_m u|.
 
     Block suprema are grid maxima (``grid_max_abs``) at the given

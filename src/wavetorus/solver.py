@@ -21,6 +21,12 @@ The functional whose gradient under the area-weighted pairing
 kappa = -4 is forced by the E-norm scaling |Q|/4: it is the unique constant
 making gradient and residual agree identically, for either sign convention.
 
+Beside the Newton solve and the continuation in beta sit the studies that
+drive them: the manufactured-solution study (``mms_problem``, ``mms_run``),
+whose forcing makes a random target an exact root, and the a priori monitor
+of a continuation (``apriori_monitor``), which reads the quantities
+``monitored_quantities`` stores in each trace row.
+
 The Newton step factors the block of J over the coarse modes with
 ``dgetrf`` and ``dgetrs`` on ``pool.lapack()`` (``pool.BundledOpenBLAS``,
 the ``ctypes`` binding of scipy's bundled OpenBLAS that ``multi_seed_search``'s
@@ -59,6 +65,7 @@ from .errors import NoConvergence, SingularJacobian, StallAt
 from .norms import norm_E, sobolev_norm
 from .pool import lapack, share_work
 from .spectral import (
+    OVERSAMPLE,
     Q_AREA,
     GridField,
     SpectralField,
@@ -73,6 +80,7 @@ from .spectral import (
     random_field,
     synthesize,
     synthesize_values,
+    truncate,
     unify,
     unpack,
     write_csv,
@@ -98,7 +106,7 @@ class PenalizedProblem:
     nl: object
     sigma: int = 1
     forcing: SpectralField | None = None
-    oversample: int = 4
+    oversample: int = OVERSAMPLE
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -660,7 +668,7 @@ class ContinuationTrace:
         write_csv(path, CSV_COLUMNS, ([getattr(r, c) for c in CSV_COLUMNS] for r in self.rows))
 
 
-def monitored_quantities(u: SpectralField, oversample: int = 4) -> dict:
+def monitored_quantities(u: SpectralField, oversample: int = OVERSAMPLE) -> dict:
     """A priori quantities of the kernel/off-kernel split of a solution."""
     lat = lattice(u.M)
     v = project(u, SubspaceTag.N)
@@ -699,6 +707,99 @@ def continuation_beta(p0: PenalizedProblem, schedule: BetaSchedule,
             newton_iters=sol.newton_iters, u=u,
             **monitored_quantities(u, p0.oversample)))
     return trace
+
+
+def apriori_monitor(trace, bound: float = 10.0, atol: float = 1e-11) -> dict:
+    """Max/min variation of the monitored quantities across a continuation.
+
+    The quantities are read from the trace rows, which store them as
+    computed at the problem's oversampling.  A quantity that stays below
+    ``atol`` throughout is a constant zero and reports ratio 1.  Ratios above
+    ``bound`` are flagged.
+    """
+    if not trace.rows:
+        raise ValueError("trace is empty")
+    per = {}
+    flagged = []
+    for name in MONITORED:
+        vals = trace.column(name)
+        vmax, vmin = max(vals), min(vals)
+        if vmax <= atol:
+            ratio = 1.0
+        elif vmin <= atol:
+            ratio = float("inf")
+        else:
+            ratio = vmax / vmin
+        ok = ratio <= bound
+        per[name] = {"max": vmax, "min": vmin, "ratio": ratio, "within_bound": ok}
+        if not ok:
+            flagged.append(name)
+    return {"bound": bound, "n_rows": len(trace.rows), "per_quantity": per,
+            "flagged": flagged}
+
+
+# -- manufactured-solution studies -------------------------------------------
+
+# decay of the manufactured target where a config gives none (forcing kind
+# mms_target, command mms)
+MMS_DECAY = 0.5
+
+
+def mms_problem(nl, decay: float, M: int, beta: float, seed: int = 0,
+                sigma: int = 1, oversample: int = OVERSAMPLE, kernel_free: bool = False):
+    """Target field plus the forced problem that makes it an exact root.
+
+    With ``kernel_free`` the target is supported off the kernel, which makes
+    it a root at every penalty value (the kernel equations are then satisfied
+    by forcing alone, independently of beta).
+    """
+    tag = SubspaceTag.EPERP if kernel_free else SubspaceTag.ALL
+    target = random_field((seed, 777), M, tag, decay)
+    p0 = PenalizedProblem(M=M, beta=beta, nl=nl, sigma=sigma, oversample=oversample)
+    forcing = residual(p0, target)
+    return target, replace(p0, forcing=forcing)
+
+
+def mms_run(nl, decay: float, M_list, beta: float, seed: int = 0, sigma: int = 1,
+            oversample: int = OVERSAMPLE, newton_tol: float = 1e-12, max_iter: int = 25,
+            seed_level: int | None = None) -> dict:
+    """Manufactured-solution convergence study over increasing truncations.
+
+    The target lives at the largest truncation; each level is solved from a
+    cold seed (the target truncated to the coarsest level, never the previous
+    level's solution) and reports the coefficient-l2 error against the full
+    target.  Per-level solver failures are recorded in the row and do not
+    abort the study.
+    """
+    M_list = list(M_list)
+    if any(b <= a for a, b in zip(M_list, M_list[1:])):
+        raise ValueError("M_list must be increasing")
+    M_max = max(M_list)
+    target, p_big = mms_problem(nl, decay, M_max, beta, seed, sigma, oversample)
+    cold_level = seed_level if seed_level is not None else min(M_list)
+    seed_core = truncate(target, cold_level)
+    rows = []
+    for M in M_list:
+        pM = replace(p_big, M=M, forcing=truncate(p_big.forcing, M))
+        cold = embed(seed_core, M) if M > cold_level else truncate(seed_core, M)
+        failed = ""
+        try:
+            sol = newton_solve(pM, cold, tol=newton_tol, max_iter=max_iter)
+        except (NoConvergence, SingularJacobian) as exc:
+            sol, failed = getattr(exc, "best", None), type(exc).__name__
+        rows.append({
+            "M": int(M),
+            "l2_error": float((embed(sol.u, M_max) - target).l2()) if sol else float("nan"),
+            "residual": sol.residual_norm if sol else float("nan"),
+            "newton_iters": sol.newton_iters if sol else -1,
+            "failed": failed})
+    return {"rows": rows, "target_l2": target.l2(), "decay": decay,
+            "beta": beta, "seed": seed, "cold_seed_level": cold_level}
+
+
+def write_mms_csv(table: dict, path) -> None:
+    columns = ("M", "l2_error", "residual", "newton_iters", "failed")
+    write_csv(path, columns, ([r[c] for c in columns] for r in table["rows"]))
 
 
 # -- multiplicity search ------------------------------------------------------

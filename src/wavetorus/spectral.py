@@ -69,6 +69,10 @@ Q_AREA = 2.0 * np.pi**2  # |Q| = pi * 2pi
 # per-block Python turns, which hold the GIL, stay few (README, grid norms)
 GRID_BLOCK = 32768
 
+# the default oversampling: a grid side of OVERSAMPLE * min_grid(M), for the
+# grid norms, the ensembles and the penalized problems alike
+OVERSAMPLE = 4
+
 DOMAIN_LABEL = "x:[0,pi],t:[0,2pi]"
 NORMALIZATION_LABEL = "unit-modes"
 
@@ -267,7 +271,7 @@ def min_grid(M: int) -> int:
     return 2 * M + 2
 
 
-def default_grid(M: int, oversample: int = 4) -> int:
+def default_grid(M: int, oversample: int = OVERSAMPLE) -> int:
     """Grid side at the given oversampling factor over Nyquist."""
     return oversample * min_grid(M)
 
@@ -391,7 +395,7 @@ def synthesize(u: SpectralField, nx: int, nt: int) -> GridField:
     return GridField(vals.real)
 
 
-def grid_max_abs(u: SpectralField, oversample: int = 4) -> float:
+def grid_max_abs(u: SpectralField, oversample: int = OVERSAMPLE) -> float:
     """Grid maximum of |u| at the given oversampling (lower bound on the sup)."""
     n = default_grid(u.M, oversample)
     return max(float(np.max(a)) for a in abs_blocks(u, n, n))

@@ -1,4 +1,4 @@
-"""Ensemble verification of the functional inequalities and solver studies.
+"""Ensemble verification of the functional inequalities.
 
 Where an inequality has a known constant (Hausdorff-Young at normalized
 measure, the H^1 inversion bound) violations are counted and must be zero.
@@ -14,16 +14,24 @@ and each is computed as in a serial loop, so the reports do not depend on
 the worker count.  A report summarizes its ratios by their max, mean and
 50th, 90th and 99th percentiles, the percentiles read from one sort by
 numpy's linear rule (``_quantile``), so a verify run loads no ``numpy.ma``.
+
+Every default of the ``verify`` command's keys is stated here, once: in
+``EnsembleSpec``'s fields, in ``HY_PS`` and ``GN_PS`` as the exponents of
+the ``hy`` and ``gn`` suites, in ``HOLDER_GAMMAS`` and in the suites'
+signatures.  The command passes each suite only the keys a config sets.
+The manufactured-solution study and the a priori monitor, which drive the
+solver, are the solver's (``solver.mms_run``, ``solver.apriori_monitor``);
+this module imports nothing from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .dalembert import solve_box
-from .errors import NoConvergence, SingularJacobian
+from .errors import WavetorusError
 from .norms import (
     holder_estimate,
     lp_norms,
@@ -34,15 +42,13 @@ from .norms import (
     sobolev_norm,
 )
 from .pool import share_work
-from .solver import MONITORED, PenalizedProblem, newton_solve, residual
 from .spectral import (
+    OVERSAMPLE,
     Q_AREA,
     SpectralField,
     SubspaceTag,
-    embed,
     lattice,
     random_field,
-    truncate,
     write_csv,
 )
 
@@ -52,6 +58,7 @@ _SALT = {"hy": 11, "gn": 12, "embedding": 13, "holder": 14, "box": 15, "tail": 1
 # no single p is asked for
 HY_PS = (4.0 / 3.0, 1.5, 2.0)
 GN_PS = (3.0, 4.0)
+HOLDER_GAMMAS = (0.6, 0.5)  # gamma, gamma_prime of the holder suite
 
 
 @dataclass(frozen=True)
@@ -63,7 +70,7 @@ class EnsembleSpec:
     decay: float = 0.0
     seed: int = 0
     tag: SubspaceTag = SubspaceTag.EPERP
-    oversample: int = 4
+    oversample: int = OVERSAMPLE
 
 
 def ensemble_fields(spec: EnsembleSpec, salt: int):
@@ -76,13 +83,19 @@ def ensemble_fields(spec: EnsembleSpec, salt: int):
     scaling.  The envelope is exactly e^(-decay weight), so the first
     field's factor serves every field.  At ordinary scales (an EPERP
     ensemble with decay below about 44) the factor is 1 and the fields are
-    ``random_field``'s.
+    ``random_field``'s.  Above a decay of about 745 e^(-decay) underflows
+    and the fields are exactly zero, which no ratio is defined on: that
+    raises WavetorusError.
     """
     lift = None
     for trial in range(spec.count):
         u = random_field((spec.seed, salt, trial), spec.M, spec.tag, spec.decay)
         if lift is None:
-            e = int(np.frexp(np.max(np.abs(u.coeffs)))[1])  # top in [2^(e-1), 2^e)
+            top = np.max(np.abs(u.coeffs))
+            if top == 0.0:
+                raise WavetorusError(f"decay {spec.decay!r} leaves every ensemble field"
+                                     " exactly zero (e^(-decay) underflows)")
+            e = int(np.frexp(top)[1])  # top in [2^(e-1), 2^e)
             lift = 2.0 ** (-63 - e) if e < -63 else 1.0
         yield u if lift == 1.0 else SpectralField(u.M, lift * u.coeffs)
 
@@ -172,7 +185,7 @@ def embedding_integrability(s: float) -> float:
     return (2.0 - s) / (1.0 - s)
 
 
-def gn_reports(spec: EnsembleSpec, ps) -> list:
+def gn_reports(spec: EnsembleSpec, ps=GN_PS) -> list:
     """Ratios ||u||_Lp / (||u||_L2^(1-s) ||u||_E1^s) with s = (p-2)/(p-1),
     one report per p in ``ps``, in order.
 
@@ -205,8 +218,8 @@ def tail_band_field(seed, T: int) -> SpectralField:
     return SpectralField(2 * T, np.where(lat.weight > T, u.coeffs, 0.0))
 
 
-def check_embedding(spec: EnsembleSpec, s: float, tails,
-                    tail_count: int) -> InequalityReport:
+def check_embedding(spec: EnsembleSpec, s: float = 0.5, tails=(8, 16, 32),
+                    tail_count: int = 64) -> InequalityReport:
     """Ratios ||u||_Lp / ||u||_E^s at p = (2-s)/(1-s), plus the compactness
     witness: the same max ratio over tail-supported bands, decaying in T.
 
@@ -233,7 +246,7 @@ def check_embedding(spec: EnsembleSpec, s: float, tails,
                    tail_max_ratio=tail_max, tail_count=tail_count)
 
 
-def hausdorff_young_reports(spec: EnsembleSpec, ps, tol: float = 1e-6) -> list:
+def hausdorff_young_reports(spec: EnsembleSpec, ps=HY_PS, tol: float = 1e-6) -> list:
     """||u_hat||_lq <= ||u||_Lp(normalized measure) for 1 < p <= 2, constant 1;
     one report per p in ``ps``, in order.
 
@@ -271,9 +284,9 @@ def check_box_regularity(spec: EnsembleSpec, p: float = 2.0,
     """Holder proxy of the inverted wave operator against ||f_hat||_lq,
     q conjugate to p; the empirical shadow of the C^gamma estimate.
 
-    The defaults p = 2 and gamma = 0.45 are the ``box`` suite's: the
-    ``verify`` command passes ``verify.p`` and ``verify.gamma`` only where
-    the config sets them.  Under suite ``all`` those keys are shared with
+    The defaults p = 2 and gamma = 0.45 are the ``box`` suite's, used where
+    the config sets no ``verify.p`` or ``verify.gamma``.  Under suite ``all``
+    those keys are shared with
     ``hy``/``gn`` and ``holder``, so ``{"suite": "all", "p": 3}`` runs this
     at q = 1.5.
     """
@@ -287,8 +300,8 @@ def check_box_regularity(spec: EnsembleSpec, p: float = 2.0,
     return _report("box_inverse_holder", spec, ratios, {"p": p, "q": q, "gamma": gamma})
 
 
-def check_holder_to_sobolev(spec: EnsembleSpec, gamma: float,
-                            gamma_prime: float) -> InequalityReport:
+def check_holder_to_sobolev(spec: EnsembleSpec, gamma: float = HOLDER_GAMMAS[0],
+                            gamma_prime: float = HOLDER_GAMMAS[1]) -> InequalityReport:
     """Quadrant Sobolev norms against the block Holder proxy, gamma' < gamma.
 
     Also verifies the exact quadrant identity: the squared l1-weight Sobolev
@@ -314,95 +327,3 @@ def check_holder_to_sobolev(spec: EnsembleSpec, gamma: float,
 
 def write_ratio_csv(report: InequalityReport, path) -> None:
     write_csv(path, ("trial", "ratio"), enumerate(report.extras.get("per_trial", [])))
-
-
-# -- manufactured-solution studies -------------------------------------------
-
-
-def mms_problem(nl, decay: float, M: int, beta: float, seed: int = 0,
-                sigma: int = 1, oversample: int = 4, kernel_free: bool = False):
-    """Target field plus the forced problem that makes it an exact root.
-
-    With ``kernel_free`` the target is supported off the kernel, which makes
-    it a root at every penalty value (the kernel equations are then satisfied
-    by forcing alone, independently of beta).
-    """
-    tag = SubspaceTag.EPERP if kernel_free else SubspaceTag.ALL
-    target = random_field((seed, 777), M, tag, decay)
-    p0 = PenalizedProblem(M=M, beta=beta, nl=nl, sigma=sigma, oversample=oversample)
-    forcing = residual(p0, target)
-    return target, replace(p0, forcing=forcing)
-
-
-def mms_run(nl, decay: float, M_list, beta: float, seed: int = 0, sigma: int = 1,
-            oversample: int = 4, newton_tol: float = 1e-12, max_iter: int = 25,
-            seed_level: int | None = None) -> dict:
-    """Manufactured-solution convergence study over increasing truncations.
-
-    The target lives at the largest truncation; each level is solved from a
-    cold seed (the target truncated to the coarsest level, never the previous
-    level's solution) and reports the coefficient-l2 error against the full
-    target.  Per-level solver failures are recorded in the row and do not
-    abort the study.
-    """
-    M_list = list(M_list)
-    if any(b <= a for a, b in zip(M_list, M_list[1:])):
-        raise ValueError("M_list must be increasing")
-    M_max = max(M_list)
-    target, p_big = mms_problem(nl, decay, M_max, beta, seed, sigma, oversample)
-    cold_level = seed_level if seed_level is not None else min(M_list)
-    seed_core = truncate(target, cold_level)
-    rows = []
-    for M in M_list:
-        pM = replace(p_big, M=M, forcing=truncate(p_big.forcing, M))
-        cold = embed(seed_core, M) if M > cold_level else truncate(seed_core, M)
-        failed = ""
-        try:
-            sol = newton_solve(pM, cold, tol=newton_tol, max_iter=max_iter)
-        except (NoConvergence, SingularJacobian) as exc:
-            sol, failed = getattr(exc, "best", None), type(exc).__name__
-        rows.append({
-            "M": int(M),
-            "l2_error": float((embed(sol.u, M_max) - target).l2()) if sol else float("nan"),
-            "residual": sol.residual_norm if sol else float("nan"),
-            "newton_iters": sol.newton_iters if sol else -1,
-            "failed": failed})
-    return {"rows": rows, "target_l2": target.l2(), "decay": decay,
-            "beta": beta, "seed": seed, "cold_seed_level": cold_level}
-
-
-def write_mms_csv(table: dict, path) -> None:
-    columns = ("M", "l2_error", "residual", "newton_iters", "failed")
-    write_csv(path, columns, ([r[c] for c in columns] for r in table["rows"]))
-
-
-# -- a priori bound monitoring ------------------------------------------------
-
-
-def apriori_monitor(trace, bound: float = 10.0, atol: float = 1e-11) -> dict:
-    """Max/min variation of the monitored quantities across a continuation.
-
-    The quantities are read from the trace rows, which store them as
-    computed at the problem's oversampling.  A quantity that stays below
-    ``atol`` throughout is a constant zero and reports ratio 1.  Ratios above
-    ``bound`` are flagged.
-    """
-    if not trace.rows:
-        raise ValueError("trace is empty")
-    per = {}
-    flagged = []
-    for name in MONITORED:
-        vals = trace.column(name)
-        vmax, vmin = max(vals), min(vals)
-        if vmax <= atol:
-            ratio = 1.0
-        elif vmin <= atol:
-            ratio = float("inf")
-        else:
-            ratio = vmax / vmin
-        ok = ratio <= bound
-        per[name] = {"max": vmax, "min": vmin, "ratio": ratio, "within_bound": ok}
-        if not ok:
-            flagged.append(name)
-    return {"bound": bound, "n_rows": len(trace.rows), "per_quantity": per,
-            "flagged": flagged}

@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +18,11 @@ from wavetorus.cli import (
 )
 from wavetorus.errors import GridTooCoarse, ParseError
 from wavetorus.norms import holder_estimate, norm_Lp
+from wavetorus.solver import MONITORED
 from wavetorus.spectral import default_grid, random_field, write_field
-from wavetorus.verify import MONITORED
 from tests.conftest import DEFAULT_NL_SPEC
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def minimal_solve_config(**overrides):
@@ -200,6 +205,80 @@ def test_verify_at_a_large_decay_reads_the_ratios_of_an_ordinary_scale(tmp_path)
         assert maxima == pytest.approx(ordinary, rel=1e-12), decay
 
 
+@pytest.mark.parametrize("suite", ["hy", "gn", "embedding", "holder", "box", "all"])
+def test_verify_at_a_decay_that_underflows_ends_in_an_error_report(tmp_path, suite):
+    # above a decay of about 745 e^(-decay) underflows and every field of the
+    # ensemble is exactly zero, which no ratio is defined on
+    doc = {"command": "verify", "seed": 1,
+           "verify": {"suite": suite, "count": 4, "ensemble_M": 8, "decay": 800}}
+    out = tmp_path / "v"
+    assert main(["verify", "--config", write_config(tmp_path, doc), "--out", str(out)]) \
+        == EXIT_SOLVER
+    rep = load_strict(out / "report.json")
+    assert (rep["status"], rep["error_type"]) == ("error", "WavetorusError")
+    assert "decay" in rep["reason"]
+    strict = subprocess.run([sys.executable, str(SCRIPTS / "strict_json.py"), str(out)],
+                            capture_output=True, text=True)
+    assert strict.returncode == 0, strict.stderr
+
+
+def test_verify_hy_near_p_1_reads_a_positive_ratio(tmp_path):
+    # at p = 1.05 (q = 21) |u_hat|^q of a decay-40 field underflows; the lq
+    # norm rescales the sum, so the ratio is the ordinary one, below 1
+    doc = {"command": "verify", "seed": 1, "verify": {
+        "suite": "hy", "p": 1.05, "count": 4, "ensemble_M": 8, "decay": 40}}
+    out = tmp_path / "v"
+    assert main(["verify", "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+    rep = load_strict(out / "report.json")
+    assert 0.0 < rep["reports"][0]["ratios"]["max"] <= 1.0 + 1e-6
+    assert rep["violation_count"] == 0
+
+
+def _verify_default_args():
+    """Each optional verify key that has one default across the suites, at
+    that default, read from verify's own definitions."""
+    import dataclasses
+    import inspect
+
+    from wavetorus.verify import EnsembleSpec, check_embedding
+
+    spec = {f.name: f.default for f in dataclasses.fields(EnsembleSpec)}
+    embedding = inspect.signature(check_embedding).parameters
+    return {"suite": "all", "count": spec["count"], "ensemble_M": spec["M"],
+            "decay": spec["decay"], "write_ratios": False,
+            **{k: embedding[k].default for k in ("s", "tail_count")},
+            "tails": list(embedding["tails"].default)}
+
+
+def _verify_without_provenance(tmp_path, name, verify):
+    cfg = parse_config({"command": "verify", "seed": 3, "verify": verify})
+    assert run(cfg, str(tmp_path / name)) == EXIT_OK
+    return {k: v for k, v in load_strict(tmp_path / name / "report.json").items()
+            if k != "provenance"}
+
+
+def test_verify_defaults_are_verify_s_own(tmp_path):
+    # a config that omits every optional key writes the report of one that
+    # sets each key to verify's default: the command states none of them
+    # (p and gamma, whose defaults differ between suites, are set below)
+    omitted = _verify_without_provenance(tmp_path, "omitted", {})
+    assert omitted == _verify_without_provenance(tmp_path, "set", _verify_default_args())
+
+
+@pytest.mark.parametrize("key", ["gamma", "gamma_prime"])
+def test_verify_holder_gammas_default_to_the_suite_s_own(tmp_path, key):
+    # gamma is shared with box under suite all, so the test above leaves
+    # both holder keys out; box's p and gamma are pinned further below
+    import inspect
+
+    from wavetorus.verify import check_holder_to_sobolev
+
+    small = {"suite": "holder", "count": 4, "ensemble_M": 8}
+    default = inspect.signature(check_holder_to_sobolev).parameters[key].default
+    assert (_verify_without_provenance(tmp_path, "omitted", small)
+            == _verify_without_provenance(tmp_path, "set", {**small, key: default}))
+
+
 def test_verify_box_shares_p_and_gamma_under_suite_all(tmp_path):
     # box reads verify.p and verify.gamma, defaulting to 2 and 0.45; under
     # suite all it shares them with hy/gn and with holder (whose gamma
@@ -222,9 +301,6 @@ def test_verify_writes_the_same_bytes_on_any_worker_count(tmp_path, monkeypatch)
     # count set through the usable cores).  The 8-worker run (more workers
     # than cores) switches threads every microsecond and starts from empty
     # lattice and synthesis-table caches, so their first builds race
-    import sys
-    from pathlib import Path
-
     import wavetorus.pool
     from wavetorus.spectral import _synthesis_table, lattice
 
@@ -343,13 +419,13 @@ def test_mms_command(tmp_path):
 
 
 def test_mms_singular_levels_report_null_errors(tmp_path, monkeypatch):
-    import wavetorus.verify
+    import wavetorus.solver
     from wavetorus.errors import SingularJacobian
 
     def singular(*args, **kwargs):
         raise SingularJacobian("zero pivot")
 
-    monkeypatch.setattr(wavetorus.verify, "newton_solve", singular)
+    monkeypatch.setattr(wavetorus.solver, "newton_solve", singular)
     doc = {"command": "mms", "seed": 5, "beta": 1e-3, "nl": DEFAULT_NL_SPEC,
            "mms": {"M_list": [6, 8]}}
     out = tmp_path / "m"
@@ -711,8 +787,6 @@ def test_grid_norm_commands_load_no_scipy(tmp_path):
     # solves that holds where the LU loads no scipy module either
     import ast
     import os
-    import subprocess
-    import sys
 
     import wavetorus
     from wavetorus import pool

@@ -7,7 +7,7 @@ import pytest
 
 from wavetorus import mms_run
 from wavetorus.cli import EXIT_OK, main, parse_config
-from wavetorus.verify import write_mms_csv
+from wavetorus.solver import write_mms_csv
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 WORKFLOW = EXAMPLES.parent / ".github" / "workflows" / "tests.yml"

@@ -88,6 +88,53 @@ def test_benchmark_span_target_resolves(module, attr):
     assert callable(getattr(owner, attr))
 
 
+SRC = ROOT / "src" / "wavetorus"
+# the solver studies: they drive newton_solve and continuation_beta, so they
+# are the solver's, not the inequality ensembles'
+SOLVER_STUDIES = ("mms_problem", "mms_run", "write_mms_csv", "apriori_monitor")
+
+
+def imported_modules(path):
+    """The package modules a file of src/ imports, by their name in the package."""
+    found = set()
+    for n in ast.walk(ast.parse(path.read_text())):
+        if isinstance(n, ast.ImportFrom) and n.level:
+            found |= {n.module.split(".")[0]} if n.module else {a.name for a in n.names}
+        elif isinstance(n, ast.ImportFrom) and (n.module or "").startswith("wavetorus."):
+            found.add(n.module.split(".")[1])
+        elif isinstance(n, ast.Import):
+            found |= {a.name.split(".")[1] for a in n.names if a.name.startswith("wavetorus.")}
+    return found
+
+
+def module_level_names(path):
+    """The names a module binds at its top level: definitions, assignments
+    and imports."""
+    names = set()
+    for n in ast.parse(path.read_text()).body:
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            names.add(n.name)
+        elif isinstance(n, (ast.Assign, ast.AnnAssign)):
+            targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in n.names}
+    return names
+
+
+def test_verify_imports_nothing_from_the_solver():
+    assert "solver" not in imported_modules(SRC / "verify.py")
+
+
+@pytest.mark.parametrize("name", SOLVER_STUDIES)
+def test_each_solver_study_is_defined_once_in_solver(name):
+    defining = [path.name for path in sorted(SRC.glob("*.py"))
+                if any(isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name
+                       for n in ast.parse(path.read_text()).body)]
+    assert defining == ["solver.py"]
+    assert name not in module_level_names(SRC / "verify.py")
+
+
 def used_names(node):
     """Names and attribute names read in the code of ``node`` (docstrings,
     being strings, do not count)."""

@@ -124,6 +124,17 @@ def test_norm_lq_examples():
     assert norm_lq(two, 2.0) == pytest.approx(np.sqrt(2.0))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_norm_lq_rescales_a_sum_that_underflows_exactly(seed):
+    # |u_hat|^21 of a field scaled by 2^-700 underflows to 0; the sum is
+    # taken of the coefficients scaled by the power of two of the largest,
+    # which here (largest in [1/2, 1)) undoes the 2^-700 exactly
+    u = random_field(seed, 10, SubspaceTag.EPERP, 0.3)
+    assert 0.5 <= np.max(np.abs(u.coeffs)) < 1.0
+    small = SpectralField(u.M, u.coeffs * 2.0**-700)
+    assert norm_lq(small, 21.0) == 2.0**-700 * norm_lq(u, 21.0) > 0.0
+
+
 @settings(max_examples=20, deadline=None)
 @given(seeds, st.floats(1.0, 4.0), st.floats(1.0, 4.0))
 def test_norm_lq_monotone(seed, q1, q2):

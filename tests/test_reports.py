@@ -4,9 +4,9 @@ and JSON (sorted keys, one-space indent, final newline, non-finite as null)."""
 import numpy as np
 
 from wavetorus.norms import NormReport, write_norm_reports_csv
-from wavetorus.solver import ContinuationRow, ContinuationTrace
+from wavetorus.solver import ContinuationRow, ContinuationTrace, write_mms_csv
 from wavetorus.spectral import write_json
-from wavetorus.verify import InequalityReport, write_mms_csv, write_ratio_csv
+from wavetorus.verify import InequalityReport, write_ratio_csv
 
 
 def test_trace_csv_bytes(tmp_path):

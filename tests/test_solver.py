@@ -29,6 +29,7 @@ from wavetorus.solver import (
     functional_I,
     linking_report,
     max_time_correlation,
+    mms_problem,
     monitored_quantities,
     multi_seed_search,
     newton_solve,
@@ -52,7 +53,6 @@ from wavetorus.spectral import (
     time_translate,
     truncate,
 )
-from wavetorus.verify import mms_problem
 
 seeds = st.integers(0, 2**31 - 1)
 

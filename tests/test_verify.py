@@ -14,17 +14,19 @@ from wavetorus.norms import (
     sobolev_norm,
 )
 from wavetorus.solver import (
+    MONITORED,
     BetaSchedule,
     ContinuationRow,
     ContinuationTrace,
+    apriori_monitor,
     continuation_beta,
+    mms_problem,
+    mms_run,
     monitored_quantities,
 )
 from wavetorus.spectral import Q_AREA, SpectralField, SubspaceTag, random_field
 from wavetorus.verify import (
-    MONITORED,
     EnsembleSpec,
-    apriori_monitor,
     check_box_regularity,
     check_embedding,
     check_gn,
@@ -34,8 +36,6 @@ from wavetorus.verify import (
     gn_interpolation_exponent,
     gn_reports,
     hausdorff_young_reports,
-    mms_problem,
-    mms_run,
 )
 
 
