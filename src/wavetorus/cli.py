@@ -7,6 +7,12 @@ and any randomized command requires an explicit seed.  Reports are
 JSON-first with CSV sidecars; every report carries a provenance block
 (config hash, seed, package version), and reruns of the same config on one
 host produce identical artifacts (README, "Determinism").
+
+A command passes the library only the keys a config sets, so each default
+is stated once, where the library states it: the ensembles' in ``verify``,
+the seed count and linking levels in the signatures of ``solver``'s
+searches.  The Newton defaults are ``RunConfig``'s, which every solver
+command reads.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ from .norms import (
     sobolev_norm,
     write_norm_reports_csv,
 )
+from .pool import one_blas_thread
 from .solver import (
+    LINKING_LEVELS,
     MMS_DECAY,
     BetaSchedule,
     PenalizedProblem,
@@ -68,8 +76,8 @@ class RunConfig:
     command: str
     raw: dict
     seed: int | None = None
-    M: int = 16
-    beta: object = 1e-3
+    M: int | None = None
+    beta: object = None
     sigma: int = 1
     oversample: int = OVERSAMPLE
     newton: dict = field(default_factory=lambda: {"tol": 1e-10, "max_iter": 40,
@@ -154,8 +162,6 @@ _SCHEDULE = _Section({"start": _POS_NUM, "floor": _POS_NUM, "factor": (
     ("start", "factor", "floor"))
 _SOLVES = ("seed", "M", "beta", "nl")  # required by solve, continue, multi, linking
 
-_L_VALUES = (4, 8)  # linking.l_values, the default the cross-key rules share with linking
-
 
 def _check(value, rule, path: str) -> list:
     """Problems of ``value`` against ``rule``, each prefixed by its key path."""
@@ -202,7 +208,7 @@ def _cross_key_errors(doc: dict, cmd: str) -> list:
                           f" (got {gamma_prime!r} >= {gamma!r})")
     M = doc.get("M")
     if cmd == "linking" and M is not None:
-        too_big = [l for l in doc.get("linking", {}).get("l_values", _L_VALUES) if l > M]
+        too_big = [l for l in doc.get("linking", {}).get("l_values", LINKING_LEVELS) if l > M]
         if too_big:
             errors.append(f"linking.l_values: entries {too_big} exceed M={M}")
     initial = doc.get("initial", {})
@@ -364,7 +370,7 @@ def _cmd_continue(cfg: RunConfig, out: str) -> dict:
 
 def _cmd_multi(cfg: RunConfig, out: str) -> dict:
     p = _build_problem(cfg, float(cfg.beta))
-    sols = multi_seed_search(p, **{"n_seeds": 16, **cfg.multi}, master_seed=cfg.seed,
+    sols = multi_seed_search(p, **cfg.multi, master_seed=cfg.seed,
                              tol=cfg.newton["tol"], max_iter=cfg.newton["max_iter"])
     entries = []
     for i, s in enumerate(sols):
@@ -420,24 +426,27 @@ def _cmd_verify(cfg: RunConfig, out: str) -> dict:
 
 def _cmd_norms(cfg: RunConfig, out: str) -> dict:
     u = _load_field(cfg, "norms.field", match_M=False)
-    reports = [NormReport("E", norm_E(u), {})]
-    for s in cfg.norms.get("es_s", [1.0]):
-        try:
-            reports.append(NormReport("Es", norm_Es(u, float(s)), {"s": s}))
-        except NotInEperp:
-            pass  # field has kernel mass; the scale norm is undefined there
-    for s in cfg.norms.get("sobolev_s", [1.0, 2.0]):
-        for conv in ("aniso", "ell1"):
-            reports.append(NormReport("sobolev", sobolev_norm(u, float(s), conv),
-                                      {"s": s, "convention": conv}))
-    ps = cfg.norms.get("p", [2.0])
-    for p, lp in zip(ps, lp_norms(u, [float(p) for p in ps], cfg.oversample)):
-        reports.append(NormReport("Lp", lp, {"p": p}))
-    for q in cfg.norms.get("q", [1.0, 2.0]):
-        reports.append(NormReport("lq", norm_lq(u, float(q)), {"q": q}))
-    for g in cfg.norms.get("gamma", [0.5]):
-        reports.append(NormReport("holder_proxy",
-                                  holder_estimate(u, float(g), cfg.oversample), {"gamma": g}))
+    # numpy's OpenBLAS at one thread, as verify holds it: the grid sums'
+    # BLAS dots keep their bits at any thread count
+    with one_blas_thread("numpy"):
+        reports = [NormReport("E", norm_E(u), {})]
+        for s in cfg.norms.get("es_s", [1.0]):
+            try:
+                reports.append(NormReport("Es", norm_Es(u, float(s)), {"s": s}))
+            except NotInEperp:
+                pass  # field has kernel mass; the scale norm is undefined there
+        for s in cfg.norms.get("sobolev_s", [1.0, 2.0]):
+            for conv in ("aniso", "ell1"):
+                reports.append(NormReport("sobolev", sobolev_norm(u, float(s), conv),
+                                          {"s": s, "convention": conv}))
+        ps = cfg.norms.get("p", [2.0])
+        for p, lp in zip(ps, lp_norms(u, [float(p) for p in ps], cfg.oversample)):
+            reports.append(NormReport("Lp", lp, {"p": p}))
+        for q in cfg.norms.get("q", [1.0, 2.0]):
+            reports.append(NormReport("lq", norm_lq(u, float(q)), {"q": q}))
+        for g in cfg.norms.get("gamma", [0.5]):
+            reports.append(NormReport("holder_proxy",
+                                      holder_estimate(u, float(g), cfg.oversample), {"gamma": g}))
     _write_json(os.path.join(out, "norms.json"), [r.to_dict() for r in reports])
     write_norm_reports_csv(reports, os.path.join(out, "norms.csv"))
     return {"n_reports": len(reports), "files": {"json": "norms.json",
@@ -461,8 +470,7 @@ def _cmd_mms(cfg: RunConfig, out: str) -> dict:
 
 def _cmd_linking(cfg: RunConfig, out: str) -> dict:
     p = _build_problem(cfg, float(cfg.beta))
-    return linking_report(p, **{"l_values": _L_VALUES, **cfg.linking},
-                          master_seed=cfg.seed)
+    return linking_report(p, **cfg.linking, master_seed=cfg.seed)
 
 
 # each command: the section of the keys it reads (any other key is a config

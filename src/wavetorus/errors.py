@@ -14,11 +14,8 @@ class NotHermitian(WavetorusError):
 
 
 class NotInEperp(WavetorusError):
-    """Field carries too much mass on the resonant lines k = +-2j."""
-
-
-class ResonantMass(WavetorusError):
-    """Right-hand side is not orthogonal to the kernel of the wave operator."""
+    """Field carries too much mass on the resonant lines k = +-2j, the kernel
+    of the wave operator (``norms.OFF_KERNEL_TOL``)."""
 
 
 class OrderUnavailable(WavetorusError):

@@ -4,6 +4,11 @@ Covers the energy norm E, its fractional scale E^s, two Sobolev weight
 conventions, grid L^p norms, coefficient l^q norms, dyadic annuli in the
 lattice weight 2|j| + |k|, the block (Holder-Zygmund) estimator for the
 C^gamma norm, and sign-quadrant splits.
+
+It holds the one off-kernel test (``_kernel_mass``, at ``OFF_KERNEL_TOL``)
+that ``norm_Es`` and ``dalembert.solve_box`` apply, and the one rule for a
+power sum that leaves the normal range (``_rescale_exponent``) that
+``lp_norms`` and ``norm_lq`` apply.
 """
 
 from __future__ import annotations
@@ -42,25 +47,29 @@ def norm_E(u: SpectralField) -> float:
     return float(np.sqrt(off + res + const))
 
 
-def _resonant_fraction(u: SpectralField) -> tuple:
-    """(||P_N u_hat||, its fraction of ||u_hat||): the l2 mass of u on the
-    kernel N of the wave operator, the resonant lines, whose vanishing is
-    the compatibility condition f _|_ N of inverting it (the fraction is
-    taken over max(||u_hat||, 1e-300), so it is 0 for the zero field)."""
+OFF_KERNEL_TOL = 1e-12  # the relative kernel mass above which a field is not off the kernel
+
+
+def _kernel_mass(u: SpectralField) -> float:
+    """||P_N u_hat||, the l2 mass of u on the kernel N of the wave operator
+    (the resonant lines), whose vanishing is the compatibility condition
+    f _|_ N of inverting it; the one off-kernel test.  Raises NotInEperp
+    where that mass exceeds OFF_KERNEL_TOL of ||u_hat|| (taken as at least
+    1e-300, so the zero field passes)."""
     res = float(np.linalg.norm(u.coeffs[lattice(u.M).resonant]))
-    return res, res / max(u.l2(), 1e-300)
+    if (rel := res / max(u.l2(), 1e-300)) > OFF_KERNEL_TOL:
+        raise NotInEperp(f"relative kernel mass {rel:.3e} > {OFF_KERNEL_TOL:g}")
+    return res
 
 
 def norm_Es(u: SpectralField, s: float) -> float:
     """Fractional energy norm (sum |u_hat|^2 |k^2 - 4j^2|^s)^(1/2), 0 < s <= 1.
 
-    Defined off the kernel only; raises NotInEperp when the field carries
-    more than 1e-12 relative mass on the resonant lines.
+    Defined off the kernel only: raises NotInEperp (``_kernel_mass``).
     """
     if not 0.0 < s <= 1.0:
         raise ValueError("s must lie in (0, 1]")
-    if _resonant_fraction(u)[1] > 1e-12:
-        raise NotInEperp("field has resonant mass; E^s is defined off the kernel")
+    _kernel_mass(u)
     lat = lattice(u.M)
     a2 = np.abs(u.coeffs[lat.nonresonant]) ** 2
     w = np.abs(lat.symbol[lat.nonresonant]).astype(np.float64) ** s
@@ -109,6 +118,29 @@ def _power_sum(a: np.ndarray, p: float) -> float:
     return float(np.sum(v**p))
 
 
+def _rescale_exponent(sums, coeffs) -> int:
+    """The one rule for a power sum that leaves the normal range (0,
+    subnormal or inf), as |u|^p does for small values at large p: 0 where
+    every sum of ``sums`` is normal, or the field of ``coeffs`` is zero or
+    not finite; else e, with the largest coefficient's modulus in
+    [2^(e-1), 2^e).  The caller then sums again over the field times 2^-e
+    and scales each norm back by 2^e, both exact scalings.  The largest
+    term is then at least 2^-p, so this holds for p up to about 1000."""
+    if all(_TINY <= s < math.inf for s in sums):
+        return 0
+    top = float(np.max(np.abs(coeffs), initial=0.0))
+    return math.frexp(top)[1] if 0.0 < top < math.inf else 0
+
+
+def _lp_sums(u: SpectralField, ps, n: int) -> list:
+    """[sum of |u|^p over the n x n grid for p in ps], in one blocked pass."""
+    sums = [0.0] * len(ps)
+    for a in abs_blocks(u, n, n):
+        for i, p in enumerate(ps):
+            sums[i] += _power_sum(a, p)
+    return sums
+
+
 def lp_norms(u: SpectralField, ps, oversample: int = OVERSAMPLE) -> list:
     """[(int_Q |u|^p)^(1/p) for p in ps] by the rectangle rule of
     ``grid_integral`` on an oversampled grid (on a periodic grid it equals
@@ -121,18 +153,21 @@ def lp_norms(u: SpectralField, ps, oversample: int = OVERSAMPLE) -> list:
     non-finite p raises ValueError.  A block's sum of |u|^p is
     ``_power_sum``: a dot product at p = 4/3, 1.5, 2, 3 and 4 (equal to the
     sum of ``a**p`` to rounding), the sum of ``a**p`` at any other p.
+    Where a sum leaves the normal range, the pass is made again on the
+    field scaled by a power of two (``_rescale_exponent``, as ``norm_lq``).
     """
     ps = tuple(ps)
     _check_exponents("p", ps)
     if not ps:
         return []
     n = default_grid(u.M, oversample)
-    sums = [0.0] * len(ps)
-    for a in abs_blocks(u, n, n):
-        for i, p in enumerate(ps):
-            sums[i] += _power_sum(a, p)
+    sums = _lp_sums(u, ps, n)
+    e = _rescale_exponent(sums, u.coeffs)
+    if e:  # ldexp of the real and imaginary parts: exact at any e
+        sums = _lp_sums(SpectralField(u.M, np.ldexp(u.coeffs.view(np.float64), -e)
+                                      .view(np.complex128)), ps, n)
     cell = cell_area(n, n)
-    return [(s * cell) ** (1.0 / p) for s, p in zip(sums, ps)]
+    return [float(np.ldexp((s * cell) ** (1.0 / p), e)) for s, p in zip(sums, ps)]
 
 
 def norm_Lp(u: SpectralField, p: float, oversample: int = OVERSAMPLE) -> float:
@@ -145,22 +180,18 @@ def norm_Lp(u: SpectralField, p: float, oversample: int = OVERSAMPLE) -> float:
 def norm_lq(u: SpectralField, q: float) -> float:
     """Coefficient norm (sum |u_hat|^q)^(1/q); a non-finite q raises ValueError.
 
-    Where that sum leaves the normal range (0, subnormal or inf) for a
-    nonzero field, as |u_hat|^q does for small coefficients at large q, the
-    sum is of (|u_hat| 2^-e)^q instead, 2^e the power of two with the
-    largest |u_hat| in [2^(e-1), 2^e), and the root is scaled back by 2^e;
-    both scalings are exact.  The largest term is then at least 2^-q, so
-    this holds for q up to about 1000 (p = q/(q-1) down to about 1.001).
+    Where that sum leaves the normal range for a nonzero field, as
+    |u_hat|^q does for small coefficients at large q, it is summed again
+    over the field scaled by a power of two (``_rescale_exponent``), so this
+    holds for q up to about 1000 (p = q/(q-1) down to about 1.001).
     """
     _check_exponents("q", (q,))
     a = np.abs(u.coeffs[lattice(u.M).mask])
     total = np.sum(a**q)
-    if not _TINY <= total < math.inf:
-        top = float(np.max(a, initial=0.0))
-        if 0.0 < top < math.inf:
-            e = math.frexp(top)[1]
-            return float(np.ldexp(np.sum(np.ldexp(a, -e) ** q) ** (1.0 / q), e))
-    return float(total ** (1.0 / q))
+    e = _rescale_exponent((total,), a)
+    if e:
+        total = np.sum(np.ldexp(a, -e) ** q)
+    return float(np.ldexp(total ** (1.0 / q), e))
 
 
 def block_index(w: int) -> int:

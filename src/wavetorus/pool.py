@@ -14,16 +14,18 @@ with the GIL released.  An OpenBLAS call that runs on several threads
 oversubscribes the cores when several workers make such calls, and a
 threaded LU moves the last bits of its factors.  So ``share_work`` holds the
 OpenBLAS its caller's calls reach at one thread and runs one worker where it
-cannot.
+cannot.  The pin is ``one_blas_thread``, which the ``norms`` command holds
+too, so that its grid sums keep their bits at any BLAS thread count.
 
 One ``BundledOpenBLAS`` binds each bundled library (``_bundled_openblas``):
-its thread count, which ``share_work`` pins, and its ``dgetrf`` and
-``dgetrs``, which the dense Newton step calls on scipy's (``lapack``).  So
-the pin and the LU act on the same library, and a solve imports no scipy
-module: neither ``scipy.linalg``, which brings ``numpy.f2py``,
-``numpy.testing`` and ``numpy.ma`` with it, nor its f2py LAPACK module
-alone, each of which adds start-up time and peak RSS (measured in
-CHANGES.md).  ``ctypes`` is imported inside the functions that use it:
+its thread count, which ``one_blas_thread`` pins, and its ``dgetrf`` and
+``dgetrs``, which the dense Newton step calls (``lapack``) on the library
+of ``LU_PACKAGE``, scipy, the one name of that choice.  So the pin of
+``multi_seed_search`` and the LU act on the same library, and a solve
+imports no scipy module: neither ``scipy.linalg``, which brings
+``numpy.f2py``, ``numpy.testing`` and ``numpy.ma`` with it, nor its f2py
+LAPACK module alone, each of which adds start-up time and peak RSS
+(measured in CHANGES.md).  ``ctypes`` is imported inside the functions that use it:
 importing the package binds no ``ctypes``.
 """
 
@@ -32,12 +34,14 @@ from __future__ import annotations
 import importlib.util
 import os
 import threading
+from contextlib import contextmanager
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 _DONE = object()
 POOL_BYTES = 32 << 20  # memory the workers of one share_work call hold together
+LU_PACKAGE = "scipy"  # the package whose bundled OpenBLAS runs the LU of lapack()
 
 
 def usable_cores() -> int:
@@ -51,20 +55,30 @@ def share_work(fn, items, n: int, package: str, item_bytes: int = 0) -> list:
     """[fn(x) for x in items], ``n`` items, on min(n, usable cores,
     POOL_BYTES // item_bytes) threads, at least one (``item_bytes``: the
     memory one call of ``fn`` holds, 0 for no bound), with the OpenBLAS
-    that ``package`` bundles held at one thread: ``"scipy"``'s, which runs
-    the LU of ``lapack``, or ``"numpy"``'s, which runs its matrix products;
-    on one thread where that OpenBLAS is not found.  The count is
-    process-wide and restored on return or raise, out of order if pooled
-    calls overlap in time.
+    that ``package`` bundles held at one thread (``one_blas_thread``):
+    ``LU_PACKAGE``'s, which runs the LU of ``lapack``, or ``"numpy"``'s,
+    which runs its matrix products; on one thread where that OpenBLAS is
+    not found.
     """
+    with one_blas_thread(package) as pinned:
+        cap = POOL_BYTES // item_bytes if item_bytes else n
+        return _map(fn, items, max(1, min(n, usable_cores(), cap)) if pinned else 1)
+
+
+@contextmanager
+def one_blas_thread(package: str):
+    """Hold the OpenBLAS that ``package`` bundles at one thread for the
+    ``with`` block, which gets True; False, and no pin, where that OpenBLAS
+    is not found.  The count is process-wide and restored on exit, out of
+    order if pinned blocks on several threads overlap in time."""
     blas = _bundled_openblas(package)
     if blas is None:
-        return _map(fn, items, 1)
+        yield False
+        return
     before = blas.threads()
     blas.set_threads(1)
     try:
-        cap = POOL_BYTES // item_bytes if item_bytes else n
-        return _map(fn, items, max(1, min(n, usable_cores(), cap)))
+        yield True
     finally:
         blas.set_threads(before)
 
@@ -223,11 +237,11 @@ def _bundled_openblas(package: str):
 @lru_cache(maxsize=None)
 def lapack():
     """The ``dgetrf`` and ``dgetrs`` that ``scipy.linalg.lu_factor`` and
-    ``lu_solve`` reach, once per process: scipy's ``BundledOpenBLAS``, the
-    library ``share_work(..., "scipy")`` pins, so that no scipy module is
-    imported; or ``scipy.linalg.lapack``, whose f2py wrappers take the same
-    calls, where no such library is found."""
-    blas = _bundled_openblas("scipy")
+    ``lu_solve`` reach, once per process: ``LU_PACKAGE``'s
+    ``BundledOpenBLAS``, the library ``share_work(..., LU_PACKAGE)`` pins,
+    so that no scipy module is imported; or ``scipy.linalg.lapack``, whose
+    f2py wrappers take the same calls, where no such library is found."""
+    blas = _bundled_openblas(LU_PACKAGE)
     if blas is None:
         from scipy.linalg import lapack as module
 

@@ -29,17 +29,20 @@ of a continuation (``apriori_monitor``), which reads the quantities
 
 The Newton step factors the block of J over the coarse modes with
 ``dgetrf`` and ``dgetrs`` on ``pool.lapack()`` (``pool.BundledOpenBLAS``,
-the ``ctypes`` binding of scipy's bundled OpenBLAS that ``multi_seed_search``'s
-pool also pins, opened on the first solve, so no scipy module).  Up to
-``DENSE_LIMIT`` unknowns that block is all of J and its solve is the step;
-above it fine modes remain, and the package's own restarted GMRES
-(``_gmres``) takes that solve as its preconditioner.  So where the bundled
+the ``ctypes`` binding of the bundled OpenBLAS of ``pool.LU_PACKAGE``,
+scipy's, which ``multi_seed_search``'s pool also pins, opened on the first
+solve, so no scipy module).  Up to ``DENSE_LIMIT`` unknowns that block is
+all of J and its solve is the step; above it fine modes remain, and the
+package's own restarted GMRES (``_gmres``) takes that solve as its
+preconditioner.  So where the bundled
 OpenBLAS is found, the Newton step loads no scipy module at any size, and
 only ``linking_report`` imports one (``scipy.optimize``, inside the
 function); importing the package and every command but ``linking`` load
 none.
 ``multi_seed_search`` runs its seed ladder on the package's one thread pool
-(``pool.share_work``).
+(``pool.share_work``).  The searches state their defaults in their
+signatures, which the ``multi`` and ``linking`` commands keep where a config
+sets no key: 16 seeds, and the levels ``LINKING_LEVELS``.
 
 A Newton iterate is synthesized on the padded grid once: the residual that
 accepted it leaves its grid samples to the next step, which forms f_u(x, u)
@@ -63,7 +66,7 @@ import numpy as np
 
 from .errors import NoConvergence, SingularJacobian, StallAt
 from .norms import norm_E, sobolev_norm
-from .pool import lapack, share_work
+from .pool import LU_PACKAGE, lapack, share_work
 from .spectral import (
     OVERSAMPLE,
     Q_AREA,
@@ -75,6 +78,7 @@ from .spectral import (
     grid_integral,
     grid_max_abs,
     lattice,
+    min_grid,
     pack,
     project,
     random_field,
@@ -128,7 +132,9 @@ class SolutionState:
 
 
 def _grid_side(p: PenalizedProblem) -> int:
-    """Side of the padded grid of ``p``."""
+    """Side of the padded grid of ``p``: the dealiasing side, and at least
+    ``min_grid(2M)``, as the Jacobian's ``analyze(..., 2M)`` needs (at
+    s >= 3 the dealiasing side already exceeds it)."""
     s = float(getattr(p.nl, "s", 3.0))
     deg = 0
     for part in ("a", "b"):
@@ -136,7 +142,7 @@ def _grid_side(p: PenalizedProblem) -> int:
         deg = max(deg, getattr(poly, "degree", 0))
     factor = max(int(np.ceil(s)) + 1, p.oversample)
     n = factor * (p.M + 1) + 2 * deg + 2
-    return max(n, 4 * p.M + 6)  # Jacobian needs analyze(..., 2M)
+    return max(n, min_grid(2 * p.M))
 
 
 def _on_grid(p: PenalizedProblem, u: SpectralField, *orders, samples=None):
@@ -875,7 +881,7 @@ def _seed_fields(p: PenalizedProblem, n_seeds: int, master_seed: int):
                                            SubspaceTag.EPLUS, 0.0), p.M)
 
 
-def dedup_solutions(found, dedup_threshold: float = 0.99):
+def dedup_solutions(found, dedup_threshold: float):
     """Keep one representative per time-translation class (first found wins)."""
     distinct = []
     for sol in found:
@@ -910,29 +916,28 @@ def _solve_bytes(p: PenalizedProblem) -> int:
     return held
 
 
-def multi_seed_search(p: PenalizedProblem, n_seeds: int,
+def multi_seed_search(p: PenalizedProblem, n_seeds: int = 16,
                       dedup_threshold: float = 0.99, master_seed: int = 0,
                       tol: float = 1e-10, max_iter: int = 60):
     """Newton from a deterministic seed ladder, deduplicated modulo time
     translation, sorted by functional value.
 
-    The seeds run on ``pool.share_work`` with scipy's OpenBLAS held at one
-    thread, so the LUs give the same bits on every host.  The workers'
-    solves, ``_solve_bytes`` each, are bounded together by
-    ``pool.POOL_BYTES``: at oversample 4 with s <= 3 and an x-degree 1
-    nonlinearity, M = 34 to 36 still run two seeds at a time on two cores,
-    and from M = 37 to 65 the search is serial; above ``DENSE_LIMIT`` a
-    solve holds only its coarse block beside the GMRES, so M = 66 to 81 run
-    two seeds at a time again, and from M = 82 up one.  The threads share
-    read-only caches (``lattice``, the penalized symbol, the grid profiles
-    and the transforms' grid positions); the LU routines run with the GIL
-    released (``pool.BundledOpenBLAS`` through ``ctypes``, or scipy's f2py
-    wrappers), so one seed's LU runs beside another seed's work.  The
-    ladder is a generator that the workers advance under the pool's lock,
-    so a search holds one seed per worker, not all ``n_seeds``.  Results
-    come back in seed order and are deduplicated as in a serial loop.  Seeds
-    ending in NoConvergence or SingularJacobian are skipped; any other error
-    is raised.
+    The seeds run on ``pool.share_work`` with the OpenBLAS of the LU
+    (``pool.LU_PACKAGE``'s) held at one thread, so the LUs give the same bits
+    on every host.  The workers' solves, ``_solve_bytes`` each, are bounded
+    together by ``pool.POOL_BYTES``: at oversample 4 with s <= 3 and an
+    x-degree 1 nonlinearity, M = 34 to 36 still run two seeds at a time on two
+    cores, and from M = 37 to 65 the search is serial; above ``DENSE_LIMIT`` a
+    solve holds only its coarse block beside the GMRES, so M = 66 to 81 run two
+    seeds at a time again, and from M = 82 up one.  The threads share read-only
+    caches (``lattice``, the penalized symbol, the grid profiles and the
+    transforms' grid positions); the LU routines run with the GIL released
+    (``pool.BundledOpenBLAS`` through ``ctypes``, or scipy's f2py wrappers), so
+    one seed's LU runs beside another seed's work.  The ladder is a generator
+    that the workers advance under the pool's lock, so a search holds one seed
+    per worker, not all ``n_seeds``.  Results come back in seed order and are
+    deduplicated as in a serial loop.  Seeds ending in NoConvergence or
+    SingularJacobian are skipped; any other error is raised.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
@@ -944,7 +949,7 @@ def multi_seed_search(p: PenalizedProblem, n_seeds: int,
             return None
 
     found = [sol for sol in share_work(solve, _seed_fields(p, n_seeds, master_seed), n_seeds,
-                                       "scipy", _solve_bytes(p)) if sol is not None]
+                                       LU_PACKAGE, _solve_bytes(p)) if sol is not None]
     distinct = dedup_solutions(found, dedup_threshold)
     distinct.sort(key=lambda s: s.I_value)
     return distinct
@@ -967,8 +972,10 @@ def critical_identity_gap(p: PenalizedProblem, u: SpectralField) -> float:
 
 # -- linking diagnostics ------------------------------------------------------
 
+LINKING_LEVELS = (4, 8)  # the default levels l of linking_report
 
-def linking_report(p: PenalizedProblem, l_values, rho_values=(0.25, 0.5, 1.0, 2.0),
+
+def linking_report(p: PenalizedProblem, l_values=LINKING_LEVELS, rho_values=(0.25, 0.5, 1.0, 2.0),
                    n_starts: int = 5, n_sphere: int = 64, master_seed: int = 0) -> dict:
     """Per-level diagnostics of the linking geometry.
 

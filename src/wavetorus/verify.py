@@ -293,7 +293,7 @@ def check_box_regularity(spec: EnsembleSpec, p: float = 2.0,
     q = p / (p - 1.0)
 
     def ratio(f):
-        w = solve_box(f, resonant_tol=1e-12).w
+        w = solve_box(f).w
         return holder_estimate(w, gamma, spec.oversample) / norm_lq(f, q)
 
     ratios = _ensemble(ratio, spec, "box")

@@ -18,7 +18,7 @@ from wavetorus.cli import (
 )
 from wavetorus.errors import GridTooCoarse, ParseError
 from wavetorus.norms import holder_estimate, norm_Lp
-from wavetorus.solver import MONITORED
+from wavetorus.solver import MONITORED, linking_report, multi_seed_search
 from wavetorus.spectral import default_grid, random_field, write_field
 from tests.conftest import DEFAULT_NL_SPEC
 
@@ -234,6 +234,20 @@ def test_verify_hy_near_p_1_reads_a_positive_ratio(tmp_path):
     assert rep["violation_count"] == 0
 
 
+def test_verify_gn_at_a_large_p_reads_a_positive_ratio(tmp_path):
+    # at p = 40 |u|^40 of a lifted decay-50 field underflows on the grid; the
+    # L^p sum is rescaled as the lq sum is, so the ratio is the ordinary one
+    # of a field near one mode.  At decay 0 no sum is rescaled
+    def gn_max(decay):
+        cfg = parse_config({"command": "verify", "seed": 1, "verify": {
+            "suite": "gn", "p": 40, "count": 4, "ensemble_M": 8, "decay": decay}})
+        assert run(cfg, str(tmp_path / str(decay))) == EXIT_OK
+        return load_strict(tmp_path / str(decay) / "report.json")["reports"][0]["ratios"]["max"]
+
+    assert gn_max(50) == pytest.approx(1.3923433663018834, rel=1e-9)
+    assert gn_max(0) == 0.6710930126909646
+
+
 def _verify_default_args():
     """Each optional verify key that has one default across the suites, at
     that default, read from verify's own definitions."""
@@ -277,6 +291,58 @@ def test_verify_holder_gammas_default_to_the_suite_s_own(tmp_path, key):
     default = inspect.signature(check_holder_to_sobolev).parameters[key].default
     assert (_verify_without_provenance(tmp_path, "omitted", small)
             == _verify_without_provenance(tmp_path, "set", {**small, key: default}))
+
+
+def _report_without_provenance(tmp_path, name, doc):
+    assert run(parse_config(doc), str(tmp_path / name)) == EXIT_OK
+    return {k: v for k, v in load_strict(tmp_path / name / "report.json").items()
+            if k != "provenance"}
+
+
+@pytest.mark.parametrize("command, key, function, section", [
+    ("multi", "n_seeds", multi_seed_search, {}),
+    ("linking", "l_values", linking_report, {"n_starts": 1, "n_sphere": 4})])
+def test_search_defaults_are_the_solver_s_own(tmp_path, command, key, function, section):
+    # a multi config without n_seeds, and a linking config without l_values,
+    # write the report of one that sets the solver's signature default
+    import inspect
+
+    default = inspect.signature(function).parameters[key].default
+    doc = minimal_solve_config(command=command, M=8)
+    if command == "linking":
+        del doc["newton"]  # not read by linking
+    else:
+        doc["newton"] = {**doc["newton"], "max_iter": 6}
+    omitted = _report_without_provenance(tmp_path, "omitted", {**doc, command: section})
+    json_default = list(default) if isinstance(default, tuple) else default
+    assert omitted == _report_without_provenance(
+        tmp_path, "set", {**doc, command: {**section, key: json_default}})
+
+
+def test_norms_bytes_do_not_follow_numpy_s_blas_threads(tmp_path):
+    # the norms command holds numpy's OpenBLAS at one thread, as verify does:
+    # at M=12 a two-thread dot moves the last bits of an L^p norm otherwise
+    from wavetorus import pool
+    from wavetorus.spectral import SubspaceTag
+
+    blas = pool._bundled_openblas("numpy")
+    if blas is None:
+        pytest.skip("numpy does not run on its wheel's bundled OpenBLAS here")
+    write_field(random_field(7, 12, SubspaceTag.ALL, 0.1), tmp_path / "u.json")
+    cfg = parse_config({"command": "norms", "norms": {"field": str(tmp_path / "u.json"),
+                                                      "p": [2, 3, 4, 1.5]}})
+    before = blas.threads()
+    outputs = []
+    try:
+        for threads in (2, 1):
+            blas.set_threads(threads)
+            out = tmp_path / f"threads{threads}"
+            assert run(cfg, str(out)) == EXIT_OK
+            assert blas.threads() == threads  # restored
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    finally:
+        blas.set_threads(before)
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_box_shares_p_and_gamma_under_suite_all(tmp_path):

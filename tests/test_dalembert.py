@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavetorus.dalembert import apply_box, h1_bound_ratio, solve_box
-from wavetorus.errors import NotInEperp, ResonantMass
+from wavetorus.errors import NotInEperp
+from wavetorus.norms import OFF_KERNEL_TOL, norm_Es
 from wavetorus.spectral import SpectralField, SubspaceTag, project, random_field
 
 seeds = st.integers(0, 2**31 - 1)
@@ -30,16 +31,33 @@ def test_solve_box_single_modes():
 
 def test_solve_box_rejects_resonant_mass():
     f = SpectralField.from_modes(8, {(1, 2): 1.0})
-    with pytest.raises(ResonantMass):
+    with pytest.raises(NotInEperp):
         solve_box(f)
 
 
 def test_solve_box_reports_dropped_mass():
     f = SpectralField.from_modes(8, {(1, 3): 1.0})
     tiny = SpectralField.from_modes(8, {(1, 2): 1e-13})
-    out = solve_box(f + tiny, resonant_tol=1e-10)
+    out = solve_box(f + tiny)
     assert out.dropped_resonant_mass == pytest.approx(np.sqrt(2) * 1e-13, rel=1e-6)
     assert project(out.w, SubspaceTag.N).l2() == 0.0
+
+
+def _with_kernel_mass(rel):
+    """A field off the kernel plus kernel mass ``rel`` of its l2 norm."""
+    f = SpectralField.from_modes(8, {(1, 3): 1.0})
+    return f + SpectralField.from_modes(8, {(1, 2): rel})
+
+
+@pytest.mark.parametrize("check", [solve_box, h1_bound_ratio, lambda f: norm_Es(f, 0.5)],
+                         ids=["solve_box", "h1_bound_ratio", "norm_Es"])
+def test_one_off_kernel_tolerance(check):
+    # solve_box, h1_bound_ratio (through solve_box) and norm_Es take one test:
+    # a relative kernel mass of 1.4e-13 passes, one above OFF_KERNEL_TOL raises
+    assert OFF_KERNEL_TOL == 1e-12
+    check(_with_kernel_mass(1.4e-13))
+    with pytest.raises(NotInEperp, match="relative kernel mass"):
+        check(_with_kernel_mass(2 * OFF_KERNEL_TOL))
 
 
 @settings(max_examples=25, deadline=None)

@@ -135,6 +135,23 @@ def test_norm_lq_rescales_a_sum_that_underflows_exactly(seed):
     assert norm_lq(small, 21.0) == 2.0**-700 * norm_lq(u, 21.0) > 0.0
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lp_norms_rescale_a_sum_that_underflows_exactly(seed):
+    # |u|^40 and |u|^4 of a field scaled by 2^-700 underflow to 0 on the
+    # grid; lp_norms sums again over the field scaled by the power of two of
+    # its largest coefficient (norm_lq's rule), which here undoes the 2^-700
+    u = random_field(seed, 10, SubspaceTag.EPERP, 0.3)
+    assert 0.5 <= np.max(np.abs(u.coeffs)) < 1.0
+    small = SpectralField(u.M, u.coeffs * 2.0**-700)
+    got = lp_norms(small, [40, 4])
+    assert got == [2.0**-700 * x for x in lp_norms(u, [40, 4])]
+    assert min(got) > 0.0
+
+
+def test_lp_norms_of_the_zero_field_are_zero():
+    assert lp_norms(SpectralField.zeros(6), [2, 40]) == [0.0, 0.0]
+
+
 @settings(max_examples=20, deadline=None)
 @given(seeds, st.floats(1.0, 4.0), st.floats(1.0, 4.0))
 def test_norm_lq_monotone(seed, q1, q2):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wavetorus.dalembert import apply_box
 from wavetorus.errors import NoConvergence, SingularJacobian, StallAt
-from wavetorus.nonlinearity import Nonlinearity, TrigPolynomial
+from wavetorus.nonlinearity import Nonlinearity, TrigPolynomial, make_nonlinearity
 from wavetorus.solver import (
     _INNER_M,
     PHASE_GRID,
@@ -1396,6 +1396,24 @@ def test_pooled_call_runs_one_worker_without_bundled_openblas(module, default_nl
     call, opened = _pooled_call(module, lambda: seen.append(1), 4, monkeypatch, default_nl)
     call()
     assert opened == [1] and len(seen) == 6
+
+
+def test_grid_side_keeps_its_formula():
+    # the padded side is the dealiasing side, floored at min_grid(2M); at
+    # s >= 3 the floor never binds, so it equals the side written with the
+    # floor 4M + 6
+    from wavetorus.solver import _grid_side
+
+    for deg in range(4):
+        a = [{"j": 0, "c": 2.0}] + ([{"j": deg, "c": 0.5}] if deg else [])
+        for s in (3.0, 4.5):
+            nl = make_nonlinearity(s, a, {"kind": "tanh", "alpha": 1.0})
+            assert nl.a.degree == deg
+            for over in range(2, 9):
+                factor = max(int(np.ceil(s)) + 1, over)
+                for M in range(1, 97):
+                    p = PenalizedProblem(M=M, beta=1e-3, nl=nl, oversample=over)
+                    assert _grid_side(p) == max(factor * (M + 1) + 2 * deg + 2, 4 * M + 6)
 
 
 def test_critical_identity_gap(default_nl):
