@@ -11,8 +11,9 @@ host produce identical artifacts (README, "Determinism").
 A command passes the library only the keys a config sets, so each default
 is stated once, where the library states it: the ensembles' in ``verify``,
 the seed count and linking levels in the signatures of ``solver``'s
-searches.  The Newton defaults are ``RunConfig``'s, which every solver
-command reads.
+searches, and the Newton settings in ``newton_solve``'s, or in the driver
+that restates one (``multi_seed_search``'s budget, ``mms_run``'s tol and
+budget).
 """
 
 from __future__ import annotations
@@ -80,8 +81,7 @@ class RunConfig:
     beta: object = None
     sigma: int = 1
     oversample: int = OVERSAMPLE
-    newton: dict = field(default_factory=lambda: {"tol": 1e-10, "max_iter": 40,
-                                                  "line_search": True})
+    newton: dict = field(default_factory=dict)
     nl: dict | None = None
     forcing: dict | None = None
     initial: dict = field(default_factory=lambda: {"kind": "zero"})
@@ -259,10 +259,7 @@ def parse_config(doc, command: str | None = None) -> RunConfig:
     if errors:
         raise ParseError(errors)
 
-    cfg = RunConfig(command=cmd, raw=doc,
-                    **{k: v for k, v in doc.items() if k not in ("command", "newton")})
-    cfg.newton.update(doc.get("newton", {}))
-    return cfg
+    return RunConfig(command=cmd, raw=doc, **{k: v for k, v in doc.items() if k != "command"})
 
 
 def config_hash(doc: dict) -> str:
@@ -336,9 +333,7 @@ def _initial_field(cfg: RunConfig):
 def _cmd_solve(cfg: RunConfig, out: str) -> dict:
     p = _build_problem(cfg, float(cfg.beta))
     p, target = _build_forcing(cfg, p)
-    sol = newton_solve(p, _initial_field(cfg), tol=cfg.newton["tol"],
-                       max_iter=cfg.newton["max_iter"],
-                       line_search=cfg.newton["line_search"])
+    sol = newton_solve(p, _initial_field(cfg), **cfg.newton)
     write_field(sol.u, os.path.join(out, "solution.json"))
     payload = {"residual_norm": sol.residual_norm, "I_value": sol.I_value,
                "newton_iters": sol.newton_iters,
@@ -355,8 +350,7 @@ def _cmd_continue(cfg: RunConfig, out: str) -> dict:
     p, _ = _build_forcing(cfg, p)
     stall = None
     try:
-        trace = continuation_beta(p, sched, _initial_field(cfg), tol=cfg.newton["tol"],
-                                  max_iter=cfg.newton["max_iter"])
+        trace = continuation_beta(p, sched, _initial_field(cfg), **cfg.newton)
     except StallAt as exc:  # keep the rows reached before the stall
         stall, trace = exc, exc.trace
     trace.to_csv(os.path.join(out, "trace.csv"))
@@ -370,8 +364,7 @@ def _cmd_continue(cfg: RunConfig, out: str) -> dict:
 
 def _cmd_multi(cfg: RunConfig, out: str) -> dict:
     p = _build_problem(cfg, float(cfg.beta))
-    sols = multi_seed_search(p, **cfg.multi, master_seed=cfg.seed,
-                             tol=cfg.newton["tol"], max_iter=cfg.newton["max_iter"])
+    sols = multi_seed_search(p, **cfg.multi, master_seed=cfg.seed, **cfg.newton)
     entries = []
     for i, s in enumerate(sols):
         fname = f"solution_{i:03d}.json"
@@ -457,11 +450,7 @@ def _cmd_mms(cfg: RunConfig, out: str) -> dict:
     nl = nonlinearity_from_config(cfg.nl)
     table = mms_run(nl, float(cfg.mms.get("decay", MMS_DECAY)),
                     [int(m) for m in cfg.mms["M_list"]], float(cfg.beta),
-                    seed=cfg.seed, sigma=cfg.sigma,
-                    oversample=cfg.oversample,
-                    newton_tol=cfg.newton["tol"],
-                    max_iter=cfg.newton["max_iter"],
-                    seed_level=cfg.mms.get("seed_level"))
+                    seed=cfg.seed, sigma=cfg.sigma, oversample=cfg.oversample, **cfg.newton)
     write_mms_csv(table, os.path.join(out, "mms.csv"))
     failed = [r for r in table["rows"] if r["failed"]]
     return {"rows": table["rows"], "target_l2": table["target_l2"],
@@ -495,7 +484,7 @@ _COMMANDS = {
         "es_s": _list_of((lambda v: _is_num(v) and 0 < v <= 1, "must lie in (0, 1]"))},
         ("field",))}, ("norms",)), _cmd_norms),
     "mms": (_Section({**_PROBLEM, "newton": _LINE_SEARCHED, "mms": _Section({
-        "decay": _NONNEG_NUM, "seed_level": _POS_INT, "M_list": (
+        "decay": _NONNEG_NUM, "M_list": (
             lambda v: _POS_INTS[0](v) and len(v) > 0 and all(a < b for a, b in zip(v, v[1:])),
             "must be a nonempty increasing list of positive integers")}, ("M_list",))},
         ("seed", "beta", "nl", "mms")), _cmd_mms),

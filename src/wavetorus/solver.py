@@ -44,6 +44,13 @@ none.
 signatures, which the ``multi`` and ``linking`` commands keep where a config
 sets no key: 16 seeds, and the levels ``LINKING_LEVELS``.
 
+``newton_solve``'s signature states the Newton defaults once (tol 1e-10,
+``max_iter`` 40, the line search on).  The drivers forward Newton's keywords
+to it unchanged and restate only a value of their own: a search's budget,
+``max_iter`` 60 in ``multi_seed_search``, and the manufactured-solution
+study's tol 1e-12 and ``max_iter`` 25 in ``mms_run``; ``continuation_beta``
+states none.
+
 A Newton iterate is synthesized on the padded grid once: the residual that
 accepted it leaves its grid samples to the next step, which forms f_u(x, u)
 from them once, at every size, for the Jacobian fill, the Jacobi diagonal
@@ -692,10 +699,11 @@ def monitored_quantities(u: SpectralField, oversample: int = OVERSAMPLE) -> dict
 
 
 def continuation_beta(p0: PenalizedProblem, schedule: BetaSchedule,
-                      seed_u: SpectralField, tol: float = 1e-10,
-                      max_iter: int = 40) -> ContinuationTrace:
+                      seed_u: SpectralField, **newton) -> ContinuationTrace:
     """Warm-started solve along a decreasing penalty schedule.
 
+    ``newton`` (``tol``, ``max_iter``, ``line_search``) goes to every
+    ``newton_solve`` unchanged, so a key left out takes its default there.
     On failure raises StallAt wrapping the Newton error and carrying the
     partial trace accumulated so far.
     """
@@ -704,7 +712,7 @@ def continuation_beta(p0: PenalizedProblem, schedule: BetaSchedule,
     for beta in schedule.betas():
         p = replace(p0, beta=beta)
         try:
-            sol = newton_solve(p, u, tol=tol, max_iter=max_iter)
+            sol = newton_solve(p, u, **newton)
         except (NoConvergence, SingularJacobian) as exc:
             raise StallAt(beta, exc, trace) from exc
         u = sol.u
@@ -767,30 +775,31 @@ def mms_problem(nl, decay: float, M: int, beta: float, seed: int = 0,
 
 
 def mms_run(nl, decay: float, M_list, beta: float, seed: int = 0, sigma: int = 1,
-            oversample: int = OVERSAMPLE, newton_tol: float = 1e-12, max_iter: int = 25,
-            seed_level: int | None = None) -> dict:
+            oversample: int = OVERSAMPLE, tol: float = 1e-12, max_iter: int = 25,
+            **newton) -> dict:
     """Manufactured-solution convergence study over increasing truncations.
 
     The target lives at the largest truncation; each level is solved from a
     cold seed (the target truncated to the coarsest level, never the previous
     level's solution) and reports the coefficient-l2 error against the full
     target.  Per-level solver failures are recorded in the row and do not
-    abort the study.
+    abort the study.  The study's own Newton tolerance and budget are
+    ``tol`` and ``max_iter``; any other ``newton_solve`` keyword
+    (``line_search``) goes to it unchanged.
     """
     M_list = list(M_list)
     if any(b <= a for a, b in zip(M_list, M_list[1:])):
         raise ValueError("M_list must be increasing")
     M_max = max(M_list)
     target, p_big = mms_problem(nl, decay, M_max, beta, seed, sigma, oversample)
-    cold_level = seed_level if seed_level is not None else min(M_list)
-    seed_core = truncate(target, cold_level)
+    seed_core = truncate(target, min(M_list))
     rows = []
     for M in M_list:
         pM = replace(p_big, M=M, forcing=truncate(p_big.forcing, M))
-        cold = embed(seed_core, M) if M > cold_level else truncate(seed_core, M)
         failed = ""
         try:
-            sol = newton_solve(pM, cold, tol=newton_tol, max_iter=max_iter)
+            sol = newton_solve(pM, embed(seed_core, M), tol=tol, max_iter=max_iter,
+                               **newton)
         except (NoConvergence, SingularJacobian) as exc:
             sol, failed = getattr(exc, "best", None), type(exc).__name__
         rows.append({
@@ -800,7 +809,7 @@ def mms_run(nl, decay: float, M_list, beta: float, seed: int = 0, sigma: int = 1
             "newton_iters": sol.newton_iters if sol else -1,
             "failed": failed})
     return {"rows": rows, "target_l2": target.l2(), "decay": decay,
-            "beta": beta, "seed": seed, "cold_seed_level": cold_level}
+            "beta": beta, "seed": seed}
 
 
 def write_mms_csv(table: dict, path) -> None:
@@ -918,7 +927,7 @@ def _solve_bytes(p: PenalizedProblem) -> int:
 
 def multi_seed_search(p: PenalizedProblem, n_seeds: int = 16,
                       dedup_threshold: float = 0.99, master_seed: int = 0,
-                      tol: float = 1e-10, max_iter: int = 60):
+                      max_iter: int = 60, **newton):
     """Newton from a deterministic seed ladder, deduplicated modulo time
     translation, sorted by functional value.
 
@@ -937,14 +946,16 @@ def multi_seed_search(p: PenalizedProblem, n_seeds: int = 16,
     that the workers advance under the pool's lock, so a search holds one seed
     per worker, not all ``n_seeds``.  Results come back in seed order and are
     deduplicated as in a serial loop.  Seeds ending in NoConvergence or
-    SingularJacobian are skipped; any other error is raised.
+    SingularJacobian are skipped; any other error is raised.  Each seed's
+    ``newton_solve`` runs at the search's own budget ``max_iter`` and takes
+    ``newton`` (``tol``, ``line_search``) unchanged.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
 
     def solve(seed_u):
         try:
-            return newton_solve(p, seed_u, tol=tol, max_iter=max_iter)
+            return newton_solve(p, seed_u, max_iter=max_iter, **newton)
         except (NoConvergence, SingularJacobian):
             return None
 

@@ -319,6 +319,33 @@ def test_search_defaults_are_the_solver_s_own(tmp_path, command, key, function, 
         tmp_path, "set", {**doc, command: {**section, key: json_default}})
 
 
+def test_newton_defaults_are_the_solver_s_own(tmp_path, default_nl):
+    # an mms and a multi config without newton write the rows and solutions
+    # of mms_run and multi_seed_search called with the library's defaults
+    from wavetorus.solver import MMS_DECAY, PenalizedProblem, mms_run, write_mms_csv
+    from wavetorus.spectral import read_field
+
+    mms = {"command": "mms", "seed": 12345, "beta": 1e-3, "nl": DEFAULT_NL_SPEC,
+           "mms": {"M_list": [6, 8]}}
+    assert run(parse_config(mms), str(tmp_path / "mms")) == EXIT_OK
+    write_mms_csv(mms_run(default_nl, MMS_DECAY, [6, 8], 1e-3, seed=12345),
+                  tmp_path / "direct.csv")
+    assert (tmp_path / "mms" / "mms.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+    multi = {"command": "multi", "seed": 12345, "M": 8, "beta": 1e-4, "nl": DEFAULT_NL_SPEC,
+             "multi": {"n_seeds": 4}}
+    assert run(parse_config(multi), str(tmp_path / "multi")) == EXIT_OK
+    report = load_strict(tmp_path / "multi" / "report.json")
+    sols = multi_seed_search(PenalizedProblem(M=8, beta=1e-4, nl=default_nl), 4,
+                             master_seed=12345)
+    assert [(s["I_value"], s["residual_norm"], s["newton_iters"])
+            for s in report["solutions"]] == [
+        (s.I_value, s.residual_norm, s.newton_iters) for s in sols]
+    for entry, sol in zip(report["solutions"], sols):
+        assert np.array_equal(read_field(tmp_path / "multi" / entry["file"]).coeffs,
+                              sol.u.coeffs)
+
+
 def test_norms_bytes_do_not_follow_numpy_s_blas_threads(tmp_path):
     # the norms command holds numpy's OpenBLAS at one thread, as verify does:
     # at M=12 a two-thread dot moves the last bits of an L^p norm otherwise

@@ -1,7 +1,8 @@
 """README states the CLI's contracts as the code has them, and no measurements.
 
 The key tables of README's "Command line" section are parsed and compared
-with ``cli._COMMANDS`` and ``cli._KINDS``.  Measured figures (sizes, times)
+with ``cli._COMMANDS`` and ``cli._KINDS``, and its sentence on the Newton
+defaults with the signatures that state them.  Measured figures (sizes, times)
 belong in the ``BENCH_*.json`` files and CHANGES.md, where each has its host
 and its change; README would quote them out of date.
 """
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from wavetorus import cli
+from wavetorus import cli, solver
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 # keys every command reads, which the command table leaves out
@@ -87,6 +88,26 @@ def test_kind_table_equals_the_kinds_table():
         assert list(documented) == list(kinds), section
         for kind, rules in kinds.items():
             assert documented[kind] == required_map(rules), (section, kind)
+
+
+def test_newton_defaults_sentence_names_the_signatures():
+    # each clause ending in (`function`) names that function's own Newton
+    # defaults, as "`key` value" and "line search on|off", and no other
+    import inspect
+
+    sentence = re.search(r"A command passes the library only the\s+`newton` keys.*?\.(?=\s)",
+                         README, re.S)[0]
+    parts = re.split(r"\(`(\w+)`\)", " ".join(sentence.split()))
+    clauses = dict(zip(parts[1::2], parts[0::2]))
+    assert list(clauses) == ["newton_solve", "multi_seed_search", "mms_run"]
+    for name, clause in clauses.items():
+        params = inspect.signature(getattr(solver, name)).parameters
+        stated = {k: repr(params[k].default) for k in ("tol", "max_iter") if k in params}
+        assert dict(re.findall(r"`(tol|max_iter)` (\S+)", clause)) == stated, name
+        if "line_search" in params:
+            assert f"line search {'on' if params['line_search'].default else 'off'}" in clause
+        else:
+            assert "line search" not in clause, name
 
 
 def test_readme_quotes_no_measured_figure():

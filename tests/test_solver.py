@@ -427,6 +427,24 @@ def test_newton_no_convergence_carries_best(default_nl):
     assert best.residual_norm > 0 and len(best.residual_history) == 2
 
 
+@pytest.mark.parametrize("line_search, after", [(False, 11.7226), (True, 5.6068)])
+def test_newton_step_without_line_search_takes_the_full_step(default_nl, line_search,
+                                                             after):
+    # from seed 1 of the M=8 ladder the full step raises the residual and
+    # the line search cuts it back; continuation_beta forwards the setting
+    from wavetorus.solver import _seed_fields
+
+    p = PenalizedProblem(M=8, beta=1e-4, nl=default_nl)
+    seed_u = list(_seed_fields(p, 12, 12345))[1]
+    with pytest.raises(NoConvergence) as exc:
+        newton_solve(p, seed_u, max_iter=1, line_search=line_search)
+    assert exc.value.best.residual_history == pytest.approx((9.9932, after), rel=1e-4)
+    with pytest.raises(StallAt) as stall:
+        continuation_beta(p, BetaSchedule(1e-4, 0.5, 5e-5), seed_u, max_iter=1,
+                          line_search=line_search)
+    assert stall.value.cause.best.residual_history == exc.value.best.residual_history
+
+
 def test_newton_iterative_path_matches_dense(default_nl, monkeypatch):
     # above DENSE_LIMIT Newton reaches the dense root, with the coarse LU of
     # the modes of weight <= M // 4 and with the one mode (0, 0)
@@ -1241,7 +1259,7 @@ def test_multi_seed_pool_keeps_seed_order_and_failure_handling(default_nl, monke
     def fake_newton(raise_at):
         seed4_done = threading.Event()
 
-        def newton(p, seed_u, tol, max_iter):
+        def newton(p, seed_u, **kw):
             i = next(i for i, s in enumerate(ladder) if np.array_equal(s.coeffs, seed_u.coeffs))
             if i == 3:
                 assert seed4_done.wait(timeout=30)
@@ -1299,7 +1317,7 @@ def test_multi_seed_search_draws_the_ladder_as_the_workers_pull_it(default_nl, m
             weakref.finalize(u, freed.append, None)
             yield u
 
-    def newton(p, seed_u, tol, max_iter):
+    def newton(p, seed_u, **kw):
         alive.append(len(drawn) - len(freed))
         raise NoConvergence("stub")
 
@@ -1331,7 +1349,7 @@ def _pooled_call(module, probe, workers, monkeypatch, nl):
     monkeypatch.setattr(pool, "_map", recording)
     monkeypatch.setattr(pool, "usable_cores", lambda: workers)
     if module == "scipy.linalg":
-        def newton(p, seed_u, tol, max_iter):
+        def newton(p, seed_u, **kw):
             probe()
             return SolutionState(seed_u, 0.0, 0.0, 0)
 
