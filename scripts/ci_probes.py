@@ -9,6 +9,11 @@ interpreter of its own (``multiprocessing``'s spawn), so the modules it
 lists as loaded and its ``ru_maxrss`` are that probe's alone, and prints
 one line (the M=72 probe two):
 
+- the set-up of each toy ``verify`` and ``multi`` config of
+  ``examples/ci``: the ``wavetorus`` modules loaded, the time for
+  ``import wavetorus.cli`` plus ``parse_config`` and ``ru_maxrss`` after
+  them.  ``parse_config`` loads the modules the command runs and no other
+  (tier-1 holds the lists)
 - a toy ``verify`` and a toy ``solve``: the scipy modules each loads and
   whether ``verify`` loads ``numpy.ma`` (none, and not where numpy imports
   it lazily; tier-1 holds the checks), with the solve's peak RSS
@@ -36,6 +41,7 @@ is 1 when a probe's run exits nonzero or raises, else 0.
 from __future__ import annotations
 
 import io
+import json
 import multiprocessing
 import resource
 import sys
@@ -44,7 +50,8 @@ import time
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 NL = {"s": 3, "a": [{"j": 0, "c": 1.0}, {"j": 1, "c_sin": 0.5}],
       "m": {"kind": "tanh", "alpha": 1.0}}
@@ -68,6 +75,19 @@ def count_lines(source: str) -> tuple:
 
 def _scipy_modules() -> list:
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+def setup(out: Path, config: Path) -> int:
+    start = time.perf_counter()
+    from wavetorus.cli import parse_config
+
+    parse_config(json.loads(config.read_text()))
+    wall = time.perf_counter() - start
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "wavetorus")
+    print(f"set-up of {config.relative_to(ROOT)}: import and parse_config {wall:.3f} s, "
+          f"ru_maxrss {rss:.1f} MB, modules: {', '.join(loaded)}")
+    return 0
 
 
 def toy_verify(out: Path) -> int:
@@ -179,7 +199,9 @@ def multi_m16(out: Path, mode: str) -> int:
     return code
 
 
-PROBES = ((toy_verify,), (toy_solve,), (verify_m32,), (dense_m64,), (above_dense_limit,),
+PROBES = (*((setup, path) for command in ("verify", "multi")
+             for path in sorted((ROOT / "examples" / "ci").glob(f"{command}*.json"))),
+          (toy_verify,), (toy_solve,), (verify_m32,), (dense_m64,), (above_dense_limit,),
           (multi_m16, "pooled"), (multi_m16, "one_worker"))
 
 

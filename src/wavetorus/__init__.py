@@ -11,32 +11,38 @@ verification harnesses.
 
 Names are imported from the module that defines them.  The package itself
 re-exports only the names the acceptance suite (tests/test_acceptance.py)
-and the benchmark's gate import from it.
+and the benchmark's gate import from it, each listed under its module in
+``_EXPORTS``.  A name's module loads when the name is first read (PEP 562),
+so ``import wavetorus`` loads no submodule, and a ``verify`` run never
+loads the solver.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .dalembert import apply_box, h1_bound_ratio, solve_box
-from .nonlinearity import make_nonlinearity, nonlinearity_from_config
-from .norms import holder_estimate
-from .solver import (
-    BetaSchedule,
-    PenalizedProblem,
-    apriori_monitor,
-    continuation_beta,
-    critical_identity_gap,
-    functional_I,
-    max_time_correlation,
-    mms_run,
-    multi_seed_search,
-    pair,
-    residual,
-)
-from .spectral import SpectralField, SubspaceTag, project, random_field, read_field
-from .verify import (
-    EnsembleSpec,
-    check_box_regularity,
-    check_embedding,
-    check_gn,
-    check_hausdorff_young,
-)
+# the re-exported names, by the module that defines them
+_EXPORTS = {
+    "dalembert": ("apply_box", "h1_bound_ratio", "solve_box"),
+    "nonlinearity": ("make_nonlinearity", "nonlinearity_from_config"),
+    "norms": ("holder_estimate",),
+    "solver": ("BetaSchedule", "PenalizedProblem", "apriori_monitor", "continuation_beta",
+               "critical_identity_gap", "functional_I", "max_time_correlation", "mms_run",
+               "multi_seed_search", "pair", "residual"),
+    "spectral": ("SpectralField", "SubspaceTag", "project", "random_field", "read_field"),
+    "verify": ("EnsembleSpec", "check_box_regularity", "check_embedding", "check_gn",
+               "check_hausdorff_young"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

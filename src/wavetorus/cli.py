@@ -14,11 +14,20 @@ the seed count and linking levels in the signatures of ``solver``'s
 searches, and the Newton settings in ``newton_solve``'s, or in the driver
 that restates one (``multi_seed_search``'s budget, ``mms_run``'s tol and
 budget).
+
+Each command loads only the library modules it runs: ``parse_config``
+loads them once the command is known (the last entry of its ``_COMMANDS``
+row), so a ``verify`` run never loads ``solver`` or ``nonlinearity``, a
+solver command never loads ``verify`` or ``dalembert``, and ``run`` loads
+no further module.  The names the commands read are bound here as their
+module loads (``_LIBRARY``); read from outside before then, a name loads
+its module on first access.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import sys
@@ -26,45 +35,44 @@ from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .errors import NonlinearityRejected, NotInEperp, ParseError, StallAt, WavetorusError
-from .nonlinearity import nonlinearity_from_config
-from .norms import (
-    NormReport,
-    holder_estimate,
-    lp_norms,
-    norm_E,
-    norm_Es,
-    norm_lq,
-    sobolev_norm,
-    write_norm_reports_csv,
-)
-from .pool import one_blas_thread
-from .solver import (
-    LINKING_LEVELS,
-    MMS_DECAY,
-    BetaSchedule,
-    PenalizedProblem,
-    apriori_monitor,
-    continuation_beta,
-    linking_report,
-    mms_problem,
-    mms_run,
-    multi_seed_search,
-    newton_solve,
-    write_mms_csv,
-)
 from .spectral import OVERSAMPLE, SpectralField, SubspaceTag, random_field, read_field, write_field
 from .spectral import _is_int, _is_num  # the rules of a field file's numbers
 from .spectral import write_json as _write_json  # the benchmark's spans look it up by this name
-from .verify import (
-    HOLDER_GAMMAS,
-    EnsembleSpec,
-    check_box_regularity,
-    check_embedding,
-    check_holder_to_sobolev,
-    gn_reports,
-    hausdorff_young_reports,
-    write_ratio_csv,
-)
+
+# the library names the commands read, by the module that defines them.  A
+# command's modules load when parse_config resolves it (_COMMANDS); a name
+# read from outside before then loads its module (__getattr__)
+_LIBRARY = {
+    "nonlinearity": ("nonlinearity_from_config",),
+    "norms": ("NormReport", "holder_estimate", "lp_norms", "norm_E", "norm_Es", "norm_lq",
+              "sobolev_norm", "write_norm_reports_csv"),
+    "pool": ("one_blas_thread",),
+    "solver": ("LINKING_LEVELS", "MMS_DECAY", "BetaSchedule", "PenalizedProblem",
+               "apriori_monitor", "continuation_beta", "linking_report", "mms_problem",
+               "mms_run", "multi_seed_search", "newton_solve", "write_mms_csv"),
+    "verify": ("HOLDER_GAMMAS", "EnsembleSpec", "check_box_regularity", "check_embedding",
+               "check_holder_to_sobolev", "gn_reports", "hausdorff_young_reports",
+               "write_ratio_csv"),
+}
+_BOUND = {}  # name -> the value _load last bound it to
+
+
+def _load(module: str) -> None:
+    """Bind ``module``'s names of _LIBRARY here, as the module has them now;
+    a name rebound here since _load bound it (a test's stand-in) stays."""
+    mod = importlib.import_module(f"{__package__}.{module}")
+    for name in _LIBRARY[module]:
+        if globals().get(name) is _BOUND.get(name):
+            globals()[name] = _BOUND[name] = getattr(mod, name)
+
+
+def __getattr__(name: str):
+    module = next((m for m, names in _LIBRARY.items() if name in names), None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(module)
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -196,16 +204,17 @@ def _cross_key_errors(doc: dict, cmd: str) -> list:
                    for k in kinds[kind].required if k not in sub]
         errors += [f"{section}.{k}: not read by kind {kind!r}"
                    for k in sub if k != "kind" and k not in kinds[kind].rules]
-    v = doc.get("verify", {})
-    suite = v.get("suite", "all")
-    if suite in ("gn", "all") and "p" in v and v["p"] <= 2:
-        errors.append(f"verify.p: must be > 2 for suite {suite} (got {v['p']!r})")
-    if suite in ("holder", "all"):
-        gamma = v.get("gamma", HOLDER_GAMMAS[0])
-        gamma_prime = v.get("gamma_prime", HOLDER_GAMMAS[1])
-        if gamma_prime >= gamma:
-            errors.append(f"verify.gamma_prime: must be < verify.gamma for suite {suite}"
-                          f" (got {gamma_prime!r} >= {gamma!r})")
+    if cmd == "verify":  # the only command with a verify section
+        v = doc.get("verify", {})
+        suite = v.get("suite", "all")
+        if suite in ("gn", "all") and "p" in v and v["p"] <= 2:
+            errors.append(f"verify.p: must be > 2 for suite {suite} (got {v['p']!r})")
+        if suite in ("holder", "all"):
+            gamma = v.get("gamma", HOLDER_GAMMAS[0])
+            gamma_prime = v.get("gamma_prime", HOLDER_GAMMAS[1])
+            if gamma_prime >= gamma:
+                errors.append(f"verify.gamma_prime: must be < verify.gamma for suite {suite}"
+                              f" (got {gamma_prime!r} >= {gamma!r})")
     M = doc.get("M")
     if cmd == "linking" and M is not None:
         too_big = [l for l in doc.get("linking", {}).get("l_values", LINKING_LEVELS) if l > M]
@@ -236,9 +245,11 @@ def _cross_key_errors(doc: dict, cmd: str) -> list:
 def parse_config(doc, command: str | None = None) -> RunConfig:
     """Validate a decoded config document; raises ParseError listing its problems.
 
-    Each key is checked against the rule of its command's section in
-    _COMMANDS (a key outside the section is "not read by" the command), and
-    the keys that pass are checked for combinations of values.
+    Once the command is known its library modules load (_COMMANDS), so a
+    run loads no further module.  Each key is checked against the rule of
+    its command's section (a key outside the section is "not read by" the
+    command), and the keys that pass are checked for combinations of
+    values.
     """
     if not isinstance(doc, dict):
         raise ParseError(["config: top level must be an object"])
@@ -250,7 +261,9 @@ def parse_config(doc, command: str | None = None) -> RunConfig:
         raise ParseError([f"command: config says {cmd!r} but {command!r} was invoked"])
     if cmd not in COMMANDS:
         raise ParseError(_check(cmd, _BASE["command"], "command"))
-    section = _COMMANDS[cmd][0]
+    section, _, modules = _COMMANDS[cmd]
+    for module in modules:
+        _load(module)
     problems = {k: _check(v, section.rules[k], k) if k in section.rules
                 else [f"{k}: not read by {cmd}"] for k, v in doc.items()}
     errors = [e for errs in problems.values() for e in errs]
@@ -462,35 +475,37 @@ def _cmd_linking(cfg: RunConfig, out: str) -> dict:
     return linking_report(p, **cfg.linking, master_seed=cfg.seed)
 
 
+_SOLVER = ("nonlinearity", "solver")  # the modules of the commands that build a problem
 # each command: the section of the keys it reads (any other key is a config
-# error), and the function that runs it
+# error), the function that runs it, and the modules of _LIBRARY it reads
+# (each loads the package modules it imports)
 _COMMANDS = {
     "solve": (_Section({**_PROBLEM, "M": _POS_INT, **_STARTS, "newton": _Section(
-        {**_NEWTON, "line_search": _BOOL})}, _SOLVES), _cmd_solve),
+        {**_NEWTON, "line_search": _BOOL})}, _SOLVES), _cmd_solve, _SOLVER),
     "continue": (_Section({**_PROBLEM, "M": _POS_INT, **_STARTS, "beta": _SCHEDULE,
-                           "newton": _LINE_SEARCHED}, _SOLVES), _cmd_continue),
+                           "newton": _LINE_SEARCHED}, _SOLVES), _cmd_continue, _SOLVER),
     "multi": (_Section({**_PROBLEM, "M": _POS_INT, "newton": _LINE_SEARCHED, "multi": _Section(
-        {"n_seeds": _POS_INT, "dedup_threshold": _UNIT_NUM})}, _SOLVES), _cmd_multi),
+        {"n_seeds": _POS_INT, "dedup_threshold": _UNIT_NUM})}, _SOLVES), _cmd_multi, _SOLVER),
     "verify": (_Section({**_BASE, "seed": _NONNEG_INT, "verify": _Section({
         "suite": _choice("suite", "hy", "gn", "embedding", "holder", "box", "all"),
         "count": _POS_INT, "ensemble_M": _POS_INT, "decay": _NONNEG_NUM,
         "p": (lambda v: _is_num(v) and v > 1, "must be a finite number > 1"),
         "s": _UNIT_NUM, "gamma": _UNIT_NUM, "gamma_prime": _UNIT_NUM,
         "tails": _POS_INTS, "tail_count": _POS_INT, "write_ratios": _BOOL})},
-        ("seed", "verify")), _cmd_verify),
+        ("seed", "verify")), _cmd_verify, ("verify",)),
     "norms": (_Section({**_BASE, "norms": _Section({
         "field": _PATH, "p": _list_of(_EXPONENT), "q": _list_of(_EXPONENT),
         "sobolev_s": _list_of(_NONNEG_NUM), "gamma": _list_of(_UNIT_NUM),
         "es_s": _list_of((lambda v: _is_num(v) and 0 < v <= 1, "must lie in (0, 1]"))},
-        ("field",))}, ("norms",)), _cmd_norms),
+        ("field",))}, ("norms",)), _cmd_norms, ("norms", "pool")),
     "mms": (_Section({**_PROBLEM, "newton": _LINE_SEARCHED, "mms": _Section({
         "decay": _NONNEG_NUM, "M_list": (
             lambda v: _POS_INTS[0](v) and len(v) > 0 and all(a < b for a, b in zip(v, v[1:])),
             "must be a nonempty increasing list of positive integers")}, ("M_list",))},
-        ("seed", "beta", "nl", "mms")), _cmd_mms),
+        ("seed", "beta", "nl", "mms")), _cmd_mms, _SOLVER),
     "linking": (_Section({**_PROBLEM, "M": _POS_INT, "linking": _Section(
         {"l_values": _POS_INTS, "rho_values": _list_of(_POS_NUM),
-         "n_starts": _POS_INT, "n_sphere": _POS_INT})}, _SOLVES), _cmd_linking),
+         "n_starts": _POS_INT, "n_sphere": _POS_INT})}, _SOLVES), _cmd_linking, _SOLVER),
 }
 COMMANDS = tuple(_COMMANDS)
 
@@ -530,7 +545,7 @@ def main(argv=None) -> int:
         prog="wavetorus",
         description="Spectral lab for time-periodic waves on the torus")
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd, (section, _) in _COMMANDS.items():
+    for cmd, (section, *_) in _COMMANDS.items():
         sp = sub.add_parser(cmd)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)

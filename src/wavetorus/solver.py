@@ -559,9 +559,11 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
     step is then computed from the phase-anchored bordered system with the
     current iterate's time derivative as anchor.
 
-    Raises NoConvergence (carrying the last iterate) after ``max_iter``
-    accepted steps, a failed line search or a non-finite residual norm;
-    SingularJacobian when the linear solve breaks down.
+    Raises NoConvergence after ``max_iter`` accepted steps, a failed line
+    search or a non-finite residual norm, carrying the iterate of lowest
+    residual norm (an accepted step may raise it: the natural-monotonicity
+    test does not bound the residual) with the steps taken and the whole
+    residual history; SingularJacobian when the linear solve breaks down.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -578,8 +580,9 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
     rnorm = R.l2()
     history = [rnorm]
     iters = 0
+    best = u, rnorm  # the lowest-residual iterate, which a failure carries
 
-    def state(converged):
+    def state(u, rnorm, converged):
         samples.clear()  # no Jacobian follows: free u's grid before I(u) makes its own
         return SolutionState(u, rnorm, functional_I(p, u), iters,
                              tuple(history), converged)
@@ -587,10 +590,10 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
     while not rnorm <= tol:  # a NaN norm enters the loop and stops below
         if not np.isfinite(rnorm):
             raise NoConvergence(f"non-finite residual norm after {iters} iterations",
-                                state(False))
+                                state(*best, False))
         if iters >= max_iter:
             raise NoConvergence(f"no convergence after {max_iter} iterations",
-                                state(False))
+                                state(*best, False))
         anchor = None
         if p.forcing is None:
             t_vec = pack(time_derivative(u))
@@ -619,11 +622,13 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
                     break
         if trial is not None:
             u, R, rnorm, samples = trial
+            if rnorm < best[1]:
+                best = u, rnorm
         iters += 1
         history.append(rnorm)
         if trial is None:
-            raise NoConvergence("line search stalled", state(False))
-    return state(True)
+            raise NoConvergence("line search stalled", state(*best, False))
+    return state(u, rnorm, True)
 
 
 # -- continuation in the penalty --------------------------------------------

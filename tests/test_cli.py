@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -844,6 +845,94 @@ def test_continue_stall_at_the_first_beta_writes_a_header_only_trace(tmp_path, c
     _continue_stall(tmp_path, capsys, doc, [])
 
 
+def toy_docs(tmp_path) -> list:
+    """A toy config of each command but linking, in the order
+    verify, norms, solve, multi, continue, mms; norms reads a field file it
+    writes under ``tmp_path``."""
+    fpath = tmp_path / "field.json"
+    write_field(random_field(1, 8, decay=0.3), fpath)
+    return [{"command": "verify", "seed": 5,
+             "verify": {"suite": "all", "count": 4, "ensemble_M": 8, "tails": [4],
+                        "tail_count": 4}},
+            {"command": "norms", "norms": {"field": str(fpath),
+                                           "p": [4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, 2.5],
+                                           "gamma": [0.5]}},
+            minimal_solve_config(initial={"kind": "random", "amplitude": 0.3}),
+            minimal_solve_config(command="multi", beta=1e-4, multi={"n_seeds": 2}),
+            minimal_solve_config(command="continue", initial={"kind": "random", "amplitude": 0.3},
+                                 beta={"start": 0.1, "factor": 0.5, "floor": 0.05}),
+            {key: value for key, value in minimal_solve_config(command="mms").items()
+             if key != "M"} | {"mms": {"M_list": [6, 8]}}]
+
+
+def fresh_interpreter(script: str, *args) -> str:
+    """Standard output of ``script`` run with ``args`` in a new interpreter
+    that imports this tree's package."""
+    import os
+
+    import wavetorus
+
+    src = os.path.dirname(os.path.dirname(wavetorus.__file__))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, check=True).stdout
+
+
+_WAVETORUS_STAGES = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "wavetorus")
+
+import wavetorus
+stages = [loaded()]
+from wavetorus.cli import parse_config, run
+cfg = parse_config(json.loads(sys.argv[1]))
+stages.append(loaded())
+assert run(cfg, sys.argv[2]) == 0
+stages.append(loaded())
+print(json.dumps(stages))
+"""
+# the package modules each command loads besides cli, errors and spectral,
+# which importing wavetorus.cli loads
+_SOLVER_LOADS = ["nonlinearity", "norms", "pool", "solver"]
+COMMAND_LOADS = {"verify": ["dalembert", "norms", "pool", "verify"], "norms": ["norms", "pool"],
+                 **dict.fromkeys(("solve", "multi", "continue", "mms", "linking"),
+                                 _SOLVER_LOADS)}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_LOADS))
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
+    # in a fresh interpreter: importing the package loads no submodule,
+    # parse_config loads every module the command runs (the benchmark's
+    # set-up pays for them), and run loads no further one.  verify never
+    # loads the solver or the nonlinearity, a solver command never loads
+    # verify or dalembert, and norms neither solver nor verify
+    docs = {doc["command"]: doc for doc in toy_docs(tmp_path)}
+    docs["linking"] = {key: value for key, value in minimal_solve_config(
+        command="linking").items() if key != "newton"} | {
+        "linking": {"l_values": [4], "n_starts": 1, "n_sphere": 4}}
+    stages = json.loads(fresh_interpreter(_WAVETORUS_STAGES, json.dumps(docs[command]),
+                                          str(tmp_path / "out")))
+    parsed = sorted(f"wavetorus.{m}" for m in ["cli", "errors", "spectral",
+                                                *COMMAND_LOADS[command]])
+    assert stages == [["wavetorus"], ["wavetorus", *parsed], ["wavetorus", *parsed]]
+    assert set(COMMAND_LOADS["verify"]).isdisjoint({"solver", "nonlinearity"})
+    assert set(_SOLVER_LOADS).isdisjoint({"verify", "dalembert"})
+    assert set(COMMAND_LOADS["norms"]).isdisjoint({"solver", "verify"})
+
+
+def test_readme_lists_each_command_s_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = readme.split("- What each command loads:")[1].split("\n\n")[0]
+    listed = {}
+    for item in text.split("\n  - ")[1:]:
+        commands, modules = " ".join(item.split()).split(": ")
+        listed |= dict.fromkeys(re.findall(r"`(\w+)`", commands),
+                                re.findall(r"`(\w+)`", modules))
+    assert listed == COMMAND_LOADS
+
+
 _SCIPY_STAGES = """
 import json, sys
 
@@ -884,27 +973,8 @@ def test_grid_norm_commands_load_no_scipy(tmp_path):
     import wavetorus
     from wavetorus import pool
 
-    fpath = tmp_path / "field.json"
-    write_field(random_field(1, 8, decay=0.3), fpath)
-    docs = [{"command": "verify", "seed": 5,
-             "verify": {"suite": "all", "count": 4, "ensemble_M": 8, "tails": [4],
-                        "tail_count": 4}},
-            {"command": "norms", "norms": {"field": str(fpath),
-                                           "p": [4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, 2.5],
-                                           "gamma": [0.5]}},
-            minimal_solve_config(initial={"kind": "random", "amplitude": 0.3}),
-            minimal_solve_config(command="multi", beta=1e-4, multi={"n_seeds": 2}),
-            minimal_solve_config(command="continue", initial={"kind": "random", "amplitude": 0.3},
-                                 beta={"start": 0.1, "factor": 0.5, "floor": 0.05}),
-            {key: value for key, value in minimal_solve_config(command="mms").items()
-             if key != "M"} | {"mms": {"M_list": [6, 8]}}]
-    src = os.path.dirname(os.path.dirname(wavetorus.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-
-    out = subprocess.run([sys.executable, "-c", _SCIPY_STAGES, json.dumps(docs),
-                          str(tmp_path / "out")], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    seen = json.loads(out)
+    seen = json.loads(fresh_interpreter(_SCIPY_STAGES, json.dumps(toy_docs(tmp_path)),
+                                        str(tmp_path / "out")))
     for stage in ("import", "verify", "norms"):
         assert seen[stage]["scipy"] == [] and seen[stage]["futures"] is False, stage
     assert all(seen[stage]["ctypes"] == [] for stage in seen)

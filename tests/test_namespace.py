@@ -58,9 +58,13 @@ WAVETORUS_TARGETS = [t for t in LAYER_TARGETS + TIMER_TARGETS if t[0].startswith
 def test_package_exports_only_the_acceptance_and_gate_names():
     contract = (names_imported_from_package(ROOT / "tests" / "test_acceptance.py")
                 | names_imported_from_package(ROOT / "benchmark" / "gate.py"))
-    public = {name for name, value in vars(wavetorus).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    # the package resolves a name on first access, so dir(), not vars()
+    public = {name for name in dir(wavetorus) if not name.startswith("_")
+              and not isinstance(getattr(wavetorus, name), types.ModuleType)}
     assert public == contract
+    for name in public:
+        value = getattr(wavetorus, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
 
 
 def test_gate_imports_resolve():

@@ -427,6 +427,24 @@ def test_newton_no_convergence_carries_best(default_nl):
     assert best.residual_norm > 0 and len(best.residual_history) == 2
 
 
+def test_newton_no_convergence_carries_the_lowest_residual_iterate(default_nl):
+    # the M=6 level of examples/ci/mms.json: the residual creeps down to
+    # 0.0095 at step 31, and an accepted step then raises it past 1, so the
+    # last of 40 steps is not the best
+    target, p = mms_problem(default_nl, 0.5, 8, 1e-3, seed=12345)
+    p = replace(p, M=6, forcing=truncate(p.forcing, 6))
+    with pytest.raises(NoConvergence) as exc:
+        newton_solve(p, truncate(target, 6), tol=1e-12, max_iter=40)
+    best = exc.value.best
+    history = best.residual_history
+    assert len(history) == 41 and best.newton_iters == 40
+    assert history[-1] == pytest.approx(1.0149, rel=1e-4)
+    assert best.residual_norm == min(history) == history[31]
+    assert best.residual_norm == pytest.approx(0.009548, rel=1e-3)
+    assert residual(p, best.u).l2() == best.residual_norm
+    assert best.I_value == functional_I(p, best.u)
+
+
 @pytest.mark.parametrize("line_search, after", [(False, 11.7226), (True, 5.6068)])
 def test_newton_step_without_line_search_takes_the_full_step(default_nl, line_search,
                                                              after):
