@@ -19,9 +19,9 @@ Each command loads only the library modules it runs: ``parse_config``
 loads them once the command is known (the last entry of its ``_COMMANDS``
 row), so a ``verify`` run never loads ``solver`` or ``nonlinearity``, a
 solver command never loads ``verify`` or ``dalembert``, and ``run`` loads
-no further module.  The names the commands read are bound here as their
-module loads (``_LIBRARY``); read from outside before then, a name loads
-its module on first access.
+no further module.  Each command imports the library names it runs in its
+own body, from the module that defines them, so a stand-in set on that
+module is the one that runs.
 """
 
 from __future__ import annotations
@@ -38,41 +38,6 @@ from .errors import NonlinearityRejected, NotInEperp, ParseError, StallAt, Wavet
 from .spectral import OVERSAMPLE, SpectralField, SubspaceTag, random_field, read_field, write_field
 from .spectral import _is_int, _is_num  # the rules of a field file's numbers
 from .spectral import write_json as _write_json  # the benchmark's spans look it up by this name
-
-# the library names the commands read, by the module that defines them.  A
-# command's modules load when parse_config resolves it (_COMMANDS); a name
-# read from outside before then loads its module (__getattr__)
-_LIBRARY = {
-    "nonlinearity": ("nonlinearity_from_config",),
-    "norms": ("NormReport", "holder_estimate", "lp_norms", "norm_E", "norm_Es", "norm_lq",
-              "sobolev_norm", "write_norm_reports_csv"),
-    "pool": ("one_blas_thread",),
-    "solver": ("LINKING_LEVELS", "MMS_DECAY", "BetaSchedule", "PenalizedProblem",
-               "apriori_monitor", "continuation_beta", "linking_report", "mms_problem",
-               "mms_run", "multi_seed_search", "newton_solve", "write_mms_csv"),
-    "verify": ("HOLDER_GAMMAS", "EnsembleSpec", "check_box_regularity", "check_embedding",
-               "check_holder_to_sobolev", "gn_reports", "hausdorff_young_reports",
-               "write_ratio_csv"),
-}
-_BOUND = {}  # name -> the value _load last bound it to
-
-
-def _load(module: str) -> None:
-    """Bind ``module``'s names of _LIBRARY here, as the module has them now;
-    a name rebound here since _load bound it (a test's stand-in) stays."""
-    mod = importlib.import_module(f"{__package__}.{module}")
-    for name in _LIBRARY[module]:
-        if globals().get(name) is _BOUND.get(name):
-            globals()[name] = _BOUND[name] = getattr(mod, name)
-
-
-def __getattr__(name: str):
-    module = next((m for m, names in _LIBRARY.items() if name in names), None)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(module)
-    return globals()[name]
-
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,8 +56,8 @@ class RunConfig:
     oversample: int = OVERSAMPLE
     newton: dict = field(default_factory=dict)
     nl: dict | None = None
-    forcing: dict | None = None
-    initial: dict = field(default_factory=lambda: {"kind": "zero"})
+    forcing: dict = field(default_factory=dict)
+    initial: dict = field(default_factory=dict)
     verify: dict = field(default_factory=dict)
     mms: dict = field(default_factory=dict)
     multi: dict = field(default_factory=dict)
@@ -146,8 +111,7 @@ _PROBLEM = {  # every command that builds a problem; all but mms add M
         ("s",)),
 }
 # the keys besides "kind" that each kind of initial and forcing reads, and
-# the ones it requires; the first kind is the default (_initial_field,
-# _build_forcing)
+# the ones it requires; the first kind is the default (_kind)
 _KINDS = {
     "forcing": {
         "none": _Section({}), "file": _Section({"path": _PATH}, ("path",)),
@@ -159,6 +123,18 @@ _KINDS = {
         "modes": _Section({"modes": [_Section({"j": _INT, "k": _INT, "re": _NUM, "im": _NUM},
                                               ("j", "k"))], "amplitude": _NUM}, ("modes",))},
 }
+
+
+def _kind(section: str, sub: dict) -> str:
+    """The kind of a config's ``initial`` or ``forcing`` section ``sub``."""
+    return sub.get("kind", next(iter(_KINDS[section])))
+
+
+def _suite(verify: dict) -> str:
+    """The suite a config's ``verify`` section runs."""
+    return verify.get("suite", "all")
+
+
 _STARTS = {section: _Section({"kind": _choice("kind", *kinds),
                               **{k: r for kind in kinds.values() for k, r in kind.rules.items()}})
            for section, kinds in _KINDS.items()}
@@ -199,14 +175,16 @@ def _cross_key_errors(doc: dict, cmd: str) -> list:
     errors = []
     for section, kinds in _KINDS.items():
         sub = doc.get(section, {})
-        kind = sub.get("kind", next(iter(kinds)))
+        kind = _kind(section, sub)
         errors += [f"{section}.{k}: missing (required for kind {kind!r})"
                    for k in kinds[kind].required if k not in sub]
         errors += [f"{section}.{k}: not read by kind {kind!r}"
                    for k in sub if k != "kind" and k not in kinds[kind].rules]
     if cmd == "verify":  # the only command with a verify section
+        from .verify import HOLDER_GAMMAS
+
         v = doc.get("verify", {})
-        suite = v.get("suite", "all")
+        suite = _suite(v)
         if suite in ("gn", "all") and "p" in v and v["p"] <= 2:
             errors.append(f"verify.p: must be > 2 for suite {suite} (got {v['p']!r})")
         if suite in ("holder", "all"):
@@ -217,6 +195,8 @@ def _cross_key_errors(doc: dict, cmd: str) -> list:
                               f" (got {gamma_prime!r} >= {gamma!r})")
     M = doc.get("M")
     if cmd == "linking" and M is not None:
+        from .solver import LINKING_LEVELS
+
         too_big = [l for l in doc.get("linking", {}).get("l_values", LINKING_LEVELS) if l > M]
         if too_big:
             errors.append(f"linking.l_values: entries {too_big} exceed M={M}")
@@ -233,6 +213,8 @@ def _cross_key_errors(doc: dict, cmd: str) -> list:
     if isinstance(beta, dict) and beta["start"] <= beta["floor"]:
         errors.append("beta: requires start > floor")
     if "nl" in doc:
+        from .nonlinearity import nonlinearity_from_config
+
         try:
             nonlinearity_from_config(doc["nl"])
         except NonlinearityRejected as exc:
@@ -245,11 +227,11 @@ def _cross_key_errors(doc: dict, cmd: str) -> list:
 def parse_config(doc, command: str | None = None) -> RunConfig:
     """Validate a decoded config document; raises ParseError listing its problems.
 
-    Once the command is known its library modules load (_COMMANDS), so a
-    run loads no further module.  Each key is checked against the rule of
-    its command's section (a key outside the section is "not read by" the
-    command), and the keys that pass are checked for combinations of
-    values.
+    Once the command is known, the modules its functions import load (the
+    last entry of its _COMMANDS row), so a run loads no further module.
+    Each key is checked against the rule of its command's section (a key
+    outside the section is "not read by" the command), and the keys that
+    pass are checked for combinations of values.
     """
     if not isinstance(doc, dict):
         raise ParseError(["config: top level must be an object"])
@@ -263,7 +245,7 @@ def parse_config(doc, command: str | None = None) -> RunConfig:
         raise ParseError(_check(cmd, _BASE["command"], "command"))
     section, _, modules = _COMMANDS[cmd]
     for module in modules:
-        _load(module)
+        importlib.import_module(f".{module}", __package__)
     problems = {k: _check(v, section.rules[k], k) if k in section.rules
                 else [f"{k}: not read by {cmd}"] for k, v in doc.items()}
     errors = [e for errs in problems.values() for e in errs]
@@ -301,6 +283,9 @@ def _load_field(cfg: RunConfig, key: str, match_M: bool = True) -> SpectralField
 
 
 def _build_problem(cfg: RunConfig, beta: float):
+    from .nonlinearity import nonlinearity_from_config
+    from .solver import PenalizedProblem
+
     nl = nonlinearity_from_config(cfg.nl)
     return PenalizedProblem(M=cfg.M, beta=beta, nl=nl, sigma=cfg.sigma,
                             oversample=cfg.oversample)
@@ -308,14 +293,14 @@ def _build_problem(cfg: RunConfig, beta: float):
 
 def _build_forcing(cfg: RunConfig, problem):
     """Returns (problem_with_forcing, target_or_None)."""
-    if cfg.forcing is None:
-        return problem, None
-    kind = cfg.forcing.get("kind", "none")
+    kind = _kind("forcing", cfg.forcing)
     if kind == "none":
         return problem, None
     if kind == "file":
         f = _load_field(cfg, "forcing.path")
         return replace(problem, forcing=f), None
+    from .solver import MMS_DECAY, mms_problem
+
     target, forced = mms_problem(
         problem.nl, float(cfg.forcing.get("decay", MMS_DECAY)), problem.M, problem.beta,
         seed=cfg.forcing.get("target_seed", cfg.seed), sigma=problem.sigma,
@@ -325,7 +310,7 @@ def _build_forcing(cfg: RunConfig, problem):
 
 
 def _initial_field(cfg: RunConfig):
-    kind = cfg.initial.get("kind", "zero")
+    kind = _kind("initial", cfg.initial)
     if kind == "zero":
         return SpectralField.zeros(cfg.M)
     if kind == "file":
@@ -344,6 +329,8 @@ def _initial_field(cfg: RunConfig):
 
 
 def _cmd_solve(cfg: RunConfig, out: str) -> dict:
+    from .solver import newton_solve
+
     p = _build_problem(cfg, float(cfg.beta))
     p, target = _build_forcing(cfg, p)
     sol = newton_solve(p, _initial_field(cfg), **cfg.newton)
@@ -357,6 +344,8 @@ def _cmd_solve(cfg: RunConfig, out: str) -> dict:
 
 
 def _cmd_continue(cfg: RunConfig, out: str) -> dict:
+    from .solver import BetaSchedule, apriori_monitor, continuation_beta
+
     sched = BetaSchedule(float(cfg.beta["start"]), float(cfg.beta["factor"]),
                          float(cfg.beta["floor"]))
     p = _build_problem(cfg, sched.start)
@@ -376,6 +365,8 @@ def _cmd_continue(cfg: RunConfig, out: str) -> dict:
 
 
 def _cmd_multi(cfg: RunConfig, out: str) -> dict:
+    from .solver import multi_seed_search
+
     p = _build_problem(cfg, float(cfg.beta))
     sols = multi_seed_search(p, **cfg.multi, master_seed=cfg.seed, **cfg.newton)
     entries = []
@@ -394,6 +385,10 @@ _VERIFY_CASTS = {"count": int, "ensemble_M": int, "decay": float, "p": float, "s
 
 
 def _cmd_verify(cfg: RunConfig, out: str) -> dict:
+    from .verify import (EnsembleSpec, check_box_regularity, check_embedding,
+                         check_holder_to_sobolev, gn_reports, hausdorff_young_reports,
+                         write_ratio_csv)
+
     v = cfg.verify
 
     def given(*keys, **renamed) -> dict:
@@ -405,7 +400,7 @@ def _cmd_verify(cfg: RunConfig, out: str) -> dict:
 
     spec = EnsembleSpec(seed=cfg.seed, oversample=cfg.oversample,
                         **given("count", "decay", M="ensemble_M"))
-    suite = v.get("suite", "all")
+    suite = _suite(v)
     ps = {"ps": (float(v["p"]),)} if "p" in v else {}
     reports = []
     if suite in ("hy", "all"):
@@ -431,6 +426,10 @@ def _cmd_verify(cfg: RunConfig, out: str) -> dict:
 
 
 def _cmd_norms(cfg: RunConfig, out: str) -> dict:
+    from .norms import (NormReport, holder_estimate, lp_norms, norm_E, norm_Es, norm_lq,
+                        sobolev_norm, write_norm_reports_csv)
+    from .pool import one_blas_thread
+
     u = _load_field(cfg, "norms.field", match_M=False)
     # numpy's OpenBLAS at one thread, as verify holds it: the grid sums'
     # BLAS dots keep their bits at any thread count
@@ -460,6 +459,9 @@ def _cmd_norms(cfg: RunConfig, out: str) -> dict:
 
 
 def _cmd_mms(cfg: RunConfig, out: str) -> dict:
+    from .nonlinearity import nonlinearity_from_config
+    from .solver import MMS_DECAY, mms_run, write_mms_csv
+
     nl = nonlinearity_from_config(cfg.nl)
     table = mms_run(nl, float(cfg.mms.get("decay", MMS_DECAY)),
                     [int(m) for m in cfg.mms["M_list"]], float(cfg.beta),
@@ -471,14 +473,16 @@ def _cmd_mms(cfg: RunConfig, out: str) -> dict:
 
 
 def _cmd_linking(cfg: RunConfig, out: str) -> dict:
+    from .solver import linking_report
+
     p = _build_problem(cfg, float(cfg.beta))
     return linking_report(p, **cfg.linking, master_seed=cfg.seed)
 
 
 _SOLVER = ("nonlinearity", "solver")  # the modules of the commands that build a problem
 # each command: the section of the keys it reads (any other key is a config
-# error), the function that runs it, and the modules of _LIBRARY it reads
-# (each loads the package modules it imports)
+# error), the function that runs it, and the modules its functions import
+# (each loads the package modules it imports); parse_config loads them
 _COMMANDS = {
     "solve": (_Section({**_PROBLEM, "M": _POS_INT, **_STARTS, "newton": _Section(
         {**_NEWTON, "line_search": _BOOL})}, _SOLVES), _cmd_solve, _SOLVER),

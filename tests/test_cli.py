@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import math
 import re
@@ -486,12 +488,12 @@ def test_newton_line_search_false_is_solve_only():
 
 def test_library_error_in_run_writes_error_report(tmp_path, monkeypatch, capsys):
     # any library error, not only the solver's own, exits 3 with report.json
-    import wavetorus.cli
+    import wavetorus.solver
 
     def coarse(*args, **kwargs):
         raise GridTooCoarse("grid 4 cannot hold bandwidth 8")
 
-    monkeypatch.setattr(wavetorus.cli, "newton_solve", coarse)
+    monkeypatch.setattr(wavetorus.solver, "newton_solve", coarse)
     out = tmp_path / "out"
     assert run(parse_config(minimal_solve_config()), str(out)) == EXIT_SOLVER
     rep = json.loads((out / "report.json").read_text())
@@ -499,6 +501,38 @@ def test_library_error_in_run_writes_error_report(tmp_path, monkeypatch, capsys)
     assert rep["error_type"] == "GridTooCoarse"
     assert rep["reason"] == "grid 4 cannot hold bandwidth 8"
     assert "GridTooCoarse" in capsys.readouterr().err
+
+
+def test_stand_in_set_after_parse_config_is_the_one_that_runs(tmp_path, monkeypatch, capsys):
+    # a stand-in on the defining module runs whether it is set before or
+    # after parse_config loads that module, and cli binds none of the
+    # library's public names: each command imports them in its body
+    import wavetorus.cli
+    import wavetorus.solver
+
+    cfg = parse_config(minimal_solve_config())
+
+    def coarse(*args, **kwargs):
+        raise GridTooCoarse("grid 4 cannot hold bandwidth 8")
+
+    monkeypatch.setattr(wavetorus.solver, "newton_solve", coarse)
+    out = tmp_path / "out"
+    assert run(cfg, str(out)) == EXIT_SOLVER
+    rep = load_strict(out / "report.json")
+    assert (rep["status"], rep["error_type"]) == ("error", "GridTooCoarse")
+    assert "GridTooCoarse" in capsys.readouterr().err
+    defined = set()
+    for module in ("solver", "verify", "norms", "nonlinearity", "pool", "dalembert"):
+        path = Path(importlib.import_module(f"wavetorus.{module}").__file__)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    public = {name for name in defined if not name.startswith("_")}
+    assert {"newton_solve", "LINKING_LEVELS", "HOLDER_GAMMAS"} <= public
+    assert sorted(public & vars(wavetorus.cli).keys()) == []
 
 
 def test_mms_command(tmp_path):
@@ -551,16 +585,16 @@ def test_continue_command(tmp_path):
 def test_continue_writes_an_unbounded_monitor_ratio_as_null(tmp_path, monkeypatch):
     import dataclasses
 
-    import wavetorus.cli
+    import wavetorus.solver
 
-    follow = wavetorus.cli.continuation_beta
+    follow = wavetorus.solver.continuation_beta
 
     def last_row_off_zero(*args, **kwargs):  # v_c0 = 0 in every row but the last
         trace = follow(*args, **kwargs)
         trace.rows[-1] = dataclasses.replace(trace.rows[-1], v_c0=1.0)
         return trace
 
-    monkeypatch.setattr(wavetorus.cli, "continuation_beta", last_row_off_zero)
+    monkeypatch.setattr(wavetorus.solver, "continuation_beta", last_row_off_zero)
     doc = {"command": "continue", "seed": 3, "M": 6,
            "beta": {"start": 1e-2, "factor": 0.5, "floor": 5e-3},
            "nl": DEFAULT_NL_SPEC, "initial": {"kind": "zero"}}
@@ -826,15 +860,15 @@ _STALL_DOC = {"command": "continue", "seed": 3, "M": 8,
 
 def test_continue_stall_writes_the_rows_reached(tmp_path, monkeypatch, capsys):
     # a stall forced after the floor keeps the rows reached
-    import wavetorus.cli
+    import wavetorus.solver
     from wavetorus.errors import StallAt
 
-    follow = wavetorus.cli.continuation_beta
+    follow = wavetorus.solver.continuation_beta
 
     def stall_after_floor(p, schedule, seed, **kwargs):
         raise StallAt(1e-3, "line search stalled", follow(p, schedule, seed, **kwargs))
 
-    monkeypatch.setattr(wavetorus.cli, "continuation_beta", stall_after_floor)
+    monkeypatch.setattr(wavetorus.solver, "continuation_beta", stall_after_floor)
     _continue_stall(tmp_path, capsys, dict(_STALL_DOC), ["0.1", "0.05"])
 
 

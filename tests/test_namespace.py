@@ -180,3 +180,12 @@ def test_every_public_src_name_is_reached():
             reached.add(name)
             todo += used_names(defs[name]) & defs.keys()
     assert sorted(defs.keys() - reached) == []
+
+
+def test_the_package_init_holds_the_only_module_getattr():
+    # one lazy-name hook (PEP 562): the package's re-exports.  The CLI
+    # imports each library name in the command that runs it
+    hooks = [path.name for path in sorted(SRC.glob("*.py"))
+             if any(isinstance(n, ast.FunctionDef) and n.name == "__getattr__"
+                    for n in ast.parse(path.read_text()).body)]
+    assert hooks == ["__init__.py"]
