@@ -14,9 +14,12 @@ one line (the M=72 probe two):
   ``import wavetorus.cli`` plus ``parse_config`` and ``ru_maxrss`` after
   them.  ``parse_config`` loads the modules the command runs and no other
   (tier-1 holds the lists)
-- a toy ``verify`` and a toy ``solve``: the scipy modules each loads and
+- a toy ``verify`` and a toy ``solve``: the scipy modules each loads,
   whether ``verify`` loads ``numpy.ma`` (none, and not where numpy imports
-  it lazily; tier-1 holds the checks), with the solve's peak RSS
+  it lazily; tier-1 holds the checks), and whether each loads
+  ``numpy.random`` or ``_hashlib`` (OpenSSL): neither, unless numpy imports
+  ``numpy.random`` at ``import numpy`` (numpy 1.24) or the LU falls back to
+  ``scipy.linalg``, with the solve's peak RSS
 - ``verify`` at ``ensemble_M`` 32: wall time and peak RSS.  The grid norms
   run in row blocks, and ``holder_estimate`` builds one dyadic block at a
   time.  That no full grid is held is checked in tier-1
@@ -77,6 +80,11 @@ def _scipy_modules() -> list:
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 
+def _random_and_openssl() -> str:
+    return (f"numpy.random loaded: {'numpy.random' in sys.modules}, "
+            f"_hashlib loaded: {'_hashlib' in sys.modules}")
+
+
 def setup(out: Path, config: Path) -> int:
     start = time.perf_counter()
     from wavetorus.cli import parse_config
@@ -98,7 +106,7 @@ def toy_verify(out: Path) -> int:
                                    "tails": [4], "tail_count": 4}})
     code = run(cfg, str(out))
     print(f"toy verify: exit {code}, scipy modules loaded: {_scipy_modules() or 'none'}, "
-          f"numpy.ma loaded: {'numpy.ma' in sys.modules}")
+          f"numpy.ma loaded: {'numpy.ma' in sys.modules}, {_random_and_openssl()}")
     return code
 
 
@@ -110,7 +118,7 @@ def toy_solve(out: Path) -> int:
     code = run(cfg, str(out))
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"toy solve: exit {code}, scipy modules loaded: {_scipy_modules() or 'none'}, "
-          f"ru_maxrss {rss:.1f} MB")
+          f"{_random_and_openssl()}, ru_maxrss {rss:.1f} MB")
     return code
 
 

@@ -26,7 +26,6 @@ module is the one that runs.
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 import json
 import os
@@ -257,9 +256,23 @@ def parse_config(doc, command: str | None = None) -> RunConfig:
     return RunConfig(command=cmd, raw=doc, **{k: v for k, v in doc.items() if k != "command"})
 
 
+def _sha256():
+    """The interpreter's built-in SHA-256 (``_sha2`` on 3.12+, ``_sha256``
+    before), which loads no OpenSSL; ``hashlib``'s where the build has
+    neither."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            return importlib.import_module(name).sha256
+        except ImportError:
+            pass
+    from hashlib import sha256
+
+    return sha256
+
+
 def config_hash(doc: dict) -> str:
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    return _sha256()(canon.encode()).hexdigest()[:16]
 
 
 def _provenance(cfg: RunConfig) -> dict:

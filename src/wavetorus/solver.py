@@ -274,7 +274,7 @@ def _jacobian_fill(p: PenalizedProblem, half: np.ndarray, f_u: np.ndarray):
     gc.real, gc.imag = s * g.real, s * g.imag
     gr, gi = gc.real, gc.imag
     sym = penalized_symbol(p)
-    d = sym[lat.half_rows, lat.half_cols][half]
+    d = sym.take(lat.half_flat)[half]
     nh = off.size
     n = 1 + 2 * nh
     x, y = slice(1, 1 + nh), slice(1 + nh, n)
@@ -441,7 +441,7 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     n = lat.n_real
     dim = n if anchor is None else n + 1
     lib = lapack()
-    half = lat.weight[lat.half_rows, lat.half_cols] <= _coarse_truncation(p.M)
+    half = lat.weight.take(lat.half_flat) <= _coarse_truncation(p.M)
     packed = np.concatenate(([True], half, half))  # pack's (0, 0), x h, y h
     coarse, fine = np.flatnonzero(packed), np.flatnonzero(~packed)
     nc = coarse.size
@@ -449,7 +449,7 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     f_u = _on_grid(p, u, 1, samples=samples)[1]
     sym = penalized_symbol(p)
     # exact Jacobi diagonal: every convolution row carries the mean of f_u
-    d = sym[lat.half_rows, lat.half_cols] - p.sigma * float(np.mean(f_u))
+    d = sym.take(lat.half_flat) - p.sigma * float(np.mean(f_u))
     jacobi = np.concatenate((d, d))[fine - 1]  # (0, 0) is coarse: fine >= 1
     fill = _jacobian_fill(p, half, f_u)
     if not fine.size:  # no product reads the grid: free it before the fill runs
@@ -1007,7 +1007,7 @@ def linking_report(p: PenalizedProblem, l_values=LINKING_LEVELS, rho_values=(0.2
 
     def packed_index(sel):
         # packed positions of the real and imaginary parts of the half modes in sel
-        at = 1 + np.flatnonzero(sel[lat.half_rows, lat.half_cols])
+        at = 1 + np.flatnonzero(sel.take(lat.half_flat))
         return np.concatenate((at, at + lat.n_half))
 
     def sub_field(vec, idx):

@@ -15,11 +15,13 @@ coefficient l2 norm satisfies Parseval with no extra factors.
 Its 2-D arrays are indexed [j + jmax, k + M] on the rectangle of shape
 (2*(M//2) + 1, 2M + 1): J, K, weight (2|j| + |k|), symbol (4j^2 - k^2),
 mask (the diamond), resonant (N) and nonresonant, eplus and eminus (with
-N they partition the diamond), and half (k > 0, or k = 0 and j > 0).
+N they partition the diamond), and half (k > 0, or k = 0 and j > 0), whose
+row-major flat indices are half_flat; the mirror (-j, -k) of flat index i
+is size - 1 - i.
 
 A real field has n_real = 1 + 2 n_half real coordinates, one per diamond
 mode.  ``pack`` lays them out as [Re u_hat(0, 0), Re h, Im h], h holding
-the half-mode coefficients in row-major order (half_rows, half_cols).
+the half-mode coefficients in row-major order (half_flat).
 
 Transforms: ``synthesize``/``synthesize_values`` and ``analyze``, which the
 solver calls, run the 1-D passes of the complex ``np.fft.ifft2``/``fft2``,
@@ -45,6 +47,21 @@ all written into one reused buffer, so a block is valid only until the
 next one is requested; the L^p and sup norms reduce each block before the
 next is made, and no full-grid array is built.
 Every transform here is numpy's, so this module imports no scipy.
+
+Random fields: ``random_field(seed, M)`` reads, at the half modes, the
+phases that ``np.random.default_rng(seed).uniform(0, 2 pi, shape)`` draws
+over the rectangle in row-major order, and its sign from the ``random()``
+drawn after them, bit for bit, without importing numpy.random (which
+imports secrets, hmac and OpenSSL's _hashlib).  The stream is numpy's
+(``bit_generator.pyx``, ``pcg64.h``): SeedSequence's entropy words and
+hash mixing seed PCG64, the 128-bit LCG s -> MULT s + inc with XSL-RR
+output (O'Neill, HMC-CS-2014-0905, 2014); a draw is next_double, the
+output's top 53 bits times 2^-53, and ``uniform(0, 2 pi)`` is
+0.0 + 2 pi u.  Only the draws a field reads are computed, each by a jump
+ahead (Brown, Trans. Am. Nucl. Soc. 71, 1994): m steps after s_0 the state
+is s_0 + G_m ((MULT - 1) s_0 + inc) mod 2^128, G_m = sum_{k<m} MULT^k.
+The G_m a field reads are cached per M as 16-bit limbs (``_field_steps``),
+so one exact float64 matrix product gives all its states.
 
 All operations are pure: fields are treated as immutable values.
 """
@@ -106,8 +123,7 @@ class Lattice:
     eplus: np.ndarray
     eminus: np.ndarray
     half: np.ndarray
-    half_rows: np.ndarray
-    half_cols: np.ndarray
+    half_flat: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -122,17 +138,17 @@ def lattice(M: int) -> Lattice:
     mask = 2 * np.abs(J) + np.abs(K) <= M
     res = mask & (4 * J * J == K * K)
     half = mask & ((K > 0) | ((K == 0) & (J > 0)))
-    hr, hc = np.nonzero(half)
+    half_flat = np.flatnonzero(half)
     arrays = dict(
         J=J, K=K, weight=2 * np.abs(J) + np.abs(K), symbol=4 * J * J - K * K,
         mask=mask, resonant=res, nonresonant=mask & ~res,
         eplus=mask & (np.abs(K) > 2 * np.abs(J)),
         eminus=mask & (np.abs(K) < 2 * np.abs(J)), half=half,
-        half_rows=hr, half_cols=hc)
+        half_flat=half_flat)
     for a in arrays.values():
         a.flags.writeable = False
     return Lattice(M=M, jmax=jmax, shape=shape, n_modes=int(np.sum(mask)),
-                   n_half=hr.size, n_real=1 + 2 * hr.size, **arrays)
+                   n_half=half_flat.size, n_real=1 + 2 * half_flat.size, **arrays)
 
 
 _TAG_MASK = {SubspaceTag.ALL: "mask", SubspaceTag.N: "resonant",
@@ -251,7 +267,7 @@ def grid_integral(values: np.ndarray) -> float:
 def pack(u: SpectralField) -> np.ndarray:
     """Real coordinates [Re u_hat(0, 0), Re h, Im h] of a Hermitian field."""
     lat = lattice(u.M)
-    h = u.coeffs[lat.half_rows, lat.half_cols]
+    h = u.coeffs.take(lat.half_flat)
     return np.concatenate(([u.coeffs[lat.jmax, u.M].real], h.real, h.imag))
 
 
@@ -261,8 +277,9 @@ def unpack(vec: np.ndarray, M: int) -> SpectralField:
     c = np.zeros(lat.shape, dtype=np.complex128)
     c[lat.jmax, M] = vec[0]
     h = vec[1:1 + lat.n_half] + 1j * vec[1 + lat.n_half:]
-    c[lat.half_rows, lat.half_cols] = h
-    c[2 * lat.jmax - lat.half_rows, 2 * M - lat.half_cols] = np.conj(h)
+    flat = c.reshape(-1)
+    flat[lat.half_flat] = h
+    flat[::-1][lat.half_flat] = np.conj(h)  # (-j, -k) mirrors the flat index
     return SpectralField(M, c)
 
 
@@ -437,23 +454,164 @@ def time_translate(u: SpectralField, theta: float) -> SpectralField:
     return SpectralField(u.M, u.coeffs * np.exp(1j * theta * lat.K))
 
 
+# -- random fields: numpy's default_rng(seed) stream (module docstring) -----
+
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
+
+
+def _hash_consts(h: int, mult: int, n: int) -> list:
+    """The first n (xor, multiplier) pairs of SeedSequence's hash constant,
+    which starts at h and is multiplied by mult at each use."""
+    pairs = []
+    for _ in range(n):
+        pairs.append((h, h * mult & _M32))
+        h = pairs[-1][1]
+    return pairs
+
+
+# SeedSequence's INIT_A and MULT_A hash the pool, INIT_B and MULT_B the
+# state's words
+_MULT_A = 0x931E8875
+_POOL_HASH = _hash_consts(0x43B0D7E5, _MULT_A, 4)
+_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _seed_words(seed) -> list:
+    """SeedSequence's entropy: the 32-bit words of each of ``seed``'s
+    nonnegative ints in turn, least significant first (an int is one)."""
+    words = []
+    for n in (seed,) if isinstance(seed, (int, np.integer)) else seed:
+        if not isinstance(n, (int, np.integer)):
+            raise TypeError(f"seed must be an int or a sequence of ints, not {seed!r}")
+        n = int(n)
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(n & _M32)
+        while n > _M32:
+            n >>= 32
+            words.append(n & _M32)
+    return words
+
+
+@lru_cache(maxsize=None)
+def _mix_schedule(n_words: int) -> tuple:
+    """SeedSequence's mixing of a pool of 4 words followed by n_words - 4
+    further entropy words: (source, destination, xor, multiplier) per step."""
+    pairs = [(s, d) for s in range(4) for d in range(4) if s != d]
+    pairs += [(s, d) for s in range(4, n_words) for d in range(4)]
+    consts = _hash_consts(_POOL_HASH[-1][1], _MULT_A, len(pairs))
+    return tuple((s, d, c, m) for (s, d), (c, m) in zip(pairs, consts))
+
+
+def _pcg64_seed(seed) -> tuple:
+    """(state, z) of ``np.random.default_rng(seed)`` before its first draw:
+    the state after seeding, and z = (MULT - 1) state + increment mod 2^128,
+    so that the state after m more steps is state + G_m z (``_steps``)."""
+    words = _seed_words(seed)
+    pool = words + [0] * (4 - len(words))
+    for i, (c, m) in enumerate(_POOL_HASH):
+        v = (pool[i] ^ c) * m & _M32
+        pool[i] = v ^ v >> 16
+    for s, d, c, m in _mix_schedule(max(len(words), 4)):
+        v = (pool[s] ^ c) * m & _M32
+        v = (0xCA01F9DD * pool[d] - 0x4973F715 * (v ^ v >> 16)) & _M32  # MIX_MULT_L, _R
+        pool[d] = v ^ v >> 16
+    # eight 32-bit words; words 2i and 2i + 1 make uint64 word i, and PCG64
+    # seeds with (word 0 << 64 | word 1, word 2 << 64 | word 3), so word i
+    # lands at bit 32 (i ^ 2) of seq << 128 | initstate
+    seeds = 0
+    for i, (c, m) in enumerate(_STATE_HASH):
+        v = (pool[i & 3] ^ c) * m & _M32
+        seeds |= (v ^ v >> 16) << 32 * (i ^ 2)
+    # srandom: inc = 2 seq + 1, and from state 0 one step, += initstate, a step
+    inc = (seeds >> 128 << 1 | 1) & _M128
+    state = ((inc + (seeds & _M128)) * _PCG64_MULT + inc) & _M128
+    return state, ((_PCG64_MULT - 1) * state + inc) & _M128
+
+
+def _limbs(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """The 16-bit limbs of the 128-bit integers (high, low), least significant
+    first, and a row of ones: the (9, n) float64 table ``_jump`` reads."""
+    words = (low, high)
+    return np.array([(words[i // 4] >> np.uint64(16 * (i % 4))) & np.uint64(0xFFFF)
+                     for i in range(8)] + [np.ones(low.shape, np.uint64)], dtype=np.float64)
+
+
+# _jump's word k (bits 32k to 32k + 31) takes 16-bit limb i of G times the
+# bits 32k - 16i to 32k - 16i + 31 of z: window 2k - i + 1 of z << 16, where
+# window 8 is zero; word k also takes the ones row times word k of x (9 + k)
+_WINDOWS = np.array([[2 * k - i + 1 if i <= 2 * k + 1 else 8 for i in range(8)] + [9 + k]
+                     for k in range(4)])
+
+
+def _jump(limbs: np.ndarray, x: int, z: int) -> tuple:
+    """(high, low) uint64 words of x + G z mod 2^128 for the 128-bit integers
+    G whose ``_limbs`` are ``limbs``.  The words' float64 products are exact:
+    each is a sum of at most 8 products below 2^48, and the one of x."""
+    src = [(z << 16 >> 16 * j) & _M32 for j in range(8)] + [0]
+    src += [(x >> 32 * k) & _M32 for k in range(4)]
+    a = (np.array(src, dtype=np.float64)[_WINDOWS] @ limbs).astype(np.int64).view(np.uint64)
+    u32 = np.uint64(32)
+    low = a[0] + (a[1] << u32)
+    high = a[2] + (a[3] << u32) + ((a[1] + (a[0] >> u32)) >> u32)
+    return high, low
+
+
+def _steps(draws: np.ndarray) -> np.ndarray:
+    """``_limbs`` of G_{n+1} = sum_{k<=n} MULT^k mod 2^128 for each draw n of
+    ``draws``.  The table of G_m, m up to the largest draw, is built by
+    doubling, G_{k+m} = G_k + MULT^k G_m, so no Python loop runs per draw."""
+    need = int(np.max(draws)) + 2
+    table = _limbs(np.zeros(1, np.uint64), np.zeros(1, np.uint64))  # G_0 = 0
+    g, a = 1, _PCG64_MULT  # G_k and MULT^k, k the table's length
+    while table.shape[1] < need:
+        n = min(table.shape[1], need - table.shape[1])
+        table = np.concatenate((table, _limbs(*_jump(table[:, :n], g, a))), axis=1)
+        g, a = (g + a * g) & _M128, a * a & _M128
+    return table[:, draws + 1]
+
+
+@lru_cache(maxsize=None)
+def _field_steps(M: int) -> np.ndarray:
+    """``_steps`` of the draws ``random_field`` reads at truncation M: the
+    half modes' phases of the row-major rectangle, then the sign after it."""
+    lat = lattice(M)
+    steps = _steps(np.append(lat.half_flat, lat.mask.size))
+    steps.flags.writeable = False
+    return steps
+
+
+def _pcg64_bits(seed, steps: np.ndarray) -> np.ndarray:
+    """next_double's 53 bits (the output >> 11) of ``np.random.default_rng(seed)``
+    at the draws whose ``_steps`` are ``steps``, bit for bit."""
+    state, z = _pcg64_seed(seed)
+    high, low = _jump(steps, state, z)
+    # XSL-RR: the xor of the state's halves, rotated right by its top 6 bits
+    # (numpy shifts by 64 or more to 0, so a rotation by 0 leaves x)
+    x = high ^ low
+    r = high >> np.uint64(58)
+    return ((x >> r) | (x << (np.uint64(64) - r))) >> np.uint64(11)
+
+
 def random_field(seed, M: int, tag: SubspaceTag = SubspaceTag.ALL,
                  decay: float = 0.0) -> SpectralField:
     """Deterministic random real field supported on ``tag``.
 
     Magnitudes follow |u_hat(j, k)| = e^{-decay (2|j| + |k|)} exactly; phases
-    are uniform.  ``seed`` may be an int or a tuple of ints.
+    are uniform, and they and the sign of u_hat(0, 0) are the draws of
+    ``np.random.default_rng(seed)`` (module docstring).  ``seed`` is a
+    nonnegative int or a sequence of them; a negative one raises ValueError,
+    as numpy's does.
     """
     if decay < 0:
         raise ValueError("decay must be >= 0")
     lat = lattice(M)
-    rng = np.random.default_rng(seed)
-    # a phase for every rectangle entry, so each seed keeps its field; only
-    # the half modes' phases are read
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=lat.shape)
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    hr, hc = lat.half_rows, lat.half_cols
-    h = np.exp(-decay * lat.weight[hr, hc]) * np.exp(1j * phases[hr, hc])
+    bits = _pcg64_bits(seed, _field_steps(M))
+    sign = 1.0 if bits[-1] * 2.0**-53 < 0.5 else -1.0
+    phases = bits[:-1] * (2.0 * np.pi * 2.0**-53)
+    h = np.exp(-decay * lat.weight.take(lat.half_flat)) * np.exp(1j * phases)
     return project(unpack(np.concatenate(([sign], h.real, h.imag)), M), tag)
 
 

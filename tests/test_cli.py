@@ -86,6 +86,38 @@ def test_config_hash_stable():
     assert config_hash(doc) == "9b58473ebb8cd3ac"
 
 
+@pytest.mark.parametrize("doc", [{}, {"command": "verify", "seed": 5},
+                                 minimal_solve_config(nl={"s": 3, "a": [{"j": 0, "c": 1.0}],
+                                                          "m": {"kind": "tanh", "alpha": 0.5}}),
+                                 {"é": [1.5, None, True], "nested": {"b": 2, "a": "x"}}])
+def test_config_hash_is_hashlib_sha256(doc):
+    import hashlib
+
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    assert config_hash(doc) == hashlib.sha256(canon).hexdigest()[:16]
+
+
+def test_config_hash_falls_back_from_sha2_to_sha256_to_hashlib(monkeypatch):
+    # the built-in module is _sha2 on Python 3.12+ and _sha256 before it;
+    # hashlib, which loads OpenSSL, serves only where the build has neither
+    import hashlib
+    import types
+
+    def stand_in(tag):
+        return types.SimpleNamespace(sha256=lambda data: types.SimpleNamespace(
+            hexdigest=lambda: tag * 64))
+
+    doc = minimal_solve_config()
+    monkeypatch.setitem(sys.modules, "_sha2", stand_in("a"))
+    monkeypatch.setitem(sys.modules, "_sha256", stand_in("b"))
+    assert config_hash(doc) == "a" * 16
+    monkeypatch.setitem(sys.modules, "_sha2", None)  # import raises ImportError
+    assert config_hash(doc) == "b" * 16
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    monkeypatch.setattr(hashlib, "sha256", stand_in("c").sha256)
+    assert config_hash(doc) == "c" * 16
+
+
 def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -975,6 +1007,7 @@ def loaded():
             "futures": "concurrent.futures" in sys.modules,
             "argparse": "argparse" in sys.modules,
             "ma": "numpy.ma" in sys.modules,
+            "random": sorted(m for m in ("numpy.random", "secrets", "_hashlib") if m in sys.modules),
             "ctypes": sorted(name for name, mod in sys.modules.items()
                              if name.startswith("wavetorus") and "ctypes" in vars(mod))}
 
@@ -1000,7 +1033,15 @@ def test_grid_norm_commands_load_no_scipy(tmp_path):
     # coarse and fine coordinates from the weight mask (np.setdiff1d would
     # go through np.unique), so neither loads numpy.ma where numpy imports
     # that lazily (numpy 2; numpy 1.24 imports it at import numpy); for the
-    # solves that holds where the LU loads no scipy module either
+    # solves that holds where the LU loads no scipy module either.  Neither
+    # does any stage load numpy.random, or secrets and _hashlib (OpenSSL),
+    # which it imports: random fields come from spectral's own PCG64 stream
+    # and config_hash from the interpreter's built-in SHA-256.  Where numpy
+    # imports numpy.random at import numpy (numpy 1.24), the check is that no
+    # stage adds one; for the solves it holds where the LU loads no scipy
+    # module, as scipy.linalg imports numpy.random.  linking is not among
+    # these stages: its Newton starts are numpy.random's standard_normal
+    # draws, which load beside its scipy.optimize
     import ast
     import os
 
@@ -1015,10 +1056,16 @@ def test_grid_norm_commands_load_no_scipy(tmp_path):
     assert all(seen[stage]["argparse"] is False for stage in seen)
     if not seen["import"]["ma"]:
         assert seen["verify"]["ma"] is False
+    if "numpy.random" not in seen["import"]["random"]:
+        assert seen["import"]["random"] == []
+    for stage in ("verify", "norms"):
+        assert seen[stage]["random"] == seen["import"]["random"], stage
     # without a bundled OpenBLAS the LU comes from scipy.linalg.lapack
     bundled = pool._bundled_openblas("scipy") is not None
     for stage in ("solve", "multi", "continue", "mms"):
         assert (seen[stage]["scipy"] == []) is bundled, stage
+        if bundled:
+            assert seen[stage]["random"] == seen["import"]["random"], stage
         if bundled and not seen["import"]["ma"]:
             assert seen[stage]["ma"] is False, stage
     package = os.path.dirname(wavetorus.__file__)

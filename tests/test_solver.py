@@ -165,8 +165,9 @@ def complex_jacobian_oracle(p, u):
     mode_rows, mode_cols = np.nonzero(lat.mask)
     pos = np.full(lat.shape, -1)
     pos[mode_rows, mode_cols] = np.arange(lat.n_modes)
-    h_idx = pos[lat.half_rows, lat.half_cols]
-    m_idx = pos[2 * lat.jmax - lat.half_rows, 2 * p.M - lat.half_cols]
+    half_rows, half_cols = np.nonzero(lat.half)
+    h_idx = pos[half_rows, half_cols]
+    m_idx = pos[2 * lat.jmax - half_rows, 2 * p.M - half_cols]
     z_idx = pos[lat.jmax, p.M]
     gh = analyze(GridField(_on_grid(p, u, 1)[1]), 2 * p.M)
     big = lattice(2 * p.M)
@@ -220,7 +221,7 @@ def test_coarse_jacobian_fill_bit_identical_to_the_oracle_block(default_nl, M, s
     lat = lattice(M)
     oracle = complex_jacobian_oracle(p, u)
     for M_c in (0, M // 4, M - 1):
-        half = lat.weight[lat.half_rows, lat.half_cols] <= M_c
+        half = lat.weight.take(lat.half_flat) <= M_c
         at = 1 + np.flatnonzero(half)
         idx = np.concatenate(([0], at, at + lat.n_half))
         J = _jacobian_fill(p, half, _on_grid(p, u, 1)[1])()

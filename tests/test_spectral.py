@@ -221,6 +221,42 @@ def test_random_field_bits_equal_whole_rectangle_expression(M):
                 assert np.array_equal(random_field(seed, M, tag, decay).coeffs, ref)
 
 
+_WORD_EDGES = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 1, 2**96 + 5])
+stream_seeds = st.one_of(
+    _WORD_EDGES,
+    st.integers(0, 2**130),
+    st.integers(0, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.lists(st.one_of(_WORD_EDGES, st.integers(0, 2**70)), min_size=1, max_size=8).map(tuple),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream_seeds, st.integers(0, 300))
+def test_stream_equals_numpy_default_rng(seed, n):
+    # the in-repo PCG64 stream against numpy's: uniform(0, 2 pi, n), then random()
+    from wavetorus.spectral import _pcg64_bits, _steps
+
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(0.0, 2.0 * np.pi, n)
+    u = rng.random()
+    bits = _pcg64_bits(seed, _steps(np.arange(n + 1)))
+    assert np.array_equal(bits[:n] * (2.0 * np.pi * 2.0**-53), phases)
+    assert bits[n] * 2.0**-53 == u
+
+
+@pytest.mark.parametrize("seed", [-1, (3, -1), np.int64(-7)])
+def test_stream_rejects_negative_seeds_as_numpy_does(seed):
+    from wavetorus.spectral import _pcg64_bits, _steps
+
+    with pytest.raises(ValueError):
+        np.random.default_rng(seed)
+    with pytest.raises(ValueError):
+        _pcg64_bits(seed, _steps(np.arange(1)))
+    with pytest.raises(ValueError):
+        random_field(seed, 4)
+
+
 def test_random_field_flat_and_tagged():
     u = random_field(2, 8, SubspaceTag.ALL, 0.0)
     lat = lattice(8)
