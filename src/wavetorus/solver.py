@@ -391,29 +391,26 @@ def _gmres(apply, precondition, b: np.ndarray) -> np.ndarray:
 def _linear_solver(p: PenalizedProblem, u: SpectralField,
                    anchor: np.ndarray | None = None, work: np.ndarray | None = None,
                    samples: list | None = None):
-    """Return ``(solve, levenberg)`` for the Jacobian at u.
+    """Return ``solve`` for the Jacobian at u.
 
-    ``solve(rhs)`` solves J delta = rhs over the packed coordinates, and
-    ``levenberg(mu)`` factors the Levenberg system J + mu I and returns its
-    solve; both map a length-n_real right-hand side to a length-n_real step.
+    ``solve(rhs)`` solves J delta = rhs over the packed coordinates, mapping
+    a length-n_real right-hand side to a length-n_real step.
     The packed coordinates split into the coarse ones, of the modes of
-    weight at most M_c (``_coarse_truncation``), and the fine rest.  Each
-    factorization is the LU of the block of J (+ mu) over the coarse
-    coordinates, and the solve is that of a preconditioner whose coarse
-    half is this LU and whose fine half is the Jacobi diagonal of J (+ mu).
+    weight at most M_c (``_coarse_truncation``), and the fine rest.  The one
+    factorization is the LU of the block of J over the coarse coordinates,
+    and the solve is that of a preconditioner whose coarse half is this LU
+    and whose fine half is the Jacobi diagonal of J.
     Up to ``DENSE_LIMIT`` real unknowns M_c is M: there is no fine mode, the
     block is J, and the preconditioner's solve is the exact step.  Only when
     fine modes exist does ``_gmres`` solve the system, with the matrix-free
-    product by J (+ mu) and that preconditioner, within 10 restarts.
+    product by J and that preconditioner, within 10 restarts.
 
     The block is filled, Fortran-ordered, into the flat float64 buffer
     ``work`` of at least (n_c + 1)^2 entries, n_c the coarse count of real
     unknowns (a new one when None), and LU-factored there, in place; the
     fill writes the block in row panels straight into that buffer, so no
-    other array of its size is made, and ``levenberg(mu)`` refills it into
-    the same buffer before adding mu on the field diagonal.  A solve is
-    valid until the next factorization, so ``levenberg`` ends the use of
-    ``solve``.
+    other array of its size is made.  A solve is valid until the buffer's
+    next factorization.
     ``pool.lapack()``'s ``dgetrf`` and ``dgetrs`` are the routines
     ``scipy.linalg.lu_factor(J, overwrite_a=True, check_finite=False)`` and
     ``lu_solve`` reach, called with the same arguments, so the factors and
@@ -450,17 +447,18 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     sym = penalized_symbol(p)
     # exact Jacobi diagonal: every convolution row carries the mean of f_u
     d = sym.take(lat.half_flat) - p.sigma * float(np.mean(f_u))
-    jacobi = np.concatenate((d, d))[fine - 1]  # (0, 0) is coarse: fine >= 1
+    diag = np.concatenate((d, d))[fine - 1]  # (0, 0) is coarse: fine >= 1
+    diag[np.abs(diag) < 1e-12] = 1.0  # the fine half of the preconditioner
     fill = _jacobian_fill(p, half, f_u)
     if not fine.size:  # no product reads the grid: free it before the fill runs
         f_u = None
 
-    def matvec(z, mu):
+    def matvec(z):
         x = z[:n]
         dz = unpack(x, p.M)
         dv = synthesize_values(dz, *f_u.shape).real
         prod = analyze(GridField(f_u * dv), p.M)
-        out = pack(SpectralField(p.M, sym * dz.coeffs - p.sigma * prod.coeffs)) + mu * x
+        out = pack(SpectralField(p.M, sym * dz.coeffs - p.sigma * prod.coeffs))
         if anchor is None:
             return out
         return np.append(out + z[n] * anchor, anchor @ x)
@@ -469,49 +467,42 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     if work is None:
         work = np.empty((nc + 1) ** 2)
 
-    def factor(mu):
-        diag = jacobi + mu  # the fine half of the preconditioner
-        diag[np.abs(diag) < 1e-12] = 1.0
-        J = fill(work[:dim_c * dim_c].reshape(dim_c, dim_c, order="F"))
-        if anchor is not None:
-            J[:nc, nc] = anchor[coarse]
-            J[nc, :nc] = anchor[coarse]
-            # negating the factor, not the product, leaves +0.0 with no fine mode
-            J[nc, nc] = (border_f[0] / diag) @ -border_f[0]
-        if mu:  # Levenberg: damp only the field block, not the border
-            J[range(nc), range(nc)] += mu
-        # no scan for non-finite input: a non-finite J gives a
-        # non-finite factor, and every right-hand side is finite
-        lu, piv, info = lib.dgetrf(J, overwrite_a=1)
-        # min and max carry a NaN and reach either infinity, with no
-        # temporary of J's size (np.isfinite(lu) is one of dim^2 bytes)
-        if not (np.isfinite(lu.min()) and np.isfinite(lu.max())):
-            raise SingularJacobian("non-finite factorization")
-        if info > 0:
-            raise SingularJacobian(f"zero pivot U({info},{info})")
+    J = fill(work[:dim_c * dim_c].reshape(dim_c, dim_c, order="F"))
+    if anchor is not None:
+        J[:nc, nc] = anchor[coarse]
+        J[nc, :nc] = anchor[coarse]
+        # negating the factor, not the product, leaves +0.0 with no fine mode
+        J[nc, nc] = (border_f[0] / diag) @ -border_f[0]
+    # no scan for non-finite input: a non-finite J gives a
+    # non-finite factor, and every right-hand side is finite
+    lu, piv, info = lib.dgetrf(J, overwrite_a=1)
+    # min and max carry a NaN and reach either infinity, with no
+    # temporary of J's size (np.isfinite(lu) is one of dim^2 bytes)
+    if not (np.isfinite(lu.min()) and np.isfinite(lu.max())):
+        raise SingularJacobian("non-finite factorization")
+    if info > 0:
+        raise SingularJacobian(f"zero pivot U({info},{info})")
 
-        def precondition(z):
-            x = np.empty(dim)
-            x[fine] = z[fine] / diag
-            w = lib.dgetrs(lu, piv, np.concatenate((z[coarse], z[n:] - border_f @ x[fine])))[0]
-            x[coarse], x[n:] = w[:nc], w[nc:]
-            x[fine] -= (w[nc:] @ border_f) / diag
-            return x
+    def precondition(z):
+        x = np.empty(dim)
+        x[fine] = z[fine] / diag
+        w = lib.dgetrs(lu, piv, np.concatenate((z[coarse], z[n:] - border_f @ x[fine])))[0]
+        x[coarse], x[n:] = w[:nc], w[nc:]
+        x[fine] -= (w[nc:] @ border_f) / diag
+        return x
 
-        solve = precondition
-        if fine.size:
-            def solve(b):
-                return _gmres(lambda z: matvec(z, mu), precondition, b)
+    solve = precondition
+    if fine.size:
+        def solve(b):
+            return _gmres(matvec, precondition, b)
 
-        # every solve: zero right-hand side for the phase row, field part back
-        return lambda rhs: solve(np.concatenate((rhs, np.zeros(dim - n))))[:n]
-
-    return factor(0.0), factor
+    # every solve: zero right-hand side for the phase row, field part back
+    return lambda rhs: solve(np.concatenate((rhs, np.zeros(dim - n))))[:n]
 
 
 def _backtrack(p: PenalizedProblem, u: SpectralField, rnorm: float,
-               step: SpectralField, floor: float, accept):
-    """First trial u + lam step, lam = 1, 1/2, ... >= floor, that lowers the
+               step: SpectralField, accept):
+    """First trial u + lam step, lam = 1, 1/2, ... >= 2^-16, that lowers the
     residual norm by the factor 1 - 1e-4 lam or that ``accept`` passes.
 
     The decrease is tested first, so ``accept``, which must have no side
@@ -521,7 +512,7 @@ def _backtrack(p: PenalizedProblem, u: SpectralField, rnorm: float,
     fails.  A failed trial's samples are dropped before the next trial.
     """
     lam = 1.0
-    while lam >= floor:
+    while lam >= 2.0**-16:
         u_try = u + lam * step
         samples = []
         R_try = residual(p, u_try, samples)
@@ -538,18 +529,16 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
 
     Each step backtracks lam = 1, 1/2, ... down to 2^-16.  A trial passes on
     plain residual decrease or on the affine-covariant (natural
-    monotonicity) test ||J^{-1} R(u + lam d)|| <= (1 - lam/2) ||d||, which
-    reuses the step's linear solver (``_linear_solver``: its coarse LU, and
+    monotonicity) test ||J^{-1} R(u + lam d)|| <= (1 - lam/2) ||d||
+    (Deuflhard, Newton Methods for Nonlinear Problems, 2004), which reuses
+    the step's linear solver (``_linear_solver``: its coarse LU, and
     ``_gmres`` when fine modes exist).  Near a root the full step passes both
-    and the iteration is quadratic.  When no trial passes, the step is
-    retried with Levenberg steps (J + mu I) d = -R for growing mu, each
-    backtracked down to 2^-8 on residual decrease only; a mu whose system is
-    exactly singular, or whose GMRES solve fails, is skipped.  With
-    ``line_search=False`` the full step is always taken, and no solve is
-    made beyond the step's.  Every factorization of one solve, the Levenberg
-    ones included, runs in one buffer of (n_c + 1)^2 entries, n_c the
-    number of real unknowns of weight at most ``_coarse_truncation(M)``
-    (n_real up to ``DENSE_LIMIT``).
+    and the iteration is quadratic.  When no trial passes, the solve stops
+    with "line search stalled".  With ``line_search=False`` the full step is
+    always taken, and no solve is made beyond the step's.  Each step factors
+    its Jacobian once, and every factorization of one solve runs in one
+    buffer of (n_c + 1)^2 entries, n_c the number of real unknowns of weight
+    at most ``_coarse_truncation(M)`` (n_real up to ``DENSE_LIMIT``).
     Each iterate is synthesized on the padded grid once: its residual's
     samples go to the next Jacobian (``_linear_solver``), which gives the
     same bits as a synthesis per Jacobian.
@@ -600,7 +589,7 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
             t_norm = np.linalg.norm(t_vec)
             if t_norm > 1e-9 * max(u.l2(), 1.0):
                 anchor = t_vec / t_norm
-        solve, levenberg = _linear_solver(p, u, anchor, work, samples)
+        solve = _linear_solver(p, u, anchor, work, samples)
         delta = solve(-pack(R))
         ndelta = np.linalg.norm(delta)
 
@@ -608,18 +597,7 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
             return not line_search or (np.isfinite(r_try) and (
                 np.linalg.norm(solve(pack(R_try))) <= (1.0 - 0.5 * lam) * ndelta))
 
-        trial = _backtrack(p, u, rnorm, unpack(delta, p.M), 2.0**-16, natural)
-        if trial is None:
-            # Levenberg ladder: escape merit plateaus near folds
-            for mu in (1e-4, 1e-2, 1.0, 1e2, 1e4):
-                try:
-                    delta = levenberg(mu)(-pack(R))
-                except SingularJacobian:
-                    continue
-                trial = _backtrack(p, u, rnorm, unpack(delta, p.M), 2.0**-8,
-                                   lambda *_: False)
-                if trial is not None:
-                    break
+        trial = _backtrack(p, u, rnorm, unpack(delta, p.M), natural)
         if trial is not None:
             u, R, rnorm, samples = trial
             if rnorm < best[1]:

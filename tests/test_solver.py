@@ -234,7 +234,7 @@ def test_jacobian_fill_bit_identical_at_every_panel_height(default_nl, monkeypat
     # one row per panel (budgets below and at n_half), 7-row panels with a
     # shorter last one, one panel of exactly n_half rows, and a height beyond
     # n_half; plain, bordered (the border is left as it was) and as the
-    # Levenberg refill dgetrf receives
+    # bordered system dgetrf receives
     from wavetorus import pool, solver
 
     p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl)
@@ -264,13 +264,10 @@ def test_jacobian_fill_bit_identical_at_every_panel_height(default_nl, monkeypat
         assert np.array_equal(bordered[:n, :n], oracle), entries
         assert np.isnan(bordered[n]).all() and np.isnan(bordered[:, n]).all()
         factored.clear()
-        _linear_solver(p, u, anchor)[1](1e-2)
-        newton, refill = factored
+        _linear_solver(p, u, anchor)
+        newton, = factored
         assert np.array_equal(newton[:n, :n], oracle), entries
-        damped = plain.copy()
-        damped[range(n), range(n)] += 1e-2
-        assert np.array_equal(refill[:n, :n], damped), entries
-        assert np.array_equal(refill[:n, n], anchor) and np.array_equal(refill[n, :n], anchor)
+        assert np.array_equal(newton[:n, n], anchor) and np.array_equal(newton[n, :n], anchor)
 
 
 def test_jacobian_fill_holds_no_table_of_n_half_squared(default_nl):
@@ -429,21 +426,27 @@ def test_newton_no_convergence_carries_best(default_nl):
 
 
 def test_newton_no_convergence_carries_the_lowest_residual_iterate(default_nl):
-    # the M=6 level of examples/ci/mms.json: the residual creeps down to
-    # 0.0095 at step 31, and an accepted step then raises it past 1, so the
-    # last of 40 steps is not the best
-    target, p = mms_problem(default_nl, 0.5, 8, 1e-3, seed=12345)
-    p = replace(p, M=6, forcing=truncate(p.forcing, 6))
-    with pytest.raises(NoConvergence) as exc:
-        newton_solve(p, truncate(target, 6), tol=1e-12, max_iter=40)
-    best = exc.value.best
-    history = best.residual_history
-    assert len(history) == 41 and best.newton_iters == 40
-    assert history[-1] == pytest.approx(1.0149, rel=1e-4)
-    assert best.residual_norm == min(history) == history[31]
-    assert best.residual_norm == pytest.approx(0.009548, rel=1e-3)
-    assert residual(p, best.u).l2() == best.residual_norm
-    assert best.I_value == functional_I(p, best.u)
+    # both failure exits carry the best iterate, not the last: seed 11 of
+    # the M=8 ladder reaches 0.1426 at step 29 and ends its 40 steps at
+    # 0.3118; the late-anchor case reaches 0.413 at step 10, and its line
+    # search stalls at 0.4448 after 27 steps
+    from wavetorus.solver import _seed_fields
+
+    ladder = PenalizedProblem(M=8, beta=1e-4, nl=default_nl)
+    cases = (((ladder, list(_seed_fields(ladder, 12, 12345))[11]), 40,
+              "no convergence after 40 iterations", 40, 0.3118, 29, 0.1426),
+             (_late_anchor_case(default_nl), 30, "line search stalled", 27, 0.4448, 10, 0.413))
+    for (p, seed_u), max_iter, message, steps, last, at, lowest in cases:
+        with pytest.raises(NoConvergence, match=message) as exc:
+            newton_solve(p, seed_u, max_iter=max_iter)
+        best = exc.value.best
+        history = best.residual_history
+        assert len(history) == steps + 1 and best.newton_iters == steps
+        assert history[-1] == pytest.approx(last, rel=1e-3)
+        assert best.residual_norm == min(history) == history[at]
+        assert best.residual_norm == pytest.approx(lowest, rel=1e-3)
+        assert residual(p, best.u).l2() == best.residual_norm
+        assert best.I_value == functional_I(p, best.u)
 
 
 @pytest.mark.parametrize("line_search, after", [(False, 11.7226), (True, 5.6068)])
@@ -519,7 +522,7 @@ def test_linear_solver_iterative_path_matches_dense(default_nl, monkeypatch, M, 
     # coarse half of its preconditioner: of weight <= M // 4 below a
     # DENSE_LIMIT just under n_real, the one mode (0, 0) at DENSE_LIMIT = 0,
     # whose block and phase row fit a buffer of (1 + 1)^2 entries.  Both
-    # solves, and the Levenberg one, match the dense ones
+    # solves match the dense one
     import wavetorus.solver as solver
 
     p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl)
@@ -529,22 +532,20 @@ def test_linear_solver_iterative_path_matches_dense(default_nl, monkeypatch, M, 
         t_vec = pack(time_derivative(u))
         anchor = t_vec / np.linalg.norm(t_vec)
     rhs = -pack(residual(p, u))
-    solve_dense, levenberg_dense = _linear_solver(p, u, anchor)
-    dense = solve_dense(rhs)
-    damped_dense = levenberg_dense(1e-2)(rhs)
+    dense = _linear_solver(p, u, anchor)(rhs)
     monkeypatch.setattr(solver, "DENSE_LIMIT", lattice(M).n_real - 1)
     assert _coarse_truncation(M) == M // 4
-    krylov = _linear_solver(p, u, anchor)[0](rhs)
+    krylov = _linear_solver(p, u, anchor)(rhs)
     monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
     assert lattice(_coarse_truncation(M)).n_real == 1
-    damped = _linear_solver(p, u, anchor, np.full(4, np.nan))[1](1e-2)(rhs)
-    assert dense.shape == krylov.shape == damped.shape == rhs.shape
+    single = _linear_solver(p, u, anchor, np.full(4, np.nan))(rhs)
+    assert dense.shape == krylov.shape == single.shape == rhs.shape
     assert np.linalg.norm(krylov - dense) <= 1e-8 * np.linalg.norm(dense)
-    assert np.linalg.norm(damped - damped_dense) <= 1e-8 * np.linalg.norm(damped_dense)
+    assert np.linalg.norm(single - dense) <= 1e-8 * np.linalg.norm(dense)
     if anchored:  # the phase condition holds to each solver's own accuracy
         assert abs(anchor @ dense) <= 1e-13 * np.linalg.norm(dense)
         assert abs(anchor @ krylov) <= 1e-8 * np.linalg.norm(krylov)
-        assert abs(anchor @ damped) <= 1e-8 * np.linalg.norm(damped)
+        assert abs(anchor @ single) <= 1e-8 * np.linalg.norm(single)
 
 
 @pytest.mark.parametrize("M", [4, 8, 12])
@@ -571,12 +572,8 @@ def test_dense_linear_solver_bit_identical_to_c_ordered_lu(default_nl, M, anchor
         lu = scipy.linalg.lu_factor(matrix)
         return scipy.linalg.lu_solve(lu, np.append(rhs, np.zeros(dim - n)))[:n]
 
-    solve, levenberg = _linear_solver(p, u, *border)
+    solve = _linear_solver(p, u, *border)
     assert np.array_equal(solve(rhs), oracle_solve(oracle))
-    for mu in (1e-4, 1.0, 1e4):
-        damped = oracle.copy()
-        damped[np.arange(n), np.arange(n)] += mu
-        assert np.array_equal(levenberg(mu)(rhs), oracle_solve(damped))
 
 
 _LAPACK_STEPS = """
@@ -598,17 +595,14 @@ for M in (8, 12):
     t_vec = pack(time_derivative(u))
     anchor = t_vec / np.linalg.norm(t_vec)
     rhs = -pack(residual(p, u))
-    solve, _ = _linear_solver(p, u)
-    bordered, levenberg = _linear_solver(p, u, anchor)
-    for case, step in (((None, 0.0), solve(rhs)), ((anchor, 0.0), bordered(rhs)),
-                       ((anchor, 1e-2), levenberg(1e-2)(rhs))):
-        cases.append((p, u, rhs) + case)
-        steps.append(step)
+    for border in (None, anchor):
+        cases.append((p, u, rhs, border))
+        steps.append(_linear_solver(p, u, border)(rhs))
 before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 import scipy.linalg
 
-def oracle(p, u, rhs, anchor, mu):
+def oracle(p, u, rhs, anchor):
     n = rhs.size
     dim = n if anchor is None else n + 1
     A = np.zeros((dim, dim))
@@ -617,8 +611,6 @@ def oracle(p, u, rhs, anchor, mu):
     if anchor is not None:
         A[:n, n] = anchor
         A[n, :n] = anchor
-    if mu:
-        A[range(n), range(n)] += mu
     lu = scipy.linalg.lu_factor(A)
     return scipy.linalg.lu_solve(lu, np.append(rhs, np.zeros(dim - n)))[:n]
 
@@ -635,7 +627,7 @@ print(json.dumps({
 
 @lru_cache(maxsize=None)
 def _lapack_steps(mode):
-    """Dense steps at M = 8 and 12 (plain, bordered, Levenberg at mu = 1e-2)
+    """Dense steps at M = 8 and 12 (plain and bordered)
     in a fresh process, where no test module has imported scipy.linalg;
     ``mode`` "fail" makes the lookup of scipy's bundled OpenBLAS find none."""
     import json
@@ -662,7 +654,7 @@ def test_dense_steps_through_bundled_openblas_match_lu_factor():
     assert seen["loader"] == "BundledOpenBLAS"
     assert seen["before"] == []
     assert seen["wrappers"] == [False, False]
-    assert seen["oracle"] == [True] * 6
+    assert seen["oracle"] == [True] * 4
 
 
 def test_dense_steps_unchanged_when_bundled_openblas_is_not_found():
@@ -671,37 +663,31 @@ def test_dense_steps_unchanged_when_bundled_openblas_is_not_found():
     seen = _lapack_steps("fail")
     assert seen["loader"] == "scipy.linalg.lapack"
     assert seen["wrappers"] == [True, True]
-    assert seen["oracle"] == [True] * 6
+    assert seen["oracle"] == [True] * 4
     assert seen["steps"] == _lapack_steps("load")["steps"]
 
 
-def _ladder_case(nl, M=8):
+def _late_anchor_case(nl, M=8):
     """A seed steady up to 1e-10, so the phase anchor, and with it the
     n_real + 1 rows of the bordered system, appears only after the first
-    step; the Levenberg ladder runs near the end of its 30 steps."""
+    step; its line search stalls after 27 steps."""
     p = PenalizedProblem(M=M, beta=1e-3, nl=nl)
     r = random_field((0, 1), M, SubspaceTag.ALL, 0.3)
     return p, SpectralField(M, np.where(lattice(M).K == 0, 2.0, 1e-10) * r.coeffs)
 
 
 def test_newton_reused_buffers_match_fresh_ones(default_nl, monkeypatch):
-    # the Levenberg systems refill the buffer of the Newton system
+    # every Newton step refills the one buffer of the solve
     import wavetorus.solver as solver
 
-    p, seed_u = _ladder_case(default_nl)
+    p, seed_u = _late_anchor_case(default_nl)
     linear_solver = solver._linear_solver
     steps = []
 
     def run(fresh):
         def spy(p, u, anchor=None, work=None, samples=None):
-            solve, levenberg = linear_solver(p, u, anchor, None if fresh else work, samples)
             steps.append("." if anchor is None else "A")
-
-            def counted(mu):
-                steps.append("L")
-                return levenberg(mu)
-
-            return solve, counted
+            return linear_solver(p, u, anchor, None if fresh else work, samples)
 
         monkeypatch.setattr(solver, "_linear_solver", spy)
         steps.clear()
@@ -711,7 +697,7 @@ def test_newton_reused_buffers_match_fresh_ones(default_nl, monkeypatch):
 
     (reused, pattern), (fresh, fresh_pattern) = run(False), run(True)
     assert pattern == fresh_pattern
-    assert pattern.startswith(".") and "A" in pattern and "L" in pattern, pattern
+    assert pattern.startswith(".") and "A" in pattern, pattern
     assert reused.residual_history == fresh.residual_history
     assert reused.u.coeffs.tobytes() == fresh.u.coeffs.tobytes()
     assert reused.I_value == fresh.I_value
@@ -719,8 +705,8 @@ def test_newton_reused_buffers_match_fresh_ones(default_nl, monkeypatch):
 
 @pytest.mark.parametrize("anchored", [False, True])
 def test_dense_linear_solver_raises_on_zero_pivot(default_nl, monkeypatch, anchored):
-    # a fill of c I: the system with c = 0, and with c = -1 the Levenberg
-    # system at mu = 1, have an exactly zero pivot, bordered or not
+    # a fill of c I: the system with c = 0 has an exactly zero pivot,
+    # bordered or not, and the one with c = -1 solves
     import wavetorus.solver as solver
 
     M = 4
@@ -742,16 +728,13 @@ def test_dense_linear_solver_raises_on_zero_pivot(default_nl, monkeypatch, ancho
     with pytest.raises(SingularJacobian, match="zero pivot"):
         _linear_solver(p, u, anchor)
     monkeypatch.setattr(solver, "_jacobian_fill", scaled_identity(-1.0))
-    solve, levenberg = _linear_solver(p, u, anchor)
+    solve = _linear_solver(p, u, anchor)
     rhs = np.arange(1.0, n + 1.0)
     step = solve(rhs)
     if anchored:  # -step + anchor c = rhs with <anchor, step> = 0
         assert np.allclose(step, (rhs @ anchor) * anchor - rhs, rtol=0, atol=1e-12 * n)
     else:
         assert np.array_equal(step, -rhs)
-    with pytest.raises(SingularJacobian, match="zero pivot"):
-        levenberg(1.0)
-    assert np.all(np.isfinite(levenberg(1e-4)(rhs)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -759,7 +742,7 @@ def test_dense_linear_solver_raises_on_zero_pivot(default_nl, monkeypatch, ancho
 def test_dense_linear_solver_raises_on_non_finite_jacobian(default_nl, monkeypatch,
                                                            bad, anchored):
     # LU runs without scipy's finiteness scan; the non-finite factor still
-    # raises SingularJacobian, for the Newton system and the Levenberg one
+    # raises SingularJacobian
     import wavetorus.solver as solver
 
     M = 4
@@ -783,52 +766,6 @@ def test_dense_linear_solver_raises_on_non_finite_jacobian(default_nl, monkeypat
         monkeypatch.setattr(solver, "_jacobian_fill", identity_with(entry))
         with pytest.raises(SingularJacobian, match="non-finite"):
             _linear_solver(p, u, anchor)
-    monkeypatch.setattr(solver, "_jacobian_fill", identity_with())
-    solve, levenberg = _linear_solver(p, u, anchor)
-    with pytest.raises(SingularJacobian, match="non-finite"):
-        levenberg(bad)
-
-
-def _ladder_mus(nl, monkeypatch):
-    """The mus of the ladder case's Levenberg solves, the one at 1e-4
-    failing as an exactly singular system does."""
-    import wavetorus.solver as solver
-
-    p, seed_u = _ladder_case(nl)
-    linear_solver = solver._linear_solver
-    mus = []
-
-    def spy(p, u, anchor=None, work=None, samples=None):
-        solve, levenberg = linear_solver(p, u, anchor, work, samples)
-
-        def singular_first(mu):
-            mus.append(mu)
-            if mu == 1e-4:
-                raise SingularJacobian("zero pivot")
-            return levenberg(mu)
-
-        return solve, singular_first
-
-    monkeypatch.setattr(solver, "_linear_solver", spy)
-    with pytest.raises(NoConvergence):
-        newton_solve(p, seed_u, max_iter=30)
-    return mus
-
-
-def test_levenberg_ladder_skips_singular_mu(default_nl, monkeypatch):
-    # a ladder step whose system is singular goes on with the next mu
-    mus = _ladder_mus(default_nl, monkeypatch)
-    assert mus[:2] == [1e-4, 1e-2], mus
-
-
-def test_levenberg_ladder_skips_singular_mu_above_dense_limit(default_nl, monkeypatch):
-    # above DENSE_LIMIT the same ladder runs, the GMRES with the coarse LU of
-    # weight <= 2
-    import wavetorus.solver as solver
-
-    monkeypatch.setattr(solver, "DENSE_LIMIT", lattice(8).n_real - 1)
-    mus = _ladder_mus(default_nl, monkeypatch)
-    assert mus[:2] == [1e-4, 1e-2], mus
 
 
 def test_criterion_09_branch_refined_above_dense_limit(default_nl, monkeypatch):
@@ -935,13 +872,13 @@ def test_gmres_makes_no_least_squares_solve(monkeypatch):
         _gmres(apply, lambda z: z, np.eye(60)[0])
 
 
-@pytest.mark.parametrize("case", ["bordered", "forced", "ladder"])
+@pytest.mark.parametrize("case", ["bordered", "forced", "late_anchor"])
 @pytest.mark.parametrize("above_limit", [False, True])
 def test_each_newton_step_forms_f_u_once(default_nl, monkeypatch, case, above_limit):
     # every Newton step evaluates f_u on the padded grid once and analyzes
     # it onto lattice(2M) once, on the dense path at M = 8 and above a
     # DENSE_LIMIT lowered under M = 8's unknowns (coarse weight <= 2); the
-    # Levenberg refills and the GMRES's products form neither again
+    # GMRES's products form neither again
     import wavetorus.solver as solver
 
     if above_limit:
@@ -953,7 +890,7 @@ def test_each_newton_step_forms_f_u_once(default_nl, monkeypatch, case, above_li
         target, p = mms_problem(default_nl, 0.5, 8, 1e-3, seed=5)
         seed_u = embed(truncate(target, 4), 8)
     else:
-        p, seed_u = _ladder_case(default_nl)
+        p, seed_u = _late_anchor_case(default_nl)
     values, analyze_ = Nonlinearity.values, solver.analyze
     f_u_grids, onto_2M = [], []
 
@@ -973,7 +910,7 @@ def test_each_newton_step_forms_f_u_once(default_nl, monkeypatch, case, above_li
         sol = newton_solve(p, seed_u, max_iter=30)
     except NoConvergence as exc:
         sol = exc.best
-    assert sol.converged == (case != "ladder")
+    assert sol.converged == (case != "late_anchor")
     assert sol.newton_iters > 0
     assert len(f_u_grids) == len(onto_2M) == sol.newton_iters
 
@@ -987,13 +924,13 @@ def test_newton_without_line_search_solves_once_per_step(default_nl, monkeypatch
     solves = []
 
     def spy(p, u, anchor=None, work=None, samples=None):
-        solve, levenberg = linear_solver(p, u, anchor, work, samples)
+        solve = linear_solver(p, u, anchor, work, samples)
 
         def counted(rhs):
             solves.append(rhs)
             return solve(rhs)
 
-        return counted, levenberg
+        return counted
 
     monkeypatch.setattr(solver, "_linear_solver", spy)
     p = PenalizedProblem(M=8, beta=1e-3, nl=default_nl)
@@ -1003,7 +940,7 @@ def test_newton_without_line_search_solves_once_per_step(default_nl, monkeypatch
     assert len(solves) == sol.newton_iters
 
 
-@pytest.mark.parametrize("case", ["bordered", "forced", "ladder"])
+@pytest.mark.parametrize("case", ["bordered", "forced", "late_anchor"])
 def test_grid_reuse_bit_identical_to_resynthesis(default_nl, monkeypatch, case):
     # an accepted trial's padded-grid samples feed the next Jacobian; when
     # every Jacobian synthesizes its iterate again instead, the solve gives
@@ -1016,8 +953,8 @@ def test_grid_reuse_bit_identical_to_resynthesis(default_nl, monkeypatch, case):
     elif case == "forced":  # square system, converges
         target, p = mms_problem(default_nl, 0.5, 16, 1e-3, seed=5)
         seed_u = embed(truncate(target, 8), 16)
-    else:  # ends in NoConvergence after the Levenberg ladder
-        p, seed_u = _ladder_case(default_nl)
+    else:  # ends in NoConvergence when its line search stalls
+        p, seed_u = _late_anchor_case(default_nl)
     linear_solver, synthesize_ = solver._linear_solver, solver.synthesize
     syntheses = []
 
@@ -1040,7 +977,7 @@ def test_grid_reuse_bit_identical_to_resynthesis(default_nl, monkeypatch, case):
     reused, n_reused = run()
     monkeypatch.setattr(solver, "_linear_solver", resynthesizing)
     fresh, n_fresh = run()
-    assert reused.converged == fresh.converged == (case != "ladder")
+    assert reused.converged == fresh.converged == (case != "late_anchor")
     assert reused.newton_iters == fresh.newton_iters > 0
     assert reused.u.coeffs.tobytes() == fresh.u.coeffs.tobytes()
     assert (np.array(reused.residual_history).tobytes()
