@@ -4,10 +4,11 @@
 
 It first prints the size of ``src/``: its lines in all, and its code-only
 lines, counted with ``tokenize`` (``count_lines``), which leave out blank
-lines, comment lines and docstrings.  Each probe then runs in a fresh
-interpreter of its own (``multiprocessing``'s spawn), so the modules it
-lists as loaded and its ``ru_maxrss`` are that probe's alone, and prints
-one line (the M=72 probe two):
+lines, comment lines and docstrings; then the same two counts of each
+module (``size_lines``), so a change's size shows per module.  Each probe
+then runs in a fresh interpreter of its own (``multiprocessing``'s spawn),
+so the modules it lists as loaded and its ``ru_maxrss`` are that probe's
+alone, and prints one line (the M=72 probe two):
 
 - the set-up of each toy ``verify`` and ``multi`` config of
   ``examples/ci``: the ``wavetorus`` modules loaded, the time for
@@ -217,10 +218,18 @@ def _exit_with(probe, *args) -> None:
     sys.exit(probe(*args))
 
 
+def size_lines(src: Path = SRC) -> list:
+    """The printed size of ``src``: its lines in all and code-only
+    (``count_lines``), then the same two counts of each of its modules."""
+    sizes = {path: count_lines(path.read_text()) for path in sorted(src.rglob("*.py"))}
+    return [f"src/ lines: {sum(t for t, _ in sizes.values())} in all, "
+            f"{sum(c for _, c in sizes.values())} code-only",
+            *(f"  {path.relative_to(src).as_posix()}: {t} in all, {c} code-only"
+              for path, (t, c) in sizes.items())]
+
+
 def main() -> int:
-    sizes = [count_lines(path.read_text()) for path in sorted(SRC.rglob("*.py"))]
-    print(f"src/ lines: {sum(t for t, _ in sizes)} in all, "
-          f"{sum(c for _, c in sizes)} code-only")
+    print("\n".join(size_lines()))
     spawn = multiprocessing.get_context("spawn")
     failed = False
     with tempfile.TemporaryDirectory(prefix="ci_probes_") as tmp:

@@ -223,12 +223,13 @@ def functional_I(p: PenalizedProblem, u: SpectralField) -> float:
     return out
 
 
-def _jacobian_fill(p: PenalizedProblem, half: np.ndarray, f_u: np.ndarray):
-    """The fill of the block of J = d(residual)/du at the iterate u whose
-    f_u(x, u) on the padded grid is ``f_u``, a real matrix over the packed
-    coordinates, over the coordinates of (0, 0) and of the half modes where
-    ``half`` (a boolean mask over the half modes) is True, in the same
-    order; all True gives the whole J.
+def _jacobian_fill(p: PenalizedProblem, half: np.ndarray, f_u_hat: SpectralField,
+                   out: np.ndarray) -> None:
+    """Write into ``out`` the block of J = d(residual)/du at the iterate u
+    whose f_u(x, u), analyzed onto lattice(2M), is ``f_u_hat``: a real
+    matrix over the packed coordinates, over the coordinates of (0, 0) and
+    of the half modes where ``half`` (a boolean mask over the half modes)
+    is True, in the same order; all True gives the whole J.
 
     Rows and columns follow ``pack``: [Re u_hat(0, 0), x h, y h] with x the
     real and y the imaginary parts of the half modes h.  With
@@ -250,25 +251,22 @@ def _jacobian_fill(p: PenalizedProblem, half: np.ndarray, f_u: np.ndarray):
     zero - off(h) + off(h') and h + h' at zero + off(h) + off(h').  Row 0
     reads -h' because g_hat is Hermitian only to rounding.
 
-    Returns ``fill(out=None)``, which writes the block, n x n with n one
-    more than twice the count of True in ``half``, into the leading n x n
-    block of ``out`` (a new array when None) and returns ``out``.  ``out``
-    should be Fortran-ordered, as LAPACK's getrf wants it: fill writes the
-    transpose row by row, which is the same memory.  The four field
-    blocks are written in row panels of about ``_PANEL_ENTRIES`` entries:
-    each panel gathers gr + i gi at its positions of h' - h and h + h', so
-    at most two complex panels and one index panel are alive beside
-    ``out``, and nothing of size n_half^2 is built or cached.  Every entry
-    gets the operands of the formulas above, in their order, so the panel
-    height does not change a bit of J.  g_hat is analyzed from ``f_u``
-    here, once, and the fill keeps g_hat, not the grid, so a fill after an
-    in-place LU rebuilds J without a transform.
+    The block, n x n with n one more than twice the count of True in
+    ``half``, goes into the leading n x n block of ``out``, and no other
+    entry of ``out`` is written.  ``out`` is Fortran-ordered, as LAPACK's
+    getrf wants it: the fill writes the transpose row by row, which is the
+    same memory.  The four field blocks are written in row panels of about
+    ``_PANEL_ENTRIES`` entries: each panel gathers gr + i gi at its
+    positions of h' - h and h + h', so at most two complex panels and one
+    index panel are alive beside ``out``, and nothing of size n_half^2 is
+    built or cached.  Every entry gets the operands of the formulas above,
+    in their order, so the panel height does not change a bit of J.
     """
     lat = lattice(p.M)
     zero = p.M * (4 * p.M + 1) + 2 * p.M
     off = ((4 * p.M + 1) * lat.J + lat.K)[lat.half][half]
     minus, plus = zero - off, zero + off
-    g = analyze(GridField(f_u), 2 * p.M).coeffs.ravel()  # f_u(x, u), bandwidth 2M
+    g = f_u_hat.coeffs.ravel()
     s = -p.sigma
     gc = np.empty_like(g)  # one gather reads both parts
     gc.real, gc.imag = s * g.real, s * g.imag
@@ -276,32 +274,25 @@ def _jacobian_fill(p: PenalizedProblem, half: np.ndarray, f_u: np.ndarray):
     sym = penalized_symbol(p)
     d = sym.take(lat.half_flat)[half]
     nh = off.size
-    n = 1 + 2 * nh
-    x, y = slice(1, 1 + nh), slice(1 + nh, n)
+    x, y = slice(1, 1 + nh), slice(1 + nh, 1 + 2 * nh)
     rows = max(1, _PANEL_ENTRIES // max(nh, 1))
-
-    def fill(out=None):
-        J = np.empty((n, n), order="F") if out is None else out
-        T = J.T  # T[a, b] = J[b, a]
-        T[0, 0] = gr[zero] + sym[lat.jmax, p.M]
-        T[x, 0] = gr[minus] + gr[plus]
-        T[y, 0] = -(gi[minus] - gi[plus])
-        T[0, x] = gr[plus]
-        T[0, y] = gi[plus]
-        Txx, Txy, Tyx, Tyy = T[x, x], T[x, y], T[y, x], T[y, y]
-        for a in range(0, nh, rows):
-            b = min(a + rows, nh)
-            dg = gc[minus[a:b, None] + off]  # at h' - h
-            sg = gc[plus[a:b, None] + off]  # at h + h'
-            dg.reshape(-1)[a::nh + 1].real += d[a:b]  # the entries h' = h
-            np.add(dg.real, sg.real, out=Txx[a:b])
-            np.subtract(dg.real, sg.real, out=Tyy[a:b])
-            np.add(dg.imag, sg.imag, out=Txy[a:b])
-            np.subtract(sg.imag, dg.imag, out=Tyx[a:b])
-            del dg, sg  # freed before the next panel is gathered
-        return J
-
-    return fill
+    T = out.T  # T[a, b] = out[b, a]
+    T[0, 0] = gr[zero] + sym[lat.jmax, p.M]
+    T[x, 0] = gr[minus] + gr[plus]
+    T[y, 0] = -(gi[minus] - gi[plus])
+    T[0, x] = gr[plus]
+    T[0, y] = gi[plus]
+    Txx, Txy, Tyx, Tyy = T[x, x], T[x, y], T[y, x], T[y, y]
+    for a in range(0, nh, rows):
+        b = min(a + rows, nh)
+        dg = gc[minus[a:b, None] + off]  # at h' - h
+        sg = gc[plus[a:b, None] + off]  # at h + h'
+        dg.reshape(-1)[a::nh + 1].real += d[a:b]  # the entries h' = h
+        np.add(dg.real, sg.real, out=Txx[a:b])
+        np.subtract(dg.real, sg.real, out=Tyy[a:b])
+        np.add(dg.imag, sg.imag, out=Txy[a:b])
+        np.subtract(sg.imag, dg.imag, out=Tyx[a:b])
+        del dg, sg  # freed before the next panel is gathered
 
 
 def _coarse_truncation(M: int) -> int:
@@ -408,9 +399,9 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     The block is filled, Fortran-ordered, into the flat float64 buffer
     ``work`` of at least (n_c + 1)^2 entries, n_c the coarse count of real
     unknowns (a new one when None), and LU-factored there, in place; the
-    fill writes the block in row panels straight into that buffer, so no
-    other array of its size is made.  A solve is valid until the buffer's
-    next factorization.
+    fill (``_jacobian_fill``) writes the block in row panels straight into
+    that buffer, so no other array of its size is made.  A solve is valid
+    until the buffer's next factorization.
     ``pool.lapack()``'s ``dgetrf`` and ``dgetrs`` are the routines
     ``scipy.linalg.lu_factor(J, overwrite_a=True, check_finite=False)`` and
     ``lu_solve`` reach, called with the same arguments, so the factors and
@@ -422,8 +413,9 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     f_u(x, u) on the padded grid is formed once, from the samples of u that
     ``residual`` put in the list ``samples`` (taken out of it, and dropped
     once f_u is formed; u is synthesized when there are none).  That one
-    grid gives the fill (``_jacobian_fill``), the Jacobi diagonal and the
-    GMRES's products; with no fine mode it is dropped before the fill runs.
+    grid gives the Jacobi diagonal, the GMRES's products and, analyzed once
+    onto lattice(2M), the fill; with no fine mode it is dropped once
+    analyzed, before the fill runs.
 
     With ``anchor`` (a packed direction), the system is bordered with the
     phase condition <anchor, delta> = 0: autonomous problems have the exact
@@ -449,7 +441,7 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     d = sym.take(lat.half_flat) - p.sigma * float(np.mean(f_u))
     diag = np.concatenate((d, d))[fine - 1]  # (0, 0) is coarse: fine >= 1
     diag[np.abs(diag) < 1e-12] = 1.0  # the fine half of the preconditioner
-    fill = _jacobian_fill(p, half, f_u)
+    f_u_hat = analyze(GridField(f_u), 2 * p.M)  # bandwidth 2M, the fill's one input
     if not fine.size:  # no product reads the grid: free it before the fill runs
         f_u = None
 
@@ -467,7 +459,8 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     if work is None:
         work = np.empty((nc + 1) ** 2)
 
-    J = fill(work[:dim_c * dim_c].reshape(dim_c, dim_c, order="F"))
+    J = work[:dim_c * dim_c].reshape(dim_c, dim_c, order="F")
+    _jacobian_fill(p, half, f_u_hat, J)
     if anchor is not None:
         J[:nc, nc] = anchor[coarse]
         J[nc, :nc] = anchor[coarse]
@@ -500,29 +493,6 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
     return lambda rhs: solve(np.concatenate((rhs, np.zeros(dim - n))))[:n]
 
 
-def _backtrack(p: PenalizedProblem, u: SpectralField, rnorm: float,
-               step: SpectralField, accept):
-    """First trial u + lam step, lam = 1, 1/2, ... >= 2^-16, that lowers the
-    residual norm by the factor 1 - 1e-4 lam or that ``accept`` passes.
-
-    The decrease is tested first, so ``accept``, which must have no side
-    effects and may cost a linear solve, runs only on trials that fail it.
-    Returns (u_try, R_try, |R_try|, samples), samples the list holding
-    u_try's padded-grid samples (see ``residual``), or None when every trial
-    fails.  A failed trial's samples are dropped before the next trial.
-    """
-    lam = 1.0
-    while lam >= 2.0**-16:
-        u_try = u + lam * step
-        samples = []
-        R_try = residual(p, u_try, samples)
-        r_try = R_try.l2()
-        if r_try <= (1.0 - 1e-4 * lam) * rnorm or accept(lam, R_try, r_try):
-            return u_try, R_try, r_try, samples
-        lam *= 0.5
-    return None
-
-
 def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
                  max_iter: int = 40, line_search: bool = True) -> SolutionState:
     """Damped Newton on the packed real system.
@@ -534,11 +504,12 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
     the step's linear solver (``_linear_solver``: its coarse LU, and
     ``_gmres`` when fine modes exist).  Near a root the full step passes both
     and the iteration is quadratic.  When no trial passes, the solve stops
-    with "line search stalled".  With ``line_search=False`` the full step is
-    always taken, and no solve is made beyond the step's.  Each step factors
-    its Jacobian once, and every factorization of one solve runs in one
-    buffer of (n_c + 1)^2 entries, n_c the number of real unknowns of weight
-    at most ``_coarse_truncation(M)`` (n_real up to ``DENSE_LIMIT``).
+    with "line search stalled" and counts no step.  With
+    ``line_search=False`` the full step is always taken, and no solve is
+    made beyond the step's.  Each step factors its Jacobian once, and every
+    factorization of one solve runs in one buffer of (n_c + 1)^2 entries,
+    n_c the number of real unknowns of weight at most
+    ``_coarse_truncation(M)`` (n_real up to ``DENSE_LIMIT``).
     Each iterate is synthesized on the padded grid once: its residual's
     samples go to the next Jacobian (``_linear_solver``), which gives the
     same bits as a synthesis per Jacobian.
@@ -548,11 +519,14 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
     step is then computed from the phase-anchored bordered system with the
     current iterate's time derivative as anchor.
 
-    Raises NoConvergence after ``max_iter`` accepted steps, a failed line
-    search or a non-finite residual norm, carrying the iterate of lowest
-    residual norm (an accepted step may raise it: the natural-monotonicity
-    test does not bound the residual) with the steps taken and the whole
-    residual history; SingularJacobian when the linear solve breaks down.
+    ``newton_iters`` counts the accepted steps, and ``residual_history``
+    holds the seed's residual norm and one entry per accepted step, at every
+    exit.  Raises NoConvergence after ``max_iter`` accepted steps, a failed
+    line search or a non-finite residual norm, carrying the iterate of
+    lowest residual norm (an accepted step may raise it: the
+    natural-monotonicity test does not bound the residual) with the steps
+    taken and the whole residual history; SingularJacobian when the linear
+    solve breaks down.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -592,20 +566,24 @@ def newton_solve(p: PenalizedProblem, seed_u: SpectralField, tol: float = 1e-10,
         solve = _linear_solver(p, u, anchor, work, samples)
         delta = solve(-pack(R))
         ndelta = np.linalg.norm(delta)
-
-        def natural(lam, R_try, r_try):
-            return not line_search or (np.isfinite(r_try) and (
-                np.linalg.norm(solve(pack(R_try))) <= (1.0 - 0.5 * lam) * ndelta))
-
-        trial = _backtrack(p, u, rnorm, unpack(delta, p.M), natural)
-        if trial is not None:
-            u, R, rnorm, samples = trial
-            if rnorm < best[1]:
-                best = u, rnorm
+        step = unpack(delta, p.M)
+        for lam in (2.0**-i for i in range(17)):  # the line search: 1, 1/2, ..., 2^-16
+            u_try = u + lam * step
+            samples = []  # a failed trial's samples go before the next residual
+            R = residual(p, u_try, samples)
+            r_try = R.l2()
+            # plain decrease first: only a trial that fails it pays the
+            # natural-monotonicity test's solve
+            if r_try <= (1.0 - 1e-4 * lam) * rnorm or not line_search or (np.isfinite(r_try)
+                    and np.linalg.norm(solve(pack(R))) <= (1.0 - 0.5 * lam) * ndelta):
+                break
+        else:  # no trial passed: the step is not taken, and not counted
+            raise NoConvergence("line search stalled", state(*best, False))
+        u, rnorm = u_try, r_try
+        if rnorm < best[1]:
+            best = u, rnorm
         iters += 1
         history.append(rnorm)
-        if trial is None:
-            raise NoConvergence("line search stalled", state(*best, False))
     return state(u, rnorm, True)
 
 

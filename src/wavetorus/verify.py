@@ -63,33 +63,34 @@ HOLDER_GAMMAS = (0.6, 0.5)  # gamma, gamma_prime of the holder suite
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Deterministic random-field ensemble: tag-supported, fixed envelope."""
+    """Deterministic random-field ensemble: supported on E_perp, fixed envelope."""
 
     count: int = 1000
     M: int = 16
     decay: float = 0.0
     seed: int = 0
-    tag: SubspaceTag = SubspaceTag.EPERP
     oversample: int = OVERSAMPLE
 
 
 def ensemble_fields(spec: EnsembleSpec, salt: int):
-    """The ensemble's ``spec.count`` fields, drawn one at a time.
+    """The ensemble's ``spec.count`` fields, drawn one at a time, each
+    supported on E_perp: the norms of the ``gn``, ``embedding`` and ``box``
+    suites are defined off the kernel only and raise ``NotInEperp`` on a
+    field with kernel part.
 
     Every suite's ratio is scale-invariant.  So where the largest
     coefficient lies below 2^-64, below which |u|^4 leaves the normal range
     and the q = 4 and p = 4 sums underflow, each field is lifted by the
     power of two that brings that coefficient into [2^-64, 2^-63), an exact
     scaling.  The envelope is exactly e^(-decay weight), so the first
-    field's factor serves every field.  At ordinary scales (an EPERP
-    ensemble with decay below about 44) the factor is 1 and the fields are
-    ``random_field``'s.  Above a decay of about 745 e^(-decay) underflows
-    and the fields are exactly zero, which no ratio is defined on: that
-    raises WavetorusError.
+    field's factor serves every field.  At ordinary scales (a decay below
+    about 44) the factor is 1 and the fields are ``random_field``'s.  Above
+    a decay of about 745 e^(-decay) underflows and the fields are exactly
+    zero, which no ratio is defined on: that raises WavetorusError.
     """
     lift = None
     for trial in range(spec.count):
-        u = random_field((spec.seed, salt, trial), spec.M, spec.tag, spec.decay)
+        u = random_field((spec.seed, salt, trial), spec.M, SubspaceTag.EPERP, spec.decay)
         if lift is None:
             top = np.max(np.abs(u.coeffs))
             if top == 0.0:

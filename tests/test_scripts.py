@@ -186,6 +186,16 @@ def test_ci_probes_counts_code_lines_with_tokenize():
     assert probes.count_lines("x = 1") == (1, 1)
 
 
+def test_ci_probes_prints_each_module_beside_the_totals(tmp_path):
+    probes = load_script("ci_probes")
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(_COUNTED)
+    (tmp_path / "pkg" / "b.py").write_text("x = 1\n")
+    assert probes.size_lines(tmp_path) == ["src/ lines: 16 in all, 7 code-only",
+                                           "  pkg/a.py: 15 in all, 6 code-only",
+                                           "  pkg/b.py: 1 in all, 1 code-only"]
+
+
 def test_strict_json_names_a_missing_directory(tmp_path, capsys):
     # a mistyped path fails instead of passing with 0 files; an existing
     # directory with no JSON file still passes

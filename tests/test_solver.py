@@ -57,9 +57,18 @@ from wavetorus.spectral import (
 seeds = st.integers(0, 2**31 - 1)
 
 
-def full_fill(p, u):
-    """``_jacobian_fill`` at u under the mask of every half mode: the fill of J."""
-    return _jacobian_fill(p, np.ones(lattice(p.M).n_half, dtype=bool), _on_grid(p, u, 1)[1])
+def f_u_hat(p, u):
+    """f_u(x, u) analyzed onto lattice(2M), the input of ``_jacobian_fill``."""
+    return analyze(GridField(_on_grid(p, u, 1)[1]), 2 * p.M)
+
+
+def full_fill(p, u, out=None):
+    """``_jacobian_fill`` at u under the mask of every half mode: the fill of
+    J, into ``out`` (a new Fortran-ordered n_real x n_real array when None)."""
+    n = lattice(p.M).n_real
+    out = np.empty((n, n), order="F") if out is None else out
+    _jacobian_fill(p, np.ones(lattice(p.M).n_half, dtype=bool), f_u_hat(p, u), out)
+    return out
 
 
 def zero_nl():
@@ -144,7 +153,7 @@ def test_jacobian_matches_finite_differences(default_nl):
     M = 4
     p = PenalizedProblem(M=M, beta=1e-2, nl=default_nl)
     u = random_field(8, M, SubspaceTag.ALL, 0.3)
-    J = full_fill(p, u)()
+    J = full_fill(p, u)
     x0 = pack(u)
     n = x0.size
     h = 1e-6
@@ -169,7 +178,7 @@ def complex_jacobian_oracle(p, u):
     h_idx = pos[half_rows, half_cols]
     m_idx = pos[2 * lat.jmax - half_rows, 2 * p.M - half_cols]
     z_idx = pos[lat.jmax, p.M]
-    gh = analyze(GridField(_on_grid(p, u, 1)[1]), 2 * p.M)
+    gh = f_u_hat(p, u)
     big = lattice(2 * p.M)
     jj = lat.J[mode_rows, mode_cols]
     kk = lat.K[mode_rows, mode_cols]
@@ -196,18 +205,17 @@ def test_jacobian_bit_identical_to_complex_construction(default_nl, sigma, overs
         p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl, sigma=sigma,
                              oversample=oversample)
         u = random_field((60, M), M, SubspaceTag.ALL, 0.4)
-        J = full_fill(p, u)()
+        J = full_fill(p, u)
         assert np.array_equal(J, complex_jacobian_oracle(p, u)), M
         n = J.shape[0]
-        bordered = full_fill(p, u)(
-            np.full((n + 1, n + 1), np.nan, order="F"))
+        bordered = full_fill(p, u, np.full((n + 1, n + 1), np.nan, order="F"))
         assert np.array_equal(bordered[:n, :n], J), M
 
 
 def test_forced_jacobian_bit_identical_to_complex_construction(default_nl):
     _, p = mms_problem(default_nl, 0.5, 12, 1e-3, seed=5)
     u = random_field(61, 12, SubspaceTag.ALL, 0.4)
-    assert np.array_equal(full_fill(p, u)(),
+    assert np.array_equal(full_fill(p, u),
                           complex_jacobian_oracle(p, u))
 
 
@@ -224,8 +232,10 @@ def test_coarse_jacobian_fill_bit_identical_to_the_oracle_block(default_nl, M, s
         half = lat.weight.take(lat.half_flat) <= M_c
         at = 1 + np.flatnonzero(half)
         idx = np.concatenate(([0], at, at + lat.n_half))
-        J = _jacobian_fill(p, half, _on_grid(p, u, 1)[1])()
-        assert J.shape == (idx.size, idx.size)
+        out = np.full((lat.n_real, lat.n_real), np.nan, order="F")
+        _jacobian_fill(p, half, f_u_hat(p, u), out)
+        J = out[:idx.size, :idx.size]  # the block, and nothing beyond it
+        assert np.isnan(out[idx.size:]).all() and np.isnan(out[:, idx.size:]).all()
         assert np.array_equal(J, oracle[np.ix_(idx, idx)]), M_c
 
 
@@ -257,10 +267,9 @@ def test_jacobian_fill_bit_identical_at_every_panel_height(default_nl, monkeypat
     monkeypatch.setattr(solver, "lapack", CapturingLapack)
     for entries in (1, nh, 7 * nh, nh * nh, 3 * nh * nh):
         monkeypatch.setattr(solver, "_PANEL_ENTRIES", entries)
-        plain = full_fill(p, u)()
+        plain = full_fill(p, u)
         assert np.array_equal(plain, oracle), entries
-        bordered = full_fill(p, u)(
-            np.full((n + 1, n + 1), np.nan, order="F"))
+        bordered = full_fill(p, u, np.full((n + 1, n + 1), np.nan, order="F"))
         assert np.array_equal(bordered[:n, :n], oracle), entries
         assert np.isnan(bordered[n]).all() and np.isnan(bordered[:, n]).all()
         factored.clear()
@@ -280,11 +289,11 @@ def test_jacobian_fill_holds_no_table_of_n_half_squared(default_nl):
     u = random_field((64, M), M, SubspaceTag.ALL, 0.4)
     n, nh = lattice(M).n_real, lattice(M).n_half
     out = np.empty((n + 1, n + 1), order="F")
-    fill = full_fill(p, u)
-    fill(out)
+    half, g = np.ones(nh, dtype=bool), f_u_hat(p, u)
+    _jacobian_fill(p, half, g, out)
     tracemalloc.start()
     try:
-        fill(out)
+        _jacobian_fill(p, half, g, out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -379,7 +388,7 @@ def test_weighted_jacobian_is_symmetric(default_nl, seed, M, sigma):
     # J is the Hessian of I under the pairing, whose packed weights are 1, 2, ..., 2
     p = PenalizedProblem(M=M, beta=1e-3, nl=default_nl, sigma=sigma)
     u = random_field(seed, M, SubspaceTag.ALL, 0.4)
-    J = full_fill(p, u)()
+    J = full_fill(p, u)
     WJ = np.r_[1.0, np.full(J.shape[0] - 1, 2.0)][:, None] * J
     assert np.max(np.abs(WJ - WJ.T)) <= 1e-13 * np.max(np.abs(WJ))
 
@@ -429,13 +438,13 @@ def test_newton_no_convergence_carries_the_lowest_residual_iterate(default_nl):
     # both failure exits carry the best iterate, not the last: seed 11 of
     # the M=8 ladder reaches 0.1426 at step 29 and ends its 40 steps at
     # 0.3118; the late-anchor case reaches 0.413 at step 10, and its line
-    # search stalls at 0.4448 after 27 steps
+    # search stalls at 0.4448 after 26 accepted steps
     from wavetorus.solver import _seed_fields
 
     ladder = PenalizedProblem(M=8, beta=1e-4, nl=default_nl)
     cases = (((ladder, list(_seed_fields(ladder, 12, 12345))[11]), 40,
               "no convergence after 40 iterations", 40, 0.3118, 29, 0.1426),
-             (_late_anchor_case(default_nl), 30, "line search stalled", 27, 0.4448, 10, 0.413))
+             (_late_anchor_case(default_nl), 30, "line search stalled", 26, 0.4448, 10, 0.413))
     for (p, seed_u), max_iter, message, steps, last, at, lowest in cases:
         with pytest.raises(NoConvergence, match=message) as exc:
             newton_solve(p, seed_u, max_iter=max_iter)
@@ -447,6 +456,31 @@ def test_newton_no_convergence_carries_the_lowest_residual_iterate(default_nl):
         assert best.residual_norm == pytest.approx(lowest, rel=1e-3)
         assert residual(p, best.u).l2() == best.residual_norm
         assert best.I_value == functional_I(p, best.u)
+
+
+def test_newton_counts_accepted_steps_at_every_exit(default_nl):
+    # at every exit newton_iters counts the accepted steps and the history
+    # holds the seed's residual plus one entry per accepted step: a stalled
+    # line search adds no entry, and a failure carries the history's minimum
+    target, forced = mms_problem(default_nl, 0.5, 8, 1e-3, seed=5)
+    converged = newton_solve(forced, embed(truncate(target, 4), 8))
+    assert converged.converged and converged.newton_iters > 0
+    assert len(converged.residual_history) == converged.newton_iters + 1
+    late = _late_anchor_case(default_nl)
+    overflow = (PenalizedProblem(M=8, beta=1e-3, nl=default_nl),
+                1e103 * random_field((0, 55), 8, SubspaceTag.ALL, 0.5))
+    for (p, seed_u), max_iter, message in (
+            (late, 10, "no convergence after 10 iterations"),
+            (late, 30, "line search stalled"),
+            (overflow, 40, "non-finite residual norm after 0 iterations")):
+        with np.errstate(all="ignore"), pytest.raises(NoConvergence, match=message) as exc:
+            newton_solve(p, seed_u, max_iter=max_iter)
+        best = exc.value.best
+        history = best.residual_history
+        assert len(history) == best.newton_iters + 1, message
+        assert np.array_equal(best.residual_norm, min(history), equal_nan=True), message
+        if message == "line search stalled":
+            assert best.newton_iters > 0 and history[-1] != history[-2]
 
 
 @pytest.mark.parametrize("line_search, after", [(False, 11.7226), (True, 5.6068)])
@@ -582,7 +616,7 @@ import numpy as np
 from wavetorus import make_nonlinearity, pool
 from wavetorus.solver import (PenalizedProblem, _jacobian_fill, _linear_solver, _on_grid,
                               residual, time_derivative)
-from wavetorus.spectral import SubspaceTag, lattice, pack, random_field
+from wavetorus.spectral import GridField, SubspaceTag, analyze, lattice, pack, random_field
 
 if sys.argv[1] == "fail":
     pool._bundled_openblas = lambda package: None
@@ -606,8 +640,8 @@ def oracle(p, u, rhs, anchor):
     n = rhs.size
     dim = n if anchor is None else n + 1
     A = np.zeros((dim, dim))
-    A[:n, :n] = _jacobian_fill(p, np.ones(lattice(p.M).n_half, dtype=bool),
-                               _on_grid(p, u, 1)[1])()
+    _jacobian_fill(p, np.ones(lattice(p.M).n_half, dtype=bool),
+                   analyze(GridField(_on_grid(p, u, 1)[1]), 2 * p.M), A)
     if anchor is not None:
         A[:n, n] = anchor
         A[n, :n] = anchor
@@ -670,7 +704,7 @@ def test_dense_steps_unchanged_when_bundled_openblas_is_not_found():
 def _late_anchor_case(nl, M=8):
     """A seed steady up to 1e-10, so the phase anchor, and with it the
     n_real + 1 rows of the bordered system, appears only after the first
-    step; its line search stalls after 27 steps."""
+    step; its line search stalls after 26 accepted steps."""
     p = PenalizedProblem(M=M, beta=1e-3, nl=nl)
     r = random_field((0, 1), M, SubspaceTag.ALL, 0.3)
     return p, SpectralField(M, np.where(lattice(M).K == 0, 2.0, 1e-10) * r.coeffs)
@@ -719,10 +753,9 @@ def test_dense_linear_solver_raises_on_zero_pivot(default_nl, monkeypatch, ancho
         anchor = t_vec / np.linalg.norm(t_vec)
 
     def scaled_identity(c):
-        def fill(out):
+        def fill(p, half, f_u_hat, out):
             out[:n, :n] = c * np.eye(n)
-            return out
-        return lambda p, half, f_u: fill
+        return fill
 
     monkeypatch.setattr(solver, "_jacobian_fill", scaled_identity(0.0))
     with pytest.raises(SingularJacobian, match="zero pivot"):
@@ -755,12 +788,11 @@ def test_dense_linear_solver_raises_on_non_finite_jacobian(default_nl, monkeypat
         anchor = t_vec / np.linalg.norm(t_vec)
 
     def identity_with(*entries):
-        def fill(out):
+        def fill(p, half, f_u_hat, out):
             out[:n, :n] = np.eye(n)
             for row, col in entries:
                 out[row, col] = bad
-            return out
-        return lambda p, half, f_u: fill
+        return fill
 
     for entry in ((0, 0), (3, 1), (n - 1, n - 1)):
         monkeypatch.setattr(solver, "_jacobian_fill", identity_with(entry))
@@ -912,7 +944,9 @@ def test_each_newton_step_forms_f_u_once(default_nl, monkeypatch, case, above_li
         sol = exc.best
     assert sol.converged == (case != "late_anchor")
     assert sol.newton_iters > 0
-    assert len(f_u_grids) == len(onto_2M) == sol.newton_iters
+    # a stalled solve also formed the Jacobian of the step it could not take
+    jacobians = sol.newton_iters + (case == "late_anchor")
+    assert len(f_u_grids) == len(onto_2M) == jacobians
 
 
 def test_newton_without_line_search_solves_once_per_step(default_nl, monkeypatch):
@@ -983,7 +1017,8 @@ def test_grid_reuse_bit_identical_to_resynthesis(default_nl, monkeypatch, case):
     assert (np.array(reused.residual_history).tobytes()
             == np.array(fresh.residual_history).tobytes())
     assert np.float64(reused.I_value).tobytes() == np.float64(fresh.I_value).tobytes()
-    assert n_fresh - n_reused == reused.newton_iters
+    # a stalled solve also formed the Jacobian of the step it could not take
+    assert n_fresh - n_reused == reused.newton_iters + (case == "late_anchor")
 
 
 def test_per_problem_constants_are_cached_and_read_only(default_nl):
