@@ -18,14 +18,20 @@ the config and the run's NAME.stdout, NAME.stderr and NAME.exit.
 
 It prints every file that differs between the sides or exists on one side
 only, every run that exited nonzero, and the number of files compared.  The
-exit status is 1 when there is either, else 0.
+exit status is 1 when there is either, else 0.  A text file whose sides
+have the same text between their numbers, and as many numbers, differs in
+its numbers only: its line says so, with the largest relative difference
+|a - b| / max(|a|, |b|) of two numbers, and with "a zero changed sign" when
+0.0 and -0.0 trade places (``how_differs``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -37,6 +43,8 @@ from bench_pairs import ROOT, copy_worktree, extract  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEED = 12345  # the benchmark's default seed
+# a decimal number as the artifacts write it: JSON, CSV and str(float)
+NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def corpus() -> list:
@@ -68,6 +76,26 @@ def run_corpus(tree: Path, out: Path) -> None:
         (out / f"{name}.exit").write_text(f"{proc.returncode}\n")
 
 
+def how_differs(a: bytes, b: bytes) -> str:
+    """" (numbers only, max relative difference X)" when the texts ``a`` and
+    ``b`` split into the same text between their numbers and as many
+    numbers, with "; a zero changed sign" when a number went from 0.0 to
+    -0.0 or back; "" otherwise."""
+    try:
+        a, b = a.decode(), b.decode()
+    except UnicodeDecodeError:
+        return ""
+    # the same text between the numbers: so as many numbers, in the same places
+    if NUMBER.split(a) != NUMBER.split(b):
+        return ""
+    pairs = [(float(x), float(y)) for x, y in zip(NUMBER.findall(a), NUMBER.findall(b))]
+    rel = max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y), default=0.0)
+    signed = any(x == y == 0.0 and math.copysign(1.0, x) != math.copysign(1.0, y)
+                 for x, y in pairs)
+    return (f" (numbers only, max relative difference {rel:.2g}"
+            + ("; a zero changed sign" if signed else "") + ")")
+
+
 def compare(parent: Path, change: Path) -> int:
     """Print what differs between the two sides' corpus outputs and which
     runs exited nonzero; 1 when anything does, else 0."""
@@ -83,7 +111,9 @@ def compare(parent: Path, change: Path) -> int:
             if code != "0":
                 failed.append(f"{side} {exit_file.stem} exited {code}")
     for f in differ:
-        print(f"differs: {f}")
+        both = all((root / f).is_file() for root in sides.values())
+        how = how_differs((parent / f).read_bytes(), (change / f).read_bytes()) if both else ""
+        print(f"differs: {f}{how}")
     for line in failed:
         print(line)
     print(f"{len(files)} files compared: {len(differ)} differ, "

@@ -11,15 +11,21 @@ optional bandlimited forcing used by the manufactured-solution harness.
 f(x, u) is evaluated pseudospectrally on a padded grid (dealiasing factor
 at least s + 1 over the truncation) and truncated back to the lattice.
 
-The functional whose gradient under the area-weighted pairing
-<A, phi> = |Q| sum A_hat conj(phi_hat) equals this residual is
+With d(j, k) the penalized symbol, the diagonal of the linear part above
+(``penalized_symbol``), the functional is
 
-    I(u) = kappa/2 (||w+||_E^2 - ||w-||_E^2)
-           - beta/2 (||v||_L2^2 + ||v_t||_L2^2) - sigma int_Q F(x, u)
-           - int_Q forcing u,            with kappa = -4.
+    I(u) = (|Q|/2) sum d(j, k) |u_hat(j, k)|^2 - sigma int_Q F(x, u)
+           - int_Q forcing u,
 
-kappa = -4 is forced by the E-norm scaling |Q|/4: it is the unique constant
-making gradient and residual agree identically, for either sign convention.
+whose gradient under the area-weighted pairing <A, phi> = |Q| sum A_hat
+conj(phi_hat) is the residual by construction: its quadratic part reads
+the d that the residual and the Jacobian read.  This is Rabinowitz's
+form.  Off the kernel, with the E-norm scaled by |Q|/4,
+
+    (|Q|/2) sum (4j^2 - k^2) |w_hat|^2 = -2 (||w+||_E^2 - ||w-||_E^2),
+
+and on it (|Q|/2) sum beta (-k^2 - 1) |v_hat|^2 = -beta/2 (||v||_L2^2 +
+||v_t||_L2^2).
 
 Beside the Newton solve and the continuation in beta sit the studies that
 drive them: the manufactured-solution study (``mms_problem``, ``mms_run``),
@@ -96,8 +102,6 @@ from .spectral import (
     unpack,
     write_csv,
 )
-
-KAPPA = -4.0
 
 DENSE_LIMIT = 4400  # real unknowns; M = 64 has 4161
 # above DENSE_LIMIT the Newton step factors the block of the modes of
@@ -206,18 +210,14 @@ def pair(a: SpectralField, b: SpectralField) -> float:
 
 
 def functional_I(p: PenalizedProblem, u: SpectralField) -> float:
-    """Penalized functional whose gradient is the residual (see module docstring)."""
+    """Penalized functional I(u) = (|Q|/2) sum d |u_hat|^2 - sigma int F(x, u)
+    - int forcing u, d the penalized symbol: its gradient is the residual
+    (see module docstring)."""
     if u.M != p.M:
         raise ValueError("field truncation must match the problem")
-    lat = lattice(p.M)
-    wp = project(u, SubspaceTag.EPLUS)
-    wm = project(u, SubspaceTag.EMINUS)
-    v = project(u, SubspaceTag.N)
-    t1 = 0.5 * (norm_E(wp) ** 2 - norm_E(wm) ** 2)
-    v2 = Q_AREA * float(np.sum(np.abs(v.coeffs) ** 2))
-    vt2 = Q_AREA * float(np.sum((lat.K**2) * np.abs(v.coeffs) ** 2))
     _, Fv = _on_grid(p, u, "F")
-    out = KAPPA * t1 - 0.5 * p.beta * (v2 + vt2) - p.sigma * grid_integral(Fv)
+    quadratic = 0.5 * Q_AREA * float(np.sum(penalized_symbol(p) * np.abs(u.coeffs) ** 2))
+    out = quadratic - p.sigma * grid_integral(Fv)
     if p.forcing is not None:
         out -= pair(p.forcing, u)
     return out
@@ -379,9 +379,8 @@ def _gmres(apply, precondition, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _linear_solver(p: PenalizedProblem, u: SpectralField,
-                   anchor: np.ndarray | None = None, work: np.ndarray | None = None,
-                   samples: list | None = None):
+def _linear_solver(p: PenalizedProblem, u: SpectralField, anchor: np.ndarray | None,
+                   work: np.ndarray, samples: list | None = None):
     """Return ``solve`` for the Jacobian at u.
 
     ``solve(rhs)`` solves J delta = rhs over the packed coordinates, mapping
@@ -398,10 +397,10 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
 
     The block is filled, Fortran-ordered, into the flat float64 buffer
     ``work`` of at least (n_c + 1)^2 entries, n_c the coarse count of real
-    unknowns (a new one when None), and LU-factored there, in place; the
-    fill (``_jacobian_fill``) writes the block in row panels straight into
-    that buffer, so no other array of its size is made.  A solve is valid
-    until the buffer's next factorization.
+    unknowns (``newton_solve`` passes one per solve), and LU-factored there,
+    in place; the fill (``_jacobian_fill``) writes the block in row panels
+    straight into that buffer, so no other array of its size is made.  A
+    solve is valid until the buffer's next factorization.
     ``pool.lapack()``'s ``dgetrf`` and ``dgetrs`` are the routines
     ``scipy.linalg.lu_factor(J, overwrite_a=True, check_finite=False)`` and
     ``lu_solve`` reach, called with the same arguments, so the factors and
@@ -456,9 +455,6 @@ def _linear_solver(p: PenalizedProblem, u: SpectralField,
         return np.append(out + z[n] * anchor, anchor @ x)
 
     dim_c = nc + dim - n  # the factored block and the phase row
-    if work is None:
-        work = np.empty((nc + 1) ** 2)
-
     J = work[:dim_c * dim_c].reshape(dim_c, dim_c, order="F")
     _jacobian_fill(p, half, f_u_hat, J)
     if anchor is not None:
@@ -930,9 +926,10 @@ def multi_seed_search(p: PenalizedProblem, n_seeds: int = 16,
 def critical_identity_gap(p: PenalizedProblem, u: SpectralField) -> float:
     """|I(u) - sigma int (u f / 2 - F) + (1/2) int forcing u|.
 
-    The kernel-penalty quadratic terms cancel exactly against I'(u) u / 2,
-    so at a critical point the functional equals the right-hand side and the
-    gap vanishes (up to the residual norm scale).
+    I's quadratic part (|Q|/2) sum d |u_hat|^2 cancels exactly against
+    <R(u), u> / 2, because the functional and the residual read the same
+    penalized symbol d, so at a critical point the functional equals the
+    right-hand side and the gap vanishes (up to the residual norm scale).
     """
     I = functional_I(p, u)
     U, fv, Fv = _on_grid(p, u, 0, "F")

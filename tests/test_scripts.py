@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import math
 import os
 import shutil
 import subprocess
@@ -140,6 +141,26 @@ def test_same_bytes_compares_the_corpus_of_two_trees(tmp_path, monkeypatch, caps
     assert out[-1] == "4 files compared: 0 differ, 2 runs exited nonzero"
     assert [line.rsplit(" ", 1)[0] for line in out[:-1]] == ["parent norms exited",
                                                           "change norms exited"]
+
+
+def test_same_bytes_says_when_only_numbers_differ(tmp_path, capsys):
+    # a number 1 ulp off and a zero that changed sign differ in numbers only;
+    # a changed word is a plain difference; the summary and status are as before
+    same = load_script("same_bytes")
+    ulp = math.nextafter(1.5, 2.0)
+    files = {"ulp.json": ('{"I": 1.5, "n": 7}\n', f'{{"I": {ulp!r}, "n": 7}}\n'),
+             "zero.csv": ("l,max_I\n4,-0.0\n", "l,max_I\n4,0.0\n"),
+             "word.json": ('{"failed": "stalled"}\n', '{"failed": "singular"}\n')}
+    for i, side in enumerate(("parent", "change")):
+        (tmp_path / side).mkdir()
+        for name, texts in files.items():
+            (tmp_path / side / name).write_text(texts[i])
+    assert same.compare(tmp_path / "parent", tmp_path / "change") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"differs: ulp.json (numbers only, max relative difference {(ulp - 1.5) / ulp:.2g})",
+        "differs: word.json",
+        "differs: zero.csv (numbers only, max relative difference 0; a zero changed sign)",
+        "3 files compared: 3 differ, 0 runs exited nonzero"]
 
 
 @pytest.mark.parametrize("text, error", [

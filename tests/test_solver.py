@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -71,6 +73,12 @@ def full_fill(p, u, out=None):
     return out
 
 
+def lu_buffer(p):
+    """A buffer for ``_linear_solver`` sized as ``newton_solve``'s: (n_c + 1)^2
+    entries, n_c the real unknowns of weight at most ``_coarse_truncation``."""
+    return np.empty((lattice(_coarse_truncation(p.M)).n_real + 1) ** 2)
+
+
 def zero_nl():
     """f identically 0: isolates the quadratic parts of the system."""
     return Nonlinearity(s=3.0, a=TrigPolynomial.constant(0.0), m=None,
@@ -118,16 +126,30 @@ def test_residual_manufactured_zero(default_nl):
 
 
 def test_functional_zero_at_origin(default_nl):
-    p = PenalizedProblem(M=8, beta=1e-2, nl=default_nl)
-    assert functional_I(p, SpectralField.zeros(8)) == pytest.approx(0.0, abs=1e-13)
+    # I(0) is +0.0 at either sigma, as the zero field's quadratic part is
+    for sigma in (1, -1):
+        p = PenalizedProblem(M=8, beta=1e-2, nl=default_nl, sigma=sigma)
+        value = functional_I(p, SpectralField.zeros(8))
+        assert value == pytest.approx(0.0, abs=1e-13)
+        assert math.copysign(1.0, value) == 1.0
 
 
-def test_functional_pure_kernel_quadratic_part():
-    beta = 0.37
-    p = PenalizedProblem(M=8, beta=beta, nl=zero_nl())
-    v = SpectralField.from_modes(8, {(1, 2): 0.5})  # cos(2(x + t))
-    expected = -(5.0 * beta / 2.0) * np.pi**2  # -(beta/2)(pi^2 + 4 pi^2)
-    assert functional_I(p, v) == pytest.approx(expected, rel=1e-12)
+_BETA = 0.37
+
+
+@pytest.mark.parametrize("modes, expected", [
+    pytest.param({(0, 1): 0.5}, -np.pi**2 / 2, id="eplus"),  # cos(t): d = -1
+    pytest.param({(1, 0): 0.5}, 2 * np.pi**2, id="eminus"),  # cos(2x): d = 4
+    # cos(2(x + t)): d = beta (-4 - 1), i.e. -(beta/2)(pi^2 + 4 pi^2)
+    pytest.param({(1, 2): 0.5}, -(5 * _BETA / 2) * np.pi**2, id="kernel"),
+    pytest.param({(0, 0): 0.5}, -_BETA * np.pi**2 * 0.5**2, id="constant"),  # d = -beta
+])
+def test_functional_quadratic_part(modes, expected):
+    # I of one real mode under f = 0: (|Q|/2) d |u_hat|^2 over the mode and
+    # its conjugate, d the penalized symbol
+    p = PenalizedProblem(M=8, beta=_BETA, nl=zero_nl())
+    u = SpectralField.from_modes(8, modes)
+    assert functional_I(p, u) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -273,7 +295,7 @@ def test_jacobian_fill_bit_identical_at_every_panel_height(default_nl, monkeypat
         assert np.array_equal(bordered[:n, :n], oracle), entries
         assert np.isnan(bordered[n]).all() and np.isnan(bordered[:, n]).all()
         factored.clear()
-        _linear_solver(p, u, anchor)
+        _linear_solver(p, u, anchor, lu_buffer(p))
         newton, = factored
         assert np.array_equal(newton[:n, :n], oracle), entries
         assert np.array_equal(newton[:n, n], anchor) and np.array_equal(newton[n, :n], anchor)
@@ -566,10 +588,10 @@ def test_linear_solver_iterative_path_matches_dense(default_nl, monkeypatch, M, 
         t_vec = pack(time_derivative(u))
         anchor = t_vec / np.linalg.norm(t_vec)
     rhs = -pack(residual(p, u))
-    dense = _linear_solver(p, u, anchor)(rhs)
+    dense = _linear_solver(p, u, anchor, lu_buffer(p))(rhs)
     monkeypatch.setattr(solver, "DENSE_LIMIT", lattice(M).n_real - 1)
     assert _coarse_truncation(M) == M // 4
-    krylov = _linear_solver(p, u, anchor)(rhs)
+    krylov = _linear_solver(p, u, anchor, lu_buffer(p))(rhs)
     monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
     assert lattice(_coarse_truncation(M)).n_real == 1
     single = _linear_solver(p, u, anchor, np.full(4, np.nan))(rhs)
@@ -606,7 +628,7 @@ def test_dense_linear_solver_bit_identical_to_c_ordered_lu(default_nl, M, anchor
         lu = scipy.linalg.lu_factor(matrix)
         return scipy.linalg.lu_solve(lu, np.append(rhs, np.zeros(dim - n)))[:n]
 
-    solve = _linear_solver(p, u, *border)
+    solve = _linear_solver(p, u, border[0] if border else None, lu_buffer(p))
     assert np.array_equal(solve(rhs), oracle_solve(oracle))
 
 
@@ -631,7 +653,8 @@ for M in (8, 12):
     rhs = -pack(residual(p, u))
     for border in (None, anchor):
         cases.append((p, u, rhs, border))
-        steps.append(_linear_solver(p, u, border)(rhs))
+        work = np.empty((lattice(M).n_real + 1) ** 2)
+        steps.append(_linear_solver(p, u, border, work)(rhs))
 before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 import scipy.linalg
@@ -719,9 +742,9 @@ def test_newton_reused_buffers_match_fresh_ones(default_nl, monkeypatch):
     steps = []
 
     def run(fresh):
-        def spy(p, u, anchor=None, work=None, samples=None):
+        def spy(p, u, anchor, work, samples=None):
             steps.append("." if anchor is None else "A")
-            return linear_solver(p, u, anchor, None if fresh else work, samples)
+            return linear_solver(p, u, anchor, np.empty(work.size) if fresh else work, samples)
 
         monkeypatch.setattr(solver, "_linear_solver", spy)
         steps.clear()
@@ -759,9 +782,9 @@ def test_dense_linear_solver_raises_on_zero_pivot(default_nl, monkeypatch, ancho
 
     monkeypatch.setattr(solver, "_jacobian_fill", scaled_identity(0.0))
     with pytest.raises(SingularJacobian, match="zero pivot"):
-        _linear_solver(p, u, anchor)
+        _linear_solver(p, u, anchor, lu_buffer(p))
     monkeypatch.setattr(solver, "_jacobian_fill", scaled_identity(-1.0))
-    solve = _linear_solver(p, u, anchor)
+    solve = _linear_solver(p, u, anchor, lu_buffer(p))
     rhs = np.arange(1.0, n + 1.0)
     step = solve(rhs)
     if anchored:  # -step + anchor c = rhs with <anchor, step> = 0
@@ -797,7 +820,7 @@ def test_dense_linear_solver_raises_on_non_finite_jacobian(default_nl, monkeypat
     for entry in ((0, 0), (3, 1), (n - 1, n - 1)):
         monkeypatch.setattr(solver, "_jacobian_fill", identity_with(entry))
         with pytest.raises(SingularJacobian, match="non-finite"):
-            _linear_solver(p, u, anchor)
+            _linear_solver(p, u, anchor, lu_buffer(p))
 
 
 def test_criterion_09_branch_refined_above_dense_limit(default_nl, monkeypatch):
@@ -957,7 +980,7 @@ def test_newton_without_line_search_solves_once_per_step(default_nl, monkeypatch
     linear_solver = solver._linear_solver
     solves = []
 
-    def spy(p, u, anchor=None, work=None, samples=None):
+    def spy(p, u, anchor, work, samples=None):
         solve = linear_solver(p, u, anchor, work, samples)
 
         def counted(rhs):
@@ -996,7 +1019,7 @@ def test_grid_reuse_bit_identical_to_resynthesis(default_nl, monkeypatch, case):
         syntheses.append(args)
         return synthesize_(*args)
 
-    def resynthesizing(p, u, anchor=None, work=None, samples=None):
+    def resynthesizing(p, u, anchor, work, samples=None):
         return linear_solver(p, u, anchor, work)
 
     def run():
